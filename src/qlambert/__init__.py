@@ -66,12 +66,13 @@ from .numerics import (
     sqrt,
 )
 from .qcore import (
-    Geometric,
+    Factor,
+    QTerm,
     SeriesValue,
     TermGenerator,
-    Theta,
     qpochhammer_inf,
     qpochhammer_n,
+    sum_qterm,
     sum_series,
     theta3,
 )
@@ -96,7 +97,7 @@ __all__ = [
     "BilateralParams",
     "DivergenceError",
     "DomainError",
-    "Geometric",
+    "Factor",
     "HoradamSequence",
     "IdentityEntry",
     "IdentityReport",
@@ -104,13 +105,13 @@ __all__ = [
     "Mat2",
     "ParamSpec",
     "PoleError",
+    "QTerm",
     "QlambertError",
     "QxtParams",
     "RIGHT",
     "RealContext",
     "SeriesValue",
     "TermGenerator",
-    "Theta",
     "UnknownIdentityError",
     "ZeroTermError",
     "__version__",
@@ -150,6 +151,7 @@ __all__ = [
     "series_qxt_lhs",
     "series_qxt_rhs",
     "sqrt",
+    "sum_qterm",
     "sum_series",
     "theta3",
 ]

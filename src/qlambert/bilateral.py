@@ -32,7 +32,7 @@ from typing import Callable
 
 from .errors import DivergenceError, DomainError, PoleError
 from .numerics import BigReal, RealContext
-from .qcore import SeriesValue
+from .qcore import SeriesValue, ipow
 
 __all__ = [
     "BilateralParams",
@@ -86,22 +86,13 @@ class BilateralParams:
                 )
             tol = ctx.pole_tolerance()
             for name, value in (("x", Decimal(self.x)), ("t", Decimal(self.t))):
-                power = ipow_signed(Decimal(self.q), -POLE_SCAN_RADIUS)
+                power = 1 / ipow(Decimal(self.q), POLE_SCAN_RADIUS)
                 for k in range(-POLE_SCAN_RADIUS, POLE_SCAN_RADIUS + 1):
                     if abs(value - power) <= tol:
                         raise PoleError(
                             f"{name} coincides with q**{k} at working tolerance"
                         )
                     power *= self.q
-
-
-def ipow_signed(base: BigReal, exponent: int) -> BigReal:
-    """Integer power with negative exponents, safe at ``exponent == 0``."""
-    if exponent == 0:
-        return Decimal(1)
-    if exponent < 0:
-        return 1 / base ** (-exponent)
-    return base**exponent
 
 
 def _sum_bilateral(

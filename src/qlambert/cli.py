@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from decimal import Decimal, localcontext
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bilateral import (
     BilateralParams,
@@ -72,25 +72,53 @@ from .recurrences import (
 
 __all__ = ["build_parser", "main"]
 
-#: Methods accepted per ``eval`` series (first one is the default).
-EVAL_METHODS: dict[str, tuple[str, ...]] = {
-    "lambert": ("theta", "naive"),
-    "glambert": ("theta", "naive"),
-    "qxt": ("theta", "naive", "alt"),
-    "bilateral": ("theta", "direct", "form1", "form2"),
-    "theta3": ("theta",),
-}
+Evaluator = Callable[..., SeriesValue]
 
-#: Real-valued flags consumed per ``eval``/``bench`` series.
-SERIES_PARAMS: dict[str, tuple[str, ...]] = {
-    "lambert": ("q",),
-    "glambert": ("x", "q"),
-    "qxt": ("x", "t", "q"),
-    "bilateral": ("x", "t", "q"),
-    "theta3": ("q",),
-}
 
-BENCH_SERIES = ("lambert", "glambert", "qxt")
+def _packed(params_type: type, fn: Callable) -> Evaluator:
+    """``fn`` taking its ``(x, t, q)`` as one parameter record."""
+    return lambda x, t, q, ctx: fn(params_type(x, t, q), ctx)
+
+
+class _Series(NamedTuple):
+    """The real-valued flags of a series, in the order its evaluators take
+    them, and its methods in order (the first is the ``eval`` default)."""
+
+    params: tuple[str, ...]
+    methods: dict[str, Evaluator]
+
+
+def _series_table() -> dict[str, _Series]:
+    """Every ``eval`` series by name.
+
+    Built per call from the evaluators' current module-level names, so that
+    wrappers put in their place (the benchmark's tracer does) are called.
+    """
+    return {
+        "lambert": _Series(("q",), {"theta": lambert_theta, "naive": lambert_naive}),
+        "glambert": _Series(
+            ("x", "q"), {"theta": glambert_theta, "naive": glambert_lhs}
+        ),
+        "qxt": _Series(
+            ("x", "t", "q"),
+            {
+                "theta": _packed(QxtParams, series_qxt_rhs),
+                "naive": _packed(QxtParams, series_qxt_lhs),
+                "alt": _packed(QxtParams, series_qxt_alt),
+            },
+        ),
+        "bilateral": _Series(
+            ("x", "t", "q"),
+            {
+                "theta": _packed(BilateralParams, jordan_theta),
+                "direct": _packed(BilateralParams, jordan_direct),
+                "form1": _packed(BilateralParams, jordan_form1),
+                "form2": _packed(BilateralParams, jordan_form2),
+            },
+        ),
+        "theta3": _Series(("q",), {"theta": theta3}),
+    }
+
 
 RECIP_METHODS = ("horadam", "naive", "gosper", "split")
 
@@ -114,7 +142,7 @@ def _parse_series_params(
     args: argparse.Namespace, series: str, ctx: RealContext
 ) -> dict[str, Decimal]:
     """Collect and parse the flags a series needs; reject stray ones."""
-    wanted = SERIES_PARAMS[series]
+    wanted = _series_table()[series].params
     values: dict[str, Decimal] = {}
     for name in ("q", "x", "t"):
         raw = getattr(args, name)
@@ -139,42 +167,24 @@ def _resolve_digits(requested: int) -> tuple[RealContext, int]:
 
 
 def _evaluate_series(
-    series: str, method: str, params: dict[str, Decimal], ctx: RealContext
+    series: str, method: str | None, params: dict[str, Decimal], ctx: RealContext
 ) -> SeriesValue:
-    if method not in EVAL_METHODS[series]:
-        choices = ", ".join(EVAL_METHODS[series])
+    """Evaluate ``series`` by ``method``, by default its first one."""
+    names, methods = _series_table()[series]
+    if method is None:
+        method = next(iter(methods))
+    if method not in methods:
+        choices = ", ".join(methods)
         raise DomainError(
             f"method {method!r} not available for {series!r} (choose from {choices})"
         )
-    if series == "lambert":
-        fn = lambert_theta if method == "theta" else lambert_naive
-        return fn(params["q"], ctx)
-    if series == "glambert":
-        fn = glambert_theta if method == "theta" else glambert_lhs
-        return fn(params["x"], params["q"], ctx)
-    if series == "qxt":
-        qxt_fn = {
-            "naive": series_qxt_lhs,
-            "theta": series_qxt_rhs,
-            "alt": series_qxt_alt,
-        }[method]
-        return qxt_fn(QxtParams(params["x"], params["t"], params["q"]), ctx)
-    if series == "bilateral":
-        bilateral_fn = {
-            "direct": jordan_direct,
-            "theta": jordan_theta,
-            "form1": jordan_form1,
-            "form2": jordan_form2,
-        }[method]
-        return bilateral_fn(BilateralParams(params["x"], params["t"], params["q"]), ctx)
-    return theta3(params["q"], ctx)
+    return methods[method](*(params[name] for name in names), ctx)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ctx, out_digits = _resolve_digits(args.digits)
     params = _parse_series_params(args, args.series, ctx)
-    method = args.method if args.method is not None else EVAL_METHODS[args.series][0]
-    sv = _evaluate_series(args.series, method, params, ctx)
+    sv = _evaluate_series(args.series, args.method, params, ctx)
     if args.report:
         _print_json(
             {
@@ -273,33 +283,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
-#: Bench evaluators per series, in report order (naive first).
-_BenchFn = Callable[[dict[str, Decimal], RealContext], SeriesValue]
-BENCH_METHODS: dict[str, tuple[_BenchFn, ...]] = {
-    "lambert": (
-        lambda p, ctx: lambert_naive(p["q"], ctx),
-        lambda p, ctx: lambert_theta(p["q"], ctx),
-    ),
-    "glambert": (
-        lambda p, ctx: glambert_lhs(p["x"], p["q"], ctx),
-        lambda p, ctx: glambert_theta(p["x"], p["q"], ctx),
-    ),
-    "qxt": (
-        lambda p, ctx: series_qxt_lhs(QxtParams(p["x"], p["t"], p["q"]), ctx),
-        lambda p, ctx: series_qxt_rhs(QxtParams(p["x"], p["t"], p["q"]), ctx),
-        lambda p, ctx: series_qxt_alt(QxtParams(p["x"], p["t"], p["q"]), ctx),
-    ),
-}
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     ctx, out_digits = _resolve_digits(args.digits)
     params = _parse_series_params(args, args.series, ctx)
     records = []
     results: list[SeriesValue] = []
-    for fn in BENCH_METHODS[args.series]:
+    methods = _series_table()[args.series].methods
+    for method in ["naive"] + [name for name in methods if name != "naive"]:
         started = time.perf_counter_ns()
-        sv = fn(params, ctx)
+        sv = _evaluate_series(args.series, method, params, ctx)
         elapsed = time.perf_counter_ns() - started
         results.append(sv)
         records.append(
@@ -362,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = subparsers.add_parser(
         "eval", parents=[common], help="evaluate one series"
     )
-    p_eval.add_argument("series", choices=sorted(EVAL_METHODS))
+    table = _series_table()
+    p_eval.add_argument("series", choices=sorted(table))
     p_eval.add_argument("--q", help="base q (decimal or rational like 1/2)")
     p_eval.add_argument("--x", help="parameter x")
     p_eval.add_argument("--t", help="parameter t")
@@ -398,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = subparsers.add_parser(
         "bench", parents=[common], help="compare naive and theta convergence"
     )
-    p_bench.add_argument("--series", choices=BENCH_SERIES, required=True)
+    # bench compares the series that have both a naive and a theta method.
+    both = {"naive", "theta"}
+    bench_series = [name for name, spec in table.items() if both <= spec.methods.keys()]
+    p_bench.add_argument("--series", choices=bench_series, required=True)
     p_bench.add_argument("--q", help="base q (decimal or rational like 1/2)")
     p_bench.add_argument("--x", help="parameter x")
     p_bench.add_argument("--t", help="parameter t")

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from functools import partial
+from math import prod
 from typing import Callable, Mapping
 
 from .bilateral import (
@@ -46,15 +48,24 @@ from .gospermat import (
     product_factor_count,
     product_upper_right,
 )
-from .lambert import QxtParams, fine_F, lambert_naive, series_qxt_lhs
+from .lambert import (
+    QxtParams,
+    _glambert_naive,
+    _glambert_theta,
+    _qxt_theta,
+    fine_F,
+    lambert_naive,
+    series_qxt_lhs,
+)
 from .numerics import BigReal, RealContext, format_real, make_context
 from .qcore import (
-    Geometric,
+    Factor,
+    QTerm,
     SeriesValue,
     TermGenerator,
-    Theta,
     ipow,
     qpochhammer_inf,
+    sum_qterm,
     sum_series,
 )
 
@@ -180,6 +191,43 @@ def _draw_point(
     return point
 
 
+def _series_side(build: Callable[..., QTerm], method_tag: str, *names: str) -> SideFn:
+    """The side that sums ``build`` at the parameters ``names``."""
+
+    def side(p: Params, ctx: RealContext) -> SeriesValue:
+        return sum_qterm(build, (p[name] for name in names), ctx, method_tag)
+
+    side.__name__ = method_tag
+    return side
+
+
+def _with_prefactor(
+    series: SeriesValue,
+    numerators: tuple[SeriesValue, ...],
+    denominators: tuple[SeriesValue, ...],
+    ctx: RealContext,
+    method_tag: str,
+) -> SeriesValue:
+    """``series`` times the quotient of certified infinite products.
+
+    The tail adds the series tail scaled by the prefactor to the value
+    scaled by the products' summed relative tails.
+    """
+    with localcontext(ctx.dec):
+        products = numerators + denominators
+        prefactor = prod(p.value for p in numerators)
+        prefactor /= prod(p.value for p in denominators)
+        value = prefactor * series.value
+        relative = sum(p.tail_bound / abs(p.value) for p in products)
+        tail = (
+            abs(prefactor) * series.tail_bound
+            + abs(value) * relative
+            + ctx.tail_floor(value)
+        )
+        terms = series.terms_used + sum(p.terms_used for p in products)
+    return SeriesValue(value, terms, tail, method_tag)
+
+
 # ---------------------------------------------------------------------------
 # Entry 1: Rogers-Fine.
 
@@ -194,54 +242,26 @@ def _fine_times_one_minus_t(p: Params, ctx: RealContext) -> SeriesValue:
     return SeriesValue(value, sv.terms_used, tail, "fine-naive")
 
 
-def _rogers_fine_rhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_n ((aq;q)_n (atq/b;q)_n / ((bq;q)_n (tq;q)_n))
-    (1 - a t q^(2n+1)) b^n t^n q^(n^2)``.
+def _rogers_fine_rhs(a: BigReal, b: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``((aq;q)_n (atq/b;q)_n / ((bq;q)_n (tq;q)_n))
+    (1 - a t q^(2n+1)) b^n t^n q^(n^2)``, ``n >= 0``.
 
-    The ``(atq/b;q)_n b^n`` block is folded into the running product
+    The ``(atq/b;q)_n b^n`` block is folded into the Pochhammer product
     ``prod_{j=1}^{n} (b - a t q^j)`` so ``b = 0`` needs no special casing.
     """
-    with localcontext(ctx.dec):
-        a, b, t, q = (
-            +Decimal(p["a"]),
-            +Decimal(p["b"]),
-            +Decimal(p["t"]),
-            +Decimal(p["q"]),
-        )
-        a_hat, b_hat, t_hat, q_hat = abs(a), abs(b), abs(t), abs(q)
-        at = a * t
-        state = {
-            "coeff": Decimal(1),  # (aq;q)_n prod_j (b - a t q^j) / ((bq;q)_n (tq;q)_n)
-            "t_pow": Decimal(1),  # t^n
-            "q_sq": Decimal(1),   # q^(n^2)
-            "q_odd": q,           # q^(2n+1)
-            "at_q": at * q,       # a t q^(2n+1)
-            "q_next": q,          # q^(n+1)
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["coeff"] * (1 - state["at_q"]) * state["t_pow"] * state["q_sq"]
-            q_next = state["q_next"]
-            state["coeff"] *= (
-                (1 - a * q_next) * (b - at * q_next)
-                / ((1 - b * q_next) * (1 - t * q_next))
-            )
-            state["t_pow"] *= t
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["at_q"] *= q * q
-            state["q_next"] *= q
-            return value
-
-        extra = (
-            t_hat
-            * (1 + a_hat * q_hat)
-            * (b_hat + a_hat * t_hat * q_hat)
-            * (1 + a_hat * t_hat * q_hat**3)
-            / ((1 - b_hat * q_hat) * (1 - t_hat * q_hat) * (1 - a_hat * t_hat * q_hat))
-        )
-        gen = TermGenerator(term, Theta(q_hat, step=2, shift=1, extra=extra))
-        return sum_series(gen, 0, ctx, method_tag="rogers-theta")
+    at = a * t
+    return QTerm(
+        q,
+        z=t,
+        theta=(2, 1),
+        factors=(
+            Factor(at, s=2, k=1),
+            Factor(a, k=1, pochhammer=True),
+            Factor(at, k=1, pochhammer=True, c0=b),
+            Factor(b, k=1, power=-1, pochhammer=True),
+            Factor(t, k=1, power=-1, pochhammer=True),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,40 +280,22 @@ def _symm_rhs(p: Params, ctx: RealContext) -> SeriesValue:
 # Entry 3: Fine's second transformation (12.2), corrected.
 
 
-def _fine_122_rhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_n ((b/a;q)_n / ((bq;q)_n (tq;q)_n)) (-a t)^n q^((n^2+n)/2)``.
+def _fine_122_rhs(a: BigReal, b: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``((b/a;q)_n / ((bq;q)_n (tq;q)_n)) (-a t)^n q^((n^2+n)/2)``, ``n >= 0``.
 
     ``(b/a;q)_n (-a t)^n`` is folded into ``prod_{j<n} (a - b q^j) (-t)^n``,
     which is exact at ``a = 0`` as well.
     """
-    with localcontext(ctx.dec):
-        a, b, t, q = (
-            +Decimal(p["a"]),
-            +Decimal(p["b"]),
-            +Decimal(p["t"]),
-            +Decimal(p["q"]),
-        )
-        a_hat, b_hat, t_hat, q_hat = abs(a), abs(b), abs(t), abs(q)
-        state = {
-            "coeff": Decimal(1),  # full summand at the current n
-            "q_pow": Decimal(1),  # q^n
-            "q_next": q,          # q^(n+1)
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["coeff"]
-            q_next = state["q_next"]
-            state["coeff"] *= (
-                (a - b * state["q_pow"]) * (-t) * q_next
-                / ((1 - b * q_next) * (1 - t * q_next))
-            )
-            state["q_pow"] *= q
-            state["q_next"] *= q
-            return value
-
-        extra = (a_hat + b_hat) * t_hat / ((1 - b_hat * q_hat) * (1 - t_hat * q_hat))
-        gen = TermGenerator(term, Theta(q_hat, step=1, shift=1, extra=extra))
-        return sum_series(gen, 0, ctx, method_tag="fine-12.2")
+    return QTerm(
+        q,
+        z=-t,
+        theta=(1, 1),
+        factors=(
+            Factor(b, pochhammer=True, c0=a),
+            Factor(b, k=1, power=-1, pochhammer=True),
+            Factor(t, k=1, power=-1, pochhammer=True),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,161 +306,68 @@ def _fine_163_lhs(p: Params, ctx: RealContext) -> SeriesValue:
     return fine_F(p["a"], p["b"], p["t"], p["q"], ctx)
 
 
-def _fine_163_rhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``((aq;q)_inf/(bq;q)_inf) sum_n ((b/a;q)_n/(q;q)_n) (aq)^n/(1-t q^n)``.
+def _fine_163_series(a: BigReal, b: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``((b/a;q)_n/(q;q)_n) (aq)^n/(1-t q^n)``, ``n >= 0``.
 
     ``(b/a;q)_n (aq)^n`` is folded into ``prod_{j<n}(a - b q^j) q^n``.
     """
+    return QTerm(
+        q,
+        z=q,
+        factors=(
+            Factor(t, power=-1),
+            Factor(b, pochhammer=True, c0=a),
+            Factor(1, k=1, power=-1, pochhammer=True),
+        ),
+    )
+
+
+def _fine_163_rhs(p: Params, ctx: RealContext) -> SeriesValue:
+    """``((aq;q)_inf/(bq;q)_inf) sum_n ((b/a;q)_n/(q;q)_n) (aq)^n/(1-t q^n)``."""
     with localcontext(ctx.dec):
-        a, b, t, q = (
-            +Decimal(p["a"]),
-            +Decimal(p["b"]),
-            +Decimal(p["t"]),
-            +Decimal(p["q"]),
-        )
-        a_hat, b_hat, t_hat, q_hat = abs(a), abs(b), abs(t), abs(q)
+        a, b, q = +Decimal(p["a"]), +Decimal(p["b"]), +Decimal(p["q"])
         poch_a = qpochhammer_inf(a * q, q, ctx)
         poch_b = qpochhammer_inf(b * q, q, ctx)
-        state = {
-            "coeff": 1 / (1 - t),  # full summand at the current n
-            "q_pow": Decimal(1),   # q^n
-            "q_next": q,           # q^(n+1)
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["coeff"]
-            q_pow = state["q_pow"]
-            q_next = state["q_next"]
-            state["coeff"] *= (
-                (a - b * q_pow) * q * (1 - t * q_pow)
-                / ((1 - q_next) * (1 - t * q_next))
-            )
-            state["q_pow"] *= q
-            state["q_next"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            num = (a_hat + b_hat * ipow(q_hat, n)) * (1 + t_hat * ipow(q_hat, n))
-            den = (1 - ipow(q_hat, n + 1)) * (1 - t_hat * ipow(q_hat, n + 1))
-            if den <= 0:
-                return Decimal(0)
-            return num / den
-
-        gen = TermGenerator(term, Geometric(q_hat, prefactor_sup))
-        series = sum_series(gen, 0, ctx, method_tag="fine-16.3")
-        prefactor = poch_a.value / poch_b.value
-        value = prefactor * series.value
-        relative = poch_a.tail_bound / abs(poch_a.value) + poch_b.tail_bound / abs(
-            poch_b.value
-        )
-        tail = (
-            abs(prefactor) * series.tail_bound
-            + abs(value) * relative
-            + ctx.tail_floor(value)
-        )
-        terms = series.terms_used + poch_a.terms_used + poch_b.terms_used
-    return SeriesValue(value, terms, tail, "fine-16.3")
+    params = (p["a"], p["b"], p["t"], p["q"])
+    series = sum_qterm(_fine_163_series, params, ctx, "fine-16.3")
+    return _with_prefactor(series, (poch_a,), (poch_b,), ctx, "fine-16.3")
 
 
 # ---------------------------------------------------------------------------
 # Entries 5 and 6: Pochhammer-denominator symmetry and Gosper's identity.
 
 
-def _poch_series(t: BigReal, x: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=0} t^n/(x;q)_{n+1}`` with a running denominator product."""
-    with localcontext(ctx.dec):
-        t, x, q = +Decimal(t), +Decimal(x), +Decimal(q)
-        t_hat, x_hat, q_hat = abs(t), abs(x), abs(q)
-        state = {
-            "t_pow": Decimal(1),  # t^n
-            "den": 1 - x,         # (x;q)_{n+1}
-            "xq": x * q,          # x q^(n+1)
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["t_pow"] / state["den"]
-            state["t_pow"] *= t
-            state["den"] *= 1 - state["xq"]
-            state["xq"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - x_hat * ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return 1 / den
-
-        gen = TermGenerator(term, Geometric(t_hat, prefactor_sup))
-        return sum_series(gen, 0, ctx, method_tag="poch-series")
-
-
-def _poch_symm_lhs(p: Params, ctx: RealContext) -> SeriesValue:
-    return _poch_series(p["t"], p["x"], p["q"], ctx)
-
-
-def _poch_symm_rhs(p: Params, ctx: RealContext) -> SeriesValue:
-    return _poch_series(p["x"], p["t"], p["q"], ctx)
+def _poch_series(t: BigReal, x: BigReal, q: BigReal) -> QTerm:
+    """``t^n/(x;q)_{n+1}``, ``n >= 0``."""
+    return QTerm(
+        q,
+        start=1 / (1 - x),
+        z=t,
+        factors=(Factor(x, k=1, power=-1, pochhammer=True),),
+    )
 
 
 def _gosper_poch_lhs(p: Params, ctx: RealContext) -> SeriesValue:
     """``((t;q)_inf (x;q)_inf / (q;q)_inf) * sum_n t^n/(x;q)_{n+1}``."""
     with localcontext(ctx.dec):
         x, t, q = +Decimal(p["x"]), +Decimal(p["t"]), +Decimal(p["q"])
-        poch_t = qpochhammer_inf(t, q, ctx)
-        poch_x = qpochhammer_inf(x, q, ctx)
-        poch_q = qpochhammer_inf(q, q, ctx)
-        series = _poch_series(t, x, q, ctx)
-        prefactor = poch_t.value * poch_x.value / poch_q.value
-        value = prefactor * series.value
-        relative = (
-            poch_t.tail_bound / abs(poch_t.value)
-            + poch_x.tail_bound / abs(poch_x.value)
-            + poch_q.tail_bound / abs(poch_q.value)
-        )
-        tail = (
-            abs(prefactor) * series.tail_bound
-            + abs(value) * relative
-            + ctx.tail_floor(value)
-        )
-        terms = (
-            series.terms_used
-            + poch_t.terms_used
-            + poch_x.terms_used
-            + poch_q.terms_used
-        )
-    return SeriesValue(value, terms, tail, "gosper-poch-lhs")
+        numerators = qpochhammer_inf(t, q, ctx), qpochhammer_inf(x, q, ctx)
+        denominators = (qpochhammer_inf(q, q, ctx),)
+    series = sum_qterm(_poch_series, (p["t"], p["x"], p["q"]), ctx, "poch-series")
+    return _with_prefactor(series, numerators, denominators, ctx, "gosper-poch-lhs")
 
 
-def _gosper_poch_rhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=0} ((t;q)_n (x;q)_n / (q;q)_n) q^n``."""
-    with localcontext(ctx.dec):
-        x, t, q = +Decimal(p["x"]), +Decimal(p["t"]), +Decimal(p["q"])
-        x_hat, t_hat, q_hat = abs(x), abs(t), abs(q)
-        state = {
-            "coeff": Decimal(1),  # full summand at the current n
-            "q_pow": Decimal(1),  # q^n
-            "q_next": q,          # q^(n+1)
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["coeff"]
-            q_pow = state["q_pow"]
-            state["coeff"] *= (
-                (1 - t * q_pow) * (1 - x * q_pow) * q / (1 - state["q_next"])
-            )
-            state["q_pow"] *= q
-            state["q_next"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            num = (1 + t_hat * ipow(q_hat, n)) * (1 + x_hat * ipow(q_hat, n))
-            den = 1 - ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return num / den
-
-        gen = TermGenerator(term, Geometric(q_hat, prefactor_sup))
-        return sum_series(gen, 0, ctx, method_tag="gosper-poch-rhs")
+def _gosper_poch_rhs(x: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``((t;q)_n (x;q)_n / (q;q)_n) q^n``, ``n >= 0``."""
+    return QTerm(
+        q,
+        z=q,
+        factors=(
+            Factor(t, pochhammer=True),
+            Factor(x, pochhammer=True),
+            Factor(1, k=1, power=-1, pochhammer=True),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,58 +375,15 @@ def _gosper_poch_rhs(p: Params, ctx: RealContext) -> SeriesValue:
 
 
 def _osler_single(
-    alpha: BigReal,
-    beta: BigReal,
-    q: BigReal,
-    a: int,
-    b: int,
-    c: int,
-    d: int,
-    ctx: RealContext,
-    method_tag: str,
-) -> SeriesValue:
-    """``sum_{n>=0} alpha^n q^(d(an+b)) / (1 - beta q^(c(an+b)))``."""
-    with localcontext(ctx.dec):
-        alpha, beta, q = +Decimal(alpha), +Decimal(beta), +Decimal(q)
-        alpha_hat, beta_hat, q_hat = abs(alpha), abs(beta), abs(q)
-        state = {
-            "a_pow": Decimal(1),           # alpha^n
-            "num_pow": ipow(q, d * b),     # q^(d(an+b))
-            "num_step": ipow(q, d * a),
-            "den_pow": ipow(q, c * b),     # q^(c(an+b))
-            "den_step": ipow(q, c * a),
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["a_pow"] * state["num_pow"] / (1 - beta * state["den_pow"])
-            state["a_pow"] *= alpha
-            state["num_pow"] *= state["num_step"]
-            state["den_pow"] *= state["den_step"]
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            here = beta_hat * ipow(q_hat, c * (a * n + b))
-            after = beta_hat * ipow(q_hat, c * (a * (n + 1) + b))
-            return (1 + here) / (1 - after)
-
-        ratio = alpha_hat * ipow(q_hat, d * a)
-        gen = TermGenerator(term, Geometric(ratio, prefactor_sup))
-        return sum_series(gen, 0, ctx, method_tag=method_tag)
-
-
-def _osler_lhs(p: Params, ctx: RealContext) -> SeriesValue:
-    return _osler_single(
-        p["alpha"], p["beta"], p["q"],
-        int(p["a"]), int(p["b"]), int(p["c"]), int(p["d"]),
-        ctx, "osler-6.5",
-    )
-
-
-def _osler_mid(p: Params, ctx: RealContext) -> SeriesValue:
-    return _osler_single(
-        p["beta"], p["alpha"], p["q"],
-        int(p["c"]), int(p["d"]), int(p["a"]), int(p["b"]),
-        ctx, "osler-6.6",
+    alpha: BigReal, beta: BigReal, q: BigReal, *abcd: BigReal
+) -> QTerm:
+    """``alpha^n q^(d(an+b)) / (1 - beta q^(c(an+b)))``, ``n >= 0``."""
+    a, b, c, d = map(int, abcd)
+    return QTerm(
+        q,
+        start=ipow(q, d * b),
+        z=alpha * ipow(q, d * a),
+        factors=(Factor(beta, s=c * a, k=c * b, power=-1),),
     )
 
 
@@ -532,61 +398,20 @@ def _osler_combined(p: Params, ctx: RealContext) -> SeriesValue:
     with localcontext(ctx.dec):
         alpha, beta, q = +Decimal(p["alpha"]), +Decimal(p["beta"]), +Decimal(p["q"])
         a, b, c, d = int(p["a"]), int(p["b"]), int(p["c"]), int(p["d"])
-        alpha_hat, beta_hat, q_hat = abs(alpha), abs(beta), abs(q)
-        ab = alpha * beta
-        ab_hat = alpha_hat * beta_hat
-        two_ac = 2 * a * c
-
-        state1 = {
-            "coeff": Decimal(1),                     # (alpha beta)^n
-            "e_pow": ipow(q, b * d),                 # q^((an+b)(cn+d))
-            "e_step": ipow(q, a * c + a * d + b * c),
-            "e_step2": ipow(q, two_ac),
-            "den_pow": ipow(q, c * b),               # q^(c(an+b))
-            "den_step": ipow(q, c * a),
-        }
-
-        def term1(n: int) -> BigReal:
-            value = state1["coeff"] * state1["e_pow"] / (1 - beta * state1["den_pow"])
-            state1["coeff"] *= ab
-            state1["e_pow"] *= state1["e_step"]
-            state1["e_step"] *= state1["e_step2"]
-            state1["den_pow"] *= state1["den_step"]
-            return value
-
-        decay1 = Theta(
-            q_hat,
-            step=two_ac,
-            shift=a * c + a * d + b * c,
-            extra=ab_hat * (1 + beta_hat) / (1 - beta_hat),
-        )
-        part1 = sum_series(TermGenerator(term1, decay1), 0, ctx, method_tag="osler-6.7a")
-
-        state2 = {
-            "coeff": alpha,                          # alpha^(n+1) beta^n
-            "e_pow": ipow(q, (a + b) * d),           # q^((a(n+1)+b)(cn+d))
-            "e_step": ipow(q, two_ac + a * d + b * c),
-            "e_step2": ipow(q, two_ac),
-            "den_pow": ipow(q, a * d),               # q^(a(cn+d))
-            "den_step": ipow(q, a * c),
-        }
-
-        def term2(n: int) -> BigReal:
-            value = state2["coeff"] * state2["e_pow"] / (1 - alpha * state2["den_pow"])
-            state2["coeff"] *= ab
-            state2["e_pow"] *= state2["e_step"]
-            state2["e_step"] *= state2["e_step2"]
-            state2["den_pow"] *= state2["den_step"]
-            return value
-
-        decay2 = Theta(
-            q_hat,
-            step=two_ac,
-            shift=two_ac + a * d + b * c,
-            extra=ab_hat * (1 + alpha_hat) / (1 - alpha_hat),
-        )
-        part2 = sum_series(TermGenerator(term2, decay2), 0, ctx, method_tag="osler-6.7b")
-
+        part1 = QTerm(
+            q,
+            start=ipow(q, b * d),
+            z=alpha * beta,
+            theta=(2 * a * c, a * c + a * d + b * c),
+            factors=(Factor(beta, s=c * a, k=c * b, power=-1),),
+        ).sum(ctx, "osler-6.7a")
+        part2 = QTerm(
+            q,
+            start=alpha * ipow(q, (a + b) * d),
+            z=alpha * beta,
+            theta=(2 * a * c, 2 * a * c + a * d + b * c),
+            factors=(Factor(alpha, s=a * c, k=a * d, power=-1),),
+        ).sum(ctx, "osler-6.7b")
         value = part1.value + part2.value
         tail = part1.tail_bound + part2.tail_bound
     return SeriesValue(
@@ -598,47 +423,10 @@ def _osler_combined(p: Params, ctx: RealContext) -> SeriesValue:
 # Entry 8: the five-expression chain at a=b=c=d=1.
 
 
-def _chain_geo(x: BigReal, t: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=1} x^n q^n / (1 - t q^n)``."""
-    with localcontext(ctx.dec):
-        x, t, q = +Decimal(x), +Decimal(t), +Decimal(q)
-        x_hat, t_hat, q_hat = abs(x), abs(t), abs(q)
-        xq = x * q
-        state = {"xq_pow": xq, "q_pow": q}
-
-        def term(n: int) -> BigReal:
-            value = state["xq_pow"] / (1 - t * state["q_pow"])
-            state["xq_pow"] *= xq
-            state["q_pow"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - t_hat * ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + t_hat * ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(x_hat * q_hat, prefactor_sup))
-        return sum_series(gen, 1, ctx, method_tag="chain-geo")
-
-
-def _scale_series(
-    sv: SeriesValue, scale: BigReal, ctx: RealContext, method_tag: str
-) -> SeriesValue:
-    with localcontext(ctx.dec):
-        value = scale * sv.value
-        tail = abs(scale) * sv.tail_bound + ctx.tail_floor(value)
-    return SeriesValue(value, sv.terms_used, tail, method_tag)
-
-
-def _chain_e1(p: Params, ctx: RealContext) -> SeriesValue:
-    inner = _chain_geo(p["x"], p["t"], p["q"], ctx)
-    return _scale_series(inner, Decimal(p["t"]), ctx, "chain-e1")
-
-
-def _chain_e2(p: Params, ctx: RealContext) -> SeriesValue:
-    inner = _chain_geo(p["t"], p["x"], p["q"], ctx)
-    return _scale_series(inner, Decimal(p["x"]), ctx, "chain-e2")
+def _chain_geo(x: BigReal, t: BigReal, q: BigReal, scale: BigReal = 1) -> QTerm:
+    """``scale * x^n q^n / (1 - t q^n)``, ``n >= 1``."""
+    xq = x * q
+    return QTerm(q, start=scale * xq, z=xq, factors=(Factor(t, power=-1),), first=1)
 
 
 def _chain_theta_parts(
@@ -648,47 +436,13 @@ def _chain_theta_parts(
     + x * sum_{n>=1} x^n t^n q^(n(n+1))/(1-x q^n)``."""
     with localcontext(ctx.dec):
         x, t, q = +Decimal(x), +Decimal(t), +Decimal(q)
-        x_hat, t_hat, q_hat = abs(x), abs(t), abs(q)
         xt = x * t
-
-        state_a = {"xt_pow": xt, "q_sq": q, "q_odd": q**3, "q_pow": q}
-
-        def term_a(n: int) -> BigReal:
-            value = state_a["xt_pow"] * state_a["q_sq"] / (1 - t * state_a["q_pow"])
-            state_a["xt_pow"] *= xt
-            state_a["q_sq"] *= state_a["q_odd"]
-            state_a["q_odd"] *= q * q
-            state_a["q_pow"] *= q
-            return value
-
-        decay_a = Theta(
-            q_hat,
-            step=2,
-            shift=1,
-            extra=x_hat * t_hat * (1 + t_hat * q_hat) / (1 - t_hat * q_hat * q_hat),
-        )
-        part_a = sum_series(TermGenerator(term_a, decay_a), 1, ctx, method_tag="chain-a")
-
-        state_b = {"xt_pow": xt, "q_tri": q * q, "q_even": q**4, "q_pow": q}
-
-        def term_b(n: int) -> BigReal:
-            value = state_b["xt_pow"] * state_b["q_tri"] / (1 - x * state_b["q_pow"])
-            state_b["xt_pow"] *= xt
-            state_b["q_tri"] *= state_b["q_even"]
-            state_b["q_even"] *= q * q
-            state_b["q_pow"] *= q
-            return value
-
-        decay_b = Theta(
-            q_hat,
-            step=2,
-            shift=2,
-            extra=x_hat * t_hat * (1 + x_hat * q_hat) / (1 - x_hat * q_hat * q_hat),
-        )
-        part_b = sum_series(TermGenerator(term_b, decay_b), 1, ctx, method_tag="chain-b")
-
+        part_a = QTerm(q, xt * q, xt, (2, 1), (Factor(t, power=-1),), first=1)
+        part_b = QTerm(q, xt * q * q, xt, (2, 2), (Factor(x, power=-1),), first=1)
+        part_a = part_a.sum(ctx, "chain-a")
+        part_b = part_b.sum(ctx, "chain-b")
         value = part_a.value + x * part_b.value
-        tail = part_a.tail_bound + x_hat * part_b.tail_bound + ctx.tail_floor(value)
+        tail = part_a.tail_bound + abs(x) * part_b.tail_bound + ctx.tail_floor(value)
     return SeriesValue(
         value, part_a.terms_used + part_b.terms_used, tail, method_tag
     )
@@ -702,71 +456,41 @@ def _chain_e4(p: Params, ctx: RealContext) -> SeriesValue:
     return _chain_theta_parts(p["t"], p["x"], p["q"], ctx, "chain-e4")
 
 
-def _chain_e5(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=1} (1 - x t q^(2n)) x^n t^n q^(n^2) /
-    ((1-x q^n)(1-t q^n))`` (the symmetric form)."""
-    with localcontext(ctx.dec):
-        x, t, q = +Decimal(p["x"]), +Decimal(p["t"]), +Decimal(p["q"])
-        x_hat, t_hat, q_hat = abs(x), abs(t), abs(q)
-        xt = x * t
-        state = {"xt_pow": xt, "q_sq": q, "q_odd": q**3, "q_pow": q, "q2_pow": q * q}
-
-        def term(n: int) -> BigReal:
-            numerator = 1 - xt * state["q2_pow"]
-            denominator = (1 - x * state["q_pow"]) * (1 - t * state["q_pow"])
-            value = numerator / denominator * state["xt_pow"] * state["q_sq"]
-            state["xt_pow"] *= xt
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["q_pow"] *= q
-            state["q2_pow"] *= q * q
-            return value
-
-        q2 = q_hat * q_hat
-        sup_b = (1 + x_hat * t_hat * q2) / ((1 - x_hat * q_hat) * (1 - t_hat * q_hat))
-        inf_b = (1 - x_hat * t_hat * q2) / ((1 + x_hat * q_hat) * (1 + t_hat * q_hat))
-        decay = Theta(q_hat, step=2, shift=1, extra=x_hat * t_hat * sup_b / inf_b)
-        return sum_series(TermGenerator(term, decay), 1, ctx, method_tag="chain-e5")
-
-
 # ---------------------------------------------------------------------------
 # Entry 9: the Knuth/Wrench bracket identity with a_n = x^n.
 
 
-def _wrench_lhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=1} x^n q^n/(1-q^n)`` (linear route)."""
+def _wrench_lhs(x: BigReal, q: BigReal) -> QTerm:
+    """``x^n q^n/(1-q^n)``, ``n >= 1`` (linear route)."""
+    return _chain_geo(x, Decimal(1), q)
+
+
+def _bracket_sum(
+    bracket: Callable[[BigReal, BigReal, BigReal], BigReal],
+    p: Params,
+    ctx: RealContext,
+    method_tag: str,
+) -> SeriesValue:
+    """``sum_{n>=1} bracket(x, x^n, q^n) q^(n^2)``, a hand-written term.
+
+    Every bracket below equals ``(1 - x q^(2n))/((1-q^n)(1-x q^n)) x^n``, so
+    the summand is the theta-form generalized Lambert summand and shares its
+    majorant.
+    """
     with localcontext(ctx.dec):
         x, q = +Decimal(p["x"]), +Decimal(p["q"])
-        x_hat, q_hat = abs(x), abs(q)
-        xq = x * q
-        state = {"xq_pow": xq, "q_pow": q}
+        state = {"x_pow": x, "q_sq": q, "q_odd": q**3, "q_pow": q}
 
         def term(n: int) -> BigReal:
-            value = state["xq_pow"] / (1 - state["q_pow"])
-            state["xq_pow"] *= xq
+            value = bracket(x, state["x_pow"], state["q_pow"]) * state["q_sq"]
+            state["x_pow"] *= x
+            state["q_sq"] *= state["q_odd"]
+            state["q_odd"] *= q * q
             state["q_pow"] *= q
             return value
 
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(x_hat * q_hat, prefactor_sup))
-        return sum_series(gen, 1, ctx, method_tag="wrench-lhs")
-
-
-def _wrench_decay(x_hat: BigReal, q_hat: BigReal) -> Theta:
-    """Shared majorant for both bracket routes.
-
-    The bracket equals ``(1 - x q^(2n))/((1-q^n)(1-x q^n))`` after closing
-    the geometric inner sums, so the glambert-style sup/inf bound applies.
-    """
-    q2 = q_hat * q_hat
-    sup_b = (1 + x_hat * q2) / ((1 - q_hat) * (1 - x_hat * q_hat))
-    inf_b = (1 - x_hat * q2) / ((1 + q_hat) * (1 + x_hat * q_hat))
-    return Theta(q_hat, step=2, shift=1, extra=x_hat * sup_b / inf_b)
+        gen = TermGenerator(term, _glambert_theta(x, q).generator().decay)
+        return sum_series(gen, 1, ctx, method_tag=method_tag)
 
 
 def _wrench_closed(p: Params, ctx: RealContext) -> SeriesValue:
@@ -775,24 +499,12 @@ def _wrench_closed(p: Params, ctx: RealContext) -> SeriesValue:
     The inner ``k``-sums of the Wrench bracket are closed geometrically
     (valid because ``a_n = x^n``).
     """
-    with localcontext(ctx.dec):
-        x, q = +Decimal(p["x"]), +Decimal(p["q"])
-        x_hat, q_hat = abs(x), abs(q)
-        state = {"x_pow": x, "q_sq": q, "q_odd": q**3, "q_pow": q}
 
-        def term(n: int) -> BigReal:
-            q_pow = state["q_pow"]
-            xq = x * q_pow
-            bracket = 1 / (1 - q_pow) + xq / (1 - xq)
-            value = bracket * state["x_pow"] * state["q_sq"]
-            state["x_pow"] *= x
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["q_pow"] *= q
-            return value
+    def bracket(x: BigReal, x_pow: BigReal, q_pow: BigReal) -> BigReal:
+        xq = x * q_pow
+        return (1 / (1 - q_pow) + xq / (1 - xq)) * x_pow
 
-        gen = TermGenerator(term, _wrench_decay(x_hat, q_hat))
-        return sum_series(gen, 1, ctx, method_tag="wrench-closed")
+    return _bracket_sum(bracket, p, ctx, "wrench-closed")
 
 
 def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
@@ -802,84 +514,36 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
     ``10^-(working_digits+6)``; the leftover is absorbed by the reported
     tail's rounding floor.
     """
-    with localcontext(ctx.dec):
-        x, q = +Decimal(p["x"]), +Decimal(p["q"])
-        x_hat, q_hat = abs(x), abs(q)
-        inner_eps = Decimal(1).scaleb(-(ctx.working_digits + 6))
-        state = {"x_pow": x, "q_sq": q, "q_odd": q**3, "q_pow": q}
+    inner_eps = Decimal(1).scaleb(-(ctx.working_digits + 6))
 
-        def term(n: int) -> BigReal:
-            x_pow = state["x_pow"]
-            q_pow = state["q_pow"]  # q^n
-            bracket = +x_pow
-            qk = q_pow              # q^(kn) for k = 1, 2, ...
-            xk = x_pow * x          # x^(n+k)
-            qn_hat = abs(q_pow)
-            while True:
-                bracket += (x_pow + xk) * qk
-                qk *= q_pow
-                xk *= x
-                inner_tail = 2 * abs(x_pow) * abs(qk) / (1 - qn_hat)
-                if inner_tail < inner_eps:
-                    break
-            value = bracket * state["q_sq"]
-            state["x_pow"] *= x
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["q_pow"] *= q
-            return value
+    def bracket(x: BigReal, x_pow: BigReal, q_pow: BigReal) -> BigReal:
+        total = +x_pow
+        qk = q_pow              # q^(kn) for k = 1, 2, ...
+        xk = x_pow * x          # x^(n+k)
+        qn_hat = abs(q_pow)
+        while True:
+            total += (x_pow + xk) * qk
+            qk *= q_pow
+            xk *= x
+            inner_tail = 2 * abs(x_pow) * abs(qk) / (1 - qn_hat)
+            if inner_tail < inner_eps:
+                return total
 
-        gen = TermGenerator(term, _wrench_decay(x_hat, q_hat))
-        return sum_series(gen, 1, ctx, method_tag="wrench-truncated")
+    return _bracket_sum(bracket, p, ctx, "wrench-truncated")
 
 
 # ---------------------------------------------------------------------------
 # Entry 10: the x/q swap.
 
 
-def _xq_swap_lhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=0} x q^n/(1 - x q^n)``."""
-    with localcontext(ctx.dec):
-        x, q = +Decimal(p["x"]), +Decimal(p["q"])
-        x_hat, q_hat = abs(x), abs(q)
-        state = {"xq_pow": x}  # x q^n
-
-        def term(n: int) -> BigReal:
-            v = state["xq_pow"]
-            state["xq_pow"] *= q
-            return v / (1 - v)
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - x_hat * ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + x_hat * ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(q_hat, prefactor_sup))
-        return sum_series(gen, 0, ctx, method_tag="xq-swap-lhs")
+def _xq_swap_lhs(x: BigReal, q: BigReal) -> QTerm:
+    """``x q^n/(1 - x q^n)``, ``n >= 0``."""
+    return _glambert_naive(x, q, first=0)
 
 
-def _xq_swap_rhs(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=1} x^n/(1 - q^n)``."""
-    with localcontext(ctx.dec):
-        x, q = +Decimal(p["x"]), +Decimal(p["q"])
-        x_hat, q_hat = abs(x), abs(q)
-        state = {"x_pow": x, "q_pow": q}
-
-        def term(n: int) -> BigReal:
-            value = state["x_pow"] / (1 - state["q_pow"])
-            state["x_pow"] *= x
-            state["q_pow"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(x_hat, prefactor_sup))
-        return sum_series(gen, 1, ctx, method_tag="xq-swap-rhs")
+def _xq_swap_rhs(x: BigReal, q: BigReal) -> QTerm:
+    """``x^n/(1 - q^n)``, ``n >= 1``."""
+    return QTerm(q, start=x, z=x, factors=(Factor(1, power=-1),), first=1)
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +565,29 @@ def _jordan_side(fn: Callable[[BilateralParams, RealContext], SeriesValue]) -> S
         return fn(BilateralParams(p["x"], p["t"], p["q"]), ctx)
 
     return side
+
+
+# ---------------------------------------------------------------------------
+# Sides summed straight from their descriptions.
+
+_rogers_fine_side = _series_side(_rogers_fine_rhs, "rogers-theta", "a", "b", "t", "q")
+_fine_122_side = _series_side(_fine_122_rhs, "fine-12.2", "a", "b", "t", "q")
+_poch_symm_lhs = _series_side(_poch_series, "poch-series", "t", "x", "q")
+_poch_symm_rhs = _series_side(_poch_series, "poch-series", "x", "t", "q")
+_gosper_poch_rhs_side = _series_side(_gosper_poch_rhs, "gosper-poch-rhs", "x", "t", "q")
+_osler_lhs = _series_side(
+    _osler_single, "osler-6.5", "alpha", "beta", "q", "a", "b", "c", "d"
+)
+_osler_mid = _series_side(
+    _osler_single, "osler-6.6", "beta", "alpha", "q", "c", "d", "a", "b"
+)
+_chain_e1 = _series_side(_chain_geo, "chain-e1", "x", "t", "q", "t")
+_chain_e2 = _series_side(_chain_geo, "chain-e2", "t", "x", "q", "x")
+# The symmetric form sum_{n>=1} (1 - x t q^(2n)) x^n t^n q^(n^2)/((1-x q^n)(1-t q^n)).
+_chain_e5 = _series_side(partial(_qxt_theta, first=1), "chain-e5", "x", "t", "q")
+_wrench_lhs_side = _series_side(_wrench_lhs, "wrench-lhs", "x", "q")
+_xq_swap_lhs_side = _series_side(_xq_swap_lhs, "xq-swap-lhs", "x", "q")
+_xq_swap_rhs_side = _series_side(_xq_swap_rhs, "xq-swap-rhs", "x", "q")
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +639,7 @@ def _entries() -> tuple[IdentityEntry, ...]:
             parameters=(
                 _REAL("a"), _REAL("b"), _REAL("t"), _REAL("q"),
             ),
-            sides=_sides(_fine_times_one_minus_t, _rogers_fine_rhs),
+            sides=_sides(_fine_times_one_minus_t, _rogers_fine_side),
             anchor="Rogers-Fine identity, relation (14.1) of Fine",
         ),
         IdentityEntry(
@@ -966,7 +653,7 @@ def _entries() -> tuple[IdentityEntry, ...]:
             parameters=(
                 _REAL("a"), _REAL("b"), _REAL("t"), _REAL("q"),
             ),
-            sides=_sides(_fine_times_one_minus_t, _fine_122_rhs),
+            sides=_sides(_fine_times_one_minus_t, _fine_122_side),
             anchor="Fine's second transformation (12.2), corrected to (b/a;q)_n",
         ),
         IdentityEntry(
@@ -986,7 +673,7 @@ def _entries() -> tuple[IdentityEntry, ...]:
         IdentityEntry(
             name="gosper-poch",
             parameters=(_REAL("x"), _REAL("t"), _REAL("q")),
-            sides=_sides(_gosper_poch_lhs, _gosper_poch_rhs),
+            sides=_sides(_gosper_poch_lhs, _gosper_poch_rhs_side),
             anchor="Pochhammer-quotient identity given by Gosper",
         ),
         IdentityEntry(
@@ -1012,13 +699,13 @@ def _entries() -> tuple[IdentityEntry, ...]:
         IdentityEntry(
             name="knuth-wrench",
             parameters=(_REAL("x"), _REAL("q")),
-            sides=_sides(_wrench_lhs, _wrench_closed, _wrench_truncated),
+            sides=_sides(_wrench_lhs_side, _wrench_closed, _wrench_truncated),
             anchor="Knuth/Wrench bracket identity with a_n = x^n",
         ),
         IdentityEntry(
             name="xq-swap",
             parameters=(_REAL("x"), _REAL("q")),
-            sides=_sides(_xq_swap_lhs, _xq_swap_rhs),
+            sides=_sides(_xq_swap_lhs_side, _xq_swap_rhs_side),
             anchor="swap relation sum x q^n/(1-x q^n) = sum x^n/(1-q^n)",
         ),
         IdentityEntry(

@@ -18,9 +18,10 @@ plus the alternate theta-convergent expansion
 
 and Fine's function ``F(a,b;t) = sum_{n>=0} ((aq;q)_n/(bq;q)_n) t^n``.
 
-All Pochhammer ratios are maintained as running products (one multiply per
-term), and every evaluator declares a rigorous decay majorant so the engine
-can certify its truncation bound.
+Every evaluator describes its summand as a :class:`~qlambert.qcore.QTerm`;
+the engine keeps its powers and Pochhammer products as running products and
+derives from the same description the decay majorant that certifies the
+truncation bound.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from decimal import Decimal, localcontext
 
 from .errors import DomainError, PoleError
 from .numerics import BigReal, RealContext
-from .qcore import Geometric, SeriesValue, TermGenerator, Theta, ipow, sum_series
-
-#: Number of leading denominator indices scanned for poles.
-POLE_SCAN_COUNT = 64
+from .qcore import Factor, QTerm, SeriesValue, ipow, sum_qterm
 
 
 def _require_unit(name: str, value: BigReal) -> None:
@@ -46,17 +44,21 @@ def _pole_scan(
 ) -> None:
     """Reject parameters with ``|1 - x*q**n|`` below the pole tolerance.
 
-    Scans ``POLE_SCAN_COUNT`` consecutive indices starting at ``first_index``.
+    Scans every ``n >= first_index`` with ``|x*q**n| >= 1/2``; beyond those
+    ``|1 - x*q**n| > 1/2``, far above the tolerance.  Requires ``|q| < 1``.
     """
     tol = ctx.pole_tolerance()
     with localcontext(ctx.dec):
-        qn = Decimal(q) ** first_index if first_index else Decimal(1)
-        for n in range(first_index, first_index + POLE_SCAN_COUNT):
-            if abs(1 - x * qn) <= tol:
+        q = Decimal(q)
+        xqn = x * ipow(q, first_index)
+        n = first_index
+        while 2 * abs(xqn) >= 1:
+            if abs(1 - xqn) <= tol:
                 raise PoleError(
                     f"denominator 1 - {name}*q**{n} vanishes at working tolerance"
                 )
-            qn *= q
+            xqn *= q
+            n += 1
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,7 @@ class QxtParams:
     """Parameters (x, t, q) of the two-variable series ``sum t^n/(1-x q^n)``.
 
     The convergence domain is ``|q| < 1``, ``|x| < 1``, ``|t| < 1``; both
-    ``x`` and ``t`` must additionally stay clear of the denominator poles
-    over the first :data:`POLE_SCAN_COUNT` indices.
+    ``x`` and ``t`` must additionally stay clear of the denominator poles.
     """
 
     x: BigReal
@@ -80,28 +81,43 @@ class QxtParams:
         _pole_scan("t", self.t, self.q, ctx, 0)
 
 
+def _qxt_naive(x: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``t^n/(1-x q^n)``, ``n >= 0``."""
+    return QTerm(q, z=t, factors=(Factor(x, power=-1),))
+
+
+def _qxt_theta(x: BigReal, t: BigReal, q: BigReal, first: int = 0) -> QTerm:
+    """``(1 - x t q^(2n)) / ((1-x q^n)(1-t q^n)) * x^n t^n q^(n^2)``, ``n >= first``."""
+    xt = x * t
+    return QTerm(
+        q,
+        start=ipow(xt, first) * ipow(q, first * first),
+        z=xt,
+        theta=(2, 1),
+        factors=(Factor(xt, s=2), Factor(x, power=-1), Factor(t, power=-1)),
+        first=first,
+    )
+
+
+def _qxt_alt(x: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``(q;q)_n / ((x;q)_{n+1} (t;q)_{n+1}) * (-x t)^n q^((n^2-n)/2)``, ``n >= 0``."""
+    return QTerm(
+        q,
+        start=1 / ((1 - x) * (1 - t)),
+        z=-x * t,
+        theta=(1, 0),
+        factors=(
+            Factor(1, k=1, pochhammer=True),
+            Factor(x, k=1, power=-1, pochhammer=True),
+            Factor(t, k=1, power=-1, pochhammer=True),
+        ),
+    )
+
+
 def series_qxt_lhs(p: QxtParams, ctx: RealContext) -> SeriesValue:
     """Naive (geometrically convergent) form ``sum_{n>=0} t^n/(1-x q^n)``."""
     p.validate(ctx)
-    with localcontext(ctx.dec):
-        x, t, q = (+Decimal(p.x), +Decimal(p.t), +Decimal(p.q))
-        x_hat, q_hat = abs(x), abs(q)
-        state = {"tn": Decimal(1), "qn": Decimal(1)}
-
-        def term(n: int) -> BigReal:
-            value = state["tn"] / (1 - x * state["qn"])
-            state["tn"] *= t
-            state["qn"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - x_hat * ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + x_hat * ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(abs(t), prefactor_sup))
-        return sum_series(gen, 0, ctx, method_tag="naive")
+    return sum_qterm(_qxt_naive, (p.x, p.t, p.q), ctx, "naive")
 
 
 def series_qxt_rhs(p: QxtParams, ctx: RealContext) -> SeriesValue:
@@ -111,34 +127,7 @@ def series_qxt_rhs(p: QxtParams, ctx: RealContext) -> SeriesValue:
     the summand is symmetric in ``x`` and ``t``.
     """
     p.validate(ctx)
-    with localcontext(ctx.dec):
-        x, t, q = (+Decimal(p.x), +Decimal(p.t), +Decimal(p.q))
-        x_hat, t_hat, q_hat = abs(x), abs(t), abs(q)
-        xt = x * t
-        state = {
-            "xt_pow": Decimal(1),   # (x t)^n
-            "q_sq": Decimal(1),     # q^(n^2)
-            "q_odd": q,             # q^(2n+1)
-            "qn": Decimal(1),       # q^n
-            "q2n": Decimal(1),      # q^(2n)
-        }
-
-        def term(n: int) -> BigReal:
-            numerator = 1 - xt * state["q2n"]
-            denominator = (1 - x * state["qn"]) * (1 - t * state["qn"])
-            value = numerator / denominator * state["xt_pow"] * state["q_sq"]
-            state["xt_pow"] *= xt
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["qn"] *= q
-            state["q2n"] *= q * q
-            return value
-
-        sup_p = (1 + x_hat * t_hat) / ((1 - x_hat) * (1 - t_hat))
-        inf_p = (1 - x_hat * t_hat) / ((1 + x_hat) * (1 + t_hat))
-        extra = x_hat * t_hat * sup_p / inf_p
-        gen = TermGenerator(term, Theta(q_hat, step=2, shift=1, extra=extra))
-        return sum_series(gen, 0, ctx, method_tag="theta")
+    return sum_qterm(_qxt_theta, (p.x, p.t, p.q), ctx, "theta")
 
 
 def series_qxt_alt(p: QxtParams, ctx: RealContext) -> SeriesValue:
@@ -148,112 +137,74 @@ def series_qxt_alt(p: QxtParams, ctx: RealContext) -> SeriesValue:
     also symmetric in ``x`` and ``t``.
     """
     p.validate(ctx)
-    with localcontext(ctx.dec):
-        x, t, q = (+Decimal(p.x), +Decimal(p.t), +Decimal(p.q))
-        x_hat, t_hat, q_hat = abs(x), abs(t), abs(q)
-        xt = x * t
-        state = {
-            "coeff": 1 / ((1 - x) * (1 - t)),  # full term at the current n
-            "qn": q,                           # q^n for the next update
-            "qpow": Decimal(1),                # q^(n-1) for the next update
-        }
+    return sum_qterm(_qxt_alt, (p.x, p.t, p.q), ctx, "alt")
 
-        def term(n: int) -> BigReal:
-            value = state["coeff"]
-            qn = state["qn"]
-            state["coeff"] *= (1 - qn) * (-xt) * state["qpow"] / (
-                (1 - x * qn) * (1 - t * qn)
-            )
-            state["qn"] *= q
-            state["qpow"] *= q
-            return value
 
-        extra = x_hat * t_hat * (1 + q_hat) / ((1 - x_hat * q_hat) * (1 - t_hat * q_hat))
-        gen = TermGenerator(term, Theta(q_hat, step=1, shift=0, extra=extra))
-        return sum_series(gen, 0, ctx, method_tag="alt")
+def _lambert_theta(q: BigReal) -> QTerm:
+    """``(1+q^n)/(1-q^n) q^(n^2)``, ``n >= 1``."""
+    return QTerm(
+        q,
+        start=q,
+        theta=(2, 1),
+        factors=(Factor(-1), Factor(1, power=-1)),
+        first=1,
+    )
+
+
+def _validate_lambert(q: BigReal) -> BigReal:
+    q = Decimal(q)
+    if q == 0 or abs(q) >= 1:
+        raise DomainError(f"q outside (-1,1) minus 0: {q}")
+    return q
 
 
 def lambert_naive(q: BigReal, ctx: RealContext) -> SeriesValue:
     """Lambert series ``L(q) = sum_{n>=1} q^n/(1-q^n)``, linear convergence."""
-    q = Decimal(q)
-    if q == 0 or abs(q) >= 1:
-        raise DomainError(f"q outside (-1,1) minus 0: {q}")
-    with localcontext(ctx.dec):
-        q = +q
-        q_hat = abs(q)
-        state = {"qn": q}
-
-        def term(n: int) -> BigReal:
-            qn = state["qn"]
-            value = qn / (1 - qn)
-            state["qn"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(q_hat, prefactor_sup))
-        return sum_series(gen, 1, ctx, method_tag="naive")
+    return sum_qterm(_glambert_naive, (1, _validate_lambert(q)), ctx, "naive")
 
 
 def lambert_theta(q: BigReal, ctx: RealContext) -> SeriesValue:
     """Theta-convergent Lambert series ``sum_{n>=1} (1+q^n)/(1-q^n) q^(n^2)``."""
-    q = Decimal(q)
-    if q == 0 or abs(q) >= 1:
-        raise DomainError(f"q outside (-1,1) minus 0: {q}")
-    with localcontext(ctx.dec):
-        q = +q
-        q_hat = abs(q)
-        state = {"qn": q, "q_sq": q, "q_odd": q**3}
-
-        def term(n: int) -> BigReal:
-            qn = state["qn"]
-            value = (1 + qn) / (1 - qn) * state["q_sq"]
-            state["qn"] *= q
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            return value
-
-        ratio_pre = (1 + q_hat) / (1 - q_hat)
-        gen = TermGenerator(
-            term, Theta(q_hat, step=2, shift=1, extra=ratio_pre * ratio_pre)
-        )
-        return sum_series(gen, 1, ctx, method_tag="theta")
+    return sum_qterm(_lambert_theta, (_validate_lambert(q),), ctx, "theta")
 
 
-def _validate_glambert(x: BigReal, q: BigReal, ctx: RealContext) -> None:
+def _validate_glambert(
+    x: BigReal, q: BigReal, ctx: RealContext
+) -> tuple[BigReal, BigReal]:
+    x, q = Decimal(x), Decimal(q)
     _require_unit("q", q)
     if abs(x * q) >= 1:
         raise DomainError(f"|x*q| must be < 1, got {abs(x * q)}")
     _pole_scan("x", x, q, ctx, 1)
+    return x, q
+
+
+def _glambert_naive(x: BigReal, q: BigReal, first: int = 1) -> QTerm:
+    """``x q^n/(1-x q^n)``, ``n >= first``."""
+    return QTerm(
+        q,
+        start=x * ipow(q, first),
+        z=q,
+        factors=(Factor(x, power=-1),),
+        first=first,
+    )
+
+
+def _glambert_theta(x: BigReal, q: BigReal) -> QTerm:
+    """``(1 - x q^(2n)) / ((1-x q^n)(1-q^n)) * x^n q^(n^2)``, ``n >= 1``."""
+    return QTerm(
+        q,
+        start=x * q,
+        z=x,
+        theta=(2, 1),
+        factors=(Factor(x, s=2), Factor(x, power=-1), Factor(1, power=-1)),
+        first=1,
+    )
 
 
 def glambert_lhs(x: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
     """Generalized Lambert series ``L(x,q) = sum_{n>=1} x q^n/(1-x q^n)``."""
-    x, q = Decimal(x), Decimal(q)
-    _validate_glambert(x, q, ctx)
-    with localcontext(ctx.dec):
-        x, q = +x, +q
-        x_hat, q_hat = abs(x), abs(q)
-        state = {"qn": q}
-
-        def term(n: int) -> BigReal:
-            xqn = x * state["qn"]
-            value = xqn / (1 - xqn)
-            state["qn"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - x_hat * ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + x_hat * ipow(q_hat, n)) / den
-
-        gen = TermGenerator(term, Geometric(q_hat, prefactor_sup))
-        return sum_series(gen, 1, ctx, method_tag="naive")
+    return sum_qterm(_glambert_naive, _validate_glambert(x, q, ctx), ctx, "naive")
 
 
 def glambert_theta(x: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
@@ -261,35 +212,19 @@ def glambert_theta(x: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
 
     ``sum_{n>=1} (1 - x q^(2n)) / ((1-x q^n)(1-q^n)) * x^n q^(n^2)``.
     """
-    x, q = Decimal(x), Decimal(q)
-    _validate_glambert(x, q, ctx)
-    with localcontext(ctx.dec):
-        x, q = +x, +q
-        x_hat, q_hat = abs(x), abs(q)
-        state = {
-            "xn": x,          # x^n
-            "q_sq": q,        # q^(n^2)
-            "q_odd": q**3,    # q^(2n+1)
-            "qn": q,          # q^n
-            "q2n": q * q,     # q^(2n)
-        }
+    return sum_qterm(_glambert_theta, _validate_glambert(x, q, ctx), ctx, "theta")
 
-        def term(n: int) -> BigReal:
-            numerator = 1 - x * state["q2n"]
-            denominator = (1 - x * state["qn"]) * (1 - state["qn"])
-            value = numerator / denominator * state["xn"] * state["q_sq"]
-            state["xn"] *= x
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["qn"] *= q
-            state["q2n"] *= q * q
-            return value
 
-        sup_p = (1 + x_hat * q_hat * q_hat) / ((1 - x_hat * q_hat) * (1 - q_hat))
-        inf_p = (1 - x_hat * q_hat * q_hat) / ((1 + x_hat * q_hat) * (1 + q_hat))
-        extra = x_hat * sup_p / inf_p
-        gen = TermGenerator(term, Theta(q_hat, step=2, shift=1, extra=extra))
-        return sum_series(gen, 1, ctx, method_tag="theta")
+def _fine(a: BigReal, b: BigReal, t: BigReal, q: BigReal) -> QTerm:
+    """``((aq;q)_n/(bq;q)_n) t^n``, ``n >= 0``."""
+    return QTerm(
+        q,
+        z=t,
+        factors=(
+            Factor(a, k=1, pochhammer=True),
+            Factor(b, k=1, power=-1, pochhammer=True),
+        ),
+    )
 
 
 def fine_F(
@@ -297,30 +232,10 @@ def fine_F(
 ) -> SeriesValue:
     """Fine's function ``F(a,b;t) = sum_{n>=0} ((aq;q)_n/(bq;q)_n) t^n``.
 
-    Evaluated with a running Pochhammer ratio (one update per term).
+    Evaluated with running Pochhammer products (one update per term).
     """
     a, b, t, q = Decimal(a), Decimal(b), Decimal(t), Decimal(q)
     _require_unit("q", q)
     _require_unit("t", t)
     _pole_scan("b", b, q, ctx, 1)
-    with localcontext(ctx.dec):
-        a, b, t, q = +a, +b, +t, +q
-        a_hat, b_hat, q_hat = abs(a), abs(b), abs(q)
-        state = {"ratio": Decimal(1), "tn": Decimal(1), "qn1": q}
-
-        def term(n: int) -> BigReal:
-            value = state["ratio"] * state["tn"]
-            qn1 = state["qn1"]
-            state["ratio"] *= (1 - a * qn1) / (1 - b * qn1)
-            state["tn"] *= t
-            state["qn1"] *= q
-            return value
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - b_hat * ipow(q_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            return (1 + a_hat * ipow(q_hat, n + 1)) / den
-
-        gen = TermGenerator(term, Geometric(abs(t), prefactor_sup))
-        return sum_series(gen, 0, ctx, method_tag="naive")
+    return sum_qterm(_fine, (a, b, t, q), ctx, "naive")

@@ -32,15 +32,7 @@ from fractions import Fraction
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
 from .numerics import BigReal, RealContext, make_context, sqrt
-from .qcore import (
-    Geometric,
-    SeriesValue,
-    TermGenerator,
-    Theta,
-    ipow,
-    sum_series,
-    theta3,
-)
+from .qcore import Factor, QTerm, SeriesValue, TermGenerator, sum_series, theta3
 
 __all__ = [
     "HoradamSequence",
@@ -55,9 +47,6 @@ __all__ = [
     "recip_sum_fast",
     "recip_sum_naive",
 ]
-
-#: Safety margin on the asymptotic reciprocal ratio 1/alpha.
-NAIVE_RATIO_MARGIN = Decimal("1.001")
 
 #: The fast route refuses |beta/alpha| within this distance of 1.
 FAST_DEGENERACY_GAP = Decimal("1e-6")
@@ -147,25 +136,23 @@ def lucas_G(n: int) -> int:
 def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     """Direct reciprocal sum ``sum_{n>=1} 1/f_n`` (linear convergence).
 
-    The tail is certified through the ratio bound
-    ``(1/alpha) * (1 + r^n)/(1 - r^(n+1))`` with ``r = |beta/alpha|``, which
-    majorizes ``|f_n/f_{n+1}|`` for every later index, floored at
-    ``(1/alpha) * (1 + margin)``.
+    The terms are exact big-integer reciprocals.  Their majorant is that of
+    ``1/f_n = (alpha-beta) alpha^(-n) / (1 - r^n)`` with ``r = beta/alpha``:
+    ``(1/alpha) * (1 + |r|^n)/(1 - |r|^(n+1))`` bounds ``|f_n/f_{n+1}|`` at
+    every later index.
 
     Raises:
         ZeroTermError: if some ``f_n = 0`` is hit before the sum converges.
     """
     alpha, beta = seq.roots(ctx)
     with localcontext(ctx.dec):
-        base_ratio = 1 / alpha
-        r_hat = abs(beta) / alpha
-
-        def prefactor_sup(n: int) -> BigReal:
-            den = 1 - ipow(r_hat, n + 1)
-            if den <= 0:
-                return Decimal(0)
-            pre = (1 + ipow(r_hat, n)) / den
-            return pre if pre > NAIVE_RATIO_MARGIN else NAIVE_RATIO_MARGIN
+        closed_form = QTerm(
+            beta / alpha,
+            start=(alpha - beta) / alpha,
+            z=1 / alpha,
+            factors=(Factor(1, power=-1),),
+            first=1,
+        )
 
         def term(n: int) -> BigReal:
             f_n = horadam_term(seq, n)
@@ -176,8 +163,18 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
                 )
             return 1 / Decimal(f_n)
 
-        gen = TermGenerator(term, Geometric(base_ratio, prefactor_sup))
+        gen = TermGenerator(term, closed_form.generator().decay)
         return sum_series(gen, 1, ctx, method_tag="naive")
+
+
+def _theta_result(
+    value: BigReal, tail: BigReal, terms: int, ctx: RealContext
+) -> SeriesValue:
+    """A theta-route result, rounded into ``ctx`` with its rounding floor."""
+    with localcontext(ctx.dec):
+        value = +value
+        tail = +tail + ctx.tail_floor(value)
+    return SeriesValue(value, terms, tail, "theta")
 
 
 def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
@@ -207,12 +204,7 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
         scale = alpha - beta
         raw = scale * (1 / (alpha - 1) + lam.value)
         scaled_tail = scale * lam.tail_bound
-    with localcontext(ctx.dec):
-        value = +raw
-        tail = +scaled_tail + ctx.tail_floor(value)
-    return SeriesValue(
-        value=value, terms_used=lam.terms_used, tail_bound=tail, method_tag="theta"
-    )
+    return _theta_result(raw, scaled_tail, lam.terms_used, ctx)
 
 
 _FIBONACCI_SEQ_ARGS = (1, 1)
@@ -332,36 +324,15 @@ def fib_even_alt(apply_root5: bool, ctx: RealContext) -> SeriesValue:
     alpha, beta = _fib_roots(inner)
     with localcontext(inner.dec):
         b2 = beta * beta
-        b2_hat = abs(b2)
         root5 = alpha - beta
-        state = {
-            "tri": b2,          # b2^(n(n+1)/2) = beta^(n(n+1))
-            "b2n": b2,          # b2^n
-            "inc": b2 * b2,     # b2^(n+1)
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["tri"] / (1 - state["b2n"])
-            state["tri"] *= state["inc"]
-            state["inc"] *= b2
-            state["b2n"] *= b2
-            return value
-
-        extra = 1 / (1 - b2_hat)
-        gen = TermGenerator(term, Theta(b2_hat, step=1, shift=1, extra=extra))
-        raw = sum_series(gen, 1, inner, method_tag="theta")
+        series = QTerm(
+            b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1
+        )
+        raw = series.sum(inner, "theta")
         scale = root5 if apply_root5 else Decimal(1)
         scaled = scale * raw.value
         scaled_tail = scale * raw.tail_bound
-    with localcontext(ctx.dec):
-        value = +scaled
-        tail = +scaled_tail + ctx.tail_floor(value)
-    return SeriesValue(
-        value=value,
-        terms_used=raw.terms_used,
-        tail_bound=tail,
-        method_tag="theta",
-    )
+    return _theta_result(scaled, scaled_tail, raw.terms_used, ctx)
 
 
 def fib_odd_alt(ctx: RealContext) -> SeriesValue:
@@ -374,31 +345,10 @@ def fib_odd_alt(ctx: RealContext) -> SeriesValue:
     alpha, beta = _fib_roots(inner)
     with localcontext(inner.dec):
         b2 = beta * beta
-        b2_hat = abs(b2)
         root5 = alpha - beta
-        state = {
-            "pow": Decimal(1),  # b2^(n(n+1))
-            "inc": b2 * b2,     # b2^(2(n+1))
-        }
-
-        def term(n: int) -> BigReal:
-            value = state["pow"]
-            state["pow"] *= state["inc"]
-            state["inc"] *= b2 * b2
-            return value
-
-        gen = TermGenerator(term, Theta(b2_hat, step=2, shift=2, extra=Decimal(1)))
-        inner_sum = sum_series(gen, 0, inner, method_tag="theta")
+        inner_sum = QTerm(b2, theta=(2, 2)).sum(inner, "theta")
         scale = -root5 * beta
         raw = scale * inner_sum.value * inner_sum.value
         raw_tail = scale * (2 * abs(inner_sum.value) + inner_sum.tail_bound)
         raw_tail *= inner_sum.tail_bound
-    with localcontext(ctx.dec):
-        value = +raw
-        tail = +raw_tail + ctx.tail_floor(value)
-    return SeriesValue(
-        value=value,
-        terms_used=inner_sum.terms_used,
-        tail_bound=tail,
-        method_tag="theta",
-    )
+    return _theta_result(raw, raw_tail, inner_sum.terms_used, ctx)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal, localcontext
 
 import pytest
@@ -15,10 +16,12 @@ from qlambert import (
     glambert_theta,
     lambert_naive,
     lambert_theta,
+    make_context,
     series_qxt_alt,
     series_qxt_lhs,
     series_qxt_rhs,
 )
+from qlambert.cli import main
 
 from _oracles import (
     FINE_GENERIC,
@@ -62,6 +65,22 @@ class TestLambert:
         theta = lambert_theta(q, ctx30)
         assert naive.terms_used > 90
         assert theta.terms_used < 20
+
+    @pytest.mark.parametrize("q_text", ["0.99", "-0.99"])
+    def test_theta_route_certifies_near_unit_q_in_few_terms(
+        self, q_text: str, ctx30
+    ) -> None:
+        q = Decimal(q_text)
+        naive = lambert_naive(q, ctx30)
+        theta = lambert_theta(q, ctx30)
+        assert abs(naive.value - theta.value) <= naive.tail_bound + theta.tail_bound
+        assert theta.terms_used < 150
+
+    def test_cli_certifies_q_one_ten_thousandth_below_one(self, capsys) -> None:
+        code = main(["eval", "lambert", "--q", "0.9999", "--report"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert float(payload["tail_bound"]) <= 1e-30
 
     @pytest.mark.parametrize("fn", [lambert_naive, lambert_theta])
     def test_zero_and_unit_arguments_rejected(self, fn, ctx30) -> None:
@@ -167,6 +186,14 @@ class TestFineF:
     def test_zero_b_is_accepted(self, ctx30) -> None:
         sv = fine_F(Decimal("0.2"), Decimal(0), Decimal("0.3"), Decimal("0.5"), ctx30)
         assert sv.tail_bound < 2 * ctx30.epsilon
+
+    def test_pole_beyond_the_first_sixty_four_indices_detected(self) -> None:
+        # b*q**70 = 1 exactly: the scan must reach every index with |b q^j| >= 1/2.
+        with pytest.raises(PoleError):
+            fine_F(
+                Decimal("0.2"), Decimal(2**70), Decimal("0.3"), Decimal("0.5"),
+                make_context(50),
+            )
 
     def test_unit_t_rejected(self, ctx30) -> None:
         with pytest.raises(DomainError):

@@ -10,10 +10,9 @@ import pytest
 from qlambert import (
     DivergenceError,
     DomainError,
-    Geometric,
+    QTerm,
     SeriesValue,
     TermGenerator,
-    Theta,
     make_context,
     qpochhammer_inf,
     qpochhammer_n,
@@ -34,14 +33,12 @@ from _oracles import (
 
 def geometric_series(q: Decimal, ctx) -> SeriesValue:
     """sum over n >= 1 of q**n, whose value is exactly q/(1-q)."""
-    state = {"power": q}
+    return QTerm(q, start=q, z=q, first=1).sum(ctx, "series")
 
-    def term(n: int) -> Decimal:
-        value = state["power"]
-        state["power"] *= q
-        return value
 
-    return sum_series(TermGenerator(term, Geometric(abs(q))), 1, ctx)
+def geometric_decay(ratio: Decimal):
+    """The majorant of a plain geometric series with the given ratio."""
+    return QTerm(Decimal(0), z=ratio).generator().decay
 
 
 class TestIpow:
@@ -86,7 +83,7 @@ class TestSumSeries:
     def test_explicit_epsilon_override(self, ctx30) -> None:
         q = Decimal("0.5")
         coarse = sum_series(
-            TermGenerator(_power_term(q), Geometric(q)), 1, ctx30,
+            TermGenerator(_power_term(q), geometric_decay(q)), 1, ctx30,
             eps=Decimal("1e-10"),
         )
         fine = geometric_series(q, ctx30)
@@ -100,23 +97,15 @@ class TestSumSeries:
             return state["power"]
 
         with pytest.raises(DivergenceError):
-            sum_series(TermGenerator(growing, Geometric(Decimal("0.5"))), 0, ctx30)
+            sum_series(
+                TermGenerator(growing, geometric_decay(Decimal("0.5"))), 0, ctx30
+            )
 
     def test_theta_decay_term_count_scales_with_sqrt_digits(self) -> None:
         for digits in (50, 200):
             ctx = make_context(digits)
             q = Decimal("0.5")
-            state = {"power": q, "odd": q**3}
-
-            def term(n: int) -> Decimal:
-                value = state["power"]
-                state["power"] *= state["odd"]
-                state["odd"] *= q * q
-                return value
-
-            sv = sum_series(
-                TermGenerator(term, Theta(q, step=2, shift=1)), 1, ctx
-            )
+            sv = QTerm(q, start=q, theta=(2, 1), first=1).sum(ctx, "series")
             predicted = math.sqrt(digits / math.log10(2))
             assert sv.terms_used <= predicted + 6
 
