@@ -60,7 +60,7 @@ from .numerics import (
     make_context,
     parse_real,
 )
-from .qcore import SeriesValue, theta3
+from .qcore import SeriesValue, combine, theta3
 from .recurrences import (
     HoradamSequence,
     fib_even_theta,
@@ -211,17 +211,8 @@ def _gosper_adaptive(ctx: RealContext) -> SeriesValue:
 
 
 def _split_sum(ctx: RealContext) -> SeriesValue:
-    even = fib_even_theta(ctx)
-    odd = fib_odd_theta(ctx)
-    with localcontext(ctx.dec):
-        value = even.value + odd.value
-        tail = even.tail_bound + odd.tail_bound + ctx.tail_floor(value)
-    return SeriesValue(
-        value=value,
-        terms_used=even.terms_used + odd.terms_used,
-        tail_bound=tail,
-        method_tag="split",
-    )
+    parts = ((1, fib_even_theta(ctx)), (1, fib_odd_theta(ctx)))
+    return combine(parts, ctx, "split")
 
 
 def cmd_recip_sum(args: argparse.Namespace) -> int:

@@ -63,6 +63,7 @@ from .qcore import (
     QTerm,
     SeriesValue,
     TermGenerator,
+    combine,
     ipow,
     qpochhammer_inf,
     sum_qterm,
@@ -412,11 +413,7 @@ def _osler_combined(p: Params, ctx: RealContext) -> SeriesValue:
             theta=(2 * a * c, 2 * a * c + a * d + b * c),
             factors=(Factor(alpha, s=a * c, k=a * d, power=-1),),
         ).sum(ctx, "osler-6.7b")
-        value = part1.value + part2.value
-        tail = part1.tail_bound + part2.tail_bound
-    return SeriesValue(
-        value, part1.terms_used + part2.terms_used, tail, "osler-6.7"
-    )
+    return combine(((1, part1), (1, part2)), ctx, "osler-6.7")
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +438,7 @@ def _chain_theta_parts(
         part_b = QTerm(q, xt * q * q, xt, (2, 2), (Factor(x, power=-1),), first=1)
         part_a = part_a.sum(ctx, "chain-a")
         part_b = part_b.sum(ctx, "chain-b")
-        value = part_a.value + x * part_b.value
-        tail = part_a.tail_bound + abs(x) * part_b.tail_bound + ctx.tail_floor(value)
-    return SeriesValue(
-        value, part_a.terms_used + part_b.terms_used, tail, method_tag
-    )
+    return combine(((1, part_a), (x, part_b)), ctx, method_tag)
 
 
 def _chain_e3(p: Params, ctx: RealContext) -> SeriesValue:

@@ -126,10 +126,12 @@ def parse_real(text: str, ctx: RealContext) -> BigReal:
 
 
 def format_real(value: BigReal, ctx: RealContext, digits: int | None = None) -> str:
-    """Render ``value`` with exactly ``digits`` significant digits.
+    """Render ``value`` with ``digits`` significant digits, none below ``10**-digits``.
 
-    ``digits`` defaults to ``ctx.target_digits`` and may be set lower (the
-    command line computes at full precision but can print short answers).
+    The evaluators certify an absolute error of ``10**-digits``, so a value
+    below 0.1 in magnitude gets ``digits`` decimals instead.  ``digits``
+    defaults to ``ctx.target_digits`` and may be set lower (the command line
+    computes at full precision but can print short answers).
     Rounds to nearest with ties to even, and always uses plain positional
     notation (no exponent), so equal inputs format identically.
     """
@@ -142,7 +144,8 @@ def format_real(value: BigReal, ctx: RealContext, digits: int | None = None) -> 
         if dec_value == 0:
             quantum = Decimal(1).scaleb(-(digits - 1))
         else:
-            quantum = Decimal(1).scaleb(dec_value.adjusted() - (digits - 1))
+            exponent = max(dec_value.adjusted(), -1)
+            quantum = Decimal(1).scaleb(exponent - (digits - 1))
         rounded = dec_value.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN)
     return format(rounded, "f")
 

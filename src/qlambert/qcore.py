@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from math import prod
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError
 from .numerics import BigReal, RealContext
@@ -142,11 +142,13 @@ class QTerm:
         run = _Run(self)
         return TermGenerator(run.term, run)
 
-    def sum(self, ctx: RealContext, method_tag: str) -> SeriesValue:
-        """:func:`sum_series` of this series from ``first``."""
+    def sum(
+        self, ctx: RealContext, method_tag: str, eps: BigReal | None = None
+    ) -> SeriesValue:
+        """:func:`sum_series` of this series from ``first``, to ``eps``."""
         with localcontext(ctx.dec):
             gen = self.generator()
-        return sum_series(gen, self.first, ctx, method_tag)
+        return sum_series(gen, self.first, ctx, method_tag, eps)
 
 
 def sum_qterm(
@@ -305,6 +307,22 @@ def sum_series(
                 )
 
 
+def combine(
+    parts: Sequence[tuple[BigReal, SeriesValue]], ctx: RealContext, method_tag: str
+) -> SeriesValue:
+    """The certified sum ``sum_i c_i * S_i`` of ``parts``, pairs ``(c_i, S_i)``.
+
+    The tail bound is ``sum_i |c_i| * tail_i`` plus the rounding floor of the
+    result; ``terms_used`` is the sum over the parts.
+    """
+    with localcontext(ctx.dec):
+        value = sum(c * part.value for c, part in parts)
+        tail = sum(abs(c) * part.tail_bound for c, part in parts)
+        tail += ctx.tail_floor(value)
+    terms = sum(part.terms_used for _, part in parts)
+    return SeriesValue(value, terms, tail, method_tag)
+
+
 def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:
     """Finite q-Pochhammer product ``(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1))``.
 
@@ -370,9 +388,9 @@ def theta3(q: BigReal, ctx: RealContext) -> SeriesValue:
     q = Decimal(q)
     if abs(q) >= 1:
         raise DomainError("theta3 requires |q| < 1")
+    series = QTerm(q, start=q, theta=(2, 1), first=1)
+    sv = series.sum(ctx, "theta", eps=ctx.epsilon / 2)
     with localcontext(ctx.dec):
-        gen = QTerm(q, start=q, theta=(2, 1), first=1).generator()
-        sv = sum_series(gen, 1, ctx, method_tag="theta", eps=ctx.epsilon / 2)
         total = 1 + 2 * sv.value
         tail = 2 * sv.tail_bound + ctx.tail_floor(total)
     return SeriesValue(total, sv.terms_used, tail, "theta")

@@ -87,3 +87,20 @@ class TestDomain:
             jordan_direct(
                 BilateralParams(x, Decimal("0.5"), Decimal("0.2")), ctx30
             )
+
+    @pytest.mark.parametrize(
+        ("x", "t"),
+        [
+            # t at q**1 on the negative side, 1 - q/t.
+            ("0.5", Decimal("0.2") + Decimal(1).scaleb(-21)),
+            # x at q**0 on the nonnegative side, 1 - x.
+            (1 - Decimal(1).scaleb(-25), "0.5"),
+        ],
+    )
+    def test_parameters_within_tolerance_of_a_pole_are_rejected(
+        self, x, t, ctx30
+    ) -> None:
+        params = BilateralParams(Decimal(x), Decimal(t), Decimal("0.2"))
+        for route in ALL_FORMS:
+            with pytest.raises(PoleError):
+                route(params, ctx30)

@@ -79,6 +79,11 @@ class TestFormatReal:
         assert format_real(Decimal("0.125"), ctx30, 2) == "0.12"
         assert format_real(Decimal("0.135"), ctx30, 2) == "0.14"
 
+    def test_small_values_print_no_digit_below_the_certified_error(self, ctx30) -> None:
+        assert format_real(Decimal("0.0063456789"), ctx30, 5) == "0.00635"
+        assert format_real(Decimal("-0.000012"), ctx30, 3) == "-0.000"
+        assert format_real(Decimal("0.123456"), ctx30, 3) == "0.123"
+
     def test_zero_and_negative_values(self, ctx30) -> None:
         assert format_real(Decimal(0), ctx30, 3) == "0.00"
         assert format_real(Decimal("-1.5"), ctx30, 3) == "-1.50"

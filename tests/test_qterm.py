@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlambert import DivergenceError, Factor, QTerm, make_context
+from qlambert.bilateral import _minus_naive, _minus_theta
 from qlambert.identities import (
     _chain_geo,
     _fine_122_rhs,
@@ -63,6 +64,15 @@ def unit(top: float = 0.98) -> st.SearchStrategy[Decimal]:
     return st.builds(_signed, magnitude, st.booleans())
 
 
+@st.composite
+def wedge(draw) -> tuple[Decimal, Decimal, Decimal]:
+    """``(x, t, q)`` in the bilateral domain, ``|q|`` up to ``0.95*min(|x|, |t|)``."""
+    nonzero = unit().filter(lambda v: abs(v) >= Decimal("0.01"))
+    x, t = draw(nonzero), draw(nonzero)
+    fraction = draw(st.one_of(st.floats(0.01, 0.95), st.just(0.95)))
+    return x, t, _signed(float(min(abs(x), abs(t))) * fraction, draw(st.booleans()))
+
+
 #: (builder, strategy of its arguments)
 PORTED = [
     (_qxt_naive, st.tuples(unit(), unit(), unit())),
@@ -89,6 +99,8 @@ PORTED = [
     (_chain_geo, st.tuples(unit(), unit(), unit(), unit())),
     (_wrench_lhs, st.tuples(unit(), unit().filter(bool))),
     (_xq_swap_rhs, st.tuples(unit(), unit().filter(bool))),
+    (_minus_naive, wedge()),
+    (_minus_theta, wedge()),
 ]
 
 
