@@ -15,13 +15,14 @@ Each route is the sum of two unilateral series summed and certified by
 :mod:`qlambert.qcore`: the indices ``n >= 0``, and ``n = -m`` for ``m >= 1``
 rearranged so that no power of ``1/q`` appears.  The direct and theta routes
 describe both sides as a :class:`~qlambert.qcore.QTerm`.  The bracket forms
-keep their hand-written brackets: each side is the theta description's
-weight times the bracket, certified by that description's majorant.
+keep their hand-written brackets, summed by :func:`~qlambert.qcore.sum_bracketed`:
+each side is the theta description's weight times the bracket, certified by
+that description's majorant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import partial
 from typing import Callable
@@ -29,7 +30,7 @@ from typing import Callable
 from .errors import DomainError
 from .lambert import _pole_scan, _qxt_naive, _qxt_theta
 from .numerics import BigReal, RealContext
-from .qcore import Factor, QTerm, SeriesValue, TermGenerator, combine, ipow, sum_series
+from .qcore import Factor, QTerm, SeriesValue, combine, sum_bracketed
 
 __all__ = [
     "BilateralParams",
@@ -106,51 +107,33 @@ def _minus_theta(x: BigReal, t: BigReal, q: BigReal) -> QTerm:
     )
 
 
-@dataclass(frozen=True)
-class _Bracketed:
-    """The summands of ``series`` as its theta weight times ``bracket(q^n)``,
-    which equals the product of its factors, so they share its majorant."""
-
-    series: QTerm
-    bracket: Callable[[BigReal], BigReal]
-
-    def sum(self, ctx: RealContext, method_tag: str, eps: BigReal) -> SeriesValue:
-        series, q = self.series, self.series.q
-        with localcontext(ctx.dec):
-            weight = replace(series, factors=()).generator()
-            q_pow = ipow(q, series.first)
-
-            def term(n: int) -> BigReal:
-                nonlocal q_pow
-                value = weight.term(n) * self.bracket(q_pow)
-                q_pow *= q
-                return value
-
-            gen = TermGenerator(term, series.generator().decay)
-        return sum_series(gen, series.first, ctx, method_tag, eps)
-
-
-def _bracketed(
-    build: Callable[..., QTerm], bracket: Callable[..., BigReal]
-) -> Callable[..., _Bracketed]:
-    """The builder of ``build``'s series summed with ``bracket(x, t, q^n)``."""
-    return lambda x, t, q: _Bracketed(build(x, t, q), partial(bracket, x, t))
-
-
 def _route(
-    p: BilateralParams, ctx: RealContext, method_tag: str, *builders: Callable
+    p: BilateralParams,
+    ctx: RealContext,
+    method_tag: str,
+    sides: tuple[Callable[..., QTerm], Callable[..., QTerm]],
+    brackets: tuple[Callable[..., BigReal], Callable[..., BigReal]] | None = None,
 ) -> SeriesValue:
-    """Validate ``p`` and add the certified sums of the sides ``builders`` build.
+    """Validate ``p`` and add the certified sums of the two ``sides``.
 
-    Each side is summed to ``epsilon/2``, which stops it at ``epsilon/4``.
+    ``sides`` build the descriptions of the ``n >= 0`` and the ``n = -m``
+    sums.  With ``brackets``, each side's summands are its theta weight times
+    ``bracket(x, t, q^n)``, which equals the product of its factors.  Each
+    side is summed to ``epsilon/2``, which stops it at ``epsilon/4``.
     """
     p.validate(ctx)
     with localcontext(ctx.dec):
         x, t, q = +Decimal(p.x), +Decimal(p.t), +Decimal(p.q)
-        sides = [build(x, t, q) for build in builders]
+        series = [build(x, t, q) for build in sides]
     eps = ctx.epsilon / 2
-    parts = [(1, side.sum(ctx, method_tag, eps=eps)) for side in sides]
-    return combine(parts, ctx, method_tag)
+    if brackets is None:
+        sums = [side.sum(ctx, method_tag, eps=eps) for side in series]
+    else:
+        sums = [
+            sum_bracketed(side, partial(bracket, x, t), ctx, method_tag, eps)
+            for side, bracket in zip(series, brackets)
+        ]
+    return combine([(1, part) for part in sums], ctx, method_tag)
 
 
 def jordan_direct(p: BilateralParams, ctx: RealContext) -> SeriesValue:
@@ -160,7 +143,7 @@ def jordan_direct(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     ``(q/t)^m / (q^m - x)``, which avoids large intermediate powers; both
     sides then converge geometrically (ratios ``|t|`` and ``|q/t|``).
     """
-    return _route(p, ctx, "direct", _qxt_naive, _minus_naive)
+    return _route(p, ctx, "direct", (_qxt_naive, _minus_naive))
 
 
 def jordan_theta(p: BilateralParams, ctx: RealContext) -> SeriesValue:
@@ -170,7 +153,7 @@ def jordan_theta(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     with negative indices rearranged to
     ``(q^(2m) - x t) / ((q^m - x)(q^m - t)) * q^(m^2)/(x t)^m``.
     """
-    return _route(p, ctx, "theta", _qxt_theta, _minus_theta)
+    return _route(p, ctx, "theta", (_qxt_theta, _minus_theta))
 
 
 def _form1_plus(x: BigReal, t: BigReal, q_pow: BigReal) -> BigReal:
@@ -188,8 +171,8 @@ def jordan_form1(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     Here ``u = x q^n`` and ``v = t q^n``; at negative indices the partial
     fractions reduce to ``x/(q^m - x)`` and ``t/(q^m - t)``.
     """
-    plus = _bracketed(_qxt_theta, _form1_plus)
-    return _route(p, ctx, "form1", plus, _bracketed(_minus_theta, _form1_minus))
+    brackets = (_form1_plus, _form1_minus)
+    return _route(p, ctx, "form1", (_qxt_theta, _minus_theta), brackets)
 
 
 def _form2_plus(x: BigReal, t: BigReal, q_pow: BigReal) -> BigReal:
@@ -207,5 +190,5 @@ def jordan_form2(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     as an independent evaluation route.  At negative indices the partial
     fractions reduce to ``q^m/(q^m - x)`` and ``q^m/(q^m - t)``.
     """
-    plus = _bracketed(_qxt_theta, _form2_plus)
-    return _route(p, ctx, "form2", plus, _bracketed(_minus_theta, _form2_minus))
+    brackets = (_form2_plus, _form2_minus)
+    return _route(p, ctx, "form2", (_qxt_theta, _minus_theta), brackets)

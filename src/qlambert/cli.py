@@ -66,6 +66,7 @@ from .recurrences import (
     fib_even_theta,
     fib_odd_theta,
     fib_recip_gosper,
+    gosper_terms,
     recip_sum_fast,
     recip_sum_naive,
 )
@@ -120,14 +121,27 @@ def _series_table() -> dict[str, _Series]:
     }
 
 
-RECIP_METHODS = ("horadam", "naive", "gosper", "split")
+def _gosper_sum(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
+    return fib_recip_gosper(gosper_terms(ctx), ctx)
 
-#: Starting term count for the adaptive Gosper partial sum.
-GOSPER_START_TERMS = 8
 
-#: Hard cap on adaptive Gosper growth (term magnitudes shrink like
-#: ``10**(-0.2*N*N)``, so this covers tens of thousands of digits).
-GOSPER_MAX_TERMS = 1 << 12
+def _split_sum(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
+    parts = ((1, fib_even_theta(ctx)), (1, fib_odd_theta(ctx)))
+    return combine(parts, ctx, "split")
+
+
+def _recip_table() -> dict[str, tuple[bool, Callable[..., SeriesValue]]]:
+    """Every ``recip-sum`` method by name, the default first: whether it sums
+    the Fibonacci reciprocals alone, and its ``(seq, ctx)`` evaluator.
+
+    Built per call, like :func:`_series_table`.
+    """
+    return {
+        "horadam": (False, recip_sum_fast),
+        "naive": (False, recip_sum_naive),
+        "gosper": (True, _gosper_sum),
+        "split": (True, _split_sum),
+    }
 
 
 def _tail_text(tail: Decimal) -> str:
@@ -181,70 +195,41 @@ def _evaluate_series(
     return methods[method](*(params[name] for name in names), ctx)
 
 
+def _emit(
+    args: argparse.Namespace, sv: SeriesValue, ctx: RealContext, digits: int, **fields
+) -> int:
+    """Print ``sv``'s value, or with ``--report`` a JSON object of ``fields``
+    followed by the value, ``terms_used`` and ``tail_bound``."""
+    value = format_real(sv.value, ctx, digits)
+    if args.report:
+        fields.update(
+            value=value, terms_used=sv.terms_used, tail_bound=_tail_text(sv.tail_bound)
+        )
+        value = json.dumps(fields)
+    print(value)
+    return 0
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     ctx, out_digits = _resolve_digits(args.digits)
     params = _parse_series_params(args, args.series, ctx)
     sv = _evaluate_series(args.series, args.method, params, ctx)
-    if args.report:
-        _print_json(
-            {
-                "series": args.series,
-                "method": sv.method_tag,
-                "value": format_real(sv.value, ctx, out_digits),
-                "terms_used": sv.terms_used,
-                "tail_bound": _tail_text(sv.tail_bound),
-            }
-        )
-    else:
-        print(format_real(sv.value, ctx, out_digits))
-    return 0
-
-
-def _gosper_adaptive(ctx: RealContext) -> SeriesValue:
-    """Grow the Gosper partial sum until its tail bound clears epsilon."""
-    terms = GOSPER_START_TERMS
-    while True:
-        sv = fib_recip_gosper(terms, ctx)
-        if sv.tail_bound <= ctx.epsilon or terms >= GOSPER_MAX_TERMS:
-            return sv
-        terms += max(4, terms // 2)
-
-
-def _split_sum(ctx: RealContext) -> SeriesValue:
-    parts = ((1, fib_even_theta(ctx)), (1, fib_odd_theta(ctx)))
-    return combine(parts, ctx, "split")
+    return _emit(args, sv, ctx, out_digits, series=args.series, method=sv.method_tag)
 
 
 def cmd_recip_sum(args: argparse.Namespace) -> int:
     ctx, out_digits = _resolve_digits(args.digits)
     seq = HoradamSequence(args.m1, args.m2)
-    if args.method in ("gosper", "split") and (args.m1, args.m2) != (1, 1):
+    fibonacci_only, evaluate = _recip_table()[args.method]
+    if fibonacci_only and (args.m1, args.m2) != (1, 1):
         raise DomainError(
             f"method {args.method!r} applies only to the Fibonacci case "
             f"--m1 1 --m2 1, got ({args.m1}, {args.m2})"
         )
-    if args.method == "naive":
-        sv = recip_sum_naive(seq, ctx)
-    elif args.method == "horadam":
-        sv = recip_sum_fast(seq, ctx)
-    elif args.method == "gosper":
-        sv = _gosper_adaptive(ctx)
-    else:
-        sv = _split_sum(ctx)
-    if args.report:
-        _print_json(
-            {
-                "m1": args.m1,
-                "m2": args.m2,
-                "method": args.method,
-                "value": format_real(sv.value, ctx, out_digits),
-                "terms_used": sv.terms_used,
-                "tail_bound": _tail_text(sv.tail_bound),
-            }
-        )
-    else:
-        print(format_real(sv.value, ctx, out_digits))
-    return 0
+    sv = evaluate(seq, ctx)
+    return _emit(
+        args, sv, ctx, out_digits, m1=args.m1, m2=args.m2, method=args.method
+    )
 
 
 def _report_payload(report: IdentityReport) -> dict:
@@ -358,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_recip.add_argument("--m1", type=int, required=True)
     p_recip.add_argument("--m2", type=int, required=True)
+    recip_methods = list(_recip_table())
     p_recip.add_argument(
-        "--method", choices=RECIP_METHODS, default="horadam",
-        help="summation route (default horadam)",
+        "--method", choices=recip_methods, default=recip_methods[0],
+        help=f"summation route (default {recip_methods[0]})",
     )
     p_recip.set_defaults(func=cmd_recip_sum)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import partial
-from math import prod
 from typing import Callable, Mapping
 
 from .bilateral import (
@@ -57,17 +56,18 @@ from .lambert import (
     lambert_naive,
     series_qxt_lhs,
 )
-from .numerics import BigReal, RealContext, format_real, make_context
+from .numerics import BigReal, RealContext, make_context
 from .qcore import (
     Factor,
     QTerm,
     SeriesValue,
-    TermGenerator,
+    ball,
     combine,
     ipow,
+    product,
     qpochhammer_inf,
+    sum_bracketed,
     sum_qterm,
-    sum_series,
 )
 
 __all__ = [
@@ -140,7 +140,8 @@ class IdentityEntry:
 class IdentityReport:
     """Outcome of sampling one identity.
 
-    ``worst_point`` maps parameter names to decimal strings; ``passed`` is
+    ``worst_point`` maps parameter names to the exact sampled values, as
+    positional decimal strings; ``passed`` is
     ``worst_deviation <= 4*epsilon`` for the context used.
     """
 
@@ -202,33 +203,6 @@ def _series_side(build: Callable[..., QTerm], method_tag: str, *names: str) -> S
     return side
 
 
-def _with_prefactor(
-    series: SeriesValue,
-    numerators: tuple[SeriesValue, ...],
-    denominators: tuple[SeriesValue, ...],
-    ctx: RealContext,
-    method_tag: str,
-) -> SeriesValue:
-    """``series`` times the quotient of certified infinite products.
-
-    The tail adds the series tail scaled by the prefactor to the value
-    scaled by the products' summed relative tails.
-    """
-    with localcontext(ctx.dec):
-        products = numerators + denominators
-        prefactor = prod(p.value for p in numerators)
-        prefactor /= prod(p.value for p in denominators)
-        value = prefactor * series.value
-        relative = sum(p.tail_bound / abs(p.value) for p in products)
-        tail = (
-            abs(prefactor) * series.tail_bound
-            + abs(value) * relative
-            + ctx.tail_floor(value)
-        )
-        terms = series.terms_used + sum(p.terms_used for p in products)
-    return SeriesValue(value, terms, tail, method_tag)
-
-
 # ---------------------------------------------------------------------------
 # Entry 1: Rogers-Fine.
 
@@ -237,10 +211,8 @@ def _fine_times_one_minus_t(p: Params, ctx: RealContext) -> SeriesValue:
     """``(1-t) * F(a,b;t)`` with Fine's function summed naively."""
     sv = fine_F(p["a"], p["b"], p["t"], p["q"], ctx)
     with localcontext(ctx.dec):
-        t = Decimal(p["t"])
-        value = (1 - t) * sv.value
-        tail = (1 + abs(t)) * sv.tail_bound + ctx.tail_floor(value)
-    return SeriesValue(value, sv.terms_used, tail, "fine-naive")
+        scale = 1 - Decimal(p["t"])
+    return combine(((scale, sv),), ctx, "fine-naive")
 
 
 def _rogers_fine_rhs(a: BigReal, b: BigReal, t: BigReal, q: BigReal) -> QTerm:
@@ -331,7 +303,7 @@ def _fine_163_rhs(p: Params, ctx: RealContext) -> SeriesValue:
         poch_b = qpochhammer_inf(b * q, q, ctx)
     params = (p["a"], p["b"], p["t"], p["q"])
     series = sum_qterm(_fine_163_series, params, ctx, "fine-16.3")
-    return _with_prefactor(series, (poch_a,), (poch_b,), ctx, "fine-16.3")
+    return product(((poch_a, 1), (poch_b, -1), (series, 1)), ctx, "fine-16.3")
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +324,13 @@ def _gosper_poch_lhs(p: Params, ctx: RealContext) -> SeriesValue:
     """``((t;q)_inf (x;q)_inf / (q;q)_inf) * sum_n t^n/(x;q)_{n+1}``."""
     with localcontext(ctx.dec):
         x, t, q = +Decimal(p["x"]), +Decimal(p["t"]), +Decimal(p["q"])
-        numerators = qpochhammer_inf(t, q, ctx), qpochhammer_inf(x, q, ctx)
-        denominators = (qpochhammer_inf(q, q, ctx),)
+        parts = [
+            (qpochhammer_inf(t, q, ctx), 1),
+            (qpochhammer_inf(x, q, ctx), 1),
+            (qpochhammer_inf(q, q, ctx), -1),
+        ]
     series = sum_qterm(_poch_series, (p["t"], p["x"], p["q"]), ctx, "poch-series")
-    return _with_prefactor(series, numerators, denominators, ctx, "gosper-poch-lhs")
+    return product(parts + [(series, 1)], ctx, "gosper-poch-lhs")
 
 
 def _gosper_poch_rhs(x: BigReal, t: BigReal, q: BigReal) -> QTerm:
@@ -458,71 +433,56 @@ def _wrench_lhs(x: BigReal, q: BigReal) -> QTerm:
     return _chain_geo(x, Decimal(1), q)
 
 
-def _bracket_sum(
-    bracket: Callable[[BigReal, BigReal, BigReal], BigReal],
-    p: Params,
-    ctx: RealContext,
-    method_tag: str,
-) -> SeriesValue:
-    """``sum_{n>=1} bracket(x, x^n, q^n) q^(n^2)``, a hand-written term.
-
-    Every bracket below equals ``(1 - x q^(2n))/((1-q^n)(1-x q^n)) x^n``, so
-    the summand is the theta-form generalized Lambert summand and shares its
-    majorant.
-    """
-    with localcontext(ctx.dec):
-        x, q = +Decimal(p["x"]), +Decimal(p["q"])
-        state = {"x_pow": x, "q_sq": q, "q_odd": q**3, "q_pow": q}
-
-        def term(n: int) -> BigReal:
-            value = bracket(x, state["x_pow"], state["q_pow"]) * state["q_sq"]
-            state["x_pow"] *= x
-            state["q_sq"] *= state["q_odd"]
-            state["q_odd"] *= q * q
-            state["q_pow"] *= q
-            return value
-
-        gen = TermGenerator(term, _glambert_theta(x, q).generator().decay)
-        return sum_series(gen, 1, ctx, method_tag=method_tag)
-
-
 def _wrench_closed(p: Params, ctx: RealContext) -> SeriesValue:
     """``sum_{n>=1} [1/(1-q^n) + x q^n/(1-x q^n)] x^n q^(n^2)``.
 
     The inner ``k``-sums of the Wrench bracket are closed geometrically
-    (valid because ``a_n = x^n``).
+    (valid because ``a_n = x^n``).  The bracket equals
+    ``(1 - x q^(2n))/((1-q^n)(1-x q^n))``, so the summands are those of the
+    theta-form generalized Lambert series and share its majorant.
     """
+    with localcontext(ctx.dec):
+        x, q = +Decimal(p["x"]), +Decimal(p["q"])
+        series = _glambert_theta(x, q)
 
-    def bracket(x: BigReal, x_pow: BigReal, q_pow: BigReal) -> BigReal:
+    def bracket(q_pow: BigReal) -> BigReal:
         xq = x * q_pow
-        return (1 / (1 - q_pow) + xq / (1 - xq)) * x_pow
+        return 1 / (1 - q_pow) + xq / (1 - xq)
 
-    return _bracket_sum(bracket, p, ctx, "wrench-closed")
+    return sum_bracketed(series, bracket, ctx, "wrench-closed")
 
 
 def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
-    """``sum_{n>=1} [x^n + sum_{k>=1} (x^n + x^(n+k)) q^(kn)] q^(n^2)``.
+    """``sum_{n>=1} [1 + sum_{k>=1} (1 + x^k) q^(kn)] x^n q^(n^2)``, ``|x| <= 1``.
 
-    The inner sum is truncated once its geometric tail drops below
-    ``10^-(working_digits+6)``; the leftover is absorbed by the reported
-    tail's rounding floor.
+    The inner sum beyond ``k = K`` is at most ``r = 2|q^n|^(K+1)/(1-|q^n|)``;
+    it stops once ``2r <= delta``, and the bracket moves outward by ``r``.
+    It is then within ``2r`` of the true bracket and at least as large, so
+    the engine's tail estimate from the computed summand bounds the true
+    remainder.  The weight is at most 1, so each summand is within ``delta``
+    of the true one, and the tail bound adds ``terms_used * delta``.
     """
-    inner_eps = Decimal(1).scaleb(-(ctx.working_digits + 6))
+    delta = Decimal(1).scaleb(-(ctx.working_digits + 6))
+    with localcontext(ctx.dec):
+        x, q = +Decimal(p["x"]), +Decimal(p["q"])
+        series = _glambert_theta(x, q)
 
-    def bracket(x: BigReal, x_pow: BigReal, q_pow: BigReal) -> BigReal:
-        total = +x_pow
+    def bracket(q_pow: BigReal) -> BigReal:
+        total = Decimal(1)
         qk = q_pow              # q^(kn) for k = 1, 2, ...
-        xk = x_pow * x          # x^(n+k)
+        xk = x                  # x^k
         qn_hat = abs(q_pow)
         while True:
-            total += (x_pow + xk) * qk
+            total += (1 + xk) * qk
             qk *= q_pow
             xk *= x
-            inner_tail = 2 * abs(x_pow) * abs(qk) / (1 - qn_hat)
-            if inner_tail < inner_eps:
-                return total
+            rest = 2 * abs(qk) / (1 - qn_hat)
+            if 2 * rest <= delta:
+                return total + rest.copy_sign(total)
 
-    return _bracket_sum(bracket, p, ctx, "wrench-truncated")
+    sv = sum_bracketed(series, bracket, ctx, "wrench-truncated")
+    truncation = ball(0, sv.terms_used * delta)
+    return combine(((1, sv), (1, truncation)), ctx, "wrench-truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -790,19 +750,9 @@ def check_identity(
         trials=trials,
         seed=seed,
         worst_deviation=worst,
-        worst_point=_format_point(worst_point, ctx),
+        worst_point={key: format(value, "f") for key, value in worst_point.items()},
         passed=worst <= threshold,
     )
-
-
-def _format_point(point: Mapping[str, BigReal], ctx: RealContext) -> dict[str, str]:
-    formatted = {}
-    for key, value in point.items():
-        if value == value.to_integral_value() and abs(value) <= 4:
-            formatted[key] = str(int(value))
-        else:
-            formatted[key] = format_real(value, ctx)
-    return formatted
 
 
 def check_gosper_matrix(

@@ -1,4 +1,5 @@
-"""q-Pochhammer symbols, the theta constant, and the certified summation engine.
+"""q-Pochhammer symbols, the theta constant, the certified summation engine,
+and the ball arithmetic (:func:`combine`, :func:`product`) of certified values.
 
 A unilateral q-series is described once, by a :class:`QTerm`.  Its summands
 are
@@ -40,7 +41,7 @@ the summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from math import prod
 from typing import Callable, Iterable, Protocol, Sequence
@@ -307,20 +308,91 @@ def sum_series(
                 )
 
 
+def ball(value: BigReal, radius: BigReal = 0) -> SeriesValue:
+    """The value ``value`` known to within ``radius``, from no summation.
+
+    With ``radius = 0`` it is an exact constant, a part of :func:`combine`
+    or :func:`product` like any certified sum.
+    """
+    return SeriesValue(value, 0, Decimal(radius), "ball")
+
+
 def combine(
     parts: Sequence[tuple[BigReal, SeriesValue]], ctx: RealContext, method_tag: str
 ) -> SeriesValue:
     """The certified sum ``sum_i c_i * S_i`` of ``parts``, pairs ``(c_i, S_i)``.
 
-    The tail bound is ``sum_i |c_i| * tail_i`` plus the rounding floor of the
-    result; ``terms_used`` is the sum over the parts.
+    The coefficients are exact; a constant term enters as a part (see
+    :func:`ball`).  The tail bound is ``sum_i |c_i| * tail_i`` plus the rounding floor of the
+    largest addend ``|c_i * S_i|``; ``terms_used`` is the sum over the parts.
     """
     with localcontext(ctx.dec):
-        value = sum(c * part.value for c, part in parts)
+        addends = [c * part.value for c, part in parts]
+        value = sum(addends)
         tail = sum(abs(c) * part.tail_bound for c, part in parts)
-        tail += ctx.tail_floor(value)
+        tail += ctx.tail_floor(max(map(abs, addends)))
     terms = sum(part.terms_used for _, part in parts)
     return SeriesValue(value, terms, tail, method_tag)
+
+
+def product(
+    parts: Sequence[tuple[SeriesValue, int]], ctx: RealContext, method_tag: str
+) -> SeriesValue:
+    """The certified product ``prod_i S_i ** k_i`` of ``parts``, pairs ``(S_i, k_i)``.
+
+    Midpoint-radius ("ball") arithmetic, valid to all orders: with ``e`` the
+    tail of a factor ``v``, a product ``(m, r)`` becomes
+    ``(m*v, |m|*e + r*(|v| + e))``, and a divisor is first the ball
+    ``(1/v, e/(|v|*(|v| - e)))``.  The rounding floor of the result is added
+    once at the end; ``terms_used`` is the sum over the parts.
+
+    Raises:
+        DivergenceError: if a divisor's ball contains 0 (``e >= |v|``).
+    """
+    with localcontext(ctx.dec):
+        value, tail = _ONE, Decimal(0)
+        for part, exponent in parts:
+            v, e = part.value, part.tail_bound
+            if exponent < 0:
+                size = abs(v)
+                if e >= size:
+                    raise DivergenceError(
+                        f"divisor {v:E} is not certified away from 0 (tail {e:E})"
+                    )
+                v, e = 1 / v, e / (size * (size - e))
+            for _ in range(abs(exponent)):
+                value, tail = value * v, abs(value) * e + tail * (abs(v) + e)
+        tail += ctx.tail_floor(value)
+    terms = sum(part.terms_used for part, _ in parts)
+    return SeriesValue(value, terms, tail, method_tag)
+
+
+def sum_bracketed(
+    series: QTerm,
+    bracket: Callable[[BigReal], BigReal],
+    ctx: RealContext,
+    method_tag: str,
+    eps: BigReal | None = None,
+) -> SeriesValue:
+    """:func:`sum_series` of the theta weight of ``series`` times ``bracket(q**n)``.
+
+    ``bracket(q**n)`` must equal the product of the factors of ``series`` at
+    ``n``, so that the summands are those of ``series`` and are certified by
+    its majorant.  ``bracket`` is called once per index, in increasing order.
+    """
+    q = series.q
+    with localcontext(ctx.dec):
+        weight = replace(series, factors=()).generator()
+        q_pow = ipow(q, series.first)
+
+        def term(n: int) -> BigReal:
+            nonlocal q_pow
+            value = weight.term(n) * bracket(q_pow)
+            q_pow *= q
+            return value
+
+        gen = TermGenerator(term, series.generator().decay)
+    return sum_series(gen, series.first, ctx, method_tag, eps)
 
 
 def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:
@@ -390,7 +462,4 @@ def theta3(q: BigReal, ctx: RealContext) -> SeriesValue:
         raise DomainError("theta3 requires |q| < 1")
     series = QTerm(q, start=q, theta=(2, 1), first=1)
     sv = series.sum(ctx, "theta", eps=ctx.epsilon / 2)
-    with localcontext(ctx.dec):
-        total = 1 + 2 * sv.value
-        tail = 2 * sv.tail_bound + ctx.tail_floor(total)
-    return SeriesValue(total, sv.terms_used, tail, "theta")
+    return combine(((1, ball(_ONE)), (2, sv)), ctx, "theta")

@@ -24,6 +24,7 @@ cross-checked pairwise at full precision.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -32,7 +33,18 @@ from fractions import Fraction
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
 from .numerics import BigReal, RealContext, make_context, sqrt
-from .qcore import Factor, QTerm, SeriesValue, TermGenerator, sum_series, theta3
+from .qcore import (
+    Factor,
+    QTerm,
+    SeriesValue,
+    TermGenerator,
+    ball,
+    combine,
+    ipow,
+    product,
+    sum_series,
+    theta3,
+)
 
 __all__ = [
     "HoradamSequence",
@@ -42,6 +54,7 @@ __all__ = [
     "fib_odd_theta",
     "fib_recip_gosper",
     "fibonacci",
+    "gosper_terms",
     "horadam_term",
     "lucas_G",
     "recip_sum_fast",
@@ -167,16 +180,6 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
         return sum_series(gen, 1, ctx, method_tag="naive")
 
 
-def _theta_result(
-    value: BigReal, tail: BigReal, terms: int, ctx: RealContext
-) -> SeriesValue:
-    """A theta-route result, rounded into ``ctx`` with its rounding floor."""
-    with localcontext(ctx.dec):
-        value = +value
-        tail = +tail + ctx.tail_floor(value)
-    return SeriesValue(value, terms, tail, "theta")
-
-
 def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     """Fast reciprocal sum via the theta-convergent Lambert route.
 
@@ -199,19 +202,18 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
             raise DomainError(
                 f"fast route rejected: |beta/alpha| = {abs(q)} too close to 1"
             )
-        x = 1 / alpha
-        lam = glambert_theta(x, q, inner)
+        lam = glambert_theta(1 / alpha, q, inner)
         scale = alpha - beta
-        raw = scale * (1 / (alpha - 1) + lam.value)
-        scaled_tail = scale * lam.tail_bound
-    return _theta_result(raw, scaled_tail, lam.terms_used, ctx)
+        parts = ((scale, ball(1 / (alpha - 1))), (scale, lam))
+    return combine(parts, ctx, "theta")
 
 
-_FIBONACCI_SEQ_ARGS = (1, 1)
-
-
-def _fib_roots(ctx: RealContext) -> tuple[BigReal, BigReal]:
-    return HoradamSequence(*_FIBONACCI_SEQ_ARGS).roots(ctx)
+def _fib_inner(ctx: RealContext) -> tuple[RealContext, BigReal, BigReal]:
+    """``ctx`` with two more digits, and ``beta`` and ``sqrt(5)`` at its precision."""
+    inner = make_context(ctx.target_digits + 2)
+    alpha, beta = HoradamSequence(1, 1).roots(inner)
+    with localcontext(inner.dec):
+        return inner, beta, alpha - beta
 
 
 def fib_recip_gosper(
@@ -229,14 +231,14 @@ def fib_recip_gosper(
     ``corrected=False`` the Lucas product stops at ``G_{2n-1}`` instead,
     which demonstrably breaks the identity.
 
-    The tail bound records the magnitude of the last term added (the terms
-    decay superexponentially), so small ``N`` yields a deliberately coarse
-    bound.
+    The n-th term is at most ``5 phi^-((n+1)^2)`` in magnitude (README), and
+    ``5 phi^-(n^2)`` uncorrected.  The tail bound sums that bound over the
+    terms left out: ``5 phi^-(M^2) / (1 - phi^-(2M+1))`` with ``M = N + 1``
+    (``M = N`` uncorrected).
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise DomainError(f"term count must be a positive integer, got {N!r}")
     total = Fraction(0)
-    last = Fraction(0)
     g_product = 1
     for n in range(N):
         if corrected:
@@ -248,15 +250,28 @@ def fib_recip_gosper(
         )
         denominator = fibonacci(2 * n + 1) * fibonacci(2 * n + 2) * g_product
         sign = 1 if n % 4 in (0, 1) else -1
-        last = Fraction(sign * numerator, denominator)
-        total += last
+        total += Fraction(sign * numerator, denominator)
+    phi, _ = HoradamSequence(1, 1).roots(ctx)
+    M = N + 1 if corrected else N
     with localcontext(ctx.dec):
         value = Decimal(total.numerator) / Decimal(total.denominator)
-        tail = abs(Decimal(last.numerator) / Decimal(last.denominator))
+        tail = 5 * ipow(phi, -M * M) / (1 - ipow(phi, -(2 * M + 1)))
         tail += ctx.tail_floor(value)
     return SeriesValue(
         value=value, terms_used=N, tail_bound=tail, method_tag="gosper"
     )
+
+
+def gosper_terms(ctx: RealContext) -> int:
+    """A term count ``N`` for which :func:`fib_recip_gosper` certifies ``epsilon/2``.
+
+    For ``N >= 1`` its tail is at most ``5 phi^-((N+1)^2) / (1 - phi^-5)``;
+    ``N`` is the least count that puts this below ``epsilon/2``.
+    """
+    log_phi = math.log((1 + math.sqrt(5)) / 2)
+    log_bound = math.log(10 / (1 - math.exp(-5 * log_phi)))
+    need = (ctx.target_digits * math.log(10) + log_bound) / log_phi
+    return max(1, math.ceil(math.sqrt(need)) - 1)
 
 
 def fib_even_theta(ctx: RealContext) -> SeriesValue:
@@ -265,23 +280,12 @@ def fib_even_theta(ctx: RealContext) -> SeriesValue:
     Both Lambert values are taken in theta-convergent form at two extra
     digits of internal precision.
     """
-    inner = make_context(ctx.target_digits + 2)
-    alpha, beta = _fib_roots(inner)
+    inner, beta, root5 = _fib_inner(ctx)
     with localcontext(inner.dec):
         b2 = beta * beta
-        b4 = b2 * b2
-        root5 = alpha - beta
-    lam2 = lambert_theta(b2, inner)
-    lam4 = lambert_theta(b4, inner)
-    with localcontext(ctx.dec):
-        value = root5 * (lam2.value - lam4.value)
-        tail = root5 * (lam2.tail_bound + lam4.tail_bound) + ctx.tail_floor(value)
-    return SeriesValue(
-        value=value,
-        terms_used=lam2.terms_used + lam4.terms_used,
-        tail_bound=tail,
-        method_tag="theta",
-    )
+        lam2, lam4 = lambert_theta(b2, inner), lambert_theta(b2 * b2, inner)
+        parts = ((root5, lam2), (-root5, lam4))
+    return combine(parts, ctx, "theta")
 
 
 def fib_odd_theta(ctx: RealContext) -> SeriesValue:
@@ -290,26 +294,14 @@ def fib_odd_theta(ctx: RealContext) -> SeriesValue:
     Uses ``sqrt(5)/4 * (theta3(beta^2)^2 - theta3(beta)^2)`` with the theta
     constant evaluated at two extra digits of internal precision.
     """
-    inner = make_context(ctx.target_digits + 2)
-    alpha, beta = _fib_roots(inner)
+    inner, beta, root5 = _fib_inner(ctx)
     with localcontext(inner.dec):
-        b2 = beta * beta
-        root5 = alpha - beta
-    th_b = theta3(beta, inner)
-    th_b2 = theta3(b2, inner)
-    with localcontext(ctx.dec):
         quarter_root5 = root5 / 4
-        value = quarter_root5 * (th_b2.value * th_b2.value - th_b.value * th_b.value)
-        tail = quarter_root5 * 2 * (
-            abs(th_b2.value) * th_b2.tail_bound + abs(th_b.value) * th_b.tail_bound
-        )
-        tail += ctx.tail_floor(value)
-    return SeriesValue(
-        value=value,
-        terms_used=th_b.terms_used + th_b2.terms_used,
-        tail_bound=tail,
-        method_tag="theta",
-    )
+        parts = [
+            (sign * quarter_root5, product(((theta3(b, inner), 2),), ctx, "theta"))
+            for sign, b in ((1, beta * beta), (-1, beta))
+        ]
+    return combine(parts, ctx, "theta")
 
 
 def fib_even_alt(apply_root5: bool, ctx: RealContext) -> SeriesValue:
@@ -320,19 +312,14 @@ def fib_even_alt(apply_root5: bool, ctx: RealContext) -> SeriesValue:
     the two variants reproduces the even-index reciprocal sum, and the test
     suite pins which one against a big-integer oracle.
     """
-    inner = make_context(ctx.target_digits + 2)
-    alpha, beta = _fib_roots(inner)
+    inner, beta, root5 = _fib_inner(ctx)
     with localcontext(inner.dec):
         b2 = beta * beta
-        root5 = alpha - beta
         series = QTerm(
             b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1
         )
         raw = series.sum(inner, "theta")
-        scale = root5 if apply_root5 else Decimal(1)
-        scaled = scale * raw.value
-        scaled_tail = scale * raw.tail_bound
-    return _theta_result(scaled, scaled_tail, raw.terms_used, ctx)
+    return combine(((root5 if apply_root5 else 1, raw),), ctx, "theta")
 
 
 def fib_odd_alt(ctx: RealContext) -> SeriesValue:
@@ -341,14 +328,8 @@ def fib_odd_alt(ctx: RealContext) -> SeriesValue:
     The inner sum is theta-class with even exponents; ``-sqrt(5)*beta`` is the
     positive scale ``(5 - sqrt(5))/2``.
     """
-    inner = make_context(ctx.target_digits + 2)
-    alpha, beta = _fib_roots(inner)
+    inner, beta, root5 = _fib_inner(ctx)
     with localcontext(inner.dec):
-        b2 = beta * beta
-        root5 = alpha - beta
-        inner_sum = QTerm(b2, theta=(2, 2)).sum(inner, "theta")
-        scale = -root5 * beta
-        raw = scale * inner_sum.value * inner_sum.value
-        raw_tail = scale * (2 * abs(inner_sum.value) + inner_sum.tail_bound)
-        raw_tail *= inner_sum.tail_bound
-    return _theta_result(raw, raw_tail, inner_sum.terms_used, ctx)
+        inner_sum = QTerm(beta * beta, theta=(2, 2)).sum(inner, "theta")
+        scale = ball(-root5 * beta)
+    return product(((scale, 1), (inner_sum, 2)), ctx, "theta")

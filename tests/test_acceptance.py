@@ -16,6 +16,7 @@ explicit tolerance, so ``pytest -v`` prints one pass/fail line per guarantee:
 
 from __future__ import annotations
 
+import decimal
 import json
 from decimal import Decimal
 
@@ -28,6 +29,7 @@ from qlambert import (
     exchange_check,
     fib_even_alt,
     fib_even_theta,
+    fib_odd_alt,
     fib_odd_theta,
     fib_recip_gosper,
     glambert_lhs,
@@ -49,7 +51,13 @@ from qlambert import (
     theta3,
 )
 from qlambert.cli import main
-from qlambert.identities import _Rng
+from qlambert.identities import (
+    _Rng,
+    _fine_163_rhs,
+    _gosper_poch_lhs,
+    _wrench_truncated,
+)
+from qlambert.recurrences import gosper_terms
 
 from _oracles import PSI
 
@@ -227,6 +235,16 @@ def _evaluation_battery() -> list:
         battery.append(lambda ctx, seq=seq: recip_sum_fast(seq, ctx))
     battery.append(fib_even_theta)
     battery.append(fib_odd_theta)
+    battery.append(lambda ctx: fib_even_alt(True, ctx))
+    battery.append(fib_odd_alt)
+    battery.append(lambda ctx: fib_recip_gosper(gosper_terms(ctx), ctx))
+    for _ in range(2):
+        point = {"a": draw("0.05"), "b": draw(), "t": draw(), "q": draw()}
+        battery.append(lambda ctx, p=point: _fine_163_rhs(p, ctx))
+        point = {"x": draw(), "t": draw(), "q": draw()}
+        battery.append(lambda ctx, p=point: _gosper_poch_lhs(p, ctx))
+        point = {"x": draw(), "q": draw()}
+        battery.append(lambda ctx, p=point: _wrench_truncated(p, ctx))
     return battery
 
 
@@ -239,3 +257,15 @@ def test_certified_bounds_survive_recomputation_at_higher_precision() -> None:
         coarse = evaluate(base)
         fine = evaluate(refined)
         assert abs(coarse.value - fine.value) < coarse.tail_bound
+
+
+def test_results_do_not_depend_on_the_callers_decimal_context() -> None:
+    """Every evaluation computes under its own context, never the caller's
+    (the suite's default context has 300 digits and would hide one that
+    does; the interpreter's default has 28)."""
+    ctx = make_context(40)
+    for evaluate in _evaluation_battery():
+        wide = evaluate(ctx)
+        with decimal.localcontext(decimal.Context(prec=5)):
+            narrow = evaluate(ctx)
+        assert (narrow.value, narrow.tail_bound) == (wide.value, wide.tail_bound)

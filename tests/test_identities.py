@@ -14,6 +14,7 @@ from qlambert import (
     lambert_naive,
     registry,
 )
+from qlambert import identities
 from qlambert.identities import _Rng, get_entry
 
 EXPECTED_ENTRIES = (
@@ -143,6 +144,23 @@ class TestCheckIdentity:
         }
         for side in entry.sides:
             assert side(point, ctx30).tail_bound <= ctx30.epsilon
+
+    def test_worst_points_print_the_sampled_parameters_exactly(
+        self, ctx50, monkeypatch
+    ) -> None:
+        drawn = []
+        draw = identities._draw_point
+
+        def recording(entry, rng, ctx):
+            drawn.append(draw(entry, rng, ctx))
+            return drawn[-1]
+
+        monkeypatch.setattr(identities, "_draw_point", recording)
+        for entry in registry():
+            drawn.clear()
+            report = check_identity(entry.name, 3, 42, ctx50)
+            parsed = {key: Decimal(text) for key, text in report.worst_point.items()}
+            assert parsed in drawn, entry.name
 
     def test_jordan_forms_sampler_stays_in_the_wedge(self, ctx30) -> None:
         report = check_identity("jordan-forms", 25, 11, ctx30)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qlambert
 from qlambert import (
     DivergenceError,
     DomainError,
@@ -20,7 +26,7 @@ from qlambert import (
     sum_series,
     theta3,
 )
-from qlambert.qcore import MIN_TERMS, ipow
+from qlambert.qcore import MIN_TERMS, ball, combine, ipow, product
 
 from _oracles import (
     POCH_HALF_INF,
@@ -170,3 +176,88 @@ class TestTheta3:
     def test_unit_argument_rejected(self, ctx30) -> None:
         with pytest.raises(DomainError):
             theta3(Decimal(1), ctx30)
+
+
+# ---------------------------------------------------------------------------
+# Ball arithmetic: combine and product.
+
+BALL_CTX = make_context(20)
+
+
+@st.composite
+def balls(draw) -> tuple[SeriesValue, Fraction]:
+    """A part ``(m, r)`` and a true value drawn exactly within its radius.
+
+    Midpoints include ones near 0; radii are absolute, or a share of the
+    midpoint up to 1.5 times it; true values include the ends of the ball.
+    """
+    mid = Decimal(draw(st.one_of(st.integers(-10**6, 10**6), st.integers(-3, 3))))
+    mid = mid.scaleb(-draw(st.integers(0, 8)))
+    radius = draw(
+        st.one_of(
+            st.integers(0, 10**4).map(lambda r: Decimal(r).scaleb(-8)),
+            st.integers(0, 150).map(lambda share: abs(mid) * share / 100),
+        )
+    )
+    ends = st.sampled_from([-1000, 1000])
+    theta = Fraction(draw(st.one_of(st.integers(-1000, 1000), ends)), 1000)
+    part = SeriesValue(mid, draw(st.integers(0, 50)), radius, "part")
+    return part, Fraction(mid) + theta * Fraction(radius)
+
+
+#: Exact coefficients of combine, two decimals.
+coefficients = st.integers(-(10**4), 10**4).map(lambda c: Decimal(c) / 100)
+
+
+def _inside(result: SeriesValue, exact: Fraction) -> bool:
+    return abs(exact - Fraction(result.value)) <= Fraction(result.tail_bound)
+
+
+class TestBallArithmetic:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(balls(), st.integers(-2, 2)), min_size=1, max_size=4))
+    def test_product_contains_the_product_of_the_true_values(self, parts) -> None:
+        exact = Fraction(1)
+        touches_zero = False
+        for (part, true), exponent in parts:
+            if exponent < 0 and part.tail_bound >= abs(part.value):
+                touches_zero = True
+            elif exponent != 0:
+                exact *= true**exponent
+        pairs = [(part, exponent) for (part, _), exponent in parts]
+        if touches_zero:
+            with pytest.raises(DivergenceError):
+                product(pairs, BALL_CTX, "product")
+            return
+        result = product(pairs, BALL_CTX, "product")
+        assert _inside(result, exact)
+        assert result.terms_used == sum(part.terms_used for part, _ in pairs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(coefficients, balls()), min_size=1, max_size=4))
+    def test_combine_contains_the_sum_of_the_true_values(self, parts) -> None:
+        exact = sum(Fraction(c) * true for c, (_, true) in parts)
+        result = combine([(c, part) for c, (part, _) in parts], BALL_CTX, "sum")
+        assert _inside(result, exact)
+
+    def test_a_divisor_whose_ball_touches_zero_raises(self) -> None:
+        with pytest.raises(DivergenceError):
+            product(((ball(Decimal("0.5"), Decimal("0.5")), -1),), BALL_CTX, "p")
+
+    def test_a_square_keeps_its_second_order_term(self) -> None:
+        # (1 +- 0.1)^2 reaches 1.21: the radius is 2*0.1 + 0.1^2, not 2*0.1.
+        square = product(((ball(Decimal(1), Decimal("0.1")), 2),), BALL_CTX, "p")
+        assert square.tail_bound >= Decimal("0.21")
+
+
+def test_only_qcore_and_the_gosper_sum_build_series_values() -> None:
+    """Every tail bound but the Gosper sum's is derived in qcore."""
+    source_dir = Path(qlambert.__file__).parent
+    builders = set()
+    for path in sorted(source_dir.glob("*.py")):
+        source = path.read_text()
+        for node in ast.parse(source).body:
+            if "SeriesValue(" in ast.get_source_segment(source, node):
+                builders.add((path.stem, getattr(node, "name", None)))
+    outside = {found for found in builders if found[0] != "qcore"}
+    assert outside == {("recurrences", "fib_recip_gosper")}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from qlambert import (
     recip_sum_fast,
     recip_sum_naive,
 )
+from qlambert.recurrences import gosper_terms
 
 from _oracles import (
     FIB_EVEN,
@@ -133,6 +135,34 @@ class TestGosperPartialSums:
     def test_invalid_term_counts_rejected(self, ctx30) -> None:
         with pytest.raises(DomainError):
             fib_recip_gosper(0, ctx30)
+
+    def test_terms_obey_the_stated_bound(self) -> None:
+        # |T_n| <= 5 phi^-((n+1)^2), and 5 phi^-(n^2) without the correction.
+        phi = (1 + Decimal(5).sqrt()) / 2
+        lucas = 1
+        for n in range(40):
+            lucas *= lucas_G(2 * n + 1)
+            size = Fraction(
+                fibonacci(4 * n + 3) + (-1) ** n * fibonacci(2 * n + 2),
+                fibonacci(2 * n + 1) * fibonacci(2 * n + 2) * lucas,
+            )
+            for factor, shift in ((1, n + 1), (lucas_G(2 * n + 1), n)):
+                scaled = size * factor
+                bound = 5 / phi ** (shift * shift)
+                assert Decimal(scaled.numerator) / scaled.denominator <= bound
+
+    def test_tail_bounds_cover_the_constant(self, ctx50) -> None:
+        for count in (1, 3, 8, 15):
+            sv = fib_recip_gosper(count, ctx50)
+            assert abs(sv.value - PSI) <= sv.tail_bound
+
+    @pytest.mark.parametrize("digits", [10, 30, 100, 1000])
+    def test_counted_route_certifies_with_the_fewest_terms(self, digits) -> None:
+        ctx = make_context(digits)
+        count = gosper_terms(ctx)
+        assert fib_recip_gosper(count, ctx).tail_bound <= ctx.epsilon
+        if count > 1:
+            assert fib_recip_gosper(count - 1, ctx).tail_bound > ctx.epsilon / 2
 
 
 class TestSplits:
