@@ -7,7 +7,9 @@ Subcommands:
 * ``recip-sum`` — reciprocal sum of a Horadam-type recurrence by method
   ``naive``, ``horadam`` (theta-accelerated), ``gosper``, or ``split``.
 * ``verify`` — sample one or all registered identities and emit one JSON
-  report per line; exits 0 only if every report passes.
+  report per line; exits 0 only if every report passes.  A side that fails
+  to certify at a sampled point fails its report, which then carries a
+  ``reason``.
 * ``bench`` — time naive against theta-style convergence for one series and
   emit a JSON report with term counts (values are cross-checked first).
 
@@ -233,7 +235,7 @@ def cmd_recip_sum(args: argparse.Namespace) -> int:
 
 
 def _report_payload(report: IdentityReport) -> dict:
-    return {
+    payload = {
         "name": report.name,
         "trials": report.trials,
         "seed": report.seed,
@@ -241,6 +243,9 @@ def _report_payload(report: IdentityReport) -> dict:
         "worst_point": report.worst_point,
         "pass": report.passed,
     }
+    if report.reason is not None:
+        payload["reason"] = report.reason
+    return payload
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

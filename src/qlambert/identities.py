@@ -142,7 +142,9 @@ class IdentityReport:
 
     ``worst_point`` maps parameter names to the exact sampled values, as
     positional decimal strings; ``passed`` is
-    ``worst_deviation <= 4*epsilon`` for the context used.
+    ``worst_deviation <= 4*epsilon`` for the context used.  When some side
+    failed to certify at a sampled point, ``reason`` says why,
+    ``worst_point`` is the first such point and ``passed`` is False.
     """
 
     name: str
@@ -151,6 +153,7 @@ class IdentityReport:
     worst_deviation: BigReal
     worst_point: dict[str, str]
     passed: bool
+    reason: str | None = None
 
 
 class _Rng:
@@ -707,7 +710,9 @@ def check_identity(
     Each trial seeds its own generator substream with ``seed + trial``, so
     the report is independent of evaluation order.  Points rejected by
     domain or pole checks are redrawn from the same substream, up to
-    :data:`MAX_RESAMPLES` attempts.
+    :data:`MAX_RESAMPLES` attempts.  A side that raises
+    :class:`DivergenceError` fails its trial; the report names the first
+    such point and the reason.
 
     Raises:
         UnknownIdentityError: if ``name`` is not registered.
@@ -719,31 +724,34 @@ def check_identity(
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     worst = Decimal(0)
     worst_point: dict[str, BigReal] = {}
+    reason = None
     for trial in range(trials):
         rng = _Rng(seed + trial)
-        point = None
-        values: list[SeriesValue] = []
         for _attempt in range(MAX_RESAMPLES):
-            candidate = _draw_point(entry, rng, ctx)
+            point = _draw_point(entry, rng, ctx)
             try:
-                values = [side(candidate, ctx) for side in entry.sides]
+                values = [side(point, ctx) for side in entry.sides]
             except (DomainError, PoleError):
                 continue
-            point = candidate
+            except DivergenceError as exc:
+                if reason is None:
+                    reason, worst_point = str(exc), point
+                break
+            with localcontext(ctx.dec):
+                deviation = max(
+                    abs(first.value - second.value)
+                    for i, first in enumerate(values)
+                    for second in values[i + 1 :]
+                )
+            if deviation > worst:
+                worst = deviation
+                if reason is None:
+                    worst_point = point
             break
-        if point is None:
+        else:
             raise DomainError(
                 f"all {MAX_RESAMPLES} sampled points rejected for {name!r}"
             )
-        with localcontext(ctx.dec):
-            deviation = max(
-                abs(first.value - second.value)
-                for i, first in enumerate(values)
-                for second in values[i + 1 :]
-            )
-        if deviation > worst:
-            worst = deviation
-            worst_point = point
     threshold = 4 * ctx.epsilon
     return IdentityReport(
         name=name,
@@ -751,7 +759,8 @@ def check_identity(
         seed=seed,
         worst_deviation=worst,
         worst_point={key: format(value, "f") for key, value in worst_point.items()},
-        passed=worst <= threshold,
+        passed=reason is None and worst <= threshold,
+        reason=reason,
     )
 
 

@@ -24,33 +24,65 @@ the product of per-factor bounds on ``|T_{m+1} / T_m|`` over all ``m >= n``:
 * a Pochhammer numerator, ``|c0| + |c1||q|**(s*n+k)``, and a Pochhammer
   denominator, ``1 / (|c0| - |c1||q|**(s*n+k))``.
 
-The powers of ``|q|`` are running products too.  For ``|q| <= 1`` every
-bound is non-increasing in ``n``, so ``ratio_at(n)`` majorises every later
-term ratio, and the geometric tail bound ``|T_n| * rho / (1 - rho)`` with
-``rho = ratio_at(n)`` is a true upper bound on the discarded remainder.
-While some denominator bound is not positive, ``ratio_at`` returns 2 and
-the engine keeps summing.
+For ``|q| <= 1`` every bound is non-increasing in ``n``, so ``ratio_at(n)``
+majorises every later term ratio, and the geometric tail bound
+``|T_n| * rho / (1 - rho)`` with ``rho = ratio_at(n)`` is a true upper bound
+on the discarded remainder.  While some denominator bound is not positive,
+``ratio_at`` returns 2 and the engine keeps summing.
+
+The majorant is computed in Python floats, in closed form, for any ``n``
+(``s*n + k >= 0`` and ``step*n + shift >= 0``); the summands stay in
+``Decimal``.  With ``u = 2**-53``, and libm's ``exp2``, ``log2`` and ``pow``
+within one unit in the last place:
+
+* Every parameter ``x`` (``|z|``, ``|q|``, ``|c0|``, ``|c1|``) enters once, as
+  bounds ``lo <= log2|x| <= hi``: from the 17-digit mantissa and the decimal
+  exponent of ``x``, so that no parameter under- or overflows, rounded
+  outward by ``|v| * 2**-46 + 2**-48``.  That is at least ``64u*|v|`` more
+  than the conversion error of ``v``.  For ``x = 0``, ``hi = -2**60`` and
+  ``lo = -inf``.
+* ``log2(|c1||q|**(s*n+k) / |c0|) <= g = a + n*b``, the float sum of
+  ``hi(c1) + k*hi(q) - lo(c0)`` and ``n*s*hi(q)``: its at most six roundings
+  cost ``6u`` times the magnitudes summed, within the reserve of ``64u``.
+  Then ``|c0| + h <= 2**hi(c0) * (1 + 2**g)`` and
+  ``|c0| - h >= 2**lo(c0) * (1 - 2**g)``; the latter is rounded down, with
+  ``exp2(g)`` rounded up, before the test ``1 - 2**g > 0``.
+* ``log2 rho`` gathers ``hi(z)``, the theta weight, the ``hi`` and ``lo`` of
+  the ``c0`` and, where ``g > 0``, ``g`` itself, as
+  ``2**hi(c0) * (1 + 2**g) = 2**(hi(c0) + g) * (1 + 2**-g)``; the rest is a
+  float product of factors ``(1 + 2**g)``, ``(1 + 2**-g)`` and
+  ``1 / (1 - 2**g)``, each in range.  ``rho`` is ``2**log2 rho`` times
+  that product times one relative allowance ``1 + K * 2**-52``,
+  ``K = 3 * (number of bounds) + 4``, which covers at most
+  ``(2 * bounds + 4) u`` of rounding in the product, ``exp2`` and the final
+  multiply.  ``ldexp`` scales the result, so a ratio below the float range
+  comes out as at most the smallest subnormal, not 0, and one above it as
+  ``inf``.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
-budget is left for rounding accumulation.  An empirical guard cross-checks
-the majorant: once past a burn-in of 16 terms, a term exceeding twice the
-declared ratio counts as a violation, and 64 consecutive violations abort
-the summation.
+budget is left for rounding accumulation.  The test runs in floats on the
+17-digit mantissa ``m`` and decimal exponent ``e`` of each term:
+``|T_n| <= m * (1 + 10**-16) * 10**(e - 16)``, and the float tail
+``m * rho / (1 - rho)``, rounded up by ``1 + 8 * 2**-52``, is compared with
+``eps/2`` rounded down by the same factor; beyond ``10**300`` the comparison
+is made exactly in ``Decimal``.  An empirical guard cross-checks the
+majorant on the same mantissas: once past a burn-in of 16 terms, a term
+exceeding twice the declared ratio times the term before counts as a
+violation, and 64 consecutive violations abort the summation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
-from math import prod
+from math import exp2, floor, inf, ldexp, log2, prod, ulp
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError
 from .numerics import BigReal, RealContext
 
 _ONE = Decimal(1)
-_TWO = Decimal(2)
 
 
 def ipow(base: BigReal, exponent: int) -> BigReal:
@@ -65,6 +97,26 @@ GUARD_BURN_IN = 16
 GUARD_VIOLATION_LIMIT = 64
 #: Minimum number of summand evaluations before the engine may stop.
 MIN_TERMS = 2
+
+#: One unit of the float error allowances: 2**-52, two roundings to nearest.
+_UNIT = 2.0**-52
+#: ``ratio_at``'s value while some denominator bound is not yet positive.
+_NOT_YET = 2.0
+#: Stand-in for ``log2 0``: every exponent it enters stays below -2**59.
+_LOG2_ZERO = -(2.0**60)
+_LOG2_10 = log2(10)
+#: Outward margin of a log2 constant ``v``: ``|v| * 2**-46 + 2**-48``.
+_LOG_MARGIN = 2.0**-46
+_LOG_MARGIN_ABS = 2.0**-48
+#: Factors that cover libm's one-ulp ``exp2``, and the tail test's roundings.
+_EXP2_UP = 1 + 4 * _UNIT
+_TAIL_UP = 1 + 8 * _UNIT
+_TARGET_DOWN = 1 - 8 * _UNIT
+#: The smallest normal and subnormal floats.
+_MIN_NORMAL = 2.0**-1022
+_MIN_SUBNORMAL = ulp(0.0)
+#: Largest power of ten the tail test and the guard form in floats.
+_MAX_POW10 = 300
 
 
 @dataclass(frozen=True)
@@ -86,9 +138,9 @@ class SeriesValue:
 
 
 class Decay(Protocol):
-    """Majorant of the term ratios, queried once per index in increasing order."""
+    """Majorant of the term ratios, a function of the index alone."""
 
-    def ratio_at(self, n: int) -> BigReal:
+    def ratio_at(self, n: int) -> float:
         """A bound on ``|T_{m+1} / T_m|`` for every ``m >= n``."""
 
 
@@ -96,10 +148,10 @@ class Decay(Protocol):
 class TermGenerator:
     """A summand stream with a declared decay majorant.
 
-    ``term`` and ``decay.ratio_at`` are each called exactly once per index,
-    in increasing order starting from the engine's ``start_index``;
-    generators are therefore free to keep running-product state keyed to
-    that order.
+    The engine calls ``term`` and ``decay.ratio_at`` once per index, in
+    increasing order from its ``start_index``.  ``term`` may keep
+    running-product state keyed to that order; ``ratio_at`` may be called
+    at any index, in any order.
     """
 
     term: Callable[[int], BigReal]
@@ -166,44 +218,62 @@ def sum_qterm(
 
 
 class _Run:
-    """A :class:`QTerm`'s running products: ``term`` for the summands and
-    ``ratio_at`` for their majorant, each advanced once per index."""
+    """A :class:`QTerm`'s running products for ``term``, advanced once per
+    index, and its majorant ``ratio_at`` in closed form."""
 
     def __init__(self, d: QTerm) -> None:
-        q, q_hat = d.q, abs(d.q)
+        q = d.q
         # start * z**(n - first) * W_n * Pochhammer products, at the next n.
         self.coeff = +d.start
         self.z = None if d.z == 1 else d.z
-        self.z_hat = abs(d.z)
-        self.w = self.w_hat = None
+        self.w = None
         if d.theta is not None:
             step, shift = d.theta
             self.w, self.w_step = ipow(q, step * d.first + shift), ipow(q, step)
-            self.w_hat, self.w_hat_step = abs(self.w), abs(self.w_step)
-        # Factors share the running value c1*q**(s*i + k) of the summands, and
-        # h = |c1|*|q|**(s*i + k) of the bounds |c0| +- h, taken at i = n
-        # ("now") or i = n + 1 ("next"), wherever they can.
+        # Factors share the running value c1*q**(s*i + k) of the summands.
         values: dict[tuple[BigReal, int, int], int] = {}
-        hats: dict[tuple[BigReal, int, int], int] = {}
         self.num, self.den, self.pnum, self.pden = [], [], [], []
-        self.num_now, self.num_next, self.den_now, self.den_next = [], [], [], []
         for f in d.factors:
             j = values.setdefault((f.c1, f.s, f.k), len(values))
             kind = (self.pnum, self.pden) if f.pochhammer else (self.num, self.den)
             kind[f.power < 0].append((f.c0, j))
-            bound = (abs(f.c0), hats.setdefault((abs(f.c1), f.s, f.k), len(hats)))
-            if f.pochhammer:
-                (self.den_now if f.power < 0 else self.num_now).append(bound)
-            elif f.power < 0:
-                self.num_now.append(bound)
-                self.den_next.append(bound)
-            else:
-                self.num_next.append(bound)
-                self.den_now.append(bound)
         self.u = [c1 * ipow(q, s * d.first + k) for c1, s, k in values]
         self.u_step = [ipow(q, s) for _, s, _ in values]
-        self.h = [c1 * ipow(q_hat, s * d.first + k) for c1, s, k in hats]
-        self.h_step = [ipow(q_hat, s) for _, s, _ in hats]
+        # The majorant: log2 rho(n) <= const + n*slope plus the share of the
+        # bounds |c0| +- h, h = |c1|*|q|**(s*i + k) at i = n or n + 1, from
+        # log2 magnitudes rounded outward.  Bounds are counted per
+        # (log2 |c0| low and high, log2 |c1| high, s, k at i = n).
+        log_q = _log2_bounds(q)[1]
+        const, slope = _log2_bounds(d.z)[1], 0.0
+        if d.theta is not None:
+            const += shift * log_q
+            slope += step * log_q
+        counts: dict[tuple[float, float, float, int, int], list[int]] = {}
+        for f in d.factors:
+            c0_low, c0_high = _log2_bounds(f.c0)
+            c1_high = _log2_bounds(f.c1)[1]
+            if f.pochhammer:
+                taken = ((0, f.power < 0),)
+            else:
+                # An evaluated factor's numerator bound is taken at n + 1,
+                # its denominator bound at n, or the reverse.
+                taken = ((f.power > 0, False), (f.power < 0, True))
+            for later, denominator in taken:
+                key = (c0_low, c0_high, c1_high, f.s, f.k + f.s * later)
+                counts.setdefault(key, [0, 0])[denominator] += 1
+        # (a, b, numerators, denominators) with a + n*b >= log2(h / |c0|).
+        self.bounds = []
+        for (c0_low, c0_high, c1_high, s, k), (nums, dens) in counts.items():
+            log_h = c1_high + k * log_q
+            if c0_low == -inf and not dens:
+                # A numerator 0 + h is the power h itself.
+                const += nums * log_h
+                slope += nums * s * log_q
+            else:
+                const += nums * c0_high - dens * c0_low
+                self.bounds.append((log_h - c0_low, s * log_q, nums, dens))
+        self.const, self.slope = const, slope
+        self.allowance = 1 + (3 * sum(map(sum, counts.values())) + 4) * _UNIT
 
     def term(self, n: int) -> BigReal:
         u = self.u
@@ -226,25 +296,49 @@ class _Run:
         self.u = [a * b for a, b in zip(u, self.u_step)]
         return value
 
-    def ratio_at(self, n: int) -> BigReal:
-        h = self.h
-        h_next = self.h = [a * b for a, b in zip(h, self.h_step)]
-        rho = self.z_hat
-        if self.w_hat is not None:
-            rho *= self.w_hat
-            self.w_hat *= self.w_hat_step
-        den = _ONE
-        for bounds, hats in ((self.den_now, h), (self.den_next, h_next)):
-            for c0, j in bounds:
-                factor = c0 - hats[j]
-                if factor <= 0:
-                    return _TWO
-                den *= factor
-        for c0, j in self.num_now:
-            rho *= c0 + h[j]
-        for c0, j in self.num_next:
-            rho *= c0 + h_next[j]
-        return rho / den
+    def ratio_at(self, n: int) -> float:
+        log_rho = self.const + n * self.slope
+        ratio = self.allowance
+        for a, b, nums, dens in self.bounds:
+            g = a + n * b
+            if g <= 0:
+                h = exp2(g)
+                if dens:
+                    factor = 1 - h * _EXP2_UP
+                    if factor <= 0:
+                        return _NOT_YET
+                    ratio /= factor**dens
+                ratio *= (1 + h) ** nums
+            elif dens:
+                return _NOT_YET
+            else:
+                log_rho += nums * g
+                ratio *= (1 + exp2(-g)) ** nums
+        whole = floor(log_rho)
+        try:
+            rho = ldexp(exp2(log_rho - whole) * ratio, whole)
+        except OverflowError:
+            return inf
+        return rho if rho >= _MIN_NORMAL else rho + _MIN_SUBNORMAL
+
+
+def _log2_bounds(x: BigReal) -> tuple[float, float]:
+    """Lower and upper bounds on ``log2|x|``; for ``x = 0``, ``-inf`` and
+    :data:`_LOG2_ZERO`."""
+    if not x:
+        return -inf, _LOG2_ZERO
+    x = Decimal(x)
+    e = x.adjusted()
+    # m <= |x| * 10**(16 - e) < m + 1 < 2**57.
+    m = abs(int(x.scaleb(16 - e)))
+    value = log2(m / 1e16) + e * _LOG2_10
+    margin = abs(value) * _LOG_MARGIN + _LOG_MARGIN_ABS
+    return value - margin, value + margin
+
+
+def _less(a: float, b: float, k: int) -> bool:
+    """``a < b * 10**k`` for ``a, b >= 0``, exactly; False when ``a`` is NaN."""
+    return a == a and Decimal(a) < Decimal(b).scaleb(k)
 
 
 def sum_series(
@@ -258,8 +352,12 @@ def sum_series(
 
     Stops at the first index (after at least :data:`MIN_TERMS` evaluations)
     where ``|T_n| * rho / (1 - rho) < eps / 2`` with ``rho = ratio_at(n) < 1``.
-    The bound's rounding floor is taken at the largest partial sum: when the
-    terms cancel, the rounding error scales with the sums they passed through.
+    The test and the decay guard run in floats on the 17-digit mantissa
+    ``m`` and decimal exponent ``e`` of ``|T_n| ~ m * 10**(e - 16)`` (see
+    the module docstring); the returned bound is the float tail, converted
+    exactly, plus the rounding floor of the largest partial sum (when the
+    terms cancel, the rounding error scales with the sums they passed
+    through).
 
     Raises:
         DivergenceError: if terms repeatedly exceed the declared decay, or
@@ -268,11 +366,14 @@ def sum_series(
     target = (ctx.epsilon if eps is None else eps) / 2
     hard_cap = max(20_000, 600 * ctx.working_digits)
     with localcontext(ctx.dec):
+        # target >= limit * 10**(target_e - 16).
+        target_e = target.adjusted()
+        limit = int(target.scaleb(16 - target_e)) * _TARGET_DOWN
         total = peak = Decimal(0)
         terms_used = 0
         violations = 0
-        previous: BigReal | None = None
-        previous_rho: BigReal | None = None
+        previous_m = previous_e = 0
+        previous_rho = 0.0
         n = start_index
         while True:
             t = gen.term(n)
@@ -280,9 +381,17 @@ def sum_series(
             peak = max(peak, abs(total))
             terms_used += 1
             rho = gen.decay.ratio_at(n)
-            if previous is not None and terms_used > GUARD_BURN_IN:
-                allowed = 2 * previous_rho * abs(previous)
-                if abs(t) > allowed:
+            # m <= |t| * 10**(16 - e) < m + 1, and m >= 10**16 unless t = 0.
+            e = t.adjusted()
+            m = abs(int(t.scaleb(16 - e)))
+            if terms_used > GUARD_BURN_IN:
+                # |t| > 2 * rho_prev * |t_prev|, on the mantissas.
+                allowed, k = 2 * previous_rho * previous_m, e - previous_e
+                if (
+                    allowed < m * 10.0**k
+                    if -_MAX_POW10 <= k <= _MAX_POW10
+                    else _less(allowed, m, k)
+                ):
                     violations += 1
                     if violations >= GUARD_VIOLATION_LIMIT:
                         raise DivergenceError(
@@ -291,16 +400,19 @@ def sum_series(
                 else:
                     violations = 0
             if terms_used >= MIN_TERMS and rho < 1:
-                tail = abs(t) * rho / (1 - rho)
-                if tail < target:
+                tail, k = m * rho / (1 - rho) * _TAIL_UP, target_e - e
+                if (
+                    tail < limit * 10.0**k
+                    if -_MAX_POW10 <= k <= _MAX_POW10
+                    else _less(tail, limit, k)
+                ):
                     return SeriesValue(
                         value=total,
                         terms_used=terms_used,
-                        tail_bound=tail + ctx.tail_floor(peak),
+                        tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
                         method_tag=method_tag,
                     )
-            previous = t
-            previous_rho = rho
+            previous_m, previous_e, previous_rho = m, e, rho
             n += 1
             if terms_used > hard_cap:
                 raise DivergenceError(

@@ -10,7 +10,7 @@ odd Fibonacci splits reproduce PSI to the last digit.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 #: Reciprocal Fibonacci constant, sum of 1/F_n for n >= 1.
 PSI = Decimal("3.3598856662431775531720113029189271796889051337319684864955538")
@@ -107,7 +107,8 @@ JORDAN_B = Decimal(
 
 #: (1-t) * F(a,b;t) at a=0.2, b=0.4, t=0.3, q=0.5.  At this point b = a/q,
 #: the Pochhammer quotient telescopes, and the value is exactly 71/68.
-FINE_TELESCOPED = Decimal(71) / Decimal(68)
+with localcontext(prec=300):
+    FINE_TELESCOPED = Decimal(71) / Decimal(68)
 
 #: (1-t) * F(a,b;t) at the generic point a=0.2, b=0.35, t=0.3, q=0.5.
 FINE_GENERIC = Decimal(

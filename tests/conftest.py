@@ -1,22 +1,16 @@
 """Shared test configuration.
 
-The default ``decimal`` context has 28-digit precision, which silently
-truncates test-side arithmetic on 40-plus-digit values (differences,
-oracle comparisons).  Raise it far beyond anything the suite compares so
-that assertion arithmetic never rounds below the quantities under test.
-Package code is unaffected: it always computes under an explicit local
-context.
+The suite runs under Python's default 28-digit ``decimal`` context, as the
+command line does, so library arithmetic done outside its own working
+context shows up as wrong digits.  A test whose own assertion arithmetic
+needs more digits takes a local context.
 """
 
 from __future__ import annotations
 
-import decimal
-
 import pytest
 
 from qlambert import RealContext, make_context
-
-decimal.setcontext(decimal.Context(prec=300))
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,45 @@ class TestEval:
         assert excinfo.value.code == 2
 
 
+#: The rational 1/10^k, written out in digits.
+TINY = {k: "1/1" + "0" * k for k in (200, 400, 450)}
+ZERO = "0." + "0" * 30
+ONE, TWO = "1." + "0" * 29, "2." + "0" * 29
+
+#: Parameters far outside the float range: (argv, value, terms_used,
+#: tail_bound) at 30 digits.
+FLOAT_RANGE_EDGES = [
+    (("lambert", f"--q={TINY[400]}", "--method", "theta"), ZERO, 2, "1.000000E-35"),
+    (("lambert", f"--q={TINY[400]}", "--method", "naive"), ZERO, 2, "1.000000E-35"),
+    (("glambert", f"--x={TINY[400]}", "--q=1/2"), ZERO, 2, "1.000000E-35"),
+    (("qxt", "--x=1/2", f"--t={TINY[400]}", f"--q={TINY[400]}"), TWO, 2, "2.000000E-35"),
+    *(
+        (
+            ("bilateral", f"--x={TINY[200]}", f"--t={TINY[200]}", f"--q={TINY[450]}")
+            + ("--method", method),
+            ONE,
+            4,
+            "3.000000E-35",
+        )
+        for method in ("theta", "direct")
+    ),
+    (("theta3", f"--q={TINY[400]}"), ONE, 2, "3.000000E-35"),
+]
+
+
+@pytest.mark.parametrize("args, value, terms, tail", FLOAT_RANGE_EDGES)
+def test_parameters_outside_the_float_range_certify(
+    capsys, args, value, terms, tail
+) -> None:
+    code, out, err = run_cli(capsys, "eval", *args, "--digits", "30")
+    assert (code, out, err) == (0, value + "\n", "")
+    code, out, _ = run_cli(capsys, "eval", *args, "--digits", "30", "--report")
+    (payload,) = json_lines(out)
+    assert code == 0
+    reported = (payload["value"], payload["terms_used"], payload["tail_bound"])
+    assert reported == (value, terms, tail)
+
+
 class TestRecipSum:
     def test_fibonacci_at_seven_digits(self, capsys) -> None:
         code, out, _ = run_cli(

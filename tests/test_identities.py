@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 
 import pytest
 
 from qlambert import (
+    DivergenceError,
     DomainError,
     UnknownIdentityError,
     check_gosper_matrix,
@@ -15,7 +17,9 @@ from qlambert import (
     registry,
 )
 from qlambert import identities
-from qlambert.identities import _Rng, get_entry
+from qlambert.cli import main
+from qlambert.identities import IdentityEntry, ParamSpec, _Rng, get_entry
+from qlambert.qcore import ball
 
 EXPECTED_ENTRIES = (
     ("rogers-fine", 2),
@@ -167,6 +171,57 @@ class TestCheckIdentity:
         assert report.passed
         point = {k: Decimal(v) for k, v in report.worst_point.items()}
         assert abs(point["q"]) < min(abs(point["x"]), abs(point["t"]))
+
+
+def _with_a_diverging_side(monkeypatch) -> None:
+    """Register ``synthetic``, whose second side cannot certify when q > 0."""
+
+    def steady(point, ctx):
+        return ball(point["q"])
+
+    def diverging(point, ctx):
+        if point["q"] > 0:
+            raise DivergenceError("synthetic side failed to certify")
+        return ball(point["q"])
+
+    entry = IdentityEntry("synthetic", (ParamSpec("q"),), (steady, diverging), "test")
+    monkeypatch.setattr(identities, "_REGISTRY", (*registry(), entry))
+
+
+class TestDivergingSide:
+    def test_a_diverging_trial_fails_the_report_at_its_point(
+        self, ctx30, monkeypatch
+    ) -> None:
+        _with_a_diverging_side(monkeypatch)
+        drawn = []
+        draw = identities._draw_point
+
+        def recording(entry, rng, ctx):
+            drawn.append(draw(entry, rng, ctx))
+            return drawn[-1]
+
+        monkeypatch.setattr(identities, "_draw_point", recording)
+        report = check_identity("synthetic", 20, 1, ctx30)
+        assert not report.passed
+        assert report.reason == "synthetic side failed to certify"
+        first_positive = next(point for point in drawn if point["q"] > 0)
+        assert report.worst_point == {"q": format(first_positive["q"], "f")}
+        # Every trial ran; the converging ones agree exactly.
+        assert len(drawn) == 20 and report.worst_deviation == 0
+
+    def test_verify_exits_one_and_reports_the_reason(self, capsys, monkeypatch) -> None:
+        _with_a_diverging_side(monkeypatch)
+        code = main(["verify", "--identity", "synthetic", "--trials", "20", "--report"])
+        (line,) = capsys.readouterr().out.splitlines()
+        payload = json.loads(line)
+        assert code == 1
+        assert payload["pass"] is False
+        assert payload["reason"] == "synthetic side failed to certify"
+        assert Decimal(payload["worst_point"]["q"]) > 0
+
+    def test_a_passing_report_has_no_reason(self, ctx30) -> None:
+        report = check_identity("symm", 2, 1, ctx30)
+        assert report.passed and report.reason is None
 
 
 class TestGosperMatrixCheck:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -67,7 +67,9 @@ class TestParseReal:
 
 class TestFormatReal:
     def test_exact_significant_digit_count(self, ctx30) -> None:
-        text = format_real(Decimal(1) / 3, ctx30)
+        with localcontext(prec=300):
+            third = Decimal(1) / 3
+        text = format_real(third, ctx30)
         assert text == "0.333333333333333333333333333333"
 
     def test_short_digit_override(self, ctx30) -> None:

@@ -26,7 +26,15 @@ from qlambert import (
     sum_series,
     theta3,
 )
-from qlambert.qcore import MIN_TERMS, ball, combine, ipow, product
+from qlambert.qcore import (
+    GUARD_BURN_IN,
+    GUARD_VIOLATION_LIMIT,
+    MIN_TERMS,
+    ball,
+    combine,
+    ipow,
+    product,
+)
 
 from _oracles import (
     POCH_HALF_INF,
@@ -65,10 +73,10 @@ class TestSumSeries:
     def test_tail_bound_is_honest_across_ratios(self, ctx30, ctx50) -> None:
         for text in ("0.1", "0.5", "-0.85", "0.85"):
             q = Decimal(text)
-            exact = q / (1 - q)
             for ctx in (ctx30, ctx50):
                 sv = geometric_series(q, ctx)
-                assert abs(sv.value - exact) <= sv.tail_bound
+                with localcontext(prec=300):
+                    assert abs(sv.value - q / (1 - q)) <= sv.tail_bound
 
     def test_minimum_term_count_enforced(self, ctx30) -> None:
         sv = geometric_series(Decimal("1e-60"), ctx30)
@@ -106,6 +114,19 @@ class TestSumSeries:
             sum_series(
                 TermGenerator(growing, geometric_decay(Decimal("0.5"))), 0, ctx30
             )
+
+    def test_guard_catches_terms_above_twice_the_declared_ratio(self, ctx30) -> None:
+        # True ratio 0.9 under a declared 0.4: every term after the burn-in
+        # exceeds 2 * 0.4, long before the tail test or the term cap acts.
+        seen = []
+
+        def term(n: int) -> Decimal:
+            seen.append(n)
+            return Decimal("0.9") ** n
+
+        with pytest.raises(DivergenceError, match="violated the declared decay"):
+            sum_series(TermGenerator(term, geometric_decay(Decimal("0.4"))), 0, ctx30)
+        assert seen[-1] == GUARD_BURN_IN + GUARD_VIOLATION_LIMIT - 1
 
     def test_theta_decay_term_count_scales_with_sqrt_digits(self) -> None:
         for digits in (50, 200):

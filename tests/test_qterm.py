@@ -14,9 +14,10 @@ include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,13 +43,13 @@ from qlambert.lambert import (
     _qxt_naive,
     _qxt_theta,
 )
-from qlambert.qcore import sum_qterm
+from qlambert.qcore import ipow, sum_qterm
 
 DIGITS = 12
 #: Terms whose ratios are checked per sample.
 CHECKED_TERMS = 200
 #: ratio_at's value while some denominator bound is not yet positive.
-NOT_YET = Decimal(2)
+NOT_YET = 2.0
 
 
 def _signed(magnitude: float, negative: bool) -> Decimal:
@@ -146,7 +147,7 @@ def _check_majorant(build, params) -> None:
         terms, ratios = [], []
         for n in range(series.first, series.first + CHECKED_TERMS):
             terms.append(abs(gen.term(n)))
-            ratios.append(gen.decay.ratio_at(n))
+            ratios.append(Decimal(gen.decay.ratio_at(n)))
         slack = 1 + Decimal(1).scaleb(-(ctx.working_digits - 5))
         # worst[i]: the largest |T_{m+1}/T_m| over m >= i.
         worst = [Decimal(0)] * len(terms)
@@ -188,3 +189,128 @@ def test_random_majorants_bound_every_later_ratio(series) -> None:
     build, params = series
     _check_majorant(build, params)
     _check_tail(build, params)
+
+
+# ---------------------------------------------------------------------------
+# The majorant at the edges of the float range.
+
+#: Working context of the exact recomputation below.
+EXACT = Context(prec=60, Emin=-10**7, Emax=10**7)
+
+
+def _running_product_bound(series: QTerm, n: int) -> Decimal | None:
+    """The majorant's per-factor bounds at ``n`` (``qcore`` module
+    docstring), multiplied at 60 digits; None where a denominator bound is
+    not positive."""
+    with localcontext(EXACT):
+        q = abs(series.q)
+
+        def h(f: Factor, i: int) -> Decimal:
+            return abs(f.c1) * ipow(q, f.s * i + f.k)
+
+        rho = abs(series.z)
+        if series.theta is not None:
+            step, shift = series.theta
+            rho *= ipow(q, step * n + shift)
+        dens = []
+        for f in series.factors:
+            c0 = abs(f.c0)
+            if f.pochhammer and f.power > 0:
+                rho *= c0 + h(f, n)
+            elif f.pochhammer:
+                dens.append(c0 - h(f, n))
+            elif f.power < 0:
+                rho *= c0 + h(f, n)
+                dens.append(c0 - h(f, n + 1))
+            else:
+                rho *= c0 + h(f, n + 1)
+                dens.append(c0 - h(f, n))
+        if any(den <= 0 for den in dens):
+            return None
+        for den in dens:
+            rho /= den
+        return rho
+
+
+def _tiny(k: int) -> Decimal:
+    return Decimal(1).scaleb(-k)
+
+
+#: (description, indices): q = 0, |q| = 10^-400, c0 = -xt ~ 10^-400 with
+#: z = 10^400, a huge z whose ratio lands in range, and indices where
+#: |q|^(s*n+k) underflows a double.
+EDGES = [
+    (
+        QTerm(
+            Decimal(0),
+            z=Decimal("0.5"),
+            theta=(2, 1),
+            factors=(
+                Factor(Decimal("0.5"), power=-1),
+                Factor(Decimal("-0.3"), pochhammer=True),
+            ),
+        ),
+        range(4),
+    ),
+    (QTerm(Decimal(0), theta=(1, 0), factors=(Factor(Decimal("0.5"), s=2),)), range(4)),
+    (_lambert_theta(_tiny(400)), range(1, 6)),
+    (_glambert_naive(Decimal("0.5"), -_tiny(400)), range(1, 6)),
+    (_minus_theta(_tiny(200), _tiny(200), _tiny(450)), range(1, 6)),
+    (_minus_naive(_tiny(200), -_tiny(200), _tiny(450)), range(1, 6)),
+    (
+        QTerm(
+            _tiny(100),
+            z=Decimal(10) ** 400,
+            theta=(2, 0),
+            factors=(Factor(Decimal("0.5"), power=-1),),
+        ),
+        range(1, 5),
+    ),
+    (_glambert_naive(Decimal("0.5"), Decimal("0.5")), (1074, 1100, 2000, 5000)),
+    (_lambert_theta(Decimal("-0.5")), (500, 540, 1100)),
+    (
+        QTerm(
+            Decimal("0.9"),
+            z=Decimal("0.99"),
+            factors=(Factor(Decimal("0.7"), s=2, k=3, power=-1, pochhammer=True),),
+        ),
+        (3000, 3400, 10**5),
+    ),
+]
+
+#: Denominator bounds 10^-12 above 0, at n = 0.
+NEAR_POLES = [
+    (
+        QTerm(
+            _tiny(20),
+            theta=(2, 1),
+            factors=(Factor(1 - _tiny(12), power=-1, pochhammer=True),),
+        ),
+        range(3),
+    ),
+    (QTerm(Decimal("0.5"), z=Decimal("0.5"), factors=(Factor(1 - _tiny(12)),)), range(3)),
+]
+
+
+@pytest.mark.parametrize(
+    "series, indices, tight",
+    [(*edge, True) for edge in EDGES] + [(*edge, False) for edge in NEAR_POLES],
+)
+def test_ratio_at_bounds_the_running_product_at_the_float_edges(
+    series, indices, tight
+) -> None:
+    with localcontext(make_context(30).dec):
+        decay = series.generator().decay
+    # ratio_at is a closed form: it needs no calls in index order.
+    for n in reversed(indices):
+        rho = decay.ratio_at(n)
+        exact = _running_product_bound(series, n)
+        if exact is None:
+            assert rho == NOT_YET, n
+            continue
+        assert Decimal(rho) >= exact, (n, rho, exact)
+        if exact < Decimal(2) ** -1022:
+            assert rho <= 2.0**-1022, (n, rho, exact)
+        elif tight:
+            # Away from poles, no looser than the float allowances make it.
+            assert Decimal(rho) <= exact * (1 + _tiny(10)), (n, rho, exact)
