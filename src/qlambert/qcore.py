@@ -382,6 +382,8 @@ def sum_series(
             terms_used += 1
             rho = gen.decay.ratio_at(n)
             # m <= |t| * 10**(16 - e) < m + 1, and m >= 10**16 unless t = 0.
+            # Both tests below compare in floats inline (a call per term
+            # would cost as much as the test) and call _less only past 10**300.
             e = t.adjusted()
             m = abs(int(t.scaleb(16 - e)))
             if terms_used > GUARD_BURN_IN:
