@@ -37,7 +37,7 @@ from .bilateral import (
     jordan_form2,
     jordan_theta,
 )
-from .errors import DomainError, QlambertError
+from .errors import DivergenceError, DomainError, QlambertError
 from .identities import (
     GOSPER_MATRIX_NAME,
     IdentityReport,
@@ -201,7 +201,19 @@ def _emit(
     args: argparse.Namespace, sv: SeriesValue, ctx: RealContext, digits: int, **fields
 ) -> int:
     """Print ``sv``'s value, or with ``--report`` a JSON object of ``fields``
-    followed by the value, ``terms_used`` and ``tail_bound``."""
+    followed by the value, ``terms_used`` and ``tail_bound``.
+
+    Raises:
+        DivergenceError: if ``tail_bound`` exceeds ``10**-digits * max(1, |value|)``,
+            so that no uncertified digit is printed.
+    """
+    with localcontext(ctx.dec):
+        ceiling = Decimal(1).scaleb(-digits) * max(1, abs(sv.value))
+    if sv.tail_bound > ceiling:
+        raise DivergenceError(
+            f"tail_bound {_tail_text(sv.tail_bound)} exceeds "
+            f"10^-{digits} * max(1, |value|) = {_tail_text(ceiling)}"
+        )
     value = format_real(sv.value, ctx, digits)
     if args.report:
         fields.update(

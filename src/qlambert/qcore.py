@@ -1,5 +1,5 @@
-"""q-Pochhammer symbols, the theta constant, the certified summation engine,
-and the ball arithmetic (:func:`combine`, :func:`product`) of certified values.
+"""The certified summation engine, ball arithmetic (:func:`combine`, :func:`product`),
+and sums built on them: Euler's expansion of ``(a;q)_inf``, the theta constant.
 
 A unilateral q-series is described once, by a :class:`QTerm`.  Its summands
 are
@@ -75,12 +75,12 @@ violation, and 64 consecutive violations abort the summation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 from math import exp2, floor, inf, ldexp, log2, prod, ulp
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError
-from .numerics import BigReal, RealContext
+from .numerics import BigReal, RealContext, make_context
 
 _ONE = Decimal(1)
 
@@ -117,6 +117,9 @@ _MIN_NORMAL = 2.0**-1022
 _MIN_SUBNORMAL = ulp(0.0)
 #: Largest power of ten the tail test and the guard form in floats.
 _MAX_POW10 = 300
+#: Most extra digits :func:`qpochhammer_inf` sums at; ``log10(e)``, rounded up.
+POCH_DIGIT_BUDGET = 1000
+_LOG10_E = Decimal("0.4342944819032518277")
 
 
 @dataclass(frozen=True)
@@ -510,56 +513,52 @@ def sum_bracketed(
 
 
 def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:
-    """Finite q-Pochhammer product ``(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1))``.
-
-    ``n = 0`` returns exactly 1.
-    """
+    """Finite q-Pochhammer product ``(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1))``,
+    exactly 1 for ``n = 0``; each factor is rounded on its own."""
     if n < 0:
         raise DomainError("qpochhammer_n requires n >= 0")
+    a = Decimal(a)
     with localcontext(ctx.dec):
-        product = Decimal(1)
-        factor_arg = Decimal(a)
-        for _ in range(n):
-            product *= 1 - factor_arg
-            factor_arg *= q
-        return product
+        return prod((1 - a * ipow(q, i) for i in range(n)), start=_ONE)
 
 
 def qpochhammer_inf(a: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
-    """Infinite q-Pochhammer product ``(a;q)_inf`` for ``|q| < 1``.
+    """Infinite q-Pochhammer product ``(a;q)_inf`` for ``|q| < 1``: the head
+    ``(a;q)_K`` of the ``K`` leading factors with ``|a*q**i| > 1`` times Euler's
+    expansion ``(b;q)_inf = sum_{n>=0} (-b)**n * q**(n*(n-1)/2) / (q;q)_n``,
+    ``b = a*q**K``.  As ``|1 - q**i| >= 1 - |q|**i``, its partial sums are at
+    most ``(-|b|;|q|)_inf <= exp(1/(1-|q|)) <= 10**E``, ``E = ceil(log10(e)/(1-|q|))``,
+    so it is summed at ``E`` more digits, to ``10**-E * epsilon / max(1, |head|)``.
+    Its work grows faster than ``E**2`` (terms times digits), so past
+    :data:`POCH_DIGIT_BUDGET` (``|q| > 0.99956``) the call is refused at once.
+    The head's roundings, a few per factor and relative to the value, are
+    within the floor that :func:`product` adds.
 
-    Truncates at the first ``N`` where ``|a|*|q|**N < epsilon/4`` and the
-    logarithm-based tail estimate (from ``|log(1-u)| <= 2|u|`` for
-    ``|u| <= 1/2``) certifies the remaining factors to within ``epsilon/2``.
+    Raises:
+        DomainError: unless ``|q| < 1``, past the budget, or if the head overflows.
     """
-    q = Decimal(q)
-    a = Decimal(a)
+    q, a = Decimal(q), Decimal(a)
     if abs(q) >= 1:
         raise DomainError("qpochhammer_inf requires |q| < 1")
     with localcontext(ctx.dec):
-        quarter = ctx.epsilon / 4
-        half = ctx.epsilon / 2
-        q_hat = abs(q)
-        product = Decimal(1)
-        factor_arg = a
-        factors = 0
-        while True:
-            u = abs(factor_arg)
-            if u < quarter and u <= Decimal("0.5"):
-                log_tail = 2 * u / (1 - q_hat)
-                tail = abs(product) * 2 * log_tail
-                if tail < half:
-                    return SeriesValue(
-                        value=product,
-                        terms_used=factors,
-                        tail_bound=tail + ctx.tail_floor(product),
-                        method_tag="product",
-                    )
-            product *= 1 - factor_arg
-            factor_arg *= q
-            factors += 1
-            if factors > max(20_000, 600 * ctx.working_digits):
-                raise DivergenceError("infinite product failed to certify")
+        extra = int((_LOG10_E / (1 - abs(q))).to_integral_value(ROUND_CEILING))
+    if extra > POCH_DIGIT_BUDGET:
+        raise DomainError(f"(a;q)_inf needs {extra} extra digits at |q| = {abs(q):E}")
+    rest_ctx = make_context(ctx.target_digits + extra)
+    with localcontext(rest_ctx.dec):
+        b, count = +a, 0
+        while abs(b) > 1:
+            b *= q
+            count += 1
+        try:
+            head = qpochhammer_n(a, q, count, ctx)
+        except Overflow as exc:
+            raise DomainError(f"(a;q)_{count} overflows at a = {a:E}") from exc
+        eps = rest_ctx.epsilon / max(_ONE, abs(head))
+        inverse_qq = Factor(1, k=1, power=-1, pochhammer=True)  # 1 / (q;q)_n
+        euler = QTerm(q, z=-b, theta=(1, 0), factors=(inverse_qq,))
+    rest = euler.sum(rest_ctx, "euler", eps)
+    return product(((ball(head), 1), (rest, 1)), ctx, "euler")
 
 
 def theta3(q: BigReal, ctx: RealContext) -> SeriesValue:

@@ -83,6 +83,19 @@ class TestEval:
         assert code == 3
         assert err.startswith("qlambert:")
 
+    @pytest.mark.parametrize(
+        "q, tail", [("0.999", "9.497985E+40"), ("0.99", "4.289941E-26")]
+    )
+    def test_uncertified_digits_are_not_printed(self, capsys, q, tail) -> None:
+        # The alternate expansion's tail_bound at these q exceeds
+        # 10^-30 * max(1, |value|); naive and theta print 93.06387120144...
+        code, out, err = run_cli(
+            capsys, "eval", "qxt", "--method", "alt",
+            "--x", "0.9", "--t", "0.9", "--q", q, "--report",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("qlambert:") and f"tail_bound {tail}" in err
+
     def test_stray_parameters_are_rejected(self, capsys) -> None:
         code, _, err = run_cli(capsys, "eval", "lambert", "--q", "0.5", "--x", "0.3")
         assert code == 2 and "--x" in err

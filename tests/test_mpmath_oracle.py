@@ -1,0 +1,85 @@
+"""Certified values against independent mpmath references.
+
+The references are computed in mpmath at more than twice the digits under
+test, from definitions that share no code or expansion with the package.
+"""
+
+from __future__ import annotations
+
+from decimal import Decimal
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlambert import make_context, qpochhammer_inf
+
+mpmath = pytest.importorskip("mpmath")
+mp, mpf = mpmath.mp, mpmath.mpf
+
+#: Working digits of every reference: over twice the largest ``digits`` tested.
+REFERENCE_DPS = 110
+
+
+@lru_cache(maxsize=None)
+def poch_inf_reference(a: str, q: str):
+    """``(a;q)_inf`` as the product of the factors ``1 - a*q**i`` while
+    ``|a*q**i| > 10**-3``, times the exponential of the logarithm of the rest,
+    ``log (x;q)_inf = -sum_{k>=1} x**k / (k*(1 - q**k))`` for ``x = a*q**N``.
+
+    mpmath's own ``qp`` raises ``NoConvergence`` near ``|q| = 1`` (for
+    example at ``a = 0.9, q = -0.99``), and a plain product there would need
+    hundreds of thousands of factors.  The series' terms fall by at least
+    ``|x| <= 10**-3`` each, so it stops once a term is below ``10**-(dps+5)``.
+    """
+    with mp.workdps(REFERENCE_DPS):
+        q_m, x = mpf(q), mpf(a)
+        head = mpf(1)
+        while abs(x) > mpf("1e-3"):
+            head *= 1 - x
+            x *= q_m
+        log_rest, power, k = mpf(0), x, 1
+        small = mpf(10) ** -(REFERENCE_DPS + 5)
+        while True:
+            term = power / (k * (1 - q_m**k))
+            log_rest -= term
+            if abs(term) < small:
+                return head * mpmath.exp(log_rest)
+            power *= x
+            k += 1
+
+
+def assert_certified(a: str, q: str, digits: int) -> None:
+    """``|value - reference| <= tail_bound <= 10**-digits * max(1, |value|)``."""
+    sv = qpochhammer_inf(Decimal(a), Decimal(q), make_context(digits))
+    reference = poch_inf_reference(a, q)
+    with mp.workdps(REFERENCE_DPS):
+        value, tail = mpf(str(sv.value)), mpf(str(sv.tail_bound))
+        assert abs(value - reference) <= tail, (a, q, digits)
+        assert tail <= mpf(10) ** -digits * max(1, abs(value)), (a, q, digits)
+
+
+GRID_A = ("0", "0.3", "-0.3", "0.9", "-0.9", "1", "-1", "1.5", "5", "-5")
+GRID_Q = ("0", "0.5", "-0.5", "0.9", "-0.9", "0.99", "-0.99", "0.999")
+
+
+@pytest.mark.parametrize("digits", (30, 50))
+@pytest.mark.parametrize("q", GRID_Q)
+def test_poch_inf_grid_matches_the_reference(q: str, digits: int) -> None:
+    for a in GRID_A:
+        assert_certified(a, q, digits)
+
+
+#: ``|q| = 1 - 10**-u`` for ``u`` in ``[0, 3]``, which crowds ``|q|`` toward 1.
+near_unit_q = st.builds(
+    lambda u, sign: sign * (1 - 10 ** -round(u, 3)),
+    st.floats(0, 3),
+    st.sampled_from((1, -1)),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(-6, 6), q=near_unit_q)
+def test_poch_inf_near_unit_q_matches_the_reference(a: float, q: float) -> None:
+    assert_certified(repr(a), repr(q), 30)

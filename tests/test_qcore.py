@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ import qlambert
 from qlambert import (
     DivergenceError,
     DomainError,
+    QlambertError,
     QTerm,
     SeriesValue,
     TermGenerator,
@@ -174,6 +176,26 @@ class TestQPochhammer:
         with pytest.raises(DomainError):
             qpochhammer_inf(Decimal("0.5"), Decimal(1), ctx30)
 
+    @pytest.mark.parametrize("q", ["0.9999", "0.99999"])
+    def test_infinite_product_refuses_q_past_the_digit_budget_at_once(
+        self, ctx30, q
+    ) -> None:
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match="extra digits"):
+            qpochhammer_inf(Decimal("0.5"), Decimal(q), ctx30)
+        assert time.perf_counter() - started < 0.1
+
+    def test_infinite_product_with_a_long_head_certifies(self) -> None:
+        ctx = make_context(300)
+        sv = qpochhammer_inf(Decimal(10) ** 6, Decimal("0.9"), ctx)
+        assert sv.tail_bound <= ctx.epsilon * max(1, abs(sv.value))
+
+    def test_infinite_product_past_the_exponent_range_is_a_library_error(
+        self, ctx50
+    ) -> None:
+        with pytest.raises(QlambertError):
+            qpochhammer_inf(Decimal(10) ** 400, Decimal("0.99"), ctx50)
+
 
 class TestTheta3:
     def test_value_at_one_tenth(self, ctx30) -> None:
@@ -272,7 +294,8 @@ class TestBallArithmetic:
 
 
 def test_only_qcore_and_the_gosper_sum_build_series_values() -> None:
-    """Every tail bound but the Gosper sum's is derived in qcore."""
+    """Every tail bound but the Gosper sum's is derived in qcore, by the
+    engine and the ball arithmetic alone."""
     source_dir = Path(qlambert.__file__).parent
     builders = set()
     for path in sorted(source_dir.glob("*.py")):
@@ -282,3 +305,5 @@ def test_only_qcore_and_the_gosper_sum_build_series_values() -> None:
                 builders.add((path.stem, getattr(node, "name", None)))
     outside = {found for found in builders if found[0] != "qcore"}
     assert outside == {("recurrences", "fib_recip_gosper")}
+    inside = {name for module, name in builders if module == "qcore"}
+    assert inside == {"sum_series", "ball", "combine", "product"}
