@@ -459,11 +459,15 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
     """``sum_{n>=1} [1 + sum_{k>=1} (1 + x^k) q^(kn)] x^n q^(n^2)``, ``|x| <= 1``.
 
     The inner sum beyond ``k = K`` is at most ``r = 2|q^n|^(K+1)/(1-|q^n|)``;
-    it stops once ``2r <= delta``, and the bracket moves outward by ``r``.
-    It is then within ``2r`` of the true bracket and at least as large, so
-    the engine's tail estimate from the computed summand bounds the true
-    remainder.  The weight is at most 1, so each summand is within ``delta``
-    of the true one, and the tail bound adds ``terms_used * delta``.
+    it stops once ``2r <= delta``.  ``delta`` is below the working precision,
+    so no outward move by ``r`` would survive rounding; none is made.  The
+    true bracket ``(1 - x q^(2n))/((1-q^n)(1-x q^n))`` is at least
+    ``(1-q^2)/4``, and the computed one is within ``r`` plus ``K`` roundings
+    of it: a relative error of ``4/(1-q^2)`` times ``K`` units in the last
+    working digit, far inside the ``2**-49`` slack of the engine's tail test.
+    So the tail estimate from the computed summand still bounds the true
+    remainder.  The weight is at most 1, so each summand is within
+    ``delta`` of the true one, and the tail bound adds ``terms_used * delta``.
     """
     delta = Decimal(1).scaleb(-(ctx.working_digits + 6))
     with localcontext(ctx.dec):
@@ -481,7 +485,7 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
             xk *= x
             rest = 2 * abs(qk) / (1 - qn_hat)
             if 2 * rest <= delta:
-                return total + rest.copy_sign(total)
+                return total
 
     sv = sum_bracketed(series, bracket, ctx, "wrench-truncated")
     truncation = ball(0, sv.terms_used * delta)

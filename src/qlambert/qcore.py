@@ -70,12 +70,58 @@ is made exactly in ``Decimal``.  An empirical guard cross-checks the
 majorant on the same mantissas: once past a burn-in of 16 terms, a term
 exceeding twice the declared ratio times the term before counts as a
 violation, and 64 consecutive violations abort the summation.
+
+Precision tapering.  The running sum, its peak, the tests above and
+:func:`combine` and :func:`product` work at the working precision ``wd``;
+the late summands need fewer digits (Brent and Zimmermann, *Modern Computer
+Arithmetic*, ch. 4).  After an index ``n`` with ``rho = ratio_at(n) < 1`` and
+``T_n != 0``, every later ``|T_m| <= rho**(m-n) * |T_n| < 10**(e+1)``,
+``e = T_n.adjusted()``.  With ``P`` the exponent of the running peak, the
+terms after ``n`` are computed at ``max(TAPER_MIN_PREC, wd - d)`` digits,
+``d = P - (e+1) - r``, and the precision never rises again.  The reserve is
+``r = 2*D - 1``, ``D`` the number of digits of the term cap ``hard_cap``.
+Let ``u(p) = 10**(1-p) / 2``, and let ``j`` count the summands from the
+first, ``j < M <= hard_cap + 1``, so ``M*(M+1) <= 10**(2*D)`` (``hard_cap``
+is a multiple of 200).
+
+1. *The floor.*  Summand ``j`` comes from running values updated ``j``
+   times, each update at most ``c`` roundings at a precision ``>= p_j`` (the
+   precision never rises): the products, the constants rounded to the
+   current precision, the differences ``c0 - c1*q**i``.  A difference
+   amplifies the relative error of ``c1*q**i`` by ``h / (|c0| - h)``, finite
+   while ``rho < 1``.  So the computed summand is within ``kappa*(j+1)*u(p_j)``
+   of the true one, relative to the majorant's bound ``2 * 10**(e+1)`` on it,
+   with ``kappa = c * (1 + max h / (|c0| - h))``.  As ``p_j >= wd - d`` and
+   ``10**P <= peak``, that is at most ``10*kappa*(j+1) * 10**-r * peak *
+   10**-wd``, and over all summands at most ``5*kappa*10**(2*D-r) * peak *
+   10**-wd``.  For ``kappa <= 10**4`` (at most 20 roundings per index and
+   ``h <= 0.998*|c0|`` at tapered indices) this is within ``10**5 * peak *
+   10**-wd``, half of the ``10**6`` slack of ``tail_floor(peak)``.
+2. *The tests.*  The tail test and the decay guard read a summand's
+   17-digit mantissa; ``_TAIL_UP`` leaves about ``2**-49`` above the float
+   roundings.  The summand's relative error is at most ``kappa*M*u(p)
+   <= 5 * 10**(4 + D - TAPER_MIN_PREC)``, below ``10**-80`` for any
+   ``hard_cap < 10**15``.  A product of 100 digits or fewer costs about as
+   much as the interpreter's dispatch of it (0.2 us, against 18 us at 1000
+   digits), so a lower minimum would save nothing.
+
+Tapering runs only at ``wd > TAPER_FROM = 2 * TAPER_MIN_PREC``: below it a
+summand could lose at most half of digits that cost under a microsecond a
+product, and the rule on every term cost 4% of ``verify --all --trials 100
+--digits 50`` (1.71 s against 1.65 s).  Multiplication in CPython's
+``decimal`` is not monotone in precision: libmpdec uses Karatsuba while the
+shorter operand has at most 256 words of 19 digits, and a number-theoretic
+transform above it.  Two 4864-digit operands take 440 us and two of 4865
+digits 118 us; the Karatsuba product costs no more than the
+transform at ``wd`` only once it is about ``wd/2`` digits long (124 us at
+2600 digits against 130 us at 5260).  So at ``wd > _MUL_CLIFF = 4864`` the
+precision is lowered only once the new one is at most ``wd/2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
+from decimal import ROUND_CEILING, Decimal, Overflow, getcontext, localcontext
 from math import exp2, floor, inf, ldexp, log2, prod, ulp
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -97,6 +143,12 @@ GUARD_BURN_IN = 16
 GUARD_VIOLATION_LIMIT = 64
 #: Minimum number of summand evaluations before the engine may stop.
 MIN_TERMS = 2
+#: Fewest digits a tapered summand is computed at (module docstring).
+TAPER_MIN_PREC = 100
+#: Working precisions at or below this one compute every summand at full length.
+TAPER_FROM = 2 * TAPER_MIN_PREC
+#: Digits (256 words of 19) past which both operands make libmpdec use a transform.
+_MUL_CLIFF = 4864
 
 #: One unit of the float error allowances: 2**-52, two roundings to nearest.
 _UNIT = 2.0**-52
@@ -155,6 +207,11 @@ class TermGenerator:
     increasing order from its ``start_index``.  ``term`` may keep
     running-product state keyed to that order; ``ratio_at`` may be called
     at any index, in any order.
+
+    ``term`` runs under the engine's current ``decimal`` context, whose
+    precision may be below the working precision and never rises during a
+    sum (precision tapering, module docstring).  It must compute at that
+    precision and must not open a context of its own.
     """
 
     term: Callable[[int], BigReal]
@@ -228,11 +285,11 @@ class _Run:
         q = d.q
         # start * z**(n - first) * W_n * Pochhammer products, at the next n.
         self.coeff = +d.start
-        self.z = None if d.z == 1 else d.z
-        self.w = None
+        z = None if d.z == 1 else d.z
+        self.w = w_step = None
         if d.theta is not None:
             step, shift = d.theta
-            self.w, self.w_step = ipow(q, step * d.first + shift), ipow(q, step)
+            self.w, w_step = ipow(q, step * d.first + shift), ipow(q, step)
         # Factors share the running value c1*q**(s*i + k) of the summands.
         values: dict[tuple[BigReal, int, int], int] = {}
         self.num, self.den, self.pnum, self.pden = [], [], [], []
@@ -241,20 +298,28 @@ class _Run:
             kind = (self.pnum, self.pden) if f.pochhammer else (self.num, self.den)
             kind[f.power < 0].append((f.c0, j))
         self.u = [c1 * ipow(q, s * d.first + k) for c1, s, k in values]
-        self.u_step = [ipow(q, s) for _, s, _ in values]
+        # The constants at full length, and as rounded to the precision of
+        # the last call of term; only sums above TAPER_FROM digits taper.
+        self.constants = z, w_step, [ipow(q, s) for _, s, _ in values]
+        self.z, self.w_step, self.u_step = self.constants
+        self.rounded_to = getcontext().prec
+        self.tapers = self.rounded_to > TAPER_FROM
         # The majorant: log2 rho(n) <= const + n*slope plus the share of the
         # bounds |c0| +- h, h = |c1|*|q|**(s*i + k) at i = n or n + 1, from
         # log2 magnitudes rounded outward.  Bounds are counted per
-        # (log2 |c0| low and high, log2 |c1| high, s, k at i = n).
-        log_q = _log2_bounds(q)[1]
-        const, slope = _log2_bounds(d.z)[1], 0.0
+        # (log2 |c0| low and high, log2 |c1| high, s, k at i = n).  Equal
+        # parameters, such as c0 = 1 in every factor, are converted once.
+        params = {q, d.z, *(f.c0 for f in d.factors), *(f.c1 for f in d.factors)}
+        logs = {x: _log2_bounds(x) for x in params}
+        log_q = logs[q][1]
+        const, slope = logs[d.z][1], 0.0
         if d.theta is not None:
             const += shift * log_q
             slope += step * log_q
         counts: dict[tuple[float, float, float, int, int], list[int]] = {}
         for f in d.factors:
-            c0_low, c0_high = _log2_bounds(f.c0)
-            c1_high = _log2_bounds(f.c1)[1]
+            c0_low, c0_high = logs[f.c0]
+            c1_high = logs[f.c1][1]
             if f.pochhammer:
                 taken = ((0, f.power < 0),)
             else:
@@ -279,6 +344,14 @@ class _Run:
         self.allowance = 1 + (3 * sum(map(sum, counts.values())) + 4) * _UNIT
 
     def term(self, n: int) -> BigReal:
+        if self.tapers and getcontext().prec != self.rounded_to:
+            # Once per change of precision, not per term: a 200-digit product
+            # with a 1060-digit constant costs 4.5 times one with it rounded.
+            z, w_step, u_step = self.constants
+            self.z = z if z is None else +z
+            self.w_step = w_step if w_step is None else +w_step
+            self.u_step = [+step for step in u_step]
+            self.rounded_to = getcontext().prec
         u = self.u
         value = self.coeff
         for c0, j in self.num:
@@ -367,8 +440,12 @@ def sum_series(
             the certification never triggers within the iteration budget.
     """
     target = (ctx.epsilon if eps is None else eps) / 2
-    hard_cap = max(20_000, 600 * ctx.working_digits)
-    with localcontext(ctx.dec):
+    wd = ctx.working_digits
+    hard_cap = max(20_000, 600 * wd)
+    # Precision tapering (module docstring): the summands' digits, the reserve.
+    taper = wd > TAPER_FROM
+    prec, reserve = wd, 2 * len(str(hard_cap)) - 1
+    with localcontext(ctx.dec) as local:
         # target >= limit * 10**(target_e - 16).
         target_e = target.adjusted()
         limit = int(target.scaleb(16 - target_e)) * _TARGET_DOWN
@@ -379,7 +456,12 @@ def sum_series(
         previous_rho = 0.0
         n = start_index
         while True:
-            t = gen.term(n)
+            if prec < wd:
+                local.prec = prec
+                t = gen.term(n)
+                local.prec = wd
+            else:
+                t = gen.term(n)
             total += t
             peak = max(peak, abs(total))
             terms_used += 1
@@ -417,6 +499,12 @@ def sum_series(
                         tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
                         method_tag=method_tag,
                     )
+            if taper and rho < 1 and m:
+                # Every later |T| < 10**(e+1): d = P - (e+1) - r digits of
+                # them lie below the floor's share.
+                lower = max(TAPER_MIN_PREC, wd + e + 1 + reserve - peak.adjusted())
+                if lower < prec and (wd <= _MUL_CLIFF or 2 * lower <= wd):
+                    prec = lower
             previous_m, previous_e, previous_rho = m, e, rho
             n += 1
             if terms_used > hard_cap:

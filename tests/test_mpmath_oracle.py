@@ -1,6 +1,6 @@
 """Certified values against independent mpmath references.
 
-The references are computed in mpmath at more than twice the digits under
+The references are computed in mpmath at more digits than the values under
 test, from definitions that share no code or expansion with the package.
 """
 
@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlambert import make_context, qpochhammer_inf
+from qlambert import (
+    glambert_lhs,
+    glambert_theta,
+    lambert_naive,
+    lambert_theta,
+    make_context,
+    parse_real,
+    qpochhammer_inf,
+    theta3,
+)
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -83,3 +92,76 @@ near_unit_q = st.builds(
 @given(a=st.floats(-6, 6), q=near_unit_q)
 def test_poch_inf_near_unit_q_matches_the_reference(a: float, q: float) -> None:
     assert_certified(repr(a), repr(q), 30)
+
+
+# ---------------------------------------------------------------------------
+# theta3, lambert and glambert at 300 and 1000 digits, where the late
+# summands are computed at fewer digits than the sum.
+
+#: Digits of a reference beyond those under test.
+EXTRA_DPS = 40
+ORACLE_Q = ("1/2", "-1/2", "0.7", "-0.7", "125/179")
+ORACLE_X = ("0.6", "-115/191")
+
+
+@lru_cache(maxsize=None)
+def lambert_reference(x: str, q: str, dps: int):
+    """The direct sum ``sum_{n>=1} x q^n / (1 - x q^n)`` at ``dps`` digits,
+    from the decimal strings of the evaluator's own inputs.  It stops at a
+    term below ``10**-(dps+10)``; then ``|x q^n|`` is too, and the rest is
+    about ``|q|/(1-|q|)`` times that term, below ``10**-(dps+9)`` here."""
+    with mp.workdps(dps):
+        x_m, q_m = mpf(x), mpf(q)
+        total, xqn = mpf(0), x_m
+        small = mpf(10) ** -(dps + 10)
+        while True:
+            xqn *= q_m
+            term = xqn / (1 - xqn)
+            total += term
+            if abs(term) < small:
+                return total
+
+
+def assert_oracle(sv, reference, digits: int) -> None:
+    """``|value - reference| <= tail_bound <= 10**-digits * max(1, |value|)``,
+    compared at enough digits to hold the value's working digits exactly."""
+    with mp.workdps(digits + 2 * EXTRA_DPS):
+        value, tail = mpf(str(sv.value)), mpf(str(sv.tail_bound))
+        assert abs(value - reference) <= tail
+        assert tail <= mpf(10) ** -digits * max(1, abs(value))
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_theta3_matches_jtheta_at_1000_digits(q: str) -> None:
+    ctx = make_context(1000)
+    q_dec = parse_real(q, ctx)
+    with mp.workdps(1000 + EXTRA_DPS):
+        reference = mpmath.jtheta(3, 0, mpf(str(q_dec)))
+    assert_oracle(theta3(q_dec, ctx), reference, 1000)
+
+
+@pytest.mark.parametrize(
+    "evaluate, digits",
+    [(lambert_theta, 1000), (lambert_naive, 300)],
+    ids=["theta-1000", "naive-300"],
+)
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_lambert_matches_the_direct_sum(q: str, evaluate, digits: int) -> None:
+    ctx = make_context(digits)
+    q_dec = parse_real(q, ctx)
+    reference = lambert_reference("1", str(q_dec), digits + EXTRA_DPS)
+    assert_oracle(evaluate(q_dec, ctx), reference, digits)
+
+
+@pytest.mark.parametrize(
+    "evaluate, digits",
+    [(glambert_theta, 1000), (glambert_lhs, 300)],
+    ids=["theta-1000", "naive-300"],
+)
+@pytest.mark.parametrize("x", ORACLE_X)
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_glambert_matches_the_direct_sum(q: str, x: str, evaluate, digits: int) -> None:
+    ctx = make_context(digits)
+    x_dec, q_dec = parse_real(x, ctx), parse_real(q, ctx)
+    reference = lambert_reference(str(x_dec), str(q_dec), digits + EXTRA_DPS)
+    assert_oracle(evaluate(x_dec, q_dec, ctx), reference, digits)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import math
 import time
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,11 +32,14 @@ from qlambert.qcore import (
     GUARD_BURN_IN,
     GUARD_VIOLATION_LIMIT,
     MIN_TERMS,
+    TAPER_FROM,
+    TAPER_MIN_PREC,
     ball,
     combine,
     ipow,
     product,
 )
+from qlambert.lambert import _glambert_naive, _qxt_alt
 
 from _oracles import (
     POCH_HALF_INF,
@@ -148,6 +151,64 @@ def _power_term(q: Decimal):
         return value
 
     return term
+
+
+def _precisions(series: QTerm, digits: int) -> tuple[int, list[int], SeriesValue]:
+    """The working digits, the precision of each call of ``term``, and the sum."""
+    ctx = make_context(digits)
+    with localcontext(ctx.dec):
+        gen = series.generator()
+    seen = []
+
+    def term(n: int) -> Decimal:
+        seen.append(getcontext().prec)
+        return gen.term(n)
+
+    sv = sum_series(TermGenerator(term, gen.decay), series.first, ctx)
+    return ctx.working_digits, seen, sv
+
+
+def _long(numerator: int, denominator: int, digits: int) -> Decimal:
+    """``numerator/denominator`` at the working precision of ``digits``."""
+    with localcontext(make_context(digits).dec):
+        return Decimal(numerator) / denominator
+
+
+class TestPrecisionTaper:
+    """The summands' precision, seen from inside ``term``."""
+
+    @staticmethod
+    def series(digits: int) -> list[QTerm]:
+        q = _long(2, 7, digits)
+        return [
+            QTerm(q, start=q, theta=(2, 1), first=1),  # theta3's sum
+            _glambert_naive(_long(-3, 7, digits), q),
+            _qxt_alt(_long(3, 5, digits), _long(-5, 9, digits), q),
+        ]
+
+    @pytest.mark.parametrize("digits", (300, 1000))
+    def test_late_summands_taper_without_rising(self, digits) -> None:
+        for series in self.series(digits):
+            wd, seen, _ = _precisions(series, digits)
+            assert seen[:MIN_TERMS] == [wd] * MIN_TERMS
+            assert all(a >= b for a, b in zip(seen, seen[1:]))
+            assert TAPER_MIN_PREC <= min(seen) < wd
+
+    # 181 digits work at 200, the floor itself.
+    @pytest.mark.parametrize("digits", (50, 181))
+    def test_no_taper_at_or_below_the_floor(self, digits) -> None:
+        for series in self.series(digits):
+            wd, seen, _ = _precisions(series, digits)
+            assert wd <= TAPER_FROM
+            assert set(seen) == {wd}
+
+    def test_past_the_multiply_cliff_the_first_drop_halves_the_digits(self) -> None:
+        q = _long(2, 7, 5000)
+        wd, seen, sv = _precisions(QTerm(q, start=q, theta=(2, 1), first=1), 5000)
+        assert wd > 4864
+        assert min(seen) < wd
+        assert all(p == wd or 2 * p <= wd for p in seen)
+        assert sv.tail_bound <= make_context(5000).epsilon
 
 
 class TestQPochhammer:
@@ -307,3 +368,21 @@ def test_only_qcore_and_the_gosper_sum_build_series_values() -> None:
     assert outside == {("recurrences", "fib_recip_gosper")}
     inside = {name for module, name in builders if module == "qcore"}
     assert inside == {"sum_series", "ball", "combine", "product"}
+
+
+def test_only_sum_series_sets_a_context_precision() -> None:
+    """The taper has one place: no other code changes the precision that a
+    summand, or anything else, runs at; ``make_context`` builds the contexts."""
+    source_dir = Path(qlambert.__file__).parent
+    setters, builders = set(), set()
+    for path in sorted(source_dir.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if node.attr == "prec":
+                        setters.add(where)
+                elif isinstance(node, ast.keyword) and node.arg == "prec":
+                    builders.add(where)
+    assert setters == {("qcore", "sum_series")}
+    assert builders == {("numerics", "make_context")}

@@ -14,11 +14,12 @@ include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 
 from __future__ import annotations
 
+import math
 from decimal import Context, Decimal, localcontext
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlambert import DivergenceError, Factor, QTerm, make_context
@@ -162,15 +163,17 @@ def _check_majorant(build, params) -> None:
                 assert worst[i] <= rho * slack, (i + series.first, worst[i], rho)
 
 
-def _check_tail(build, params) -> None:
+def _check_tail(build, params, digits: int = DIGITS, extra: int = 20) -> None:
+    """Each ``tail_bound`` covers the gap to the same sum at ``extra`` more
+    digits; ``params`` must be exact at both precisions."""
     try:
-        coarse = sum_qterm(build, params, make_context(DIGITS), "coarse")
-        fine = sum_qterm(build, params, make_context(DIGITS + 20), "fine")
+        coarse = sum_qterm(build, params, make_context(digits), "coarse")
+        fine = sum_qterm(build, params, make_context(digits + extra), "fine")
     except DivergenceError:
         # Slow series near |q| = 1 can exhaust the engine's term budget;
         # they report no tail bound to check.
         return
-    with localcontext(make_context(DIGITS + 40).dec):
+    with localcontext(make_context(digits + 2 * extra).dec):
         assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound
 
 
@@ -314,3 +317,30 @@ def test_ratio_at_bounds_the_running_product_at_the_float_edges(
         elif tight:
             # Away from poles, no looser than the float allowances make it.
             assert Decimal(rho) <= exact * (1 + _tiny(10)), (n, rho, exact)
+
+
+# ---------------------------------------------------------------------------
+# Precision tapering: the late summands of a sum above 200 working digits are
+# computed at fewer digits, within the floor of the peak partial sum.
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), digits=st.sampled_from((300, 1000)))
+def test_tapered_sums_stay_within_their_bounds(data, digits) -> None:
+    """Ported builders at long operands: each drawn parameter times
+    ``1 - 1/33333333``, whose expansion never ends, rounded to the working
+    precision, so that every operation rounds."""
+    build, args = data.draw(st.sampled_from(PORTED))
+    with localcontext(make_context(digits).dec):
+        factor = 1 - Decimal(1) / 33333333
+        params = tuple(value * factor for value in data.draw(args))
+        series = build(*params)
+        rho = series.generator().decay.ratio_at(series.first + 10**6)
+    # Keep the sample fast: at most about 3 * 10**6 / digits terms.
+    assume(rho < 1 and (digits + 30) * digits <= -3e6 * math.log10(rho))
+    _check_tail(build, params, digits, 30)
+
+
+def test_tapered_sum_that_grows_then_cancels_stays_within_its_bound() -> None:
+    """``t^n/(x;q)_{n+1}`` rises to about 10**26 before it cancels to 0.98."""
+    params = (Decimal("-0.99"), Decimal("0.95"), Decimal("0.976943"))
+    _check_tail(_poch_series, params, 300, 30)
