@@ -327,7 +327,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full command grammar (safe to call repeatedly; no global state)."""
+    """The full command grammar, a new parser per call.
+
+    :func:`main` builds one on its first call and keeps it.  The parser
+    holds no handler: ``main`` dispatches on ``args.command``.
+    """
     parser = argparse.ArgumentParser(
         prog="qlambert",
         description="High-precision q-series evaluation with certified bounds.",
@@ -353,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", help="parameter x")
     p_eval.add_argument("--t", help="parameter t")
     p_eval.add_argument("--method", help="evaluation method (default theta)")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_recip = subparsers.add_parser(
         "recip-sum", parents=[common], help="reciprocal sum of a recurrence"
@@ -365,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=recip_methods, default=recip_methods[0],
         help=f"summation route (default {recip_methods[0]})",
     )
-    p_recip.set_defaults(func=cmd_recip_sum)
 
     p_verify = subparsers.add_parser(
         "verify", parents=[common], help="numerically certify identities"
@@ -380,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--factors", type=int, default=None,
         help="matrix product length for gosper-matrix (default adaptive)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_bench = subparsers.add_parser(
         "bench", parents=[common], help="compare naive and theta convergence"
@@ -392,17 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--q", help="base q (decimal or rational like 1/2)")
     p_bench.add_argument("--x", help="parameter x")
     p_bench.add_argument("--t", help="parameter t")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
+#: The parser of :func:`main`, built on its first call.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point: parse, dispatch, and map errors to exit codes."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Entry point: parse, dispatch, and map errors to exit codes.
+
+    The parser is built once per process.  The handler ``cmd_<command>`` is
+    looked up by name on every call, so that a wrapper put in its place (the
+    benchmark's tracer does) is called.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except QlambertError as exc:
         print(f"qlambert: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -459,8 +459,10 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
     """``sum_{n>=1} [1 + sum_{k>=1} (1 + x^k) q^(kn)] x^n q^(n^2)``, ``|x| <= 1``.
 
     The inner sum beyond ``k = K`` is at most ``r = 2|q^n|^(K+1)/(1-|q^n|)``;
-    it stops once ``2r <= delta``.  ``delta`` is below the working precision,
-    so no outward move by ``r`` would survive rounding; none is made.  The
+    it stops once ``2r <= delta``, tested without a division per step as
+    ``4|q^n|^(K+1) <= cut = delta*(1-|q^n|)``, with ``cut`` formed once per
+    bracket.  ``delta`` is below the working precision, so no outward move
+    by ``r`` would survive rounding; none is made.  The
     true bracket ``(1 - x q^(2n))/((1-q^n)(1-x q^n))`` is at least
     ``(1-q^2)/4``, and the computed one is within ``r`` plus ``K`` roundings
     of it: a relative error of ``4/(1-q^2)`` times ``K`` units in the last
@@ -478,13 +480,12 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
         total = Decimal(1)
         qk = q_pow              # q^(kn) for k = 1, 2, ...
         xk = x                  # x^k
-        qn_hat = abs(q_pow)
+        cut = delta * (1 - abs(q_pow))
         while True:
             total += (1 + xk) * qk
             qk *= q_pow
             xk *= x
-            rest = 2 * abs(qk) / (1 - qn_hat)
-            if 2 * rest <= delta:
+            if 4 * abs(qk) <= cut:
                 return total
 
     sv = sum_bracketed(series, bracket, ctx, "wrench-truncated")

@@ -59,6 +59,39 @@ within one unit in the last place:
   comes out as at most the smallest subnormal, not 0, and one above it as
   ``inf``.
 
+The flat regime.  Where a bound's exponent is ``g <= -55``, ``exp2(g)`` is
+at most ``2**-55 * (1 + 2**-52)``, so ``1 + 2**g`` rounds to exactly 1.0,
+and so does ``1 - 2**g * _EXP2_UP``: the product is below ``2**-54``, half
+the spacing of the floats below 1.  The bound multiplies the product by
+exactly 1 and adds nothing to ``log2 rho``.  For ``b < 0`` the float
+``a + n*b`` is non-increasing in ``n``, since every rounding is monotone.
+So from the least index at which every bound has ``g <= -55``,
+``ratio_at(n)`` is ``2**(const + n*slope)`` times the allowance, bit for bit
+what the bounds give; without a theta weight (``slope = 0``) it is one
+number, computed once.  Where some ``b >= 0``, as for ``|q|`` within the
+log margin of 1, there is no flat regime and every call runs the bounds.
+
+The term kernel.  :meth:`QTerm.generator`'s ``term`` is one closure,
+composed once per description, that keeps its running values in locals and
+at index ``n``, under the current context:
+
+1. multiplies the coefficient ``C_n`` by the numerator differences
+   ``c0 - u`` of the evaluated factors, in factor order, and divides the
+   result by the product of their denominator differences, formed from the
+   first one in factor order: that is ``T_n``;
+2. multiplies ``C_n`` by ``z`` and by ``W_n`` (and ``W_n`` by
+   ``q**step``), then by the Pochhammer numerator differences in order,
+   and divides it by the product of their denominator differences: that
+   is ``C_{n+1}``;
+3. multiplies each distinct running value ``u = c1*q**(s*i + k)`` by
+   ``q**s``.
+
+The operations and their order depend on the description alone, so a
+summand is a fixed function of the description and of the precisions the
+calls ran at.  When the precision of a call differs from the one before,
+the constants ``z``, ``q**step`` and ``q**s`` are first rounded to it from
+their full-length values, once per change.
+
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
 budget is left for rounding accumulation.  The test runs in floats on the
@@ -122,7 +155,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Decimal, Overflow, getcontext, localcontext
-from math import exp2, floor, inf, ldexp, log2, prod, ulp
+from math import ceil, exp2, floor, inf, ldexp, log2, prod, ulp
+from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError
@@ -164,6 +198,11 @@ _LOG_MARGIN_ABS = 2.0**-48
 _EXP2_UP = 1 + 4 * _UNIT
 _TAIL_UP = 1 + 8 * _UNIT
 _TARGET_DOWN = 1 - 8 * _UNIT
+#: A bound exponent ``g`` at or below this one makes ``1 + 2**g`` and
+#: ``1 - 2**g * _EXP2_UP`` round to exactly 1.0 (the flat regime).
+_FLAT_G = -55.0
+#: Indices from this one on are never searched for the flat regime.
+_FLAT_CAP = 2**53
 #: The smallest normal and subnormal floats.
 _MIN_NORMAL = 2.0**-1022
 _MIN_SUBNORMAL = ulp(0.0)
@@ -252,8 +291,7 @@ class QTerm:
 
     def generator(self) -> TermGenerator:
         """The summands and their majorant; call under the working context."""
-        run = _Run(self)
-        return TermGenerator(run.term, run)
+        return TermGenerator(_kernel(self), _Majorant(self))
 
     def sum(
         self, ctx: RealContext, method_tag: str, eps: BigReal | None = None
@@ -277,43 +315,98 @@ def sum_qterm(
     return series.sum(ctx, method_tag)
 
 
-class _Run:
-    """A :class:`QTerm`'s running products for ``term``, advanced once per
-    index, and its majorant ``ratio_at`` in closed form."""
+def _kernel(d: QTerm) -> Callable[[int], BigReal]:
+    """``d``'s summands, one per call in increasing index order from ``first``:
+    the term kernel, composed once from the description (module docstring).
+
+    Its running values are locals of the closure: the coefficient
+    ``start * z**(n - first) * W_n`` times the Pochhammer products, the
+    theta weight, and each distinct ``c1*q**(s*i + k)``, which the factors
+    that have it share.
+    """
+    q = d.q
+    coeff = +d.start
+    z = None if d.z == 1 else d.z
+    w = w_step = None
+    if d.theta is not None:
+        step, shift = d.theta
+        w, w_step = ipow(q, step * d.first + shift), ipow(q, step)
+    # Factors share the running value c1*q**(s*i + k) of the summands.
+    values: dict[tuple[BigReal, int, int], int] = {}
+    num, den, pnum, pden = groups = [], [], [], []
+    for f in d.factors:
+        j = values.setdefault((f.c1, f.s, f.k), len(values))
+        groups[2 * f.pochhammer + (f.power < 0)].append((f.c0, j))
+    u = [c1 * ipow(q, s * d.first + k) for c1, s, k in values]
+    # The constants at full length, and as rounded to the precision of the
+    # last call; only sums above TAPER_FROM digits taper.
+    constants = z, w_step, [ipow(q, s) for _, s, _ in values]
+    u_step = constants[2]
+    rounded_to = getcontext().prec
+    tapers = rounded_to > TAPER_FROM
+    # One shared value advances in place; several advance as a list.
+    shared = len(u) == 1
+    # A product of denominators starts from its first difference.
+    den_first, den_rest = (den[0], den[1:]) if den else (None, ())
+    pden_first, pden_rest = (pden[0], pden[1:]) if pden else (None, ())
+
+    def term(n: int) -> BigReal:
+        nonlocal coeff, z, w, w_step, u_step, rounded_to
+        if tapers and getcontext().prec != rounded_to:
+            # Once per change of precision, not per term: a 200-digit product
+            # with a 1060-digit constant costs 4.5 times one with it rounded.
+            full_z, full_w_step, full_u_step = constants
+            z = full_z if full_z is None else +full_z
+            w_step = full_w_step if full_w_step is None else +full_w_step
+            u_step = [+value for value in full_u_step]
+            rounded_to = getcontext().prec
+        value = coeff
+        for c0, j in num:
+            value *= c0 - u[j]
+        if den_first is not None:
+            c0, j = den_first
+            divisor = c0 - u[j]
+            for c0, j in den_rest:
+                divisor *= c0 - u[j]
+            value /= divisor
+        if z is not None:
+            coeff *= z
+        if w is not None:
+            coeff *= w
+            w *= w_step
+        for c0, j in pnum:
+            coeff *= c0 - u[j]
+        if pden_first is not None:
+            c0, j = pden_first
+            divisor = c0 - u[j]
+            for c0, j in pden_rest:
+                divisor *= c0 - u[j]
+            coeff /= divisor
+        if shared:
+            u[0] *= u_step[0]
+        elif u:
+            u[:] = map(mul, u, u_step)
+        return value
+
+    return term
+
+
+class _Majorant:
+    """A :class:`QTerm`'s decay majorant ``ratio_at``, in closed form."""
 
     def __init__(self, d: QTerm) -> None:
+        # log2 rho(n) <= const + n*slope plus the share of the bounds
+        # |c0| +- h, h = |c1|*|q|**(s*i + k) at i = n or n + 1, from log2
+        # magnitudes rounded outward.  Bounds are counted per (log2 |c0| low
+        # and high, log2 |c1| high, s, k at i = n).  Equal parameters, such
+        # as c0 = 1 in every factor, are converted once.
         q = d.q
-        # start * z**(n - first) * W_n * Pochhammer products, at the next n.
-        self.coeff = +d.start
-        z = None if d.z == 1 else d.z
-        self.w = w_step = None
-        if d.theta is not None:
-            step, shift = d.theta
-            self.w, w_step = ipow(q, step * d.first + shift), ipow(q, step)
-        # Factors share the running value c1*q**(s*i + k) of the summands.
-        values: dict[tuple[BigReal, int, int], int] = {}
-        self.num, self.den, self.pnum, self.pden = [], [], [], []
-        for f in d.factors:
-            j = values.setdefault((f.c1, f.s, f.k), len(values))
-            kind = (self.pnum, self.pden) if f.pochhammer else (self.num, self.den)
-            kind[f.power < 0].append((f.c0, j))
-        self.u = [c1 * ipow(q, s * d.first + k) for c1, s, k in values]
-        # The constants at full length, and as rounded to the precision of
-        # the last call of term; only sums above TAPER_FROM digits taper.
-        self.constants = z, w_step, [ipow(q, s) for _, s, _ in values]
-        self.z, self.w_step, self.u_step = self.constants
-        self.rounded_to = getcontext().prec
-        self.tapers = self.rounded_to > TAPER_FROM
-        # The majorant: log2 rho(n) <= const + n*slope plus the share of the
-        # bounds |c0| +- h, h = |c1|*|q|**(s*i + k) at i = n or n + 1, from
-        # log2 magnitudes rounded outward.  Bounds are counted per
-        # (log2 |c0| low and high, log2 |c1| high, s, k at i = n).  Equal
-        # parameters, such as c0 = 1 in every factor, are converted once.
         params = {q, d.z, *(f.c0 for f in d.factors), *(f.c1 for f in d.factors)}
         logs = {x: _log2_bounds(x) for x in params}
         log_q = logs[q][1]
         const, slope = logs[d.z][1], 0.0
         if d.theta is not None:
+            step, shift = d.theta
             const += shift * log_q
             slope += step * log_q
         counts: dict[tuple[float, float, float, int, int], list[int]] = {}
@@ -342,60 +435,65 @@ class _Run:
                 self.bounds.append((log_h - c0_low, s * log_q, nums, dens))
         self.const, self.slope = const, slope
         self.allowance = 1 + (3 * sum(map(sum, counts.values())) + 4) * _UNIT
-
-    def term(self, n: int) -> BigReal:
-        if self.tapers and getcontext().prec != self.rounded_to:
-            # Once per change of precision, not per term: a 200-digit product
-            # with a 1060-digit constant costs 4.5 times one with it rounded.
-            z, w_step, u_step = self.constants
-            self.z = z if z is None else +z
-            self.w_step = w_step if w_step is None else +w_step
-            self.u_step = [+step for step in u_step]
-            self.rounded_to = getcontext().prec
-        u = self.u
-        value = self.coeff
-        for c0, j in self.num:
-            value *= c0 - u[j]
-        if self.den:
-            value /= prod(c0 - u[j] for c0, j in self.den)
-        coeff = self.coeff
-        if self.z is not None:
-            coeff *= self.z
-        if self.w is not None:
-            coeff *= self.w
-            self.w *= self.w_step
-        for c0, j in self.pnum:
-            coeff *= c0 - u[j]
-        if self.pden:
-            coeff /= prod(c0 - u[j] for c0, j in self.pden)
-        self.coeff = coeff
-        self.u = [a * b for a, b in zip(u, self.u_step)]
-        return value
+        # The flat regime (module docstring): from index flat on, every
+        # bound's factor is exactly 1.0; without a theta weight rho is then
+        # one number.
+        self.flat = max((_flat_from(a, b) for a, b, _, _ in self.bounds), default=0)
+        self.flat_rho = None
+        if slope == 0 and self.flat < inf:
+            self.flat_rho = self.ratio_at(self.flat)
 
     def ratio_at(self, n: int) -> float:
+        if n >= self.flat and self.flat_rho is not None:
+            return self.flat_rho
         log_rho = self.const + n * self.slope
         ratio = self.allowance
-        for a, b, nums, dens in self.bounds:
-            g = a + n * b
-            if g <= 0:
-                h = exp2(g)
-                if dens:
-                    factor = 1 - h * _EXP2_UP
-                    if factor <= 0:
-                        return _NOT_YET
-                    ratio /= factor**dens
-                ratio *= (1 + h) ** nums
-            elif dens:
-                return _NOT_YET
-            else:
-                log_rho += nums * g
-                ratio *= (1 + exp2(-g)) ** nums
+        if n < self.flat:
+            for a, b, nums, dens in self.bounds:
+                g = a + n * b
+                if g <= 0:
+                    h = exp2(g)
+                    if dens:
+                        factor = 1 - h * _EXP2_UP
+                        if factor <= 0:
+                            return _NOT_YET
+                        ratio /= factor**dens
+                    ratio *= (1 + h) ** nums
+                elif dens:
+                    return _NOT_YET
+                else:
+                    log_rho += nums * g
+                    ratio *= (1 + exp2(-g)) ** nums
         whole = floor(log_rho)
         try:
             rho = ldexp(exp2(log_rho - whole) * ratio, whole)
         except OverflowError:
             return inf
         return rho if rho >= _MIN_NORMAL else rho + _MIN_SUBNORMAL
+
+
+def _flat_from(a: float, b: float) -> float:
+    """The least index ``n >= 0`` with ``a + n*b <= _FLAT_G`` in floats, or
+    ``inf`` if there is none up to ``_FLAT_CAP``.
+
+    For ``b < 0`` the float ``a + n*b`` is non-increasing in ``n`` (each
+    rounding is monotone), so the test holds at every later index too.  The
+    rounded root ``(_FLAT_G - a) / b`` nearly always gives the index; where
+    the roundings move it, a bisection does.
+    """
+    if not (b < 0 and a + _FLAT_CAP * b <= _FLAT_G):
+        return inf
+    n = max(ceil((_FLAT_G - a) / b), 0)
+    if a + n * b <= _FLAT_G and (n == 0 or a + (n - 1) * b > _FLAT_G):
+        return n
+    low, high = 0, _FLAT_CAP
+    while low < high:
+        mid = (low + high) // 2
+        if a + mid * b <= _FLAT_G:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def _log2_bounds(x: BigReal) -> tuple[float, float]:
@@ -455,17 +553,20 @@ def sum_series(
         previous_m = previous_e = 0
         previous_rho = 0.0
         n = start_index
+        term, ratio_at = gen.term, gen.decay.ratio_at
         while True:
             if prec < wd:
                 local.prec = prec
-                t = gen.term(n)
+                t = term(n)
                 local.prec = wd
             else:
-                t = gen.term(n)
+                t = term(n)
             total += t
-            peak = max(peak, abs(total))
+            size = abs(total)
+            if size > peak:
+                peak = size
             terms_used += 1
-            rho = gen.decay.ratio_at(n)
+            rho = ratio_at(n)
             # m <= |t| * 10**(16 - e) < m + 1, and m >= 10**16 unless t = 0.
             # Both tests below compare in floats inline (a call per term
             # would cost as much as the test) and call _less only past 10**300.

@@ -7,6 +7,7 @@ from decimal import Decimal
 
 import pytest
 
+from qlambert import cli
 from qlambert.cli import main
 
 from _oracles import PELL, PSI
@@ -282,3 +283,50 @@ class TestBench:
     def test_bench_requires_its_series_parameters(self, capsys) -> None:
         code, _, err = run_cli(capsys, "bench", "--series", "glambert", "--q", "0.5")
         assert code == 2 and "--x" in err
+
+
+class TestOneParserPerProcess:
+    #: Interleaved commands of every kind, with an error in between.
+    COMMANDS = (
+        ("eval", "lambert", "--q", "1/2", "--digits", "30", "--report"),
+        ("recip-sum", "--m1", "1", "--m2", "1", "--method", "naive", "--report"),
+        ("verify", "--identity", "symm", "--trials", "2", "--digits", "30"),
+        ("eval", "qxt", "--x", "0.3", "--t", "0.2", "--q", "0.5", "--method", "alt"),
+        ("eval", "lambert", "--q", "1.5"),
+        ("recip-sum", "--m1", "2", "--m2", "1", "--digits", "40"),
+        ("verify", "--identity", "gosper-matrix", "--digits", "30", "--report"),
+        ("eval", "theta3", "--q=-2/7", "--digits", "40"),
+    )
+
+    def test_interleaved_calls_print_what_fresh_calls_print(
+        self, capsys, monkeypatch
+    ) -> None:
+        fresh = []
+        for argv in self.COMMANDS:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run_cli(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0, 0]
+        # One process from here on: the parser is built on the first call.
+        monkeypatch.setattr(cli, "_PARSER", None)
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        reused = [run_cli(capsys, *argv) for argv in self.COMMANDS * 2]
+        assert reused == fresh * 2
+        assert len(built) == 1
+
+    def test_handlers_are_looked_up_on_every_call(self, capsys, monkeypatch) -> None:
+        argv = ("eval", "lambert", "--q", "1/2", "--digits", "5")
+        assert run_cli(capsys, *argv) == (0, "1.6067\n", "")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.q) or 0)
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert seen == ["1/2"]
+
+    def test_build_parser_returns_a_new_parser(self) -> None:
+        assert cli.build_parser() is not cli.build_parser()

@@ -10,6 +10,10 @@ They are checked on the descriptions that the evaluators build through
 module-level builders, and on random descriptions, which combine theta
 weights, evaluated and Pochhammer factors in ways no builder does and
 include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
+
+Two more hold bit for bit on random descriptions: in the flat regime,
+``ratio_at`` equals the plain bounds loop, and the term kernel's summands
+equal a running product per factor, also when the precision drops mid-sum.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from qlambert.lambert import (
     _qxt_naive,
     _qxt_theta,
 )
-from qlambert.qcore import ipow, sum_qterm
+from qlambert.qcore import TAPER_FROM, _flat_from, ipow, sum_qterm
 
 DIGITS = 12
 #: Terms whose ratios are checked per sample.
@@ -107,9 +111,12 @@ PORTED = [
 
 
 @st.composite
-def random_series(draw) -> tuple:
-    """A random convergent description, as a builder plus its arguments."""
+def random_series(draw, shared: bool = False) -> tuple:
+    """A random convergent description, as a builder plus its arguments;
+    with ``shared``, all factors share one running value ``c1*q**(s*i + k)``."""
     factors = []
+    if shared:
+        value = draw(unit()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
     for _ in range(draw(st.integers(0, 3))):
         power = draw(st.sampled_from([1, -1]))
         pochhammer = draw(st.booleans())
@@ -120,11 +127,14 @@ def random_series(draw) -> tuple:
             # bounds of evaluated factors certify, and keeps the summands of
             # Pochhammer denominators from growing.
             c0 = draw(st.sampled_from([Decimal(1), Decimal("1.25"), Decimal("1.5")]))
+        if not shared:
+            value = draw(unit()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        c1, s, k = value
         factors.append(
             Factor(
-                draw(unit()),
-                s=draw(st.integers(1, 2)),
-                k=draw(st.integers(0, 2)),
+                c1,
+                s=s,
+                k=k,
                 power=power,
                 pochhammer=pochhammer,
                 c0=c0 * draw(st.sampled_from([1, -1])),
@@ -344,3 +354,194 @@ def test_tapered_sum_that_grows_then_cancels_stays_within_its_bound() -> None:
     """``t^n/(x;q)_{n+1}`` rises to about 10**26 before it cancels to 0.98."""
     params = (Decimal("-0.99"), Decimal("0.95"), Decimal("0.976943"))
     _check_tail(_poch_series, params, 300, 30)
+
+
+# ---------------------------------------------------------------------------
+# The flat regime of the majorant: from its index on, every bound's factor
+# is exactly 1.0, and ratio_at skips the bounds.
+
+
+def _plain_ratio_at(decay, n: int) -> float:
+    """The majorant at ``n`` by the bounds loop alone (``qcore`` module
+    docstring), with no flat regime."""
+    log_rho, ratio = decay.const + n * decay.slope, decay.allowance
+    for a, b, nums, dens in decay.bounds:
+        g = a + n * b
+        if g <= 0:
+            h = math.exp2(g)
+            if dens:
+                factor = 1 - h * (1 + 4 * 2.0**-52)
+                if factor <= 0:
+                    return NOT_YET
+                ratio /= factor**dens
+            ratio *= (1 + h) ** nums
+        elif dens:
+            return NOT_YET
+        else:
+            log_rho += nums * g
+            ratio *= (1 + math.exp2(-g)) ** nums
+    whole = math.floor(log_rho)
+    try:
+        rho = math.ldexp(math.exp2(log_rho - whole) * ratio, whole)
+    except OverflowError:
+        return math.inf
+    return rho if rho >= 2.0**-1022 else rho + math.ulp(0.0)
+
+
+def _assert_flat_regime_is_exact(series: QTerm, shuffle) -> None:
+    with localcontext(make_context(DIGITS).dec):
+        decay = series.generator().decay
+    flat = decay.flat
+    if all(b < 0 for _, b, _, _ in decay.bounds):
+        assert flat < math.inf
+        # The least such index: one step before it, some bound is not flat.
+        assert all(a + flat * b <= -55 for a, b, _, _ in decay.bounds)
+        assert flat == 0 or any(a + (flat - 1) * b > -55 for a, b, _, _ in decay.bounds)
+        around = [flat + step for step in range(-3, 4)]
+        far = [flat + 10**k for k in (2, 4, 6, 9)]
+    else:
+        assert flat == math.inf
+        around, far = list(range(6)), [10**k for k in (2, 4, 6, 9)]
+    indices = shuffle([n for n in around + far if n >= 0])
+    for n in indices:
+        rho = decay.ratio_at(n)
+        assert rho.hex() == _plain_ratio_at(decay, n).hex(), (n, flat)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_series(), st.randoms(use_true_random=False))
+def test_flat_regime_matches_the_bounds_loop_bit_for_bit(series, rng) -> None:
+    build, params = series
+
+    def shuffle(indices: list[int]) -> list[int]:
+        rng.shuffle(indices)
+        return indices
+
+    _assert_flat_regime_is_exact(build(*params), shuffle)
+
+
+@pytest.mark.parametrize(
+    "q", ["0.99999999999999999999", "-0.999999999999999999999999", "1"]
+)
+def test_no_flat_regime_within_the_log_margin_of_one(q) -> None:
+    """``|q|`` so close to 1 that ``log2 |q|`` rounded up is not negative:
+    the bound exponents never fall, and ratio_at always runs the loop."""
+    series = QTerm(
+        Decimal(q),
+        z=Decimal("0.5"),
+        factors=(Factor(Decimal("0.5"), power=-1), Factor(Decimal("0.25"), s=2)),
+    )
+    with localcontext(make_context(DIGITS).dec):
+        decay = series.generator().decay
+    assert decay.bounds and all(b >= 0 for _, b, _, _ in decay.bounds)
+    _assert_flat_regime_is_exact(series, list)
+
+
+# ---------------------------------------------------------------------------
+# The composed term kernel: each summand bit for bit as a running product
+# per factor gives it, under a precision that drops mid-sum.
+
+
+def _reference_terms(series: QTerm, precisions: list[int]) -> list[Decimal]:
+    """``T_first, T_first+1, ...``, one at each of ``precisions``, from a
+    running value per factor and the constants rounded to the precision of
+    the summand whenever it changed (``qcore`` module docstring)."""
+    q, first, factors = series.q, series.first, series.factors
+    built_at = precisions[0]
+    with localcontext(Context(prec=built_at)):
+        coeff = +series.start
+        w = w_step = None
+        if series.theta is not None:
+            step, shift = series.theta
+            w, w_step = ipow(q, step * first + shift), ipow(q, step)
+        u = [f.c1 * ipow(q, f.s * first + f.k) for f in factors]
+        full = series.z, w_step, [ipow(q, f.s) for f in factors]
+    z, w_step, u_step = full
+    tapers, rounded_to = built_at > TAPER_FROM, built_at
+    kinds = [(f.pochhammer, f.power < 0) for f in factors]
+    terms = []
+    for prec in precisions:
+        with localcontext(Context(prec=prec)):
+            if tapers and prec != rounded_to:
+                z = +full[0]
+                w_step = None if full[1] is None else +full[1]
+                u_step = [+x for x in full[2]]
+                rounded_to = prec
+            diffs = [f.c0 - value for f, value in zip(factors, u)]
+            value = coeff
+            for diff, kind in zip(diffs, kinds):
+                if kind == (False, False):
+                    value *= diff
+            divisor = None
+            for diff, kind in zip(diffs, kinds):
+                if kind == (False, True):
+                    divisor = diff if divisor is None else divisor * diff
+            if divisor is not None:
+                value /= divisor
+            terms.append(value)
+            if series.z != 1:
+                coeff *= z
+            if w is not None:
+                coeff *= w
+                w *= w_step
+            for diff, kind in zip(diffs, kinds):
+                if kind == (True, False):
+                    coeff *= diff
+            divisor = None
+            for diff, kind in zip(diffs, kinds):
+                if kind == (True, True):
+                    divisor = diff if divisor is None else divisor * diff
+            if divisor is not None:
+                coeff /= divisor
+            u = [running * step for running, step in zip(u, u_step)]
+    return terms
+
+
+#: Working precisions at 50 digits, and at 300 digits dropping twice mid-sum.
+KERNEL_PRECISIONS = [
+    [make_context(50).working_digits] * 120,
+    [make_context(300).working_digits] * 40 + [180] * 40 + [100] * 40,
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(random_series(), random_series(shared=True)),
+    st.sampled_from(KERNEL_PRECISIONS),
+)
+def test_term_kernel_matches_a_running_product_bit_for_bit(series, precisions) -> None:
+    """``q`` times ``1 - 1/33333333``, whose expansion never ends, so that its
+    powers are full-length constants that change when rounded."""
+    build, (q,) = series
+    with localcontext(Context(prec=precisions[0])):
+        description = build(q * (1 - Decimal(1) / 33333333))
+        term = description.generator().term
+    expected = _reference_terms(description, precisions)
+    for n, (prec, want) in enumerate(zip(precisions, expected), description.first):
+        with localcontext(Context(prec=prec)):
+            got = term(n)
+        assert got.as_tuple() == want.as_tuple(), (n, prec, got, want)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (-60.0, -1.0),
+        (10.0, -0.5),
+        (-54.0, -2.0**-40),
+        # Exponents whose rounded root misses the index by one or two.
+        (-54.99999999999741, -2.7075696473803266e-15),
+        (-54.99999998978808, -2.3191294425272733e-15),
+    ],
+)
+def test_flat_index_is_the_least_flat_one(a, b) -> None:
+    n = _flat_from(a, b)
+    assert a + n * b <= -55
+    assert n == 0 or a + (n - 1) * b > -55
+
+
+@pytest.mark.parametrize(
+    "a, b", [(-60.0, 0.0), (-54.0, 1e-3), (math.inf, -1.0), (0.0, -1e-20)]
+)
+def test_no_flat_index_without_a_falling_exponent(a, b) -> None:
+    assert _flat_from(a, b) == math.inf
