@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .errors import DomainError
-from .numerics import BigReal, RealContext
+from .numerics import BigReal, RealContext, _require_int, _require_unit
 
 __all__ = [
     "LEFT",
@@ -57,29 +57,19 @@ class Mat2:
         return Mat2(p=self.p * other.p, u=self.p * other.u + self.u)
 
 
-def _check_q(q: BigReal) -> None:
-    if abs(q) >= 1:
-        raise DomainError(f"q outside (-1,1): {q}")
-
-
-def _check_index(name: str, value: int, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def matK(k: int, n: int | None, q: BigReal, ctx: RealContext) -> Mat2:
     """Matrix ``K(k,n)``; ``n = None`` selects the limit ``K(k,inf)``.
 
     ``p = q^(n+2k+1)``, ``u = q*(1-q^(2k+n))/((1-q^k)(1-q^(k+n)))``; in the
     limit ``p = 0`` and ``u = q/(1-q^k)``.
     """
-    _check_index("k", k, 1)
+    _require_int("k", k, 1)
     q = Decimal(q)
-    _check_q(q)
+    _require_unit("q", q)
     with localcontext(ctx.dec):
         if n is None:
             return Mat2(p=Decimal(0), u=q / (1 - q**k))
-        _check_index("n", n, 0)
+        _require_int("n", n, 0)
         p = q ** (n + 2 * k + 1)
         u = q * (1 - q ** (2 * k + n)) / ((1 - q**k) * (1 - q ** (k + n)))
         return Mat2(p=p, u=u)
@@ -90,13 +80,13 @@ def matN(k: int | None, n: int, q: BigReal, ctx: RealContext) -> Mat2:
 
     ``p = q^k``, ``u = q/(1-q^(k+n))``; in the limit ``p = 0``, ``u = q``.
     """
-    _check_index("n", n, 0)
+    _require_int("n", n, 0)
     q = Decimal(q)
-    _check_q(q)
+    _require_unit("q", q)
     with localcontext(ctx.dec):
         if k is None:
             return Mat2(p=Decimal(0), u=+q)
-        _check_index("k", k, 1)
+        _require_int("k", k, 1)
         return Mat2(p=q**k, u=q / (1 - q ** (k + n)))
 
 
@@ -123,9 +113,9 @@ def product_upper_right(
     prod_{n=0}^{M-1} N(inf,n)``, with ``M = factor_count``, multiplying
     strictly left-to-right in the written order.
     """
-    _check_index("factor_count", factor_count, 1)
+    _require_int("factor_count", factor_count, 1)
     q = Decimal(q)
-    _check_q(q)
+    _require_unit("q", q)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")
     if side not in (LEFT, RIGHT):
@@ -154,7 +144,7 @@ def product_factor_count(q: BigReal, ctx: RealContext) -> int:
     both arrangements, the right one converging much faster still.
     """
     q = Decimal(q)
-    _check_q(q)
+    _require_unit("q", q)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")
     with localcontext(ctx.dec):

@@ -49,6 +49,7 @@ from .gospermat import (
 )
 from .lambert import (
     QxtParams,
+    _geometric,
     _glambert_naive,
     _glambert_theta,
     _qxt_theta,
@@ -56,7 +57,7 @@ from .lambert import (
     lambert_naive,
     series_qxt_lhs,
 )
-from .numerics import BigReal, RealContext, make_context
+from .numerics import BigReal, RealContext, _require_int, make_context
 from .qcore import (
     Factor,
     QTerm,
@@ -398,10 +399,8 @@ def _osler_combined(p: Params, ctx: RealContext) -> SeriesValue:
 # Entry 8: the five-expression chain at a=b=c=d=1.
 
 
-def _chain_geo(x: BigReal, t: BigReal, q: BigReal, scale: BigReal = 1) -> QTerm:
-    """``scale * x^n q^n / (1 - t q^n)``, ``n >= 1``."""
-    xq = x * q
-    return QTerm(q, start=scale * xq, z=xq, factors=(Factor(t, power=-1),), first=1)
+#: ``scale * x^n q^n / (1 - t q^n)``, ``n >= 1``.
+_chain_geo = _geometric
 
 
 def _chain_theta_parts(
@@ -433,7 +432,7 @@ def _chain_e4(p: Params, ctx: RealContext) -> SeriesValue:
 
 def _wrench_lhs(x: BigReal, q: BigReal) -> QTerm:
     """``x^n q^n/(1-q^n)``, ``n >= 1`` (linear route)."""
-    return _chain_geo(x, Decimal(1), q)
+    return _geometric(x, 1, q)
 
 
 def _wrench_closed(p: Params, ctx: RealContext) -> SeriesValue:
@@ -497,11 +496,6 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
 # Entry 10: the x/q swap.
 
 
-def _xq_swap_lhs(x: BigReal, q: BigReal) -> QTerm:
-    """``x q^n/(1 - x q^n)``, ``n >= 0``."""
-    return _glambert_naive(x, q, first=0)
-
-
 def _xq_swap_rhs(x: BigReal, q: BigReal) -> QTerm:
     """``x^n/(1 - q^n)``, ``n >= 1``."""
     return QTerm(q, start=x, z=x, factors=(Factor(1, power=-1),), first=1)
@@ -547,7 +541,10 @@ _chain_e2 = _series_side(_chain_geo, "chain-e2", "t", "x", "q", "x")
 # The symmetric form sum_{n>=1} (1 - x t q^(2n)) x^n t^n q^(n^2)/((1-x q^n)(1-t q^n)).
 _chain_e5 = _series_side(partial(_qxt_theta, first=1), "chain-e5", "x", "t", "q")
 _wrench_lhs_side = _series_side(_wrench_lhs, "wrench-lhs", "x", "q")
-_xq_swap_lhs_side = _series_side(_xq_swap_lhs, "xq-swap-lhs", "x", "q")
+# x q^n/(1 - x q^n), n >= 0.
+_xq_swap_lhs_side = _series_side(
+    partial(_glambert_naive, first=0), "xq-swap-lhs", "x", "q"
+)
 _xq_swap_rhs_side = _series_side(_xq_swap_rhs, "xq-swap-rhs", "x", "q")
 
 
@@ -725,8 +722,7 @@ def check_identity(
             resampling budget.
     """
     entry = get_entry(name)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    _require_int("trials", trials, 1)
     worst = Decimal(0)
     worst_point: dict[str, BigReal] = {}
     reason = None

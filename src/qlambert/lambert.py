@@ -18,6 +18,15 @@ plus the alternate theta-convergent expansion
 
 and Fine's function ``F(a,b;t) = sum_{n>=0} ((aq;q)_n/(bq;q)_n) t^n``.
 
+As the paper has it, the generalized Lambert series is the first identity
+at ``t = 1``.  On the left, ``t^n/(1-x q^n) = t^n + t^n x q^n/(1-x q^n)``; on
+the right, the ``n = 0`` summand is ``1/(1-t) + x/(1-x)``.  The poles
+``1/(1-t)`` cancel, and so do the ``x/(1-x)`` at ``n = 0``; at ``t = 1`` what
+is left is ``L(x,q)`` on the left and the theta form from ``n = 1`` on the
+right.  So :func:`_glambert_theta` is the theta form at ``t = 1``, and the
+naive ``L(x,q)``, like the other geometric sums of this package, is one
+instance of ``scale * (x q)^n/(1 - t q^n)`` (:func:`_geometric`).
+
 Every evaluator describes its summand as a :class:`~qlambert.qcore.QTerm`;
 the engine keeps its powers and Pochhammer products as running products and
 derives from the same description the decay majorant that certifies the
@@ -30,13 +39,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .errors import DomainError, PoleError
-from .numerics import BigReal, RealContext
+from .numerics import BigReal, RealContext, _require_unit
 from .qcore import Factor, QTerm, SeriesValue, ipow, sum_qterm
-
-
-def _require_unit(name: str, value: BigReal) -> None:
-    if abs(value) >= 1:
-        raise DomainError(f"{name} outside (-1,1): {value}")
 
 
 def _pole_scan(
@@ -97,6 +101,15 @@ def _qxt_theta(x: BigReal, t: BigReal, q: BigReal, first: int = 0) -> QTerm:
         factors=(Factor(xt, s=2), Factor(x, power=-1), Factor(t, power=-1)),
         first=first,
     )
+
+
+def _geometric(
+    x: BigReal, t: BigReal, q: BigReal, scale: BigReal = 1, first: int = 1
+) -> QTerm:
+    """``scale * (x q)^n / (1 - t q^n)``, ``n >= first``."""
+    xq = x * q
+    factors = (Factor(t, power=-1),)
+    return QTerm(q, start=scale * ipow(xq, first), z=xq, factors=factors, first=first)
 
 
 def _qxt_alt(x: BigReal, t: BigReal, q: BigReal) -> QTerm:
@@ -181,25 +194,13 @@ def _validate_glambert(
 
 def _glambert_naive(x: BigReal, q: BigReal, first: int = 1) -> QTerm:
     """``x q^n/(1-x q^n)``, ``n >= first``."""
-    return QTerm(
-        q,
-        start=x * ipow(q, first),
-        z=q,
-        factors=(Factor(x, power=-1),),
-        first=first,
-    )
+    return _geometric(1, x, q, scale=x, first=first)
 
 
 def _glambert_theta(x: BigReal, q: BigReal) -> QTerm:
-    """``(1 - x q^(2n)) / ((1-x q^n)(1-q^n)) * x^n q^(n^2)``, ``n >= 1``."""
-    return QTerm(
-        q,
-        start=x * q,
-        z=x,
-        theta=(2, 1),
-        factors=(Factor(x, s=2), Factor(x, power=-1), Factor(1, power=-1)),
-        first=1,
-    )
+    """``(1 - x q^(2n)) / ((1-x q^n)(1-q^n)) * x^n q^(n^2)``, ``n >= 1``:
+    the theta form of ``sum t^n/(1-x q^n)`` at ``t = 1`` (module docstring)."""
+    return _qxt_theta(x, 1, q, first=1)
 
 
 def glambert_lhs(x: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:

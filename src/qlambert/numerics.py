@@ -66,6 +66,18 @@ class RealContext:
         return scale * Decimal(1).scaleb(-(self.working_digits - 6))
 
 
+def _require_unit(name: str, value: BigReal) -> None:
+    """Raise :class:`DomainError` unless ``|value| < 1``."""
+    if abs(value) >= 1:
+        raise DomainError(f"{name} outside (-1,1): {value}")
+
+
+def _require_int(name: str, value: int, minimum: int) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an int ``>= minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def make_context(target_digits: int) -> RealContext:
     """Create the precision context for ``target_digits`` requested digits.
 

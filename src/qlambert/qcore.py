@@ -12,10 +12,13 @@ for ``n >= first``, where the optional theta weight has ``W_first = 1`` and
 is either evaluated at ``i = n`` or accumulated as a q-Pochhammer product
 over ``first <= i < n``.
 
-:meth:`QTerm.generator` builds the ``TermGenerator(term, decay)`` that
-:func:`sum_series` sums.  ``term`` keeps every power of ``q`` and every
-product as a running value, one multiply per index.  ``decay.ratio_at(n)`` is
-the product of per-factor bounds on ``|T_{m+1} / T_m|`` over all ``m >= n``:
+:meth:`QTerm.sum` is the engine's one entry point, the only code that pairs
+summands with their certificate: the ``TermGenerator(term, decay)`` that
+:func:`sum_series` sums.  ``term`` is the term kernel, which keeps every power
+of ``q`` and every product as a running value, or a hand-written stream of
+the same summands (:func:`sum_bracketed`, the Horadam reciprocals).
+``decay.ratio_at(n)`` is the product of per-factor bounds on
+``|T_{m+1} / T_m|`` over all ``m >= n``:
 
 * ``|z|`` and, with a theta weight, ``|q|**(step*n + shift)``;
 * an evaluated numerator factor,
@@ -71,9 +74,8 @@ what the bounds give; without a theta weight (``slope = 0``) it is one
 number, computed once.  Where some ``b >= 0``, as for ``|q|`` within the
 log margin of 1, there is no flat regime and every call runs the bounds.
 
-The term kernel.  :meth:`QTerm.generator`'s ``term`` is one closure,
-composed once per description, that keeps its running values in locals and
-at index ``n``, under the current context:
+The term kernel is one closure, composed once per description, that keeps
+its running values in locals and at index ``n``, under the current context:
 
 1. multiplies the coefficient ``C_n`` by the numerator differences
    ``c0 - u`` of the evaluated factors, in factor order, and divides the
@@ -160,7 +162,7 @@ from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError
-from .numerics import BigReal, RealContext, make_context
+from .numerics import BigReal, RealContext, _require_int, _require_unit, make_context
 
 _ONE = Decimal(1)
 
@@ -289,16 +291,23 @@ class QTerm:
     factors: tuple[Factor, ...] = ()
     first: int = 0
 
-    def generator(self) -> TermGenerator:
-        """The summands and their majorant; call under the working context."""
-        return TermGenerator(_kernel(self), _Majorant(self))
-
     def sum(
-        self, ctx: RealContext, method_tag: str, eps: BigReal | None = None
+        self,
+        ctx: RealContext,
+        method_tag: str,
+        eps: BigReal | None = None,
+        term: Callable[[int], BigReal] | None = None,
     ) -> SeriesValue:
-        """:func:`sum_series` of this series from ``first``, to ``eps``."""
+        """:func:`sum_series` of this series from ``first``, to ``eps``.
+
+        The summands are the term kernel's or, given ``term``, a hand-written
+        stream of the same summands, called as the kernel would be; this
+        series' majorant certifies them either way.
+        """
         with localcontext(ctx.dec):
-            gen = self.generator()
+            if term is None:
+                term = _kernel(self)
+            gen = TermGenerator(term, _Majorant(self))
         return sum_series(gen, self.first, ctx, method_tag, eps)
 
 
@@ -680,7 +689,8 @@ def sum_bracketed(
     method_tag: str,
     eps: BigReal | None = None,
 ) -> SeriesValue:
-    """:func:`sum_series` of the theta weight of ``series`` times ``bracket(q**n)``.
+    """``series.sum`` with the summands the theta weight of ``series`` times
+    ``bracket(q**n)``.
 
     ``bracket(q**n)`` must equal the product of the factors of ``series`` at
     ``n``, so that the summands are those of ``series`` and are certified by
@@ -688,24 +698,22 @@ def sum_bracketed(
     """
     q = series.q
     with localcontext(ctx.dec):
-        weight = replace(series, factors=()).generator()
+        weight = _kernel(replace(series, factors=()))
         q_pow = ipow(q, series.first)
 
-        def term(n: int) -> BigReal:
-            nonlocal q_pow
-            value = weight.term(n) * bracket(q_pow)
-            q_pow *= q
-            return value
+    def term(n: int) -> BigReal:
+        nonlocal q_pow
+        value = weight(n) * bracket(q_pow)
+        q_pow *= q
+        return value
 
-        gen = TermGenerator(term, series.generator().decay)
-    return sum_series(gen, series.first, ctx, method_tag, eps)
+    return series.sum(ctx, method_tag, eps, term=term)
 
 
 def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:
     """Finite q-Pochhammer product ``(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1))``,
     exactly 1 for ``n = 0``; each factor is rounded on its own."""
-    if n < 0:
-        raise DomainError("qpochhammer_n requires n >= 0")
+    _require_int("n", n, 0)
     a = Decimal(a)
     with localcontext(ctx.dec):
         return prod((1 - a * ipow(q, i) for i in range(n)), start=_ONE)
@@ -727,8 +735,7 @@ def qpochhammer_inf(a: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
         DomainError: unless ``|q| < 1``, past the budget, or if the head overflows.
     """
     q, a = Decimal(q), Decimal(a)
-    if abs(q) >= 1:
-        raise DomainError("qpochhammer_inf requires |q| < 1")
+    _require_unit("q", q)
     with localcontext(ctx.dec):
         extra = int((_LOG10_E / (1 - abs(q))).to_integral_value(ROUND_CEILING))
     if extra > POCH_DIGIT_BUDGET:
@@ -760,8 +767,7 @@ def theta3(q: BigReal, ctx: RealContext) -> SeriesValue:
         DomainError: unless ``|q| < 1``.
     """
     q = Decimal(q)
-    if abs(q) >= 1:
-        raise DomainError("theta3 requires |q| < 1")
+    _require_unit("q", q)
     series = QTerm(q, start=q, theta=(2, 1), first=1)
     sv = series.sum(ctx, "theta", eps=ctx.epsilon / 2)
     return combine(((1, ball(_ONE)), (2, sv)), ctx, "theta")

@@ -32,17 +32,15 @@ from fractions import Fraction
 
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
-from .numerics import BigReal, RealContext, make_context, sqrt
+from .numerics import BigReal, RealContext, _require_int, make_context, sqrt
 from .qcore import (
     Factor,
     QTerm,
     SeriesValue,
-    TermGenerator,
     ball,
     combine,
     ipow,
     product,
-    sum_series,
     theta3,
 )
 
@@ -88,8 +86,7 @@ class HoradamSequence:
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m1, int) or isinstance(self.m1, bool) or self.m1 < 1:
-            raise DomainError(f"m1 must be an integer >= 1, got {self.m1!r}")
+        _require_int("m1", self.m1, 1)
         if not isinstance(self.m2, int) or isinstance(self.m2, bool) or self.m2 == 0:
             raise DomainError(f"m2 must be a nonzero integer, got {self.m2!r}")
         if self.delta <= 0:
@@ -114,10 +111,8 @@ class HoradamSequence:
         return alpha, beta
 
 
-def horadam_term(seq: HoradamSequence, n: int) -> int:
-    """Exact big-integer term ``f_n`` of the sequence (cached)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"term index must be a nonnegative integer, got {n!r}")
+def _memo_term(seq: HoradamSequence, n: int) -> int:
+    """``f_n`` from the memo of ``seq``, extended as far as ``n``."""
     with seq._lock:
         terms = seq._terms
         while len(terms) <= n:
@@ -125,24 +120,25 @@ def horadam_term(seq: HoradamSequence, n: int) -> int:
         return terms[n]
 
 
-_FIB: list[int] = [0, 1]
-_FIB_LOCK = threading.Lock()
+def horadam_term(seq: HoradamSequence, n: int) -> int:
+    """Exact big-integer term ``f_n`` of the sequence (cached)."""
+    _require_int("term index", n, 0)
+    return _memo_term(seq, n)
+
+
+#: The Fibonacci sequence, whose memo every Fibonacci and Lucas number reads.
+_FIBONACCI = HoradamSequence(1, 1)
 
 
 def fibonacci(n: int) -> int:
     """Exact Fibonacci number ``F_n`` (cached)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"Fibonacci index must be a nonnegative integer, got {n!r}")
-    with _FIB_LOCK:
-        while len(_FIB) <= n:
-            _FIB.append(_FIB[-1] + _FIB[-2])
-        return _FIB[n]
+    _require_int("Fibonacci index", n, 0)
+    return _memo_term(_FIBONACCI, n)
 
 
 def lucas_G(n: int) -> int:
     """Lucas number ``G_n = 2*F_{n-1} + F_n`` for ``n >= 1``."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"Lucas index must be a positive integer, got {n!r}")
+    _require_int("Lucas index", n, 1)
     return 2 * fibonacci(n - 1) + fibonacci(n)
 
 
@@ -167,17 +163,16 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
             first=1,
         )
 
-        def term(n: int) -> BigReal:
-            f_n = horadam_term(seq, n)
-            if f_n == 0:
-                raise ZeroTermError(
-                    f"f_{n} = 0 for (m1,m2)=({seq.m1},{seq.m2}); "
-                    "reciprocal sum undefined"
-                )
-            return 1 / Decimal(f_n)
+    def term(n: int) -> BigReal:
+        f_n = horadam_term(seq, n)
+        if f_n == 0:
+            raise ZeroTermError(
+                f"f_{n} = 0 for (m1,m2)=({seq.m1},{seq.m2}); "
+                "reciprocal sum undefined"
+            )
+        return 1 / Decimal(f_n)
 
-        gen = TermGenerator(term, closed_form.generator().decay)
-        return sum_series(gen, 1, ctx, method_tag="naive")
+    return closed_form.sum(ctx, "naive", term=term)
 
 
 def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
@@ -211,7 +206,7 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
 def _fib_inner(ctx: RealContext) -> tuple[RealContext, BigReal, BigReal]:
     """``ctx`` with two more digits, and ``beta`` and ``sqrt(5)`` at its precision."""
     inner = make_context(ctx.target_digits + 2)
-    alpha, beta = HoradamSequence(1, 1).roots(inner)
+    alpha, beta = _FIBONACCI.roots(inner)
     with localcontext(inner.dec):
         return inner, beta, alpha - beta
 
@@ -236,8 +231,7 @@ def fib_recip_gosper(
     terms left out: ``5 phi^-(M^2) / (1 - phi^-(2M+1))`` with ``M = N + 1``
     (``M = N`` uncorrected).
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"term count must be a positive integer, got {N!r}")
+    _require_int("term count", N, 1)
     total = Fraction(0)
     g_product = 1
     for n in range(N):
@@ -251,7 +245,7 @@ def fib_recip_gosper(
         denominator = fibonacci(2 * n + 1) * fibonacci(2 * n + 2) * g_product
         sign = 1 if n % 4 in (0, 1) else -1
         total += Fraction(sign * numerator, denominator)
-    phi, _ = HoradamSequence(1, 1).roots(ctx)
+    phi, _ = _FIBONACCI.roots(ctx)
     M = N + 1 if corrected else N
     with localcontext(ctx.dec):
         value = Decimal(total.numerator) / Decimal(total.denominator)

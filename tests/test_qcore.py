@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import math
 import time
+from collections import Counter
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +18,16 @@ import qlambert
 from qlambert import (
     DivergenceError,
     DomainError,
+    HoradamSequence,
     QlambertError,
     QTerm,
     SeriesValue,
     TermGenerator,
     make_context,
+    qcore,
     qpochhammer_inf,
     qpochhammer_n,
+    recip_sum_naive,
     sqrt,
     sum_series,
     theta3,
@@ -34,11 +38,14 @@ from qlambert.qcore import (
     MIN_TERMS,
     TAPER_FROM,
     TAPER_MIN_PREC,
+    _kernel,
+    _Majorant,
     ball,
     combine,
     ipow,
     product,
 )
+from qlambert.cli import main
 from qlambert.lambert import _glambert_naive, _qxt_alt
 
 from _oracles import (
@@ -57,7 +64,7 @@ def geometric_series(q: Decimal, ctx) -> SeriesValue:
 
 def geometric_decay(ratio: Decimal):
     """The majorant of a plain geometric series with the given ratio."""
-    return QTerm(Decimal(0), z=ratio).generator().decay
+    return _Majorant(QTerm(Decimal(0), z=ratio))
 
 
 class TestIpow:
@@ -157,14 +164,14 @@ def _precisions(series: QTerm, digits: int) -> tuple[int, list[int], SeriesValue
     """The working digits, the precision of each call of ``term``, and the sum."""
     ctx = make_context(digits)
     with localcontext(ctx.dec):
-        gen = series.generator()
+        kernel = _kernel(series)
     seen = []
 
     def term(n: int) -> Decimal:
         seen.append(getcontext().prec)
-        return gen.term(n)
+        return kernel(n)
 
-    sv = sum_series(TermGenerator(term, gen.decay), series.first, ctx)
+    sv = series.sum(ctx, "series", term=term)
     return ctx.working_digits, seen, sv
 
 
@@ -386,3 +393,57 @@ def test_only_sum_series_sets_a_context_precision() -> None:
                     builders.add(where)
     assert setters == {("qcore", "sum_series")}
     assert builders == {("numerics", "make_context")}
+
+
+def test_only_qterm_sum_pairs_summands_with_a_certificate() -> None:
+    """``QTerm.sum`` is the engine's one entry point: no other code builds a
+    ``TermGenerator`` or calls ``sum_series``."""
+    source_dir = Path(qlambert.__file__).parent
+    callers = set()
+    for path in sorted(source_dir.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{getattr(m, 'name', None)}", m) for m in top.body]
+            else:
+                scopes = [(getattr(top, "name", None), top)]
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        called = getattr(func, "id", None) or getattr(func, "attr", None)
+                        if called in ("TermGenerator", "sum_series"):
+                            callers.add((path.stem, name, called))
+    assert callers == {
+        ("qcore", "QTerm.sum", "TermGenerator"),
+        ("qcore", "QTerm.sum", "sum_series"),
+    }
+
+
+@pytest.fixture
+def builds(monkeypatch) -> Counter:
+    """Counts of the majorants and kernels built and of the sums run."""
+    counts = Counter()
+
+    def counted(name: str):
+        original = getattr(qcore, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_Majorant", "_kernel", "sum_series"):
+        monkeypatch.setattr(qcore, name, counted(name))
+    return counts
+
+
+def test_every_sum_builds_one_majorant_and_one_kernel(builds, capsys) -> None:
+    assert main(["verify", "--all", "--trials", "2", "--digits", "50"]) == 0
+    assert builds["sum_series"] > 0
+    assert builds["_Majorant"] == builds["_kernel"] == builds["sum_series"]
+
+
+def test_a_naive_reciprocal_sum_builds_no_kernel(builds) -> None:
+    recip_sum_naive(HoradamSequence(1, 1), make_context(50))
+    assert builds == {"_Majorant": 1, "sum_series": 1}

@@ -48,7 +48,7 @@ from qlambert.lambert import (
     _qxt_naive,
     _qxt_theta,
 )
-from qlambert.qcore import TAPER_FROM, _flat_from, ipow, sum_qterm
+from qlambert.qcore import TAPER_FROM, _flat_from, _kernel, _Majorant, ipow, sum_qterm
 
 DIGITS = 12
 #: Terms whose ratios are checked per sample.
@@ -154,11 +154,11 @@ def _check_majorant(build, params) -> None:
     ctx = make_context(DIGITS)
     with localcontext(ctx.dec):
         series = build(*params)
-        gen = series.generator()
+        term, decay = _kernel(series), _Majorant(series)
         terms, ratios = [], []
         for n in range(series.first, series.first + CHECKED_TERMS):
-            terms.append(abs(gen.term(n)))
-            ratios.append(Decimal(gen.decay.ratio_at(n)))
+            terms.append(abs(term(n)))
+            ratios.append(Decimal(decay.ratio_at(n)))
         slack = 1 + Decimal(1).scaleb(-(ctx.working_digits - 5))
         # worst[i]: the largest |T_{m+1}/T_m| over m >= i.
         worst = [Decimal(0)] * len(terms)
@@ -313,7 +313,7 @@ def test_ratio_at_bounds_the_running_product_at_the_float_edges(
     series, indices, tight
 ) -> None:
     with localcontext(make_context(30).dec):
-        decay = series.generator().decay
+        decay = _Majorant(series)
     # ratio_at is a closed form: it needs no calls in index order.
     for n in reversed(indices):
         rho = decay.ratio_at(n)
@@ -344,7 +344,7 @@ def test_tapered_sums_stay_within_their_bounds(data, digits) -> None:
         factor = 1 - Decimal(1) / 33333333
         params = tuple(value * factor for value in data.draw(args))
         series = build(*params)
-        rho = series.generator().decay.ratio_at(series.first + 10**6)
+        rho = _Majorant(series).ratio_at(series.first + 10**6)
     # Keep the sample fast: at most about 3 * 10**6 / digits terms.
     assume(rho < 1 and (digits + 30) * digits <= -3e6 * math.log10(rho))
     _check_tail(build, params, digits, 30)
@@ -390,7 +390,7 @@ def _plain_ratio_at(decay, n: int) -> float:
 
 def _assert_flat_regime_is_exact(series: QTerm, shuffle) -> None:
     with localcontext(make_context(DIGITS).dec):
-        decay = series.generator().decay
+        decay = _Majorant(series)
     flat = decay.flat
     if all(b < 0 for _, b, _, _ in decay.bounds):
         assert flat < math.inf
@@ -432,7 +432,7 @@ def test_no_flat_regime_within_the_log_margin_of_one(q) -> None:
         factors=(Factor(Decimal("0.5"), power=-1), Factor(Decimal("0.25"), s=2)),
     )
     with localcontext(make_context(DIGITS).dec):
-        decay = series.generator().decay
+        decay = _Majorant(series)
     assert decay.bounds and all(b >= 0 for _, b, _, _ in decay.bounds)
     _assert_flat_regime_is_exact(series, list)
 
@@ -515,7 +515,7 @@ def test_term_kernel_matches_a_running_product_bit_for_bit(series, precisions) -
     build, (q,) = series
     with localcontext(Context(prec=precisions[0])):
         description = build(q * (1 - Decimal(1) / 33333333))
-        term = description.generator().term
+        term = _kernel(description)
     expected = _reference_terms(description, precisions)
     for n, (prec, want) in enumerate(zip(precisions, expected), description.first):
         with localcontext(Context(prec=prec)):
