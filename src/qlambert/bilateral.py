@@ -23,13 +23,13 @@ that description's majorant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from functools import partial
 from typing import Callable
 
 from .errors import DomainError
 from .lambert import _pole_scan, _qxt_naive, _qxt_theta
-from .numerics import BigReal, RealContext
+from .numerics import BigReal, Real, RealContext, as_decimal, series_parameters
 from .qcore import Factor, QTerm, SeriesValue, combine, sum_bracketed
 
 __all__ = [
@@ -51,9 +51,9 @@ class BilateralParams:
         q: Base, ``0 < |q|``.
     """
 
-    x: BigReal
-    t: BigReal
-    q: BigReal
+    x: Real
+    t: Real
+    q: Real
 
     def validate(self, ctx: RealContext) -> None:
         """Check the two-sided convergence domain and scan for poles.
@@ -65,8 +65,8 @@ class BilateralParams:
                 (``n >= 0``), or ``1 - q^m/x`` or ``1 - q^m/t`` (``m >= 1``),
                 is within working tolerance of zero.
         """
+        x, t, q = (as_decimal(value, ctx) for value in (self.x, self.t, self.q))
         with localcontext(ctx.dec):
-            x, t, q = Decimal(self.x), Decimal(self.t), Decimal(self.q)
             if q == 0:
                 raise DomainError("q must be nonzero")
             for name, value in (("t", t), ("x", x)):
@@ -117,14 +117,17 @@ def _route(
     """Validate ``p`` and add the certified sums of the two ``sides``.
 
     ``sides`` build the descriptions of the ``n >= 0`` and the ``n = -m``
-    sums.  With ``brackets``, each side's summands are its theta weight times
-    ``bracket(x, t, q^n)``, which equals the product of its factors.  Each
-    side is summed to ``epsilon/2``, which stops it at ``epsilon/4``.
+    sums, from :func:`~qlambert.numerics.series_parameters` of ``p``.  With
+    ``brackets``, each side's summands are its theta weight times
+    ``bracket(x, t, q^n)``, which equals the product of its factors; the
+    brackets take ``x`` and ``t`` as working-precision ``Decimal`` values.
+    Each side is summed to ``epsilon/2``, which stops it at ``epsilon/4``.
     """
     p.validate(ctx)
     with localcontext(ctx.dec):
-        x, t, q = +Decimal(p.x), +Decimal(p.t), +Decimal(p.q)
-        series = [build(x, t, q) for build in sides]
+        params = series_parameters((p.x, p.t, p.q), ctx)
+        series = [build(*params) for build in sides]
+        x, t = (+as_decimal(value, ctx) for value in params[:2])
     eps = ctx.epsilon / 2
     if brackets is None:
         sums = [side.sum(ctx, method_tag, eps=eps) for side in series]

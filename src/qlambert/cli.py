@@ -57,7 +57,9 @@ from .lambert import (
 )
 from .numerics import (
     MIN_TARGET_DIGITS,
+    Real,
     RealContext,
+    as_decimal,
     format_real,
     make_context,
     parse_real,
@@ -156,10 +158,13 @@ def _print_json(payload: dict) -> None:
 
 def _parse_series_params(
     args: argparse.Namespace, series: str, ctx: RealContext
-) -> dict[str, Decimal]:
-    """Collect and parse the flags a series needs; reject stray ones."""
+) -> dict[str, Real]:
+    """Collect and parse the flags a series needs; reject stray ones.
+
+    A short non-terminating rational stays an exact ``Fraction``
+    (:func:`~qlambert.numerics.parse_real`)."""
     wanted = _series_table()[series].params
-    values: dict[str, Decimal] = {}
+    values: dict[str, Real] = {}
     for name in ("q", "x", "t"):
         raw = getattr(args, name)
         if name in wanted:
@@ -183,7 +188,7 @@ def _resolve_digits(requested: int) -> tuple[RealContext, int]:
 
 
 def _evaluate_series(
-    series: str, method: str | None, params: dict[str, Decimal], ctx: RealContext
+    series: str, method: str | None, params: dict[str, Real], ctx: RealContext
 ) -> SeriesValue:
     """Evaluate ``series`` by ``method``, by default its first one."""
     names, methods = _series_table()[series]
@@ -317,7 +322,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _print_json(
         {
             "series": args.series,
-            "parameters": {name: str(value) for name, value in params.items()},
+            "parameters": {
+                name: str(as_decimal(value, ctx)) for name, value in params.items()
+            },
             "target_digits": args.digits,
             "methods": records,
             "term_ratio": str(ratio),

@@ -28,7 +28,7 @@ wholesale (up to 1000 attempts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from functools import partial
 from typing import Callable, Mapping
 
@@ -458,17 +458,24 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
     """``sum_{n>=1} [1 + sum_{k>=1} (1 + x^k) q^(kn)] x^n q^(n^2)``, ``|x| <= 1``.
 
     The inner sum beyond ``k = K`` is at most ``r = 2|q^n|^(K+1)/(1-|q^n|)``;
-    it stops once ``2r <= delta``, tested without a division per step as
-    ``4|q^n|^(K+1) <= cut = delta*(1-|q^n|)``, with ``cut`` formed once per
-    bracket.  ``delta`` is below the working precision, so no outward move
-    by ``r`` would survive rounding; none is made.  The
-    true bracket ``(1 - x q^(2n))/((1-q^n)(1-x q^n))`` is at least
+    it stops once ``2r <= delta_p = 10**-(p+6)``, ``p`` the precision in force
+    when the engine asks for the bracket: the working precision ``wd``, or
+    less once the engine tapers (:mod:`qlambert.qcore`).  The test runs
+    without a division per step, as ``4|q^n|^(K+1) <= cut = delta_p*(1-|q^n|)``,
+    with ``cut`` formed once per bracket.  ``delta_p`` is below the precision
+    ``p``, so no outward move by ``r`` would survive rounding; none is made.
+    The true bracket ``(1 - x q^(2n))/((1-q^n)(1-x q^n))`` is at least
     ``(1-q^2)/4``, and the computed one is within ``r`` plus ``K`` roundings
     of it: a relative error of ``4/(1-q^2)`` times ``K`` units in the last
-    working digit, far inside the ``2**-49`` slack of the engine's tail test.
+    digit at ``p``, far inside the ``2**-49`` slack of the engine's tail test.
     So the tail estimate from the computed summand still bounds the true
-    remainder.  The weight is at most 1, so each summand is within
-    ``delta`` of the true one, and the tail bound adds ``terms_used * delta``.
+    remainder.  The weight is at most 1, so a summand computed at ``wd`` is
+    within ``delta = 10**-(wd+6)`` of the true one, and the tail bound adds
+    ``terms_used * delta``.  A tapered summand's truncation is at most
+    ``2*10**-(p+6)/(1-q^2)`` of it, ``4*10**-7/(1-q^2)`` units at ``p``: less
+    than one of the roundings that the taper proof counts per index
+    (``|q| <= 0.9`` at the sampled points), so the rounding floor of the
+    tail bound covers it as it covers them.
     """
     delta = Decimal(1).scaleb(-(ctx.working_digits + 6))
     with localcontext(ctx.dec):
@@ -479,7 +486,7 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
         total = Decimal(1)
         qk = q_pow              # q^(kn) for k = 1, 2, ...
         xk = x                  # x^k
-        cut = delta * (1 - abs(q_pow))
+        cut = Decimal(1).scaleb(-(getcontext().prec + 6)) * (1 - abs(q_pow))
         while True:
             total += (1 + xk) * qk
             qk *= q_pow

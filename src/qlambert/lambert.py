@@ -36,24 +36,27 @@ truncation bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import localcontext
 
 from .errors import DomainError, PoleError
-from .numerics import BigReal, RealContext, _require_unit
+from .numerics import BigReal, Real, RealContext, _require_unit, as_decimal
 from .qcore import Factor, QTerm, SeriesValue, ipow, sum_qterm
 
 
 def _pole_scan(
-    name: str, x: BigReal, q: BigReal, ctx: RealContext, first_index: int
+    name: str, x: Real, q: Real, ctx: RealContext, first_index: int
 ) -> None:
     """Reject parameters with ``|1 - x*q**n|`` below the pole tolerance.
 
     Scans every ``n >= first_index`` with ``|x*q**n| >= 1/2``; beyond those
     ``|1 - x*q**n| > 1/2``, far above the tolerance.  Requires ``|q| < 1``.
+    A ``Fraction`` is scanned as the ``Decimal`` that
+    :func:`~qlambert.numerics.as_decimal` gives, so that the test and its
+    tolerance are those of a long literal.
     """
     tol = ctx.pole_tolerance()
+    x, q = as_decimal(x, ctx), as_decimal(q, ctx)
     with localcontext(ctx.dec):
-        q = Decimal(q)
         xqn = x * ipow(q, first_index)
         n = first_index
         while 2 * abs(xqn) >= 1:
@@ -73,14 +76,13 @@ class QxtParams:
     ``x`` and ``t`` must additionally stay clear of the denominator poles.
     """
 
-    x: BigReal
-    t: BigReal
-    q: BigReal
+    x: Real
+    t: Real
+    q: Real
 
     def validate(self, ctx: RealContext) -> None:
-        _require_unit("q", self.q)
-        _require_unit("x", self.x)
-        _require_unit("t", self.t)
+        for name in ("q", "x", "t"):
+            _require_unit(name, as_decimal(getattr(self, name), ctx))
         _pole_scan("x", self.x, self.q, ctx, 0)
         _pole_scan("t", self.t, self.q, ctx, 0)
 
@@ -164,31 +166,29 @@ def _lambert_theta(q: BigReal) -> QTerm:
     )
 
 
-def _validate_lambert(q: BigReal) -> BigReal:
-    q = Decimal(q)
-    if q == 0 or abs(q) >= 1:
-        raise DomainError(f"q outside (-1,1) minus 0: {q}")
+def _validate_lambert(q: Real, ctx: RealContext) -> Real:
+    checked = as_decimal(q, ctx)
+    if checked == 0 or abs(checked) >= 1:
+        raise DomainError(f"q outside (-1,1) minus 0: {checked}")
     return q
 
 
-def lambert_naive(q: BigReal, ctx: RealContext) -> SeriesValue:
+def lambert_naive(q: Real, ctx: RealContext) -> SeriesValue:
     """Lambert series ``L(q) = sum_{n>=1} q^n/(1-q^n)``, linear convergence."""
-    return sum_qterm(_glambert_naive, (1, _validate_lambert(q)), ctx, "naive")
+    return sum_qterm(_glambert_naive, (1, _validate_lambert(q, ctx)), ctx, "naive")
 
 
-def lambert_theta(q: BigReal, ctx: RealContext) -> SeriesValue:
+def lambert_theta(q: Real, ctx: RealContext) -> SeriesValue:
     """Theta-convergent Lambert series ``sum_{n>=1} (1+q^n)/(1-q^n) q^(n^2)``."""
-    return sum_qterm(_lambert_theta, (_validate_lambert(q),), ctx, "theta")
+    return sum_qterm(_lambert_theta, (_validate_lambert(q, ctx),), ctx, "theta")
 
 
-def _validate_glambert(
-    x: BigReal, q: BigReal, ctx: RealContext
-) -> tuple[BigReal, BigReal]:
-    x, q = Decimal(x), Decimal(q)
-    _require_unit("q", q)
-    if abs(x * q) >= 1:
-        raise DomainError(f"|x*q| must be < 1, got {abs(x * q)}")
-    _pole_scan("x", x, q, ctx, 1)
+def _validate_glambert(x: Real, q: Real, ctx: RealContext) -> tuple[Real, Real]:
+    checked_x, checked_q = as_decimal(x, ctx), as_decimal(q, ctx)
+    _require_unit("q", checked_q)
+    if abs(checked_x * checked_q) >= 1:
+        raise DomainError(f"|x*q| must be < 1, got {abs(checked_x * checked_q)}")
+    _pole_scan("x", checked_x, checked_q, ctx, 1)
     return x, q
 
 
@@ -228,14 +228,12 @@ def _fine(a: BigReal, b: BigReal, t: BigReal, q: BigReal) -> QTerm:
     )
 
 
-def fine_F(
-    a: BigReal, b: BigReal, t: BigReal, q: BigReal, ctx: RealContext
-) -> SeriesValue:
+def fine_F(a: Real, b: Real, t: Real, q: Real, ctx: RealContext) -> SeriesValue:
     """Fine's function ``F(a,b;t) = sum_{n>=0} ((aq;q)_n/(bq;q)_n) t^n``.
 
     Evaluated with running Pochhammer products (one update per term).
     """
-    a, b, t, q = Decimal(a), Decimal(b), Decimal(t), Decimal(q)
+    a, b, t, q = (as_decimal(value, ctx) for value in (a, b, t, q))
     _require_unit("q", q)
     _require_unit("t", t)
     _pole_scan("b", b, q, ctx, 1)

@@ -8,7 +8,10 @@ the derived accuracy goal ``epsilon = 10**(-target_digits)``.
 Numbers are :class:`decimal.Decimal` values ("BigReal"): decimal-denominated
 arbitrary precision with round-to-nearest, ties-to-even rounding, and a
 correctly rounded square root.  Negative bases are only ever raised to
-integer powers, which ``Decimal`` handles exactly sign-wise.
+integer powers, which ``Decimal`` handles exactly sign-wise.  A parameter may
+also be an exact :class:`fractions.Fraction` with a short numerator and
+denominator (a ``Real``, see :func:`parse_real`); the series evaluators keep
+it exact down to their term kernel.
 """
 
 from __future__ import annotations
@@ -17,10 +20,17 @@ import decimal
 import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from typing import Iterable
 
 from .errors import DomainError
 
 BigReal = Decimal
+#: A parameter: a ``Decimal``, or an exact short rational (:func:`parse_real`).
+#: The code tests ``type(value) is Fraction``: ``isinstance`` with the
+#: ``Fraction`` class, an abstract base class's subclass, costs a lookup in
+#: ``abc`` for every ``Decimal`` it is asked about.
+Real = Decimal | Fraction
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/([+-]?\d+)$")
@@ -28,6 +38,17 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)/([+-]?\d+)$")
 #: Smallest accepted number of target digits; below this, identity checks
 #: cannot be distinguished from rounding noise.
 MIN_TARGET_DIGITS = 10
+
+#: Longest numerator or denominator, in bits, of a rational that stays exact
+#: (:func:`parse_real`, :func:`short_rational`): one 64-bit word.  At 300
+#: digits the exact summands of 64-bit rationals cost about what rounded
+#: ones do, and those of 96-bit or longer ones take up to 20% longer.
+EXACT_BITS = 64
+#: Working precisions at or below this one round exact parameters
+#: (:func:`series_parameters`): there a word-sized step costs about as much as
+#: a full-length one.  With 8-bit rationals, exact and rounded summands cost
+#: the same near 200 digits.
+EXACT_FROM = 200
 
 
 @dataclass(frozen=True)
@@ -111,11 +132,18 @@ def make_context(target_digits: int) -> RealContext:
     )
 
 
-def parse_real(text: str, ctx: RealContext) -> BigReal:
-    """Parse a signed decimal literal or an exact rational ``p/q``.
+def parse_real(text: str, ctx: RealContext) -> Real:
+    """Parse a signed decimal literal or a rational ``p/q``.
 
-    Rational inputs are evaluated by exact integer division at working
-    precision.  The ASCII hyphen and the Unicode minus sign are both accepted.
+    A rational whose reduced denominator has a prime factor other than 2 or
+    5, and whose reduced numerator and denominator are at most
+    :data:`EXACT_BITS` bits long, is returned as an exact ``Fraction``: its
+    decimal expansion never ends, and the evaluators advance their summands
+    by word-sized integer steps with it.  Every other literal is a
+    ``Decimal`` at working precision: a decimal literal exactly, a rational
+    by one division.  So ``0.6``, ``1/2`` and ``7/10`` are ``Decimal`` values,
+    and so is a rational too long to be short.  The ASCII hyphen and the
+    Unicode minus sign are both accepted.
 
     Raises:
         DomainError: on malformed input or a zero denominator.
@@ -129,12 +157,64 @@ def parse_real(text: str, ctx: RealContext) -> BigReal:
         denominator = int(match.group(2))
         if denominator == 0:
             raise DomainError(f"zero denominator in rational literal {text!r}")
+        value = Fraction(numerator, denominator)
+        if not _terminates(value.denominator) and short_rational(value) is not None:
+            return value
         with localcontext(ctx.dec):
             return Decimal(numerator) / Decimal(denominator)
     if _DECIMAL_RE.match(cleaned):
         with localcontext(ctx.dec):
             return +Decimal(cleaned)
     raise DomainError(f"malformed number literal {text!r}")
+
+
+def _terminates(denominator: int) -> bool:
+    """Whether ``1/denominator`` has a finite decimal expansion."""
+    for prime in (2, 5):
+        while denominator % prime == 0:
+            denominator //= prime
+    return denominator == 1
+
+
+def short_rational(value: Real | int) -> Fraction | None:
+    """``value`` as a ``Fraction`` if its numerator and denominator are at
+    most :data:`EXACT_BITS` bits long, else None.  A terminating ``Decimal``
+    such as ``0.6`` is the short rational ``3/5``."""
+    if isinstance(value, Decimal) and not value.is_finite():
+        return None
+    exact = Fraction(value)
+    if max(abs(exact.numerator), exact.denominator).bit_length() > EXACT_BITS:
+        return None
+    return exact
+
+
+def as_decimal(value: Real | int, ctx: RealContext) -> Decimal:
+    """``value`` as a ``Decimal``: a ``Fraction`` divided out at working
+    precision, which is what :func:`parse_real` returns for a long rational,
+    and any other value unchanged."""
+    if type(value) is Fraction:
+        return ctx.dec.divide(Decimal(value.numerator), Decimal(value.denominator))
+    return Decimal(value)
+
+
+def series_parameters(values: Iterable[Real | int], ctx: RealContext) -> list:
+    """The parameters of one series, never a mix of ``Fraction`` and ``Decimal``.
+
+    If one of ``values`` is a ``Fraction``, every one is a short rational
+    (:func:`short_rational`, so ``0.6`` counts as ``3/5``) and the working
+    precision is above :data:`EXACT_FROM`, all are returned as ``Fraction``
+    values, and the builders derive the other parameters of the description
+    exactly.  Otherwise each is a ``Decimal`` rounded to working precision,
+    a ``Fraction`` divided out as :func:`as_decimal` does.
+    """
+    values = list(values)
+    if ctx.working_digits > EXACT_FROM and any(
+        type(value) is Fraction for value in values
+    ):
+        exact = [short_rational(value) for value in values]
+        if None not in exact:
+            return exact
+    return [ctx.dec.plus(as_decimal(value, ctx)) for value in values]
 
 
 def format_real(value: BigReal, ctx: RealContext, digits: int | None = None) -> str:

@@ -94,6 +94,14 @@ calls ran at.  When the precision of a call differs from the one before,
 the constants ``z``, ``q**step`` and ``q**s`` are first rounded to it from
 their full-length values, once per change.
 
+Exact parameters.  A description whose parameters are exact rationals,
+marked by a ``Fraction`` ``q`` (:func:`~qlambert.numerics.series_parameters`
+keeps short rationals exact above 200 working digits), gets the kernel
+of :func:`qlambert.exact._exact_kernel` instead, chosen when the kernel is
+built, so a description with ``Decimal`` parameters runs the kernel above
+with no per-term test.  It advances the powers of ``q = p/r`` as int pairs
+and multiplies and divides by ints (:mod:`qlambert.exact`).
+
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
 budget is left for rounding accumulation.  The test runs in floats on the
@@ -132,6 +140,21 @@ is a multiple of 200).
    10**-wd``.  For ``kappa <= 10**4`` (at most 20 roundings per index and
    ``h <= 0.998*|c0|`` at tapered indices) this is within ``10**5 * peak *
    10**-wd``, half of the ``10**6`` slack of ``tail_floor(peak)``.
+   The exact kernel stays within the same count.  While its powers are int
+   pairs, an index costs four roundings (a product and a quotient for the
+   summand and for the coefficient) and no difference amplifies anything.
+   After the switch a running value takes two roundings per step where a
+   ``Decimal`` step took one product and carried the rounding of its
+   constant, and a ``Fraction`` ``c0`` is rounded once, like a constant.
+   The exact descriptions of this package then cost at most 17 roundings
+   per index (the theta forms of the ``qxt`` and bilateral series: three
+   running values and the weight ratio at two each, three differences,
+   three for the summand, three for ``z`` and the weight).  The switch
+   itself rounds each running value and each ``c0`` once, at most 7
+   roundings, fewer than one index's 20; so summand ``j`` carries at most
+   ``20*(j+2)`` of them.  The sum over ``j < M`` of ``j + 2`` is at most
+   ``(M+1)*(M+2)/2 <= 10**(2*D)/2``, as ``hard_cap + 3 < 10**D``, the same
+   bound as that of ``j + 1`` above: the constants still hold.
 2. *The tests.*  The tail test and the decay guard read a summand's
    17-digit mantissa; ``_TAIL_UP`` leaves about ``2**-49`` above the float
    roundings.  The summand's relative error is at most ``kappa*M*u(p)
@@ -157,18 +180,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Decimal, Overflow, getcontext, localcontext
+from fractions import Fraction
 from math import ceil, exp2, floor, inf, ldexp, log2, prod, ulp
 from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError
-from .numerics import BigReal, RealContext, _require_int, _require_unit, make_context
+from .numerics import (
+    BigReal,
+    Real,
+    RealContext,
+    _require_int,
+    _require_unit,
+    as_decimal,
+    make_context,
+    series_parameters,
+)
 
 _ONE = Decimal(1)
 
 
-def ipow(base: BigReal, exponent: int) -> BigReal:
-    """``base ** exponent`` for integer exponents, with ``0 ** 0 == 1``."""
+def ipow(base: Real, exponent: int) -> Real:
+    """``base ** exponent`` for integer exponents, with ``0 ** 0 == 1``; exact
+    for a ``Fraction``."""
+    if type(base) is Fraction:
+        return base**exponent
     if exponent == 0:
         return Decimal(1)
     return Decimal(base) ** exponent
@@ -281,7 +317,10 @@ class QTerm:
     """One unilateral series: ``T_n`` for ``n >= first``, as in the module docstring.
 
     ``theta`` is ``(step, shift)`` for the weight with
-    ``W_{n+1} / W_n = q**(step*n + shift)``, or None for no weight.
+    ``W_{n+1} / W_n = q**(step*n + shift)``, or None for no weight.  The
+    parameters are ``Decimal`` values and ints or, when ``q`` is a
+    ``Fraction``, exact rationals and ints
+    (:func:`~qlambert.numerics.series_parameters`).
     """
 
     q: BigReal
@@ -313,14 +352,14 @@ class QTerm:
 
 def sum_qterm(
     build: Callable[..., QTerm],
-    params: Iterable[BigReal],
+    params: Iterable[Real],
     ctx: RealContext,
     method_tag: str,
 ) -> SeriesValue:
     """Sum the series ``build(*params)``, built under the working context
-    from the parameters rounded to working precision."""
+    from :func:`~qlambert.numerics.series_parameters` of ``params``."""
     with localcontext(ctx.dec):
-        series = build(*(+Decimal(value) for value in params))
+        series = build(*series_parameters(params, ctx))
     return series.sum(ctx, method_tag)
 
 
@@ -331,8 +370,15 @@ def _kernel(d: QTerm) -> Callable[[int], BigReal]:
     Its running values are locals of the closure: the coefficient
     ``start * z**(n - first) * W_n`` times the Pochhammer products, the
     theta weight, and each distinct ``c1*q**(s*i + k)``, which the factors
-    that have it share.
+    that have it share.  A description with an exact ``q`` gets the
+    kernel of :func:`_exact_kernel`.
     """
+    if type(d.q) is Fraction:
+        # Imported on first use: only descriptions with exact parameters,
+        # above 200 digits, need it.
+        from .exact import _exact_kernel
+
+        return _exact_kernel(d)
     q = d.q
     coeff = +d.start
     z = None if d.z == 1 else d.z
@@ -505,11 +551,25 @@ def _flat_from(a: float, b: float) -> float:
     return low
 
 
-def _log2_bounds(x: BigReal) -> tuple[float, float]:
+def _log2_bounds(x: Real) -> tuple[float, float]:
     """Lower and upper bounds on ``log2|x|``; for ``x = 0``, ``-inf`` and
-    :data:`_LOG2_ZERO`."""
+    :data:`_LOG2_ZERO`.
+
+    For a ``Fraction`` ``p/r`` the value is ``log2|p| - log2 r``, from the
+    exact ints, rounded outward by ``(log2|p| + log2 r) * 2**-46 + 2**-48``.
+    Each logarithm is within one ulp, ``2u`` of its magnitude, plus
+    ``u/ln 2`` where the int is rounded to a float, and the difference within
+    ``u`` of its magnitude: at most ``3u*(log2|p| + log2 r) + 3u`` in all,
+    so the margin exceeds the error by more than ``64u*|value|``, as for a
+    ``Decimal`` (module docstring).
+    """
     if not x:
         return -inf, _LOG2_ZERO
+    if type(x) is Fraction:
+        log_p, log_r = log2(abs(x.numerator)), log2(x.denominator)
+        value = log_p - log_r
+        margin = (log_p + log_r) * _LOG_MARGIN + _LOG_MARGIN_ABS
+        return value - margin, value + margin
     x = Decimal(x)
     e = x.adjusted()
     # m <= |x| * 10**(16 - e) < m + 1 < 2**57.
@@ -699,13 +759,24 @@ def sum_bracketed(
     q = series.q
     with localcontext(ctx.dec):
         weight = _kernel(replace(series, factors=()))
-        q_pow = ipow(q, series.first)
+        q_pow = as_decimal(ipow(q, series.first), ctx)
 
-    def term(n: int) -> BigReal:
-        nonlocal q_pow
-        value = weight(n) * bracket(q_pow)
-        q_pow *= q
-        return value
+    if type(q) is Fraction:
+        p, r = q.numerator, q.denominator
+
+        def term(n: int) -> BigReal:
+            # The bracket's q**n advances by word-sized int steps.
+            nonlocal q_pow
+            value = weight(n) * bracket(q_pow)
+            q_pow = q_pow * p / r
+            return value
+
+    else:
+        def term(n: int) -> BigReal:
+            nonlocal q_pow
+            value = weight(n) * bracket(q_pow)
+            q_pow *= q
+            return value
 
     return series.sum(ctx, method_tag, eps, term=term)
 
@@ -757,7 +828,7 @@ def qpochhammer_inf(a: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
     return product(((ball(head), 1), (rest, 1)), ctx, "euler")
 
 
-def theta3(q: BigReal, ctx: RealContext) -> SeriesValue:
+def theta3(q: Real, ctx: RealContext) -> SeriesValue:
     """Jacobi theta constant ``Theta_3(q) = 1 + 2 * sum_{n>=1} q**(n**2)``.
 
     The sum is certified to ``epsilon/4``, so the doubled tail stays within
@@ -766,8 +837,8 @@ def theta3(q: BigReal, ctx: RealContext) -> SeriesValue:
     Raises:
         DomainError: unless ``|q| < 1``.
     """
-    q = Decimal(q)
-    _require_unit("q", q)
+    _require_unit("q", as_decimal(q, ctx))
+    (q,) = series_parameters((q,), ctx)
     series = QTerm(q, start=q, theta=(2, 1), first=1)
     sv = series.sum(ctx, "theta", eps=ctx.epsilon / 2)
     return combine(((1, ball(_ONE)), (2, sv)), ctx, "theta")

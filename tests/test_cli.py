@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -279,6 +279,22 @@ class TestBench:
         assert tags == ["naive", "theta", "alt"]
         for record in payload["methods"]:
             assert record["value"] == "2.00000000000000000000000000000"
+
+    def test_long_rationals_print_as_their_working_precision_decimals(
+        self, capsys
+    ) -> None:
+        # Above 200 working digits -115/191 and 70/139 stay exact Fractions;
+        # the report prints each as the 325-digit Decimal it rounds to.
+        code, out, _ = run_cli(
+            capsys, "bench", "--series", "glambert",
+            "--x=-115/191", "--q=70/139", "--digits", "300",
+        )
+        assert code == 0
+        (payload,) = json_lines(out)
+        with localcontext(prec=325):
+            expected = {"x": str(Decimal(-115) / 191), "q": str(Decimal(70) / 139)}
+        assert payload["parameters"] == expected
+        assert len(expected["x"]) == 328
 
     def test_bench_requires_its_series_parameters(self, capsys) -> None:
         code, _, err = run_cli(capsys, "bench", "--series", "glambert", "--q", "0.5")

@@ -9,6 +9,10 @@ byte for byte as they are.  Regenerate the file only for a change that
 alters them on purpose, and say why::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each command whose output changes, with the old and the new
+``value``, ``terms_used`` and ``tail_bound`` of every changed line, before
+it writes the file.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import contextlib
 import io
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -94,8 +99,59 @@ def test_the_fixture_pins_exactly_these_commands() -> None:
     assert list(_golden()) == [" ".join(argv) for argv in commands()]
 
 
+#: The fields of an output line that a change report shows.
+REPORTED = ("value", "terms_used", "tail_bound")
+
+
+def _summary(line: str) -> str:
+    """The reported fields of one output line, or the line itself."""
+    try:
+        fields = json.loads(line)
+    except json.JSONDecodeError:
+        return line
+    if not isinstance(fields, dict) or not any(key in fields for key in REPORTED):
+        return line
+    return ", ".join(f"{key}={fields[key]}" for key in REPORTED if key in fields)
+
+
+def changes(old: dict | None, new: dict) -> list[str]:
+    """The report lines for one command whose pinned outcome was ``old``."""
+    if old == new:
+        return []
+    if old is None:
+        return ["  (not pinned before)"]
+    report = []
+    if old["code"] != new["code"]:
+        report.append(f"  exit code {old['code']} -> {new['code']}")
+    old_lines, new_lines = old["stdout"].splitlines(), new["stdout"].splitlines()
+    for before, after in zip_longest(old_lines, new_lines, fillvalue=""):
+        if before != after:
+            report += [f"  old: {_summary(before)}", f"  new: {_summary(after)}"]
+    return report
+
+
+def test_a_change_report_shows_the_old_and_new_fields() -> None:
+    line = '{{"series": "lambert", "value": "{}", "terms_used": {}, "tail_bound": "{}"}}'
+    old = {"code": 0, "stdout": line.format("0.5", 9, "1E-60") + "\n"}
+    new = {"code": 0, "stdout": line.format("0.6", 8, "2E-60") + "\n"}
+    assert changes(old, old) == []
+    assert changes(old, new) == [
+        "  old: value=0.5, terms_used=9, tail_bound=1E-60",
+        "  new: value=0.6, terms_used=8, tail_bound=2E-60",
+    ]
+    assert changes(None, new) == ["  (not pinned before)"]
+
+
 if __name__ == "__main__":
+    previous = _golden() if FIXTURE.exists() else {}
     pinned = {" ".join(argv): run(argv) for argv in commands()}
+    changed = 0
+    for name, outcome in pinned.items():
+        report = changes(previous.get(name), outcome)
+        if report:
+            changed += 1
+            print(f"changed: {name}", *report, sep="\n")
+    print(f"{changed} of {len(pinned)} outputs changed")
     FIXTURE.write_text(json.dumps(pinned, indent=1) + "\n")
     failed = [name for name, result in pinned.items() if result["code"] != 0]
     print(f"wrote {len(pinned)} outputs to {FIXTURE}; nonzero exit: {failed}")

@@ -14,13 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlambert import (
+    BilateralParams,
+    QxtParams,
     glambert_lhs,
     glambert_theta,
+    jordan_direct,
+    jordan_form1,
+    jordan_form2,
+    jordan_theta,
     lambert_naive,
     lambert_theta,
     make_context,
     parse_real,
     qpochhammer_inf,
+    series_qxt_alt,
+    series_qxt_lhs,
+    series_qxt_rhs,
     theta3,
 )
 
@@ -100,17 +109,23 @@ def test_poch_inf_near_unit_q_matches_the_reference(a: float, q: float) -> None:
 
 #: Digits of a reference beyond those under test.
 EXTRA_DPS = 40
+#: Guard digits of the direct sums.  A tail bound can be within a relative
+#: 10**-11 of the true error (bilateral theta at the short point below), so
+#: a reference must be right to its last digit, not only to within a few
+#: thousand roundings of it.
+GUARD_DPS = 20
 ORACLE_Q = ("1/2", "-1/2", "0.7", "-0.7", "125/179")
 ORACLE_X = ("0.6", "-115/191")
 
 
 @lru_cache(maxsize=None)
 def lambert_reference(x: str, q: str, dps: int):
-    """The direct sum ``sum_{n>=1} x q^n / (1 - x q^n)`` at ``dps`` digits,
-    from the decimal strings of the evaluator's own inputs.  It stops at a
-    term below ``10**-(dps+10)``; then ``|x q^n|`` is too, and the rest is
-    about ``|q|/(1-|q|)`` times that term, below ``10**-(dps+9)`` here."""
-    with mp.workdps(dps):
+    """The direct sum ``sum_{n>=1} x q^n / (1 - x q^n)`` to ``dps`` digits,
+    carried with :data:`GUARD_DPS` more, from the strings of the evaluator's
+    own inputs.  It stops at a term below ``10**-(dps+10)``; then
+    ``|x q^n|`` is too, and the rest is about ``|q|/(1-|q|)`` times that
+    term, below ``10**-(dps+9)`` here."""
+    with mp.workdps(dps + GUARD_DPS):
         x_m, q_m = mpf(x), mpf(q)
         total, xqn = mpf(0), x_m
         small = mpf(10) ** -(dps + 10)
@@ -165,3 +180,88 @@ def test_glambert_matches_the_direct_sum(q: str, x: str, evaluate, digits: int) 
     x_dec, q_dec = parse_real(x, ctx), parse_real(q, ctx)
     reference = lambert_reference(str(x_dec), str(q_dec), digits + EXTRA_DPS)
     assert_oracle(evaluate(x_dec, q_dec, ctx), reference, digits)
+
+
+# ---------------------------------------------------------------------------
+# qxt and the bilateral series at one short and one long rational point: a
+# long rational (a prime denominator) reaches the evaluators as an exact
+# Fraction, and the reference takes it exactly as ``mpf("p/r")``.
+
+#: (x, t, q): one-digit decimals, and rationals with prime denominators.
+QXT_POINTS = (("0.6", "0.5", "0.7"), ("-37/61", "29/59", "72/103"))
+BILATERAL_POINTS = (("0.6", "-0.5", "0.2"), ("35/59", "-31/61", "21/103"))
+
+
+def _sum_to(terms, dps: int):
+    """The sum of ``terms``, stopped once a term is below ``10**-(dps+10)``;
+    the rest is then below ``10**-(dps+9)`` at the points used here."""
+    total, small = mpf(0), mpf(10) ** -(dps + 10)
+    for term in terms:
+        total += term
+        if abs(term) < small:
+            return total
+
+
+@lru_cache(maxsize=None)
+def qxt_reference(x: str, t: str, q: str, dps: int):
+    """``sum_{n>=0} t^n / (1 - x q^n)``, directly, to ``dps`` digits."""
+    with mp.workdps(dps + GUARD_DPS):
+        x_m, t_m, q_m = mpf(x), mpf(t), mpf(q)
+
+        def terms():
+            tn, qn = mpf(1), mpf(1)
+            while True:
+                yield tn / (1 - x_m * qn)
+                tn *= t_m
+                qn *= q_m
+
+        return _sum_to(terms(), dps)
+
+
+@lru_cache(maxsize=None)
+def bilateral_reference(x: str, t: str, q: str, dps: int):
+    """``sum_{n in Z} t^n / (1 - x q^n)``, directly, to ``dps`` digits: the
+    ``n >= 0`` half, and ``n = -m`` as ``(q/t)^m / (q^m - x)``."""
+    with mp.workdps(dps + GUARD_DPS):
+        x_m, t_m, q_m = mpf(x), mpf(t), mpf(q)
+
+        def negative():
+            ratio, qm = q_m / t_m, q_m
+            power = ratio
+            while True:
+                yield power / (qm - x_m)
+                power *= ratio
+                qm *= q_m
+
+        return qxt_reference(x, t, q, dps) + _sum_to(negative(), dps)
+
+
+@pytest.mark.parametrize(
+    "evaluate, digits",
+    [(series_qxt_rhs, 1000), (series_qxt_alt, 1000), (series_qxt_lhs, 300)],
+    ids=["theta-1000", "alt-1000", "naive-300"],
+)
+@pytest.mark.parametrize("point", QXT_POINTS, ids=["short", "long"])
+def test_qxt_matches_the_direct_sum(point, evaluate, digits: int) -> None:
+    ctx = make_context(digits)
+    params = QxtParams(*(parse_real(value, ctx) for value in point))
+    reference = qxt_reference(*point, digits + EXTRA_DPS)
+    assert_oracle(evaluate(params, ctx), reference, digits)
+
+
+@pytest.mark.parametrize(
+    "evaluate, digits",
+    [
+        (jordan_theta, 1000),
+        (jordan_form1, 1000),
+        (jordan_form2, 1000),
+        (jordan_direct, 300),
+    ],
+    ids=["theta-1000", "form1-1000", "form2-1000", "direct-300"],
+)
+@pytest.mark.parametrize("point", BILATERAL_POINTS, ids=["short", "long"])
+def test_bilateral_matches_the_direct_sum(point, evaluate, digits: int) -> None:
+    ctx = make_context(digits)
+    params = BilateralParams(*(parse_real(value, ctx) for value in point))
+    reference = bilateral_reference(*point, digits + EXTRA_DPS)
+    assert_oracle(evaluate(params, ctx), reference, digits)

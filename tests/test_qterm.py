@@ -14,12 +14,18 @@ include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 Two more hold bit for bit on random descriptions: in the flat regime,
 ``ratio_at`` equals the plain bounds loop, and the term kernel's summands
 equal a running product per factor, also when the precision drops mid-sum.
+With exact rational parameters the kernel's summands agree with those of
+the same description in ``Decimal`` at 30 more digits, within the kernel's
+rounding count, and its running values become ``Decimal`` values at the index
+its rule gives.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -48,7 +54,16 @@ from qlambert.lambert import (
     _qxt_naive,
     _qxt_theta,
 )
-from qlambert.qcore import TAPER_FROM, _flat_from, _kernel, _Majorant, ipow, sum_qterm
+from qlambert.exact import _pair_limit
+from qlambert.qcore import (
+    TAPER_FROM,
+    _flat_from,
+    _kernel,
+    _log2_bounds,
+    _Majorant,
+    ipow,
+    sum_qterm,
+)
 
 DIGITS = 12
 #: Terms whose ratios are checked per sample.
@@ -110,25 +125,43 @@ PORTED = [
 ]
 
 
+def _rational(magnitude: float, negative: bool, denominator: int) -> Fraction:
+    value = Fraction(round(magnitude * denominator), denominator)
+    return -value if negative else value
+
+
+def rational_unit(top: float = 0.98) -> st.SearchStrategy[Fraction]:
+    """A rational in (-1, 1) with a numerator and a denominator of one to
+    four digits, half the time with magnitude in [0.9, top]."""
+    magnitude = st.one_of(
+        st.floats(0, 0.9), st.floats(0.9, top), st.sampled_from([0.95, top])
+    )
+    denominator = st.one_of(st.integers(1, 99), st.integers(100, 9999))
+    return st.builds(_rational, magnitude, st.booleans(), denominator)
+
+
 @st.composite
-def random_series(draw, shared: bool = False) -> tuple:
+def random_series(draw, shared: bool = False, rational: bool = False) -> tuple:
     """A random convergent description, as a builder plus its arguments;
-    with ``shared``, all factors share one running value ``c1*q**(s*i + k)``."""
+    with ``shared``, all factors share one running value ``c1*q**(s*i + k)``,
+    and with ``rational``, every parameter is an exact ``Fraction``."""
+    real = rational_unit if rational else unit
+    number = Fraction if rational else Decimal
     factors = []
     if shared:
-        value = draw(unit()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        value = draw(real()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
     for _ in range(draw(st.integers(0, 3))):
         power = draw(st.sampled_from([1, -1]))
         pochhammer = draw(st.booleans())
         if pochhammer and power > 0:
-            c0 = draw(st.sampled_from([Decimal(1), draw(unit())]))
+            c0 = draw(st.sampled_from([number(1), draw(real())]))
         else:
             # |c0| >= 1 > |c1| keeps denominators away from zero, lets the
             # bounds of evaluated factors certify, and keeps the summands of
             # Pochhammer denominators from growing.
-            c0 = draw(st.sampled_from([Decimal(1), Decimal("1.25"), Decimal("1.5")]))
+            c0 = draw(st.sampled_from([number(1), number("1.25"), number("1.5")]))
         if not shared:
-            value = draw(unit()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+            value = draw(real()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
         c1, s, k = value
         factors.append(
             Factor(
@@ -141,13 +174,13 @@ def random_series(draw, shared: bool = False) -> tuple:
             )
         )
     theta = draw(st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(0, 2))))
-    z = draw(unit(0.95))
+    z = draw(real(0.95))
     first = draw(st.integers(0, 2))
 
     def build(q: Decimal) -> QTerm:
         return QTerm(q, z=z, theta=theta, factors=tuple(factors), first=first)
 
-    return build, (draw(unit()),)
+    return build, (draw(real()),)
 
 
 def _check_majorant(build, params) -> None:
@@ -545,3 +578,141 @@ def test_flat_index_is_the_least_flat_one(a, b) -> None:
 )
 def test_no_flat_index_without_a_falling_exponent(a, b) -> None:
     assert _flat_from(a, b) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# The exact kernel: short rational parameters advanced by int steps.
+
+#: Roundings per index of the exact kernel, as counted in ``qcore``.
+ROUNDINGS_PER_INDEX = 20
+
+#: Working precisions at 50 digits, and at 300 and 1000 digits dropping twice
+#: mid-sum, so that running values become Decimals at a drop.
+EXACT_PRECISIONS = [
+    [make_context(50).working_digits] * 120,
+    [make_context(300).working_digits] * 40 + [180] * 40 + [100] * 40,
+    [make_context(1000).working_digits] * 40 + [500] * 40 + [100] * 40,
+]
+
+
+def _in_decimal(series: QTerm, prec: int) -> QTerm:
+    """``series`` with every ``Fraction`` rounded to a ``prec``-digit ``Decimal``."""
+
+    def real(value):
+        if isinstance(value, Fraction):
+            return Decimal(value.numerator) / Decimal(value.denominator)
+        return value
+
+    with localcontext(Context(prec=prec)):
+        factors = tuple(replace(f, c0=real(f.c0), c1=real(f.c1)) for f in series.factors)
+        return replace(
+            series, q=real(series.q), start=real(series.start), z=real(series.z),
+            factors=factors,
+        )
+
+
+def _amplification(series: QTerm, n: int) -> float:
+    """The largest ``|c1*q**(s*i + k)| / |c0 - c1*q**(s*i + k)|`` over the
+    factors and ``first <= i <= n``: how much a difference amplifies the
+    relative error of its running value (``qcore`` module docstring)."""
+    worst = 0.0
+    for f in series.factors:
+        for i in range(series.first, n + 1):
+            h = Fraction(f.c1) * Fraction(series.q) ** (f.s * i + f.k)
+            gap = abs(Fraction(f.c0) - h)
+            if gap == 0:
+                return math.inf
+            worst = max(worst, float(abs(h) / gap))
+    return worst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(random_series(rational=True), random_series(shared=True, rational=True)),
+    st.sampled_from(EXACT_PRECISIONS),
+)
+def test_exact_kernel_matches_the_decimal_description(series, precisions) -> None:
+    """Each summand ``j`` is within ``20*(j+2)`` roundings at its precision
+    (``j + 1`` indices, the start and the switch to ``Decimal`` values),
+    amplified by the differences, of the summand of the same description in
+    ``Decimal`` at 30 more digits."""
+    build, (q,) = series
+    description = build(q)
+    with localcontext(Context(prec=precisions[0])):
+        term = _kernel(description)
+    with localcontext(Context(prec=precisions[0] + 30)):
+        reference = _kernel(_in_decimal(description, precisions[0] + 30))
+    amplification = 0.0
+    for j, prec in enumerate(precisions):
+        n = description.first + j
+        with localcontext(Context(prec=prec)):
+            got = term(n)
+        with localcontext(Context(prec=prec + 30)):
+            want = reference(n)
+        amplification = max(amplification, _amplification(description, n))
+        assume(amplification < 1e6)
+        rounding = Decimal(10) ** (1 - prec) / 2
+        allowed = ROUNDINGS_PER_INDEX * (j + 2) * (1 + Decimal(amplification)) * rounding
+        with localcontext(Context(prec=prec + 60)):
+            assert abs(got - want) <= allowed * abs(want), (n, prec, got, want)
+
+
+def _first_long_index(series: QTerm, precisions: list[int]) -> int | None:
+    """The index at which the rule turns the running values into Decimals:
+    the first at which some ``r**(s*n + k)`` is longer than ``_pair_limit``
+    of that index's precision."""
+    r = Fraction(series.q).denominator
+    keys = {(f.s, f.k) for f in series.factors}
+    if series.theta is not None:
+        keys.add(series.theta)
+    for j, prec in enumerate(precisions):
+        n = series.first + j
+        longest = max(((r ** (s * n + k)).bit_length() for s, k in keys), default=0)
+        if longest > _pair_limit(prec):
+            return n
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(random_series(rational=True), random_series(shared=True, rational=True)),
+    st.sampled_from(EXACT_PRECISIONS),
+)
+def test_exact_kernel_switches_where_its_rule_says(series, precisions) -> None:
+    build, (q,) = series
+    description = build(q)
+    with localcontext(Context(prec=precisions[0])):
+        term = _kernel(description)
+    for j, prec in enumerate(precisions):
+        with localcontext(Context(prec=prec)):
+            term(description.first + j)
+    assert term.switched_at() == _first_long_index(description, precisions)
+
+
+def test_exact_kernel_switches_at_the_precision_drop() -> None:
+    """``q = 7/9973``: ``9973**40`` has 531 bits, below the limit at 325
+    digits and above it at 180, so the switch comes exactly at the drop."""
+    description = QTerm(Fraction(7, 9973), factors=(Factor(Fraction(1, 2), power=-1),))
+    precisions = [325] * 40 + [180] * 10
+    assert _pair_limit(180) < (9973**40).bit_length() <= _pair_limit(325)
+    with localcontext(Context(prec=precisions[0])):
+        term = _kernel(description)
+    for n, prec in enumerate(precisions):
+        with localcontext(Context(prec=prec)):
+            term(n)
+    assert term.switched_at() == 40
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 2**200),
+    st.integers(1, 2**200),
+    st.sampled_from([1, 2**53, 2**64, 2**199]),
+)
+def test_log2_bounds_of_a_fraction_bracket_the_logarithm(p, r, scale) -> None:
+    value = Fraction(p * scale, r) if p % 2 else Fraction(p, r * scale)
+    low, high = _log2_bounds(value)
+    with localcontext(Context(prec=60)):
+        exact = Decimal(value.numerator).ln() - Decimal(value.denominator).ln()
+        exact /= Decimal(2).ln()
+        assert Decimal(low) <= exact <= Decimal(high), (value, low, high)
