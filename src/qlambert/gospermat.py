@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .errors import DomainError
-from .numerics import BigReal, RealContext, _require_int, _require_unit
+from .numerics import BigReal, RealContext, _require_int, _require_unit, as_decimal
 
 __all__ = [
     "LEFT",
@@ -64,7 +64,7 @@ def matK(k: int, n: int | None, q: BigReal, ctx: RealContext) -> Mat2:
     limit ``p = 0`` and ``u = q/(1-q^k)``.
     """
     _require_int("k", k, 1)
-    q = Decimal(q)
+    q = as_decimal(q, ctx)
     _require_unit("q", q)
     with localcontext(ctx.dec):
         if n is None:
@@ -81,7 +81,7 @@ def matN(k: int | None, n: int, q: BigReal, ctx: RealContext) -> Mat2:
     ``p = q^k``, ``u = q/(1-q^(k+n))``; in the limit ``p = 0``, ``u = q``.
     """
     _require_int("n", n, 0)
-    q = Decimal(q)
+    q = as_decimal(q, ctx)
     _require_unit("q", q)
     with localcontext(ctx.dec):
         if k is None:
@@ -114,7 +114,7 @@ def product_upper_right(
     strictly left-to-right in the written order.
     """
     _require_int("factor_count", factor_count, 1)
-    q = Decimal(q)
+    q = as_decimal(q, ctx)
     _require_unit("q", q)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")
@@ -143,7 +143,7 @@ def product_factor_count(q: BigReal, ctx: RealContext) -> int:
     ``|q|^M < epsilon`` (plus a small safety pad) certifies the truncation of
     both arrangements, the right one converging much faster still.
     """
-    q = Decimal(q)
+    q = as_decimal(q, ctx)
     _require_unit("q", q)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")

@@ -157,11 +157,13 @@ def series_qxt_alt(p: QxtParams, ctx: RealContext) -> SeriesValue:
 
 def _lambert_theta(q: BigReal) -> QTerm:
     """``(1+q^n)/(1-q^n) q^(n^2)``, ``n >= 1``."""
+    # Written as -q * (-1 - q^n)/(1 - q^n), so that both factors share the
+    # running value q^n.
     return QTerm(
         q,
-        start=q,
+        start=-q,
         theta=(2, 1),
-        factors=(Factor(-1), Factor(1, power=-1)),
+        factors=(Factor(1, c0=-1), Factor(1, power=-1)),
         first=1,
     )
 

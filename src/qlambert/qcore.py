@@ -100,7 +100,9 @@ keeps short rationals exact above 200 working digits), gets the kernel
 of :func:`qlambert.exact._exact_kernel` instead, chosen when the kernel is
 built, so a description with ``Decimal`` parameters runs the kernel above
 with no per-term test.  It advances the powers of ``q = p/r`` as int pairs
-and multiplies and divides by ints (:mod:`qlambert.exact`).
+and multiplies and divides by ints (:mod:`qlambert.exact`); so do the
+summands of :func:`sum_bracketed`, whose brackets then return exact ratios
+of ints.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
@@ -155,6 +157,18 @@ is a multiple of 200).
    ``20*(j+2)`` of them.  The sum over ``j < M`` of ``j + 2`` is at most
    ``(M+1)*(M+2)/2 <= 10**(2*D)/2``, as ``hard_cap + 3 < 10**D``, the same
    bound as that of ``j + 1`` above: the constants still hold.
+   A bracketed summand (:func:`sum_bracketed`) with an exact ``q`` is the
+   weight's kernel value times the int ratio ``N / D`` of its bracket,
+   which is exact: it costs the weight's roundings and two more, the
+   product by ``N`` and the quotient by ``D``, and nothing amplifies them.
+   The theta weights of this package cost two per index (the coefficient's
+   product and quotient), so such a summand takes 4 per index.  After its
+   switch it is the weight times a ``Decimal`` bracket at ``q**n``, and
+   ``q**n`` takes two roundings per step: with the bilateral forms'
+   brackets at most 8 (their differences ``1 - x*q**n`` amplify as the
+   factors' do), the weight's 5, the product and the roundings of ``x`` and
+   ``t`` as constants, 18 per index.  The switch rounds ``q**n`` once,
+   within the 7 above.
 2. *The tests.*  The tail test and the decay guard read a summand's
    17-digit mantissa; ``_TAIL_UP`` leaves about ``2**-49`` above the float
    roundings.  The summand's relative error is at most ``kappa*M*u(p)
@@ -748,6 +762,7 @@ def sum_bracketed(
     ctx: RealContext,
     method_tag: str,
     eps: BigReal | None = None,
+    exact: Callable[[int, int], tuple[int, int]] | None = None,
 ) -> SeriesValue:
     """``series.sum`` with the summands the theta weight of ``series`` times
     ``bracket(q**n)``.
@@ -755,37 +770,54 @@ def sum_bracketed(
     ``bracket(q**n)`` must equal the product of the factors of ``series`` at
     ``n``, so that the summands are those of ``series`` and are certified by
     its majorant.  ``bracket`` is called once per index, in increasing order.
+
+    With an exact ``q = p/r`` (a ``Fraction``), ``exact`` is required:
+    ``exact(P, R)`` is the same bracket at ``q**n = P/R``, ``(P, R) =
+    (p**n, r**n)``, as an int pair ``(N, D)`` with ``N / D`` its exact value,
+    and the summand is ``weight(n) * N / D``: the weight's roundings and two
+    more, inside the 20 per index of the module docstring's taper proof.
+    ``D`` is never 0: it is a nonzero int times the product of the
+    description's denominator factors at ``q**n`` (``b*d*R**2`` times
+    ``(1 - x q^n)(1 - t q^n)`` on the bilateral forms' ``n >= 0`` side,
+    ``x = a/b`` and ``t = c/d``), which the caller's pole scan has kept away
+    from 0.  Once ``R`` is too long the summands are ``weight(n) *
+    bracket(q**n)`` again (:func:`qlambert.exact._exact_bracketed`).  A
+    ``Decimal`` ``q`` takes ``bracket`` alone.
     """
-    q = series.q
     with localcontext(ctx.dec):
-        weight = _kernel(replace(series, factors=()))
-        q_pow = as_decimal(ipow(q, series.first), ctx)
-
-    if type(q) is Fraction:
-        p, r = q.numerator, q.denominator
-
-        def term(n: int) -> BigReal:
-            # The bracket's q**n advances by word-sized int steps.
-            nonlocal q_pow
-            value = weight(n) * bracket(q_pow)
-            q_pow = q_pow * p / r
-            return value
-
-    else:
-        def term(n: int) -> BigReal:
-            nonlocal q_pow
-            value = weight(n) * bracket(q_pow)
-            q_pow *= q
-            return value
-
+        term = bracketed_terms(series, bracket, exact)
     return series.sum(ctx, method_tag, eps, term=term)
+
+
+def bracketed_terms(
+    series: QTerm,
+    bracket: Callable[[BigReal], BigReal],
+    exact: Callable[[int, int], tuple[int, int]] | None = None,
+) -> Callable[[int], BigReal]:
+    """The summands of :func:`sum_bracketed`, one per call from ``series.first``
+    under the current context."""
+    q = series.q
+    weight = _kernel(replace(series, factors=()))
+    if type(q) is Fraction:
+        from .exact import _exact_bracketed
+
+        return _exact_bracketed(weight, q, series.first, bracket, exact)
+    q_pow = ipow(q, series.first)
+
+    def term(n: int) -> BigReal:
+        nonlocal q_pow
+        value = weight(n) * bracket(q_pow)
+        q_pow *= q
+        return value
+
+    return term
 
 
 def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:
     """Finite q-Pochhammer product ``(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1))``,
     exactly 1 for ``n = 0``; each factor is rounded on its own."""
     _require_int("n", n, 0)
-    a = Decimal(a)
+    a, q = as_decimal(a, ctx), as_decimal(q, ctx)
     with localcontext(ctx.dec):
         return prod((1 - a * ipow(q, i) for i in range(n)), start=_ONE)
 
@@ -805,7 +837,7 @@ def qpochhammer_inf(a: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
     Raises:
         DomainError: unless ``|q| < 1``, past the budget, or if the head overflows.
     """
-    q, a = Decimal(q), Decimal(a)
+    q, a = as_decimal(q, ctx), as_decimal(a, ctx)
     _require_unit("q", q)
     with localcontext(ctx.dec):
         extra = int((_LOG10_E / (1 - abs(q))).to_integral_value(ROUND_CEILING))

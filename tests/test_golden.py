@@ -3,6 +3,7 @@
 ``golden_outputs.json`` holds the exit code and stdout of a fixed list of
 commands: every ``eval`` route with short (one-digit) and long (full-length
 rational) operands at 50 and 300 digits, every ``recip-sum`` route at 300
+digits, the bilateral bracket routes ``form1`` and ``form2`` also at 1000
 digits, and ``verify --all --trials 10 --digits 50 --report``.  A change to
 the engine that keeps every summand and every stopping index leaves them
 byte for byte as they are.  Regenerate the file only for a change that
@@ -50,6 +51,12 @@ EVAL_ROUTES = (
     ("theta3", "theta", {"q": "0.7"}, {"q": "-71/101"}),
 )
 
+#: The routes also pinned at 1000 digits, where long operands stay exact.
+LONG_ROUTES = tuple(
+    route for route in EVAL_ROUTES
+    if route[0] == "bilateral" and route[1] in ("form1", "form2")
+)
+
 #: (m1, m2, method) of every ``recip-sum`` route.
 RECIP_ROUTES = (
     *((m1, m2, method) for method in ("horadam", "naive")
@@ -62,8 +69,8 @@ RECIP_ROUTES = (
 def commands() -> list[tuple[str, ...]]:
     """The argument lists whose outputs the fixture pins."""
     found = []
-    for digits in (50, 300):
-        for series, method, *operand_sets in EVAL_ROUTES:
+    for digits, routes in ((50, EVAL_ROUTES), (300, EVAL_ROUTES), (1000, LONG_ROUTES)):
+        for series, method, *operand_sets in routes:
             for operands in operand_sets:
                 argv = ["eval", series, "--method", method]
                 # One token, so that argparse does not take "-3/7" for an option.

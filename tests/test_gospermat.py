@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from qlambert import (
     product_upper_right,
 )
 from qlambert.gospermat import LEFT, RIGHT
+from qlambert.numerics import as_decimal
 
 
 class TestMatrixEntries:
@@ -136,6 +138,21 @@ class TestProducts:
             product_upper_right(LEFT, 0, Decimal("0.3"), ctx30)
         with pytest.raises(DomainError):
             product_upper_right(LEFT, 10, Decimal(0), ctx30)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q, ctx: exchange_check(2, 3, q, ctx),
+        lambda q, ctx: product_upper_right(LEFT, 12, q, ctx),
+        lambda q, ctx: product_upper_right(RIGHT, 12, q, ctx),
+        product_factor_count,
+    ],
+    ids=["exchange_check", "left", "right", "product_factor_count"],
+)
+def test_a_fraction_q_acts_as_its_decimal_value(call, ctx30) -> None:
+    q = Fraction(-5, 13)
+    assert call(q, ctx30) == call(as_decimal(q, ctx30), ctx30)
 
 
 def test_environment_uses_distinct_side_labels() -> None:

@@ -22,6 +22,7 @@ from qlambert import (
     series_qxt_rhs,
 )
 from qlambert.cli import main
+from qlambert.lambert import _lambert_theta
 
 from _oracles import (
     FINE_GENERIC,
@@ -81,6 +82,11 @@ class TestLambert:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert float(payload["tail_bound"]) <= 1e-30
+
+    def test_theta_factors_share_one_running_power(self) -> None:
+        """``(1+q^n)/(1-q^n)`` is written with both factors on ``q^n``."""
+        factors = _lambert_theta(Decimal("0.5")).factors
+        assert len({(f.c1, f.s, f.k) for f in factors}) == 1
 
     @pytest.mark.parametrize("fn", [lambert_naive, lambert_theta])
     def test_zero_and_unit_arguments_rejected(self, fn, ctx30) -> None:

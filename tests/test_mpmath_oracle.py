@@ -265,3 +265,16 @@ def test_bilateral_matches_the_direct_sum(point, evaluate, digits: int) -> None:
     params = BilateralParams(*(parse_real(value, ctx) for value in point))
     reference = bilateral_reference(*point, digits + EXTRA_DPS)
     assert_oracle(evaluate(params, ctx), reference, digits)
+
+
+#: A long point at which the exact brackets of ``form1`` and ``form2`` give
+#: way to the ``Decimal`` ones mid-sum at 300 digits (``test_bilateral``).
+BRACKET_SWITCH_POINT = ("91/97", "-96/101", "80/89")
+
+
+@pytest.mark.parametrize("evaluate", [jordan_form1, jordan_form2], ids=["form1", "form2"])
+def test_bracket_switch_point_matches_the_direct_sum(evaluate) -> None:
+    ctx = make_context(300)
+    params = BilateralParams(*(parse_real(value, ctx) for value in BRACKET_SWITCH_POINT))
+    reference = bilateral_reference(*BRACKET_SWITCH_POINT, 300 + EXTRA_DPS)
+    assert_oracle(evaluate(params, ctx), reference, 300)

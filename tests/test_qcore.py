@@ -47,6 +47,7 @@ from qlambert.qcore import (
 )
 from qlambert.cli import main
 from qlambert.lambert import _glambert_naive, _qxt_alt
+from qlambert.numerics import as_decimal
 
 from _oracles import (
     POCH_HALF_INF,
@@ -239,6 +240,12 @@ class TestQPochhammer:
     def test_infinite_product_with_negative_q(self, ctx30) -> None:
         sv = qpochhammer_inf(Decimal("0.3"), Decimal("-0.5"), ctx30)
         assert abs(sv.value - POCH_NEG_Q_INF) <= sv.tail_bound
+
+    def test_fraction_arguments_act_as_their_decimal_values(self, ctx30) -> None:
+        a, q = Fraction(1, 3), Fraction(-2, 7)
+        a_dec, q_dec = (as_decimal(value, ctx30) for value in (a, q))
+        assert qpochhammer_n(a, q, 5, ctx30) == qpochhammer_n(a_dec, q_dec, 5, ctx30)
+        assert qpochhammer_inf(a, q, ctx30) == qpochhammer_inf(a_dec, q_dec, ctx30)
 
     def test_infinite_product_rejects_unit_q(self, ctx30) -> None:
         with pytest.raises(DomainError):

@@ -611,19 +611,19 @@ def _in_decimal(series: QTerm, prec: int) -> QTerm:
         )
 
 
-def _amplification(series: QTerm, n: int) -> float:
-    """The largest ``|c1*q**(s*i + k)| / |c0 - c1*q**(s*i + k)|`` over the
-    factors and ``first <= i <= n``: how much a difference amplifies the
-    relative error of its running value (``qcore`` module docstring)."""
-    worst = 0.0
-    for f in series.factors:
-        for i in range(series.first, n + 1):
-            h = Fraction(f.c1) * Fraction(series.q) ** (f.s * i + f.k)
+def _amplifications(series: QTerm, count: int) -> list[float]:
+    """For each of the first ``count`` indices ``n``, the largest
+    ``|c1*q**(s*i + k)| / |c0 - c1*q**(s*i + k)|`` over the factors and
+    ``first <= i <= n``: how much a difference amplifies the relative error
+    of its running value (``qcore`` module docstring)."""
+    q, worst, found = Fraction(series.q), 0.0, []
+    for i in range(series.first, series.first + count):
+        for f in series.factors:
+            h = Fraction(f.c1) * q ** (f.s * i + f.k)
             gap = abs(Fraction(f.c0) - h)
-            if gap == 0:
-                return math.inf
-            worst = max(worst, float(abs(h) / gap))
-    return worst
+            worst = max(worst, math.inf if gap == 0 else float(abs(h) / gap))
+        found.append(worst)
+    return found
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -642,14 +642,14 @@ def test_exact_kernel_matches_the_decimal_description(series, precisions) -> Non
         term = _kernel(description)
     with localcontext(Context(prec=precisions[0] + 30)):
         reference = _kernel(_in_decimal(description, precisions[0] + 30))
-    amplification = 0.0
+    amplifications = _amplifications(description, len(precisions))
     for j, prec in enumerate(precisions):
         n = description.first + j
         with localcontext(Context(prec=prec)):
             got = term(n)
         with localcontext(Context(prec=prec + 30)):
             want = reference(n)
-        amplification = max(amplification, _amplification(description, n))
+        amplification = amplifications[j]
         assume(amplification < 1e6)
         rounding = Decimal(10) ** (1 - prec) / 2
         allowed = ROUNDINGS_PER_INDEX * (j + 2) * (1 + Decimal(amplification)) * rounding
