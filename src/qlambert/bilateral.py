@@ -32,7 +32,7 @@ from typing import Callable
 from .errors import DomainError
 from .lambert import _pole_scan, _qxt_naive, _qxt_theta
 from .numerics import BigReal, Real, RealContext, as_decimal, series_parameters
-from .qcore import Factor, QTerm, SeriesValue, combine, sum_bracketed
+from .qcore import Factor, QTerm, SeriesValue, combine, sum_bracketed, sum_qterm
 
 __all__ = [
     "BilateralParams",
@@ -129,20 +129,18 @@ def _route(
     ``epsilon/2``, which stops it at ``epsilon/4``.
     """
     p.validate(ctx)
-    with localcontext(ctx.dec):
-        params = series_parameters((p.x, p.t, p.q), ctx)
-        series = [build(*params) for build in sides]
-        x, t = (+as_decimal(value, ctx) for value in params[:2])
+    params = series_parameters((p.x, p.t, p.q), ctx)
     eps = ctx.epsilon / 2
     if brackets is None:
-        sums = [side.sum(ctx, method_tag, eps=eps) for side in series]
+        sums = [sum_qterm(build, params, ctx, method_tag, eps) for build in sides]
     else:
+        x, t = (as_decimal(value, ctx) for value in params[:2])
         pairs = (None, None)
         if type(params[2]) is Fraction:
             pairs = _exact_sides(exact, *params[:2])
         sums = [
-            sum_bracketed(side, partial(bracket, x, t), ctx, method_tag, eps, pair)
-            for side, bracket, pair in zip(series, brackets, pairs)
+            sum_bracketed(build, params, partial(bracket, x, t), ctx, method_tag, eps, pair)
+            for build, bracket, pair in zip(sides, brackets, pairs)
         ]
     return combine([(1, part) for part in sums], ctx, method_tag)
 

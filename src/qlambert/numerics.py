@@ -99,12 +99,13 @@ def _require_int(name: str, value: int, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def make_context(target_digits: int) -> RealContext:
+def make_context(target_digits: int, guard_digits: int | None = None) -> RealContext:
     """Create the precision context for ``target_digits`` requested digits.
 
     The guard digit count is ``max(10, target_digits // 20 + 10)``: ten base
     digits plus one extra per twenty requested digits, growing with the
-    target because longer sums accumulate more rounding.
+    target because longer sums accumulate more rounding.  A sum whose
+    magnitude asks for more takes ``guard_digits`` (:mod:`qlambert.qcore`).
 
     Raises:
         DomainError: if ``target_digits`` is below ``MIN_TARGET_DIGITS``.
@@ -115,7 +116,7 @@ def make_context(target_digits: int) -> RealContext:
         raise DomainError(
             f"target_digits must be at least {MIN_TARGET_DIGITS}, got {target_digits}"
         )
-    guard = max(10, target_digits // 20 + 10)
+    guard = max(10, target_digits // 20 + 10) if guard_digits is None else guard_digits
     working = target_digits + guard
     dec = decimal.Context(
         prec=working,

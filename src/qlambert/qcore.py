@@ -116,6 +116,36 @@ majorant on the same mantissas: once past a burn-in of 16 terms, a term
 exceeding twice the declared ratio times the term before counts as a
 violation, and 64 consecutive violations abort the summation.
 
+Precision from magnitude.  The rounding floor ``max(1, peak) * 10**-(W - 6)``
+of a ``tail_bound`` grows with the largest partial sum, which can pass far
+above the value where terms cancel.  So before the first term
+:meth:`QTerm.sum` bounds ``sum_n |T_n|``, and so the peak, by ``B`` in
+floats (:func:`_peak_log2`), and sums at the fewest working digits ``W``,
+never fewer than the context's, with ``max(1, B) * 10**-(W - 6) <= eps/4``.
+The floor is taken at the computed peak, which exceeds the true one by its
+roundings alone, a relative ``10**(5-W)`` (taper proof below), so it stays
+within ``eps/4`` but for that, and with the tail test's ``eps/2`` the bound
+stays below ``eps``.  Past :data:`DIGIT_BUDGET` more digits it raises
+``DomainError`` before any term.
+
+``B`` bounds each summand from its factors' own signed values over the
+indices with ``ratio_at(n) >= 1``, and on while ``rho`` falls by more than a
+relative ``2**-10`` and exceeds ``1/2`` and the bound still asks for more
+digits, then adds ``|T_N| / (1 - rho_N)``.  A factor is ``|c0|`` times
+``1 + x`` or ``|1 - x|``, by the exact sign of ``c1*q**m / c0``, with ``x``
+between the outward-rounded ``exp2`` of the majorant's log bounds on
+``|c1*q**m / c0|`` (:func:`_factor_log2`).  Where that interval holds 0 or
+spans over a factor 2 (within about ``2**-45`` of a pole, which a float
+cannot resolve but which may pass the pole scans' ``10**-(W/2)``), the
+factor is a ``Decimal`` difference at the context's digits, exact for
+``Fraction`` parameters and otherwise within
+``(|c0| + |c1*q**m|) * 10**(3 - W)``, above the roundings of the power,
+product and difference; one that cannot be told from 0 raises ``PoleError``.
+Each float ``log2`` and sum of logs moves outward by ``2**-40`` and a
+relative ``2**-46``.  A description built again at ``W`` (:func:`sum_qterm`)
+keeps the majorant: its parameters move by a relative ``10**-W``, far
+inside the ``2**-46`` margin.
+
 Precision tapering.  The running sum, its peak, the tests above and
 :func:`combine` and :func:`product` work at the working precision ``wd``;
 the late summands need fewer digits (Brent and Zimmermann, *Modern Computer
@@ -193,13 +223,13 @@ precision is lowered only once the new one is at most ``wd/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import ROUND_CEILING, Decimal, Overflow, getcontext, localcontext
+from decimal import Decimal, Overflow, getcontext, localcontext
 from fractions import Fraction
-from math import ceil, exp2, floor, inf, ldexp, log2, prod, ulp
+from math import ceil, exp2, floor, inf, ldexp, log, log2, prod, ulp
 from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, PoleError
 from .numerics import (
     BigReal,
     Real,
@@ -260,9 +290,14 @@ _MIN_NORMAL = 2.0**-1022
 _MIN_SUBNORMAL = ulp(0.0)
 #: Largest power of ten the tail test and the guard form in floats.
 _MAX_POW10 = 300
-#: Most extra digits :func:`qpochhammer_inf` sums at; ``log10(e)``, rounded up.
-POCH_DIGIT_BUDGET = 1000
-_LOG10_E = Decimal("0.4342944819032518277")
+#: Most digits a sum or a product may take beyond its context's (module docstring).
+DIGIT_BUDGET = 1000
+#: A ratio ``|c1*q**m / c0|`` beyond ``2**60`` leaves ``c0 - c1*q**m`` within
+#: a relative ``2**-59`` of ``-c1*q**m``.
+_FAR = 60.0
+_FAR_LOG = 2.0**-55
+#: Absolute margin of a float ``log2`` in the peak bound.
+_PEAK_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -349,19 +384,27 @@ class QTerm:
         ctx: RealContext,
         method_tag: str,
         eps: BigReal | None = None,
-        term: Callable[[int], BigReal] | None = None,
+        term: Callable[[QTerm], Callable[[int], BigReal]] | None = None,
+        rebuild: Callable[[RealContext], QTerm] | None = None,
     ) -> SeriesValue:
-        """:func:`sum_series` of this series from ``first``, to ``eps``.
+        """:func:`sum_series` of this series from ``first``, to ``eps``, at the
+        digits its magnitude asks for (module docstring).
 
-        The summands are the term kernel's or, given ``term``, a hand-written
-        stream of the same summands, called as the kernel would be; this
-        series' majorant certifies them either way.
+        ``rebuild(work)`` is this description built again under the wider
+        context ``work``; without it the parameters are the exact values
+        summed.  The summands are the term kernel's or ``term(series)``, a
+        hand-written stream of the same summands certified by this
+        majorant; either is built under the working context.
         """
+        eps = ctx.epsilon if eps is None else eps
         with localcontext(ctx.dec):
-            if term is None:
-                term = _kernel(self)
-            gen = TermGenerator(term, _Majorant(self))
-        return sum_series(gen, self.first, ctx, method_tag, eps)
+            # Its float bounds hold for the description at any digits.
+            decay = _Majorant(self)
+        work = _working_context(ctx, eps, _peak_log2(self, decay, ctx, eps))
+        series = self if work is ctx or rebuild is None else rebuild(work)
+        with localcontext(work.dec):
+            gen = TermGenerator(_kernel(series) if term is None else term(series), decay)
+        return sum_series(gen, series.first, work, method_tag, eps)
 
 
 def sum_qterm(
@@ -369,12 +412,19 @@ def sum_qterm(
     params: Iterable[Real],
     ctx: RealContext,
     method_tag: str,
+    eps: BigReal | None = None,
+    term: Callable[[QTerm], Callable[[int], BigReal]] | None = None,
 ) -> SeriesValue:
-    """Sum the series ``build(*params)``, built under the working context
-    from :func:`~qlambert.numerics.series_parameters` of ``params``."""
-    with localcontext(ctx.dec):
-        series = build(*series_parameters(params, ctx))
-    return series.sum(ctx, method_tag)
+    """:meth:`QTerm.sum` of ``build(*params)``, built under the working
+    context from :func:`~qlambert.numerics.series_parameters` of ``params``,
+    and built again there if the sum takes more digits."""
+    params = list(params)
+
+    def rebuild(work: RealContext) -> QTerm:
+        with localcontext(work.dec):
+            return build(*series_parameters(params, work))
+
+    return rebuild(ctx).sum(ctx, method_tag, eps, term, rebuild)
 
 
 def _kernel(d: QTerm) -> Callable[[int], BigReal]:
@@ -471,7 +521,7 @@ class _Majorant:
         # as c0 = 1 in every factor, are converted once.
         q = d.q
         params = {q, d.z, *(f.c0 for f in d.factors), *(f.c1 for f in d.factors)}
-        logs = {x: _log2_bounds(x) for x in params}
+        self.logs = logs = {x: _log2_bounds(x) for x in params}
         log_q = logs[q][1]
         const, slope = logs[d.z][1], 0.0
         if d.theta is not None:
@@ -598,6 +648,122 @@ def _less(a: float, b: float, k: int) -> bool:
     return a == a and Decimal(a) < Decimal(b).scaleb(k)
 
 
+def _term_cap(working_digits: int) -> int:
+    """The most terms a sum at ``working_digits`` digits takes before it fails."""
+    return max(20_000, 600 * working_digits)
+
+
+def _digits_for(eps: BigReal, log2_bound: float) -> float:
+    """The ``W`` at which ``max(1, 2**log2_bound) * 10**-(W - 6)`` is ``eps/4``."""
+    return 6 + (2 + max(log2_bound, 0) - _log2_bounds(eps)[0]) / _LOG2_10
+
+
+def _working_context(ctx: RealContext, eps: BigReal, log2_bound: float) -> RealContext:
+    """``ctx``, or the context of the fewest working digits at which
+    ``tail_floor(2**log2_bound) <= eps/4``; past :data:`DIGIT_BUDGET` more
+    digits, ``DomainError``."""
+    extra = ceil(_digits_for(eps, log2_bound)) - ctx.working_digits
+    if extra <= 0:
+        return ctx
+    if extra > DIGIT_BUDGET:
+        raise DomainError(
+            f"the sum needs at least {extra} extra digits, past the budget of {DIGIT_BUDGET}"
+        )
+    return make_context(ctx.target_digits, ctx.guard_digits + extra)
+
+
+def _log_add(a: float, b: float) -> float:
+    """An upper bound on ``log2(2**a + 2**b)``."""
+    if a < b:
+        a, b = b, a
+    if b == -inf:
+        return a
+    return a + log2(1 + exp2(b - a)) + abs(a) * _LOG_MARGIN + _PEAK_MARGIN
+
+
+def _peak_log2(d: QTerm, decay: _Majorant, ctx: RealContext, eps: BigReal) -> float:
+    """``log2 B`` with ``B >= sum_n |T_n|`` (module docstring), or a value
+    past the digit budget's once the bound is past it.
+
+    Raises:
+        DivergenceError: if ``ratio_at`` stays at 1 or more for as many terms
+            as :func:`sum_series` takes at ``ctx``.
+        PoleError: if a denominator cannot be told from 0 at ``ctx``.
+    """
+    logs, step, shift = decay.logs, *(d.theta or (0, 0))
+    (q_low, q_high), q_negative = logs[d.q], d.q < 0
+    # Each factor with the log2 bounds of |c0| and |c1|, and the sign of c1/c0.
+    factors = [(f, logs[f.c0], logs[f.c1], (f.c0 < 0) != (f.c1 < 0)) for f in d.factors]
+    # Bounds below free take no extra digits; those above limit, too many.
+    free = (ctx.working_digits - _digits_for(eps, 0)) * _LOG2_10
+    limit = free + DIGIT_BUDGET * _LOG2_10
+    coeff, total, previous, n = _log2_bounds(d.start)[1], -inf, inf, d.first
+    while True:
+        # log2|T_n| <= term, and log2|C_{n+1} / C_n| <= advance.
+        term, advance = coeff, logs[d.z][1] + (step * n + shift) * q_high
+        for f, c0_log, (c1_low, c1_high), negative in factors:
+            m = f.s * n + f.k
+            low, high = _factor_log2(
+                f, d.q, m, c0_log,
+                (c1_low + m * q_low, c1_high + m * q_high) if m else (c1_low, c1_high),
+                negative != (q_negative and m % 2 == 1),
+                ctx,
+            )
+            if f.power < 0 and low == -inf:
+                raise PoleError(f"a denominator of the series vanishes at index {n}")
+            if f.pochhammer:
+                advance += high if f.power > 0 else -low
+            else:
+                term += high if f.power > 0 else -low
+        rho = decay.ratio_at(n)
+        if rho < 1:
+            closed = _log_add(total, term - log2(1 - rho) + _PEAK_MARGIN)
+            if closed <= free or not 0.5 < rho < previous * (1 - 2**-10):
+                return closed
+        total = _log_add(total, term)
+        if total > limit:
+            return total
+        if rho >= 1 and n - d.first >= _term_cap(ctx.working_digits):
+            raise DivergenceError(
+                f"series failed to certify within {_term_cap(ctx.working_digits)} terms"
+            )
+        coeff += advance + abs(coeff) * _LOG_MARGIN + _PEAK_MARGIN
+        previous, n = rho, n + 1
+
+
+def _factor_log2(
+    f: Factor,
+    q: Real,
+    m: int,
+    c0_log: tuple[float, float],
+    u_log: tuple[float, float],
+    negative: bool,
+    ctx: RealContext,
+) -> tuple[float, float]:
+    """Bounds ``low <= log2|c0 - c1*q**m| <= high`` of the factor ``f``, with
+    ``low = -inf`` if it cannot be told from 0 (module docstring), from log2
+    bounds on ``|c0|`` and ``|c1*q**m|`` and the sign of ``c1*q**m / c0``."""
+    (c0_low, c0_high), (u_low, u_high) = c0_log, u_log
+    if c0_low == -inf or u_low - c0_high > _FAR:
+        return u_low - _FAR_LOG, u_high + _FAR_LOG
+    x_low, x_high = exp2(u_low - c0_high) / _EXP2_UP, exp2(u_high - c0_low) * _EXP2_UP
+    if negative:
+        low, high = 1 + x_low, 1 + x_high
+    elif x_high < 1:
+        low, high = 1 - x_high, 1 - x_low
+    else:
+        low, high = x_low - 1, x_high - 1
+    low, high = low * (1 - 2 * _UNIT), high * (1 + 2 * _UNIT)
+    if 0 < low and high < 2 * low:
+        return c0_low + log2(low) - _PEAK_MARGIN, c0_high + log2(high) + _PEAK_MARGIN
+    with localcontext(ctx.dec):
+        u = f.c1 * ipow(q, m)
+        size = abs(f.c0 - u)
+        error = 0 if type(q) is Fraction else (abs(f.c0) + abs(u)).scaleb(3 - ctx.working_digits)
+        high = _log2_bounds(size + error)[1]
+        return (_log2_bounds(size - error)[0] if size > error else -inf), high
+
+
 def sum_series(
     gen: TermGenerator,
     start_index: int,
@@ -622,7 +788,7 @@ def sum_series(
     """
     target = (ctx.epsilon if eps is None else eps) / 2
     wd = ctx.working_digits
-    hard_cap = max(20_000, 600 * wd)
+    hard_cap = _term_cap(wd)
     # Precision tapering (module docstring): the summands' digits, the reserve.
     taper = wd > TAPER_FROM
     prec, reserve = wd, 2 * len(str(hard_cap)) - 1
@@ -757,18 +923,19 @@ def product(
 
 
 def sum_bracketed(
-    series: QTerm,
+    build: Callable[..., QTerm],
+    params: Iterable[Real],
     bracket: Callable[[BigReal], BigReal],
     ctx: RealContext,
     method_tag: str,
     eps: BigReal | None = None,
     exact: Callable[[int, int], tuple[int, int]] | None = None,
 ) -> SeriesValue:
-    """``series.sum`` with the summands the theta weight of ``series`` times
-    ``bracket(q**n)``.
+    """:func:`sum_qterm` of ``build(*params)`` with the summands the theta
+    weight of the series times ``bracket(q**n)``.
 
-    ``bracket(q**n)`` must equal the product of the factors of ``series`` at
-    ``n``, so that the summands are those of ``series`` and are certified by
+    ``bracket(q**n)`` must equal the product of the factors of the series at
+    ``n``, so that the summands are those of the series and are certified by
     its majorant.  ``bracket`` is called once per index, in increasing order.
 
     With an exact ``q = p/r`` (a ``Fraction``), ``exact`` is required:
@@ -784,9 +951,11 @@ def sum_bracketed(
     bracket(q**n)`` again (:func:`qlambert.exact._exact_bracketed`).  A
     ``Decimal`` ``q`` takes ``bracket`` alone.
     """
-    with localcontext(ctx.dec):
-        term = bracketed_terms(series, bracket, exact)
-    return series.sum(ctx, method_tag, eps, term=term)
+
+    def term(series: QTerm) -> Callable[[int], BigReal]:
+        return bracketed_terms(series, bracket, exact)
+
+    return sum_qterm(build, params, ctx, method_tag, eps, term)
 
 
 def bracketed_terms(
@@ -822,42 +991,131 @@ def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:
         return prod((1 - a * ipow(q, i) for i in range(n)), start=_ONE)
 
 
-def qpochhammer_inf(a: BigReal, q: BigReal, ctx: RealContext) -> SeriesValue:
+def qpochhammer_inf(
+    a: BigReal, q: BigReal, ctx: RealContext, eps: BigReal | None = None
+) -> SeriesValue:
     """Infinite q-Pochhammer product ``(a;q)_inf`` for ``|q| < 1``: the head
-    ``(a;q)_K`` of the ``K`` leading factors with ``|a*q**i| > 1`` times Euler's
-    expansion ``(b;q)_inf = sum_{n>=0} (-b)**n * q**(n*(n-1)/2) / (q;q)_n``,
-    ``b = a*q**K``.  As ``|1 - q**i| >= 1 - |q|**i``, its partial sums are at
-    most ``(-|b|;|q|)_inf <= exp(1/(1-|q|)) <= 10**E``, ``E = ceil(log10(e)/(1-|q|))``,
-    so it is summed at ``E`` more digits, to ``10**-E * epsilon / max(1, |head|)``.
-    Its work grows faster than ``E**2`` (terms times digits), so past
-    :data:`POCH_DIGIT_BUDGET` (``|q| > 0.99956``) the call is refused at once.
-    The head's roundings, a few per factor and relative to the value, are
-    within the floor that :func:`product` adds.
+    ``(a;q)_K`` of the ``K`` leading factors with ``|a*q**i| > 1`` times
+    Euler's expansion ``(b;q)_inf = sum_{n>=0} (-b)**n * q**(n*(n-1)/2) / (q;q)_n``,
+    ``b = a*q**K``, to ``eps``: by default ``epsilon * max(1, V)``, ``V``
+    the head times :func:`_poch_log2_bounds`' lower bound on ``|(b;q)_inf|``.
+
+    The sum is certified to ``eps / (2 * max(1, |head|))``, and the product
+    runs at the digits that ``|head|`` times the sum's value and tail asks
+    for (module docstring), with the head computed again there; its
+    roundings, a few per factor and relative to the value, are within the
+    floor that :func:`product` adds.
 
     Raises:
-        DomainError: unless ``|q| < 1``, past the budget, or if the head overflows.
+        DomainError: unless ``|q| < 1``, past :data:`DIGIT_BUDGET` more digits
+            (``|q|`` near 1) before any term, or if the head overflows.
     """
     q, a = as_decimal(q, ctx), as_decimal(a, ctx)
     _require_unit("q", q)
     with localcontext(ctx.dec):
-        extra = int((_LOG10_E / (1 - abs(q))).to_integral_value(ROUND_CEILING))
-    if extra > POCH_DIGIT_BUDGET:
-        raise DomainError(f"(a;q)_inf needs {extra} extra digits at |q| = {abs(q):E}")
-    rest_ctx = make_context(ctx.target_digits + extra)
-    with localcontext(rest_ctx.dec):
         b, count = +a, 0
         while abs(b) > 1:
             b *= q
             count += 1
+
+    def head(work: RealContext) -> BigReal:
         try:
-            head = qpochhammer_n(a, q, count, ctx)
+            return qpochhammer_n(a, q, count, work)
         except Overflow as exc:
             raise DomainError(f"(a;q)_{count} overflows at a = {a:E}") from exc
-        eps = rest_ctx.epsilon / max(_ONE, abs(head))
-        inverse_qq = Factor(1, k=1, power=-1, pochhammer=True)  # 1 / (q;q)_n
-        euler = QTerm(q, z=-b, theta=(1, 0), factors=(inverse_qq,))
-    rest = euler.sum(rest_ctx, "euler", eps)
-    return product(((ball(head), 1), (rest, 1)), ctx, "euler")
+
+    value = head(ctx)
+    with localcontext(ctx.dec):
+        scale = abs(value)
+        if eps is None:
+            low = _log2_bounds(scale)[0] + _poch_log2_bounds(b, q)[0]
+            eps = ctx.epsilon * Decimal(2) ** floor(max(0.0, low))
+        rest_eps = eps / (2 * max(_ONE, scale))
+    rest = sum_qterm(_euler, (a, q, count), ctx, "euler", rest_eps)
+    with localcontext(ctx.dec):
+        size = _log2_bounds(scale * (abs(rest.value) + rest.tail_bound))[1]
+    work = _working_context(ctx, eps, size)
+    if work is not ctx:
+        value = head(work)
+    return product(((ball(value), 1), (rest, 1)), work, "euler")
+
+
+def _euler(a: BigReal, q: BigReal, count: BigReal) -> QTerm:
+    """Euler's expansion of ``(b;q)_inf``, ``b = a*q**count``."""
+    inverse_qq = Factor(1, k=1, power=-1, pochhammer=True)  # 1 / (q;q)_n
+    return QTerm(q, z=-a * ipow(q, int(count)), theta=(1, 0), factors=(inverse_qq,))
+
+
+def _poch_log2_bounds(a: BigReal, q: BigReal) -> tuple[float, float]:
+    """Bounds ``low <= log2|(a;q)_inf| <= high`` for ``|a| <= 1``, ``|q| < 1``.
+
+    The factors ``1 - x_i``, ``x_i = a*q**i``, with ``|x_i| > 2**-10`` (at
+    most ``2**12``) enter at their float values, each within ``|x_i| *
+    (i + 2) * 2**-50``; the rest add between ``-x/((1 - x)(1 - |q|))`` and
+    ``x/(1 - |q|)`` to the log, ``x = |x_N|`` the first left out.  ``low``
+    is ``-inf`` if a factor cannot be told from 0.
+    """
+    x, r = float(a), float(q)
+    low = high = 0.0
+    for i in range(2**12):
+        if abs(x) <= 2**-10:
+            break
+        size, error = abs(1 - x), abs(x) * (i + 2) * 2**-50
+        low = low + log2(size - error) if size > 2 * error else -inf
+        high += log2(size + error)
+        x *= r
+    x = abs(x)
+    high += x / ((1 - abs(r)) * log(2))
+    low -= x / ((1 - x) * (1 - abs(r)) * log(2))
+    margin = (abs(low) + abs(high)) * 2**-40 + _PEAK_MARGIN
+    return low - margin, high + margin
+
+
+def poch_product(
+    q: BigReal,
+    pochs: Sequence[tuple[BigReal, int]],
+    build: Callable[..., QTerm],
+    params: Iterable[Real],
+    ctx: RealContext,
+    method_tag: str,
+) -> SeriesValue:
+    """``prod_i (a_i;q)_inf**k_i`` (pairs ``(a_i, k_i)``, ``|a_i| < 1``,
+    ``k_i = +-1``) times the sum of ``build(*params)``, to ``epsilon``.
+
+    :func:`product`'s radius is at most each part's tail times bounds ``M_j``
+    on the others: ``|v| + tail`` for a factor, ``1 / (|v| - tail)`` for a
+    divisor, whose tail counts as ``tail / (|v| (|v| - tail))``.  Each of the
+    ``P`` parts gets ``epsilon / (2P)`` of it, its digits from float bounds
+    on the others known before it is summed: the series first, under
+    :func:`_poch_log2_bounds` of the products, then the products, under the
+    series' value and tail.  Each product's tail is also held within
+    ``2**-10`` of its bound, so ``M_j`` exceeds that by at most ``1 + 2**-9``.
+    The product runs at the digits that ``prod M_j`` asks for.
+    """
+    share = ctx.epsilon / (2 * (len(pochs) + 1))
+    slack = log2(1 + 2**-9)
+    # (a, k, log2 M, log2 of the tail's weight, log2 of the tail's ceiling)
+    parts = []
+    for a, k in pochs:
+        low, high = _poch_log2_bounds(a, q)
+        if k > 0:
+            parts.append((a, k, high + slack, 0.0, high - 10))
+        else:
+            parts.append((a, k, slack - low, slack - 2 * low, low - 10))
+    sizes = sum(size for _, _, size, _, _ in parts)
+
+    def budget(others: float, ceiling: float = inf) -> BigReal:
+        with localcontext(ctx.dec):
+            return share * Decimal(2) ** -ceil(max(others, -ceiling))
+
+    series = sum_qterm(build, params, ctx, method_tag, budget(sizes))
+    with localcontext(ctx.dec):
+        sizes += _log2_bounds(abs(series.value) + series.tail_bound)[1]
+    values = [(series, 1)] + [
+        (qpochhammer_inf(a, q, ctx, budget(sizes - size + weight, ceiling)), k)
+        for a, k, size, weight, ceiling in parts
+    ]
+    return product(values, _working_context(ctx, ctx.epsilon, sizes), method_tag)
 
 
 def theta3(q: Real, ctx: RealContext) -> SeriesValue:

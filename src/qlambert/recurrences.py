@@ -172,7 +172,7 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
             )
         return 1 / Decimal(f_n)
 
-    return closed_form.sum(ctx, "naive", term=term)
+    return closed_form.sum(ctx, "naive", term=lambda _: term)
 
 
 def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from decimal import Decimal, localcontext
 
 import pytest
 
-from qlambert import cli
+from qlambert import DivergenceError, SeriesValue, cli, make_context
 from qlambert.cli import main
 
 from _oracles import PELL, PSI
@@ -85,17 +86,36 @@ class TestEval:
         assert err.startswith("qlambert:")
 
     @pytest.mark.parametrize(
-        "q, tail", [("0.999", "9.497985E+40"), ("0.99", "4.289941E-26")]
+        "q, value",
+        [
+            ("0.99", "65.5048585368678706274610198113"),
+            ("0.999", "93.0638712014419538954326624832"),
+        ],
     )
-    def test_uncertified_digits_are_not_printed(self, capsys, q, tail) -> None:
-        # The alternate expansion's tail_bound at these q exceeds
-        # 10^-30 * max(1, |value|); naive and theta print 93.06387120144...
+    def test_alternate_expansion_certifies_near_unit_q(self, capsys, q, value) -> None:
+        # Its terms cancel, so its peak partial sum (about 10^11 at q = 0.99)
+        # sets its digits; naive and theta print the same values.
         code, out, err = run_cli(
             capsys, "eval", "qxt", "--method", "alt",
             "--x", "0.9", "--t", "0.9", "--q", q, "--report",
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("qlambert:") and f"tail_bound {tail}" in err
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["value"] == value
+        assert Decimal(payload["tail_bound"]) <= Decimal("1e-30") * Decimal(value)
+
+    def test_uncertified_digits_are_not_printed(self, capsys) -> None:
+        ctx = make_context(30)
+        args = argparse.Namespace(report=True)
+        value = Decimal("93.0638712014419538954326624832")
+        ceiling = value.scaleb(-30)
+        sv = SeriesValue(value, 1, ceiling, "alt")
+        assert cli._emit(args, sv, ctx, 30) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == str(value)
+        sv = SeriesValue(value, 1, ceiling.next_plus(), "alt")
+        with pytest.raises(DivergenceError, match="tail_bound 9.306387E-29 exceeds"):
+            cli._emit(args, sv, ctx, 30)
+        assert capsys.readouterr().out == ""
 
     def test_stray_parameters_are_rejected(self, capsys) -> None:
         code, _, err = run_cli(capsys, "eval", "lambert", "--q", "0.5", "--x", "0.3")

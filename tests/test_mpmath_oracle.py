@@ -6,7 +6,7 @@ test, from definitions that share no code or expansion with the package.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import pytest
@@ -32,6 +32,7 @@ from qlambert import (
     series_qxt_rhs,
     theta3,
 )
+from qlambert import identities
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -278,3 +279,121 @@ def test_bracket_switch_point_matches_the_direct_sum(evaluate) -> None:
     params = BilateralParams(*(parse_real(value, ctx) for value in BRACKET_SWITCH_POINT))
     reference = bilateral_reference(*BRACKET_SWITCH_POINT, 300 + EXTRA_DPS)
     assert_oracle(evaluate(params, ctx), reference, 300)
+
+
+# ---------------------------------------------------------------------------
+# The product sides of fine-16.3 and gosper-poch, and their (a;q)_inf, at the
+# verify points where each once needed re-running at more digits: each part
+# now takes its digits from the magnitudes of the others before it is summed.
+
+#: Trials of ``verify --all --seed 42 --digits 50`` whose product side (and,
+#: at trial 83, the gosper-poch series side too) once re-ran at more digits.
+#: Each takes the first draw of its substream.
+RERUN_TRIALS = {
+    "fine-16.3": (34, 41, 49, 78, 89, 90, 92, 95, 97),
+    "gosper-poch": (
+        2, 5, 10, 11, 12, 13, 29, 32, 34, 35, 51, 54,
+        56, 57, 58, 59, 60, 74, 77, 78, 80, 81, 83, 98,
+    ),
+}
+VERIFY_DIGITS = 50
+VERIFY_DPS = VERIFY_DIGITS + EXTRA_DPS
+
+
+def rerun_points(name: str) -> list[dict]:
+    ctx = make_context(VERIFY_DIGITS)
+    entry = identities.get_entry(name)
+    return [
+        identities._draw_point(entry, identities._Rng(42 + trial), ctx)
+        for trial in RERUN_TRIALS[name]
+    ]
+
+
+def fine_163_reference(p: dict):
+    """``((aq;q)_inf/(bq;q)_inf) sum_n ((b/a;q)_n/(q;q)_n) (aq)^n/(1-t q^n)``,
+    the products by ``mpmath.qp`` and the sum directly, with
+    :data:`GUARD_DPS` guard digits."""
+    with mp.workdps(VERIFY_DPS + GUARD_DPS):
+        a, b, t, q = (mpf(str(p[name])) for name in "abtq")
+
+        def terms():
+            coefficient, qn = mpf(1), mpf(1)
+            while True:
+                yield coefficient / (1 - t * qn)
+                coefficient *= (1 - b / a * qn) / (1 - qn * q) * a * q
+                qn *= q
+
+        series = _sum_to(terms(), VERIFY_DPS)
+        return mpmath.qp(a * q, q) / mpmath.qp(b * q, q) * series
+
+
+def gosper_poch_reference(p: dict):
+    """``((t;q)_inf (x;q)_inf / (q;q)_inf) sum_n t^n/(x;q)_{n+1}``, the value
+    of both gosper-poch sides."""
+    with mp.workdps(VERIFY_DPS + GUARD_DPS):
+        x, t, q = (mpf(str(p[name])) for name in "xtq")
+
+        def terms():
+            tn, denominator, xqn = mpf(1), 1 - x, x
+            while True:
+                yield tn / denominator
+                tn *= t
+                xqn *= q
+                denominator *= 1 - xqn
+
+        series = _sum_to(terms(), VERIFY_DPS)
+        return mpmath.qp(t, q) * mpmath.qp(x, q) / mpmath.qp(q, q) * series
+
+
+def assert_within_epsilon(sv, reference) -> None:
+    """``|value - reference| <= tail_bound <= 10**-50``."""
+    with mp.workdps(VERIFY_DPS + GUARD_DPS):
+        value, tail = mpf(str(sv.value)), mpf(str(sv.tail_bound))
+        assert abs(value - reference) <= tail
+        assert tail <= mpf(10) ** -VERIFY_DIGITS
+
+
+@pytest.mark.parametrize(
+    "name, reference, sides",
+    [
+        ("fine-16.3", fine_163_reference, slice(1, 2)),
+        ("gosper-poch", gosper_poch_reference, slice(0, 2)),
+    ],
+    ids=["fine-16.3-rhs", "gosper-poch"],
+)
+def test_product_sides_match_the_reference_where_they_once_re_ran(
+    name, reference, sides
+) -> None:
+    ctx = make_context(VERIFY_DIGITS)
+    entry = identities.get_entry(name)
+    for point in rerun_points(name):
+        expected = reference(point)
+        for side in entry.sides[sides]:
+            assert_within_epsilon(side(point, ctx), expected)
+
+
+def test_poch_inf_to_epsilon_matches_qp_where_the_sides_once_re_ran() -> None:
+    ctx = make_context(VERIFY_DIGITS)
+    pairs = set()
+    for p in rerun_points("gosper-poch"):
+        pairs |= {(p["t"], p["q"]), (p["x"], p["q"]), (p["q"], p["q"])}
+    for p in rerun_points("fine-16.3"):
+        with localcontext(ctx.dec):
+            pairs |= {(p["a"] * p["q"], p["q"]), (p["b"] * p["q"], p["q"])}
+    for a, q in sorted(pairs):
+        with mp.workdps(VERIFY_DPS + GUARD_DPS):
+            expected = mpmath.qp(mpf(str(a)), mpf(str(q)))
+        assert_within_epsilon(qpochhammer_inf(a, q, ctx, ctx.epsilon), expected)
+
+
+@pytest.mark.parametrize("a, q", [("5", "0.9"), ("-5", "0.9"), ("60", "0.7"), ("-60", "0.7")])
+def test_poch_inf_to_an_absolute_epsilon_with_a_long_head_matches_qp(a: str, q: str) -> None:
+    """With ``|a| > 1`` the head ``(a;q)_K`` is far from 1 in size, and a
+    product to an absolute ``10**-30`` takes more digits than the context:
+    the head must be computed at those digits too."""
+    ctx = make_context(30)
+    sv = qpochhammer_inf(Decimal(a), Decimal(q), ctx, ctx.epsilon)
+    with mp.workdps(REFERENCE_DPS):
+        reference = mpmath.qp(mpf(a), mpf(q))
+        value, tail = mpf(str(sv.value)), mpf(str(sv.tail_bound))
+        assert abs(value - reference) <= tail <= mpf(10) ** -30

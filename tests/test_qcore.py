@@ -172,7 +172,7 @@ def _precisions(series: QTerm, digits: int) -> tuple[int, list[int], SeriesValue
         seen.append(getcontext().prec)
         return kernel(n)
 
-    sv = series.sum(ctx, "series", term=term)
+    sv = series.sum(ctx, "series", term=lambda _: term)
     return ctx.working_digits, seen, sv
 
 

@@ -1,10 +1,12 @@
 """Property tests of the q-term descriptions and the majorants derived from them.
 
-Two properties, at sample points biased toward |q|, |x|, |t| -> 1:
+Three properties, at sample points biased toward |q|, |x|, |t| -> 1:
 
 * ``ratio_at(n)`` majorises every later term ratio: for every computed
   term, ``|T_{m+1}| <= ratio_at(n) * |T_m|`` for all ``m >= n``;
-* each ``tail_bound`` covers the gap to a recomputation at 20 more digits.
+* each ``tail_bound`` covers the gap to a recomputation at 20 more digits;
+* the float peak bound from which a sum takes its digits covers every
+  partial sum the engine forms, recomputed at 20 more digits.
 
 They are checked on the descriptions that the evaluators build through
 module-level builders, and on random descriptions, which combine theta
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlambert import DivergenceError, Factor, QTerm, make_context
+from qlambert import DivergenceError, DomainError, Factor, QTerm, make_context
 from qlambert.bilateral import _minus_naive, _minus_theta
 from qlambert.identities import (
     _chain_geo,
@@ -61,6 +63,7 @@ from qlambert.qcore import (
     _kernel,
     _log2_bounds,
     _Majorant,
+    _peak_log2,
     ipow,
     sum_qterm,
 )
@@ -235,6 +238,67 @@ def test_random_majorants_bound_every_later_ratio(series) -> None:
     build, params = series
     _check_majorant(build, params)
     _check_tail(build, params)
+
+
+# ---------------------------------------------------------------------------
+# The peak bound from which a sum takes its digits before its first term.
+
+#: Partial sums recomputed per peak check.
+PEAK_TERMS = 2000
+
+
+def _check_peak(series: QTerm, digits: int = DIGITS) -> float:
+    """``2**_peak_log2`` is at least every partial sum the engine forms (the
+    first :data:`PEAK_TERMS` of a slower sum), recomputed at 20 more
+    digits; returns the bound."""
+    ctx = make_context(digits)
+    try:
+        with localcontext(ctx.dec):
+            bound = _peak_log2(series, _Majorant(series), ctx, ctx.epsilon)
+    except DivergenceError:
+        # ratio_at stays at 1 or more for the engine's whole term budget
+        # (z = 1 can be drawn): the engine refuses it too.
+        with pytest.raises(DivergenceError):
+            series.sum(ctx, "peak")
+        return math.inf
+    assert math.isfinite(bound)
+    try:
+        terms = min(series.sum(ctx, "peak").terms_used, PEAK_TERMS)
+    except DomainError:
+        # Refused past the digit budget before its first term.
+        return bound
+    except DivergenceError:
+        terms = PEAK_TERMS
+    with localcontext(make_context(digits + 20).dec):
+        term, total, peak = _kernel(series), Decimal(0), Decimal(0)
+        for n in range(series.first, series.first + terms):
+            total += term(n)
+            peak = max(peak, abs(total))
+        assert peak <= Decimal(2) ** Decimal(repr(bound)), (peak, bound)
+    return bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(random_series(), random_series(rational=True)))
+def test_peak_bound_covers_every_partial_sum(series) -> None:
+    build, params = series
+    _check_peak(build(*params))
+
+
+def test_a_denominator_no_float_resolves_still_gets_a_sound_peak_bound() -> None:
+    """``1 - x`` is 10**-19: 1.0 in floats, but past the pole scan's
+    tolerance 10**-20 at 30 digits.  The bound is that of the summand
+    ``1/(1 - x) = 10**19``, from a ``Decimal`` difference, and the sum
+    certifies at the digits it asks for."""
+    ctx = make_context(30)
+    x = 1 - Decimal("1e-19")
+    assert float(x) == 1.0 and 1 - x > ctx.pole_tolerance()
+    series = QTerm(Decimal("0.5"), z=Decimal("0.5"), factors=(Factor(x, power=-1),))
+    bound = _check_peak(series, 30)
+    assert 19 * math.log2(10) < bound < 19 * math.log2(10) + 2
+    sv = series.sum(ctx, "pole")
+    assert sv.tail_bound <= ctx.epsilon
+    assert abs(sv.value - Decimal("1e19")) < 2
 
 
 # ---------------------------------------------------------------------------

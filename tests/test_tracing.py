@@ -14,9 +14,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: One identity check, one exact-reciprocal sum, one theta evaluation.
+#: Two identity checks, one exact-reciprocal sum, one theta evaluation.  The
+#: gosper-poch trials include points whose product side needs more digits
+#: than the context: it takes them before summing, with no re-run.
 COMMANDS = (
     ["verify", "--identity", "knuth-wrench", "--trials", "10", "--digits", "50"],
+    ["verify", "--identity", "gosper-poch", "--trials", "10", "--seed", "42", "--digits", "50"],
     ["recip-sum", "--m1", "1", "--m2", "1", "--method", "naive", "--digits", "50"],
     ["eval", "lambert", "--method", "theta", "--q", "1/2", "--digits", "50"],
 )
@@ -49,3 +52,4 @@ def test_the_tracer_reports_every_declared_layer_metric() -> None:
     metrics = result["metrics"]
     assert sorted(metrics) == sorted(metric["name"] for metric in declared)
     assert metrics["qcore.sum_calls"] > 0
+    assert metrics["identities.escalations"] == 0
