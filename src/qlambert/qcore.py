@@ -111,10 +111,31 @@ budget is left for rounding accumulation.  The test runs in floats on the
 ``|T_n| <= m * (1 + 10**-16) * 10**(e - 16)``, and the float tail
 ``m * rho / (1 - rho)``, rounded up by ``1 + 8 * 2**-52``, is compared with
 ``eps/2`` rounded down by the same factor; beyond ``10**300`` the comparison
-is made exactly in ``Decimal``.  An empirical guard cross-checks the
+is made exactly (:func:`_less`).  An empirical guard cross-checks the
 majorant on the same mantissas: once past a burn-in of 16 terms, a term
 exceeding twice the declared ratio times the term before counts as a
 violation, and 64 consecutive violations abort the summation.
+
+Lazy certification.  Where the taper can no longer lower the precision, the
+loop reads ``ratio_at(n)`` and the mantissa only where a test can use them,
+and every summand, stop, bound and guard decision is that of a loop that
+reads both at every index (as it does for a ``Decay`` with no ``lowest``):
+
+1. Without a theta weight (``slope = 0``) every ``ratio_at(n)`` but
+   ``_NOT_YET`` is at least ``lowest = 2**const * (1 - 2**-48)``: each bound
+   multiplies by 1 or more or adds ``g > 0`` to ``log2 rho``, and the
+   allowance, at least ``1 + 8u``, covers ``exp2`` and the product.  Below
+   the normal floats, and with a theta weight, ``lowest = 0``.
+2. The tail test can pass only at ``t = 0`` or ``e <= reach = target_e + 2 -
+   log10(low / (1 - low))``, ``low = min(lowest, 1 - 2**-40)``: a ``rho < 1``
+   is at least ``low``, so the float tail is at least ``10**16 * low / (1 -
+   low)``, while ``limit < 10**17``; past ``reach`` it fails by a factor 10.
+3. With ``lo = min(lowest, 2)``, ``|t| <= shrink * |t_prev|``, ``shrink =
+   2*lo*(1 - 2**-30)`` rounded down to a multiple of ``2**-20``, gives ``m *
+   10**k < (m_prev + 1) * shrink * (1 + 5*10**-10)`` (the product rounds at
+   ``W >= 10`` digits) and ``rho_prev >= lo``: the guard's float test fails,
+   and so it does for ``|t| <= |t_prev|`` where ``shrink >= 1``.  Otherwise
+   the loop runs it, reading ``ratio_at(n - 1)`` and the mantissas it lacks.
 
 Precision from magnitude.  The rounding floor ``max(1, peak) * 10**-(W - 6)``
 of a ``tail_bound`` grows with the largest partial sum, which can pass far
@@ -128,7 +149,10 @@ within ``eps/4`` but for that, and with the tail test's ``eps/2`` the bound
 stays below ``eps``.  Past :data:`DIGIT_BUDGET` more digits it raises
 ``DomainError`` before any term.
 
-``B`` bounds each summand from its factors' own signed values over the
+``B`` is first ``|T_first| * (1 + rho_0 + rho_0*rho_1 + ...)``, the
+majorant's ratios alone, closed at the first ``rho_N < 1`` by
+``1 / (1 - rho_N)``; if that asks for no more digits, it is the bound.
+Otherwise it bounds each summand from its factors' own signed values over the
 indices with ``ratio_at(n) >= 1``, and on while ``rho`` falls by more than a
 relative ``2**-10`` and exceeds ``1/2`` and the bound still asks for more
 digits, then adds ``|T_N| / (1 - rho_N)``.  A factor is ``|c0|`` times
@@ -225,7 +249,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Decimal, Overflow, getcontext, localcontext
 from fractions import Fraction
-from math import ceil, exp2, floor, inf, ldexp, log, log2, prod, ulp
+from math import ceil, exp2, floor, inf, ldexp, log, log2, log10, prod, ulp
 from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -290,6 +314,8 @@ _MIN_NORMAL = 2.0**-1022
 _MIN_SUBNORMAL = ulp(0.0)
 #: Largest power of ten the tail test and the guard form in floats.
 _MAX_POW10 = 300
+#: Margins of lazy certification (module docstring): of lowest, low, shrink.
+_LOWEST_DOWN, _LOW_CAP, _SHRINK_DOWN = 1 - 2.0**-48, 1 - 2.0**-40, 1 - 2.0**-30
 #: Most digits a sum or a product may take beyond its context's (module docstring).
 DIGIT_BUDGET = 1000
 #: A ratio ``|c1*q**m / c0|`` beyond ``2**60`` leaves ``c0 - c1*q**m`` within
@@ -319,7 +345,9 @@ class SeriesValue:
 
 
 class Decay(Protocol):
-    """Majorant of the term ratios, a function of the index alone."""
+    """Majorant of the term ratios, a function of the index alone.  A float
+    ``lowest`` at most every ``ratio_at(n)`` but 2, if it has one, lets the
+    engine read ``ratio_at`` only where its tests need it (module docstring)."""
 
     def ratio_at(self, n: int) -> float:
         """A bound on ``|T_{m+1} / T_m|`` for every ``m >= n``."""
@@ -329,10 +357,10 @@ class Decay(Protocol):
 class TermGenerator:
     """A summand stream with a declared decay majorant.
 
-    The engine calls ``term`` and ``decay.ratio_at`` once per index, in
-    increasing order from its ``start_index``.  ``term`` may keep
-    running-product state keyed to that order; ``ratio_at`` may be called
-    at any index, in any order.
+    The engine calls ``term`` once per index, in increasing order from its
+    ``start_index``, and ``term`` may keep running-product state keyed to
+    that order; it calls ``decay.ratio_at`` where its tests need it, at any
+    index, in any order.
 
     ``term`` runs under the engine's current ``decimal`` context, whose
     precision may be below the working precision and never rises during a
@@ -554,6 +582,9 @@ class _Majorant:
                 self.bounds.append((log_h - c0_low, s * log_q, nums, dens))
         self.const, self.slope = const, slope
         self.allowance = 1 + (3 * sum(map(sum, counts.values())) + 4) * _UNIT
+        # At most every ratio_at(n) but _NOT_YET, or 0 (lazy certification).
+        lowest = ldexp(exp2(const % 1) * _LOWEST_DOWN, floor(const)) if const < 1024 else inf
+        self.lowest = lowest if slope == 0 and lowest >= _MIN_NORMAL else 0.0
         # The flat regime (module docstring): from index flat on, every
         # bound's factor is exactly 1.0; without a theta weight rho is then
         # one number.
@@ -644,8 +675,18 @@ def _log2_bounds(x: Real) -> tuple[float, float]:
 
 
 def _less(a: float, b: float, k: int) -> bool:
-    """``a < b * 10**k`` for ``a, b >= 0``, exactly; False when ``a`` is NaN."""
-    return a == a and Decimal(a) < Decimal(b).scaleb(k)
+    """``a < b * 10**k`` for ``a >= 0`` and a finite ``b >= 0``, exactly;
+    False when ``a`` is NaN.  Beyond ``[10**-324, 10**309]``, outside
+    ``[2**-1074, 2**1024)``, ``b * 10**k`` is below every positive float or
+    above every finite one; ``Decimal`` decides only within."""
+    if not b or a != a:
+        return False
+    magnitude = k + log10(b)
+    if magnitude > 309:
+        return a < inf
+    if magnitude < -324:
+        return not a
+    return Decimal(a) < Decimal(b).scaleb(k)
 
 
 def _term_cap(working_digits: int) -> int:
@@ -696,7 +737,7 @@ def _peak_log2(d: QTerm, decay: _Majorant, ctx: RealContext, eps: BigReal) -> fl
     factors = [(f, logs[f.c0], logs[f.c1], (f.c0 < 0) != (f.c1 < 0)) for f in d.factors]
     # Bounds below free take no extra digits; those above limit, too many.
     free = (ctx.working_digits - _digits_for(eps, 0)) * _LOG2_10
-    limit = free + DIGIT_BUDGET * _LOG2_10
+    limit, cap = free + DIGIT_BUDGET * _LOG2_10, _term_cap(ctx.working_digits)
     coeff, total, previous, n = _log2_bounds(d.start)[1], -inf, inf, d.first
     while True:
         # log2|T_n| <= term, and log2|C_{n+1} / C_n| <= advance.
@@ -715,6 +756,9 @@ def _peak_log2(d: QTerm, decay: _Majorant, ctx: RealContext, eps: BigReal) -> fl
                 advance += high if f.power > 0 else -low
             else:
                 term += high if f.power > 0 else -low
+        # The majorant's ratios alone often show that W is the context's.
+        if n == d.first and (quick := _ratio_bound(decay, n, term, free, cap)) <= free:
+            return quick
         rho = decay.ratio_at(n)
         if rho < 1:
             closed = _log_add(total, term - log2(1 - rho) + _PEAK_MARGIN)
@@ -723,12 +767,26 @@ def _peak_log2(d: QTerm, decay: _Majorant, ctx: RealContext, eps: BigReal) -> fl
         total = _log_add(total, term)
         if total > limit:
             return total
-        if rho >= 1 and n - d.first >= _term_cap(ctx.working_digits):
-            raise DivergenceError(
-                f"series failed to certify within {_term_cap(ctx.working_digits)} terms"
-            )
+        if rho >= 1 and n - d.first >= cap:
+            raise DivergenceError(f"series failed to certify within {cap} terms")
         coeff += advance + abs(coeff) * _LOG_MARGIN + _PEAK_MARGIN
         previous, n = rho, n + 1
+
+
+def _ratio_bound(decay: _Majorant, n: int, term: float, free: float, count: int) -> float:
+    """``log2`` of a bound on ``sum_{m >= n} |T_m|`` from ``log2|T_n| <= term``
+    and ``ratio_at`` alone; ``inf`` once past ``free``, or where ``ratio_at``
+    is :data:`_NOT_YET`, stops falling or stays at 1 or more for ``count`` terms."""
+    total, previous = -inf, inf
+    for n in range(n, n + count):
+        rho = decay.ratio_at(n)
+        if rho < 1:
+            return _log_add(total, term - log2(1 - rho) + _PEAK_MARGIN)
+        total = _log_add(total, term)
+        if total > free or rho == _NOT_YET or rho >= previous:
+            return inf
+        term, previous = term + log2(rho) + abs(term) * _LOG_MARGIN + _PEAK_MARGIN, rho
+    return inf
 
 
 def _factor_log2(
@@ -792,17 +850,23 @@ def sum_series(
     # Precision tapering (module docstring): the summands' digits, the reserve.
     taper = wd > TAPER_FROM
     prec, reserve = wd, 2 * len(str(hard_cap)) - 1
+    term, ratio_at = gen.term, gen.decay.ratio_at
+    # Lazy certification (module docstring); a Decay with no floor gets 0.
+    lowest = min(getattr(gen.decay, "lowest", 0.0), _NOT_YET)
+    low = min(lowest, _LOW_CAP)
     with localcontext(ctx.dec) as local:
         # target >= limit * 10**(target_e - 16).
         target_e = target.adjusted()
         limit = int(target.scaleb(16 - target_e)) * _TARGET_DOWN
+        reach = target_e + 2 - log10(low / (1 - low)) if low else inf
+        shrink = Decimal(ldexp(floor(ldexp(2 * lowest * _SHRINK_DOWN, 20)), -20))
+        unit = shrink >= 1
         total = peak = Decimal(0)
         terms_used = 0
         violations = 0
-        previous_m = previous_e = 0
-        previous_rho = 0.0
+        previous_size = previous_m = previous_rho = None
+        previous_e = 0
         n = start_index
-        term, ratio_at = gen.term, gen.decay.ratio_at
         while True:
             if prec < wd:
                 local.prec = prec
@@ -811,51 +875,67 @@ def sum_series(
             else:
                 t = term(n)
             total += t
-            size = abs(total)
-            if size > peak:
-                peak = size
+            partial = total.copy_abs()
+            if partial > peak:
+                peak = partial
             terms_used += 1
-            rho = ratio_at(n)
-            # m <= |t| * 10**(16 - e) < m + 1, and m >= 10**16 unless t = 0.
-            # Both tests below compare in floats inline (a call per term
-            # would cost as much as the test) and call _less only past 10**300.
-            e = t.adjusted()
-            m = abs(int(t.scaleb(16 - e)))
+            # Where the taper may still lower prec, it reads rho at every index.
+            eager = taper and prec > TAPER_MIN_PREC
+            rho = ratio_at(n) if eager else None
+            # m <= |t| * 10**(16 - e) < m + 1, m >= 10**16 unless t = 0, read only
+            # where a test needs it.  Both tests compare in floats inline (a call
+            # per term would cost as much as the test), calling _less past 10**300.
+            e, m, size = t.adjusted(), None, t.copy_abs()
             if terms_used > GUARD_BURN_IN:
-                # |t| > 2 * rho_prev * |t_prev|, on the mantissas.
-                allowed, k = 2 * previous_rho * previous_m, e - previous_e
-                if (
-                    allowed < m * 10.0**k
-                    if -_MAX_POW10 <= k <= _MAX_POW10
-                    else _less(allowed, m, k)
+                if (unit and size <= previous_size) or (
+                    shrink and size <= shrink * previous_size
                 ):
-                    violations += 1
-                    if violations >= GUARD_VIOLATION_LIMIT:
-                        raise DivergenceError(
-                            f"terms violated the declared decay near index {n}"
-                        )
-                else:
                     violations = 0
-            if terms_used >= MIN_TERMS and rho < 1:
-                tail, k = m * rho / (1 - rho) * _TAIL_UP, target_e - e
-                if (
-                    tail < limit * 10.0**k
-                    if -_MAX_POW10 <= k <= _MAX_POW10
-                    else _less(tail, limit, k)
-                ):
-                    return SeriesValue(
-                        value=total,
-                        terms_used=terms_used,
-                        tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
-                        method_tag=method_tag,
-                    )
-            if taper and rho < 1 and m:
+                else:
+                    # |t| > 2 * rho_prev * |t_prev|, on the mantissas.
+                    if previous_rho is None:
+                        previous_rho = ratio_at(n - 1)
+                    if previous_m is None:
+                        previous_m = int(previous_size.scaleb(16 - previous_e))
+                    m = int(size.scaleb(16 - e))
+                    allowed, k = 2 * previous_rho * previous_m, e - previous_e
+                    if (
+                        allowed < m * 10.0**k
+                        if -_MAX_POW10 <= k <= _MAX_POW10
+                        else _less(allowed, m, k)
+                    ):
+                        violations += 1
+                        if violations >= GUARD_VIOLATION_LIMIT:
+                            raise DivergenceError(
+                                f"terms violated the declared decay near index {n}"
+                            )
+                    else:
+                        violations = 0
+            if terms_used >= MIN_TERMS and (e <= reach or not t):
+                if rho is None:
+                    rho = ratio_at(n)
+                if rho < 1:
+                    if m is None:
+                        m = int(size.scaleb(16 - e))
+                    tail, k = m * rho / (1 - rho) * _TAIL_UP, target_e - e
+                    if (
+                        tail < limit * 10.0**k
+                        if -_MAX_POW10 <= k <= _MAX_POW10
+                        else _less(tail, limit, k)
+                    ):
+                        return SeriesValue(
+                            value=total,
+                            terms_used=terms_used,
+                            tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
+                            method_tag=method_tag,
+                        )
+            if eager and rho < 1 and t:
                 # Every later |T| < 10**(e+1): d = P - (e+1) - r digits of
                 # them lie below the floor's share.
                 lower = max(TAPER_MIN_PREC, wd + e + 1 + reserve - peak.adjusted())
                 if lower < prec and (wd <= _MUL_CLIFF or 2 * lower <= wd):
                     prec = lower
-            previous_m, previous_e, previous_rho = m, e, rho
+            previous_size, previous_e, previous_m, previous_rho = size, e, m, rho
             n += 1
             if terms_used > hard_cap:
                 raise DivergenceError(

@@ -6,9 +6,10 @@ import ast
 import math
 import time
 from collections import Counter
-from decimal import Decimal, getcontext, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -40,13 +41,14 @@ from qlambert.qcore import (
     TAPER_MIN_PREC,
     _kernel,
     _Majorant,
+    _less,
     ball,
     combine,
     ipow,
     product,
 )
 from qlambert.cli import main
-from qlambert.lambert import _glambert_naive, _qxt_alt
+from qlambert.lambert import _glambert_naive, _qxt_alt, _qxt_naive
 from qlambert.numerics import as_decimal
 
 from _oracles import (
@@ -141,6 +143,53 @@ class TestSumSeries:
             sum_series(TermGenerator(term, geometric_decay(Decimal("0.4"))), 0, ctx30)
         assert seen[-1] == GUARD_BURN_IN + GUARD_VIOLATION_LIMIT - 1
 
+    @pytest.mark.parametrize("ratio, violated", [("1.3", True), ("1.15", False)])
+    def test_guard_shortcut_counts_the_same_violations(self, ctx30, ratio, violated) -> None:
+        """Declared ratio 0.6: ``|t| <= 1.2 * |t_prev|`` is proved no
+        violation without the mantissas.  Terms growing 1.3-fold still
+        violate after the burn-in, 1.15-fold ones never do and run to the
+        term cap, as they do when the engine reads every ratio."""
+        decay = geometric_decay(Decimal("0.6"))
+        assert 1 < 2 * decay.lowest < 1.3
+        outcomes = []
+        for declared in (decay, SimpleNamespace(ratio_at=decay.ratio_at)):
+            seen = []
+
+            def term(n: int) -> Decimal:
+                seen.append(n)
+                return Decimal(ratio) ** n
+
+            with pytest.raises(DivergenceError) as caught:
+                sum_series(TermGenerator(term, declared), 0, ctx30)
+            outcomes.append((str(caught.value), len(seen)))
+        assert outcomes[0] == outcomes[1]
+        assert ("violated the declared decay" in outcomes[0][0]) == violated
+        if violated:
+            assert outcomes[0][1] == GUARD_BURN_IN + GUARD_VIOLATION_LIMIT
+
+    def test_a_zero_term_stops_the_sum_whatever_its_exponent(self, ctx30) -> None:
+        # The exponent of 0E+50 lies far past where a nonzero term could stop it.
+        terms = [Decimal(1), Decimal("0E+50")]
+        gen = TermGenerator(terms.__getitem__, geometric_decay(Decimal("0.5")))
+        sv = sum_series(gen, 0, ctx30)
+        assert (sv.value, sv.terms_used) == (1, 2)
+
+    def test_a_long_geometric_sum_reads_the_majorant_at_few_indices(self) -> None:
+        """About 600 terms at 62 digits, all before the flat regime: the tail
+        test and the guard need ``ratio_at`` at under 15% of them."""
+        ctx = make_context(50)
+        series = _qxt_naive(Decimal("0.6"), Decimal("-0.825"), Decimal("0.95"))
+        with localcontext(ctx.dec):
+            decay, term = _Majorant(series), _kernel(series)
+        calls = []
+        counted = SimpleNamespace(
+            lowest=decay.lowest, ratio_at=lambda n: calls.append(n) or decay.ratio_at(n)
+        )
+        sv = sum_series(TermGenerator(term, counted), 0, ctx)
+        assert ctx.working_digits == 62 and 550 <= sv.terms_used <= 650 < decay.flat
+        assert len(calls) <= 0.15 * sv.terms_used
+        assert sv == series.sum(ctx, "series")
+
     def test_theta_decay_term_count_scales_with_sqrt_digits(self) -> None:
         for digits in (50, 200):
             ctx = make_context(digits)
@@ -148,6 +197,22 @@ class TestSumSeries:
             sv = QTerm(q, start=q, theta=(2, 1), first=1).sum(ctx, "series")
             predicted = math.sqrt(digits / math.log10(2))
             assert sv.terms_used <= predicted + 6
+
+
+#: Floats at the edges of their range, and mantissas (0 and 17 digits).
+EDGE_FLOATS = [0.0, math.ulp(0.0), 2.0**-1022, 1e-300, 1.0, 1e300, 1.7976931348623157e308, math.inf]
+MANTISSAS = [0, 10**16, 10**17 - 1, 5e16]
+
+
+@pytest.mark.parametrize("k", [-2000, -1001, -650, -342, -341, -325, -324, -301, 301, 309, 310, 400, 1001])
+def test_less_decides_past_the_float_range_as_exactly_as_decimal(k) -> None:
+    """Beyond the band where ``b * 10**k`` can meet a finite float, ``_less``
+    answers from the operands alone; it agrees with a 2000-digit comparison."""
+    for a in EDGE_FLOATS + [math.nan]:
+        for b in MANTISSAS + EDGE_FLOATS[:-1]:
+            with localcontext(Context(prec=2000, Emin=-(10**6), Emax=10**6)):
+                want = a == a and Decimal(a) < Decimal(b).scaleb(k)
+            assert _less(a, b, k) == want, (a, b, k)
 
 
 def _power_term(q: Decimal):

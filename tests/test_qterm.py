@@ -13,9 +13,11 @@ module-level builders, and on random descriptions, which combine theta
 weights, evaluated and Pochhammer factors in ways no builder does and
 include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 
-Two more hold bit for bit on random descriptions: in the flat regime,
-``ratio_at`` equals the plain bounds loop, and the term kernel's summands
-equal a running product per factor, also when the precision drops mid-sum.
+Three more hold bit for bit on random descriptions: in the flat regime,
+``ratio_at`` equals the plain bounds loop; the term kernel's summands
+equal a running product per factor, also when the precision drops mid-sum;
+and a sum that reads the majorant lazily, by its floor ``lowest``, returns
+what one that reads it at every index returns.
 With exact rational parameters the kernel's summands agree with those of
 the same description in ``Decimal`` at 30 more digits, within the kernel's
 rounding count, and its running values become ``Decimal`` values at the index
@@ -25,16 +27,27 @@ its rule gives.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlambert import DivergenceError, DomainError, Factor, QTerm, make_context
+from qlambert import (
+    DivergenceError,
+    DomainError,
+    Factor,
+    QlambertError,
+    QTerm,
+    TermGenerator,
+    make_context,
+    sum_series,
+)
 from qlambert.bilateral import _minus_naive, _minus_theta
 from qlambert.identities import (
     _chain_geo,
@@ -129,7 +142,8 @@ PORTED = [
 
 
 def _rational(magnitude: float, negative: bool, denominator: int) -> Fraction:
-    value = Fraction(round(magnitude * denominator), denominator)
+    # Rounding may reach the denominator itself: keep |value| < 1.
+    value = Fraction(min(round(magnitude * denominator), denominator - 1), denominator)
     return -value if negative else value
 
 
@@ -285,6 +299,29 @@ def test_peak_bound_covers_every_partial_sum(series) -> None:
     _check_peak(build(*params))
 
 
+def test_a_majorant_that_never_falls_below_one_is_refused_as_divergent() -> None:
+    """``z = 1``: ``ratio_at`` stays above 1 for the engine's whole term
+    budget, and both the peak bound and the sum raise ``DivergenceError``."""
+    assert _check_peak(QTerm(Fraction(1, 2), z=Fraction(1))) == math.inf
+
+
+def test_growing_terms_are_refused_before_any_term_at_once() -> None:
+    """Terms that grow 3.6-fold per index, ``|q| = 1`` under a theta weight:
+    the peak bound refuses the sum before its first term."""
+    series = QTerm(
+        Fraction(1),
+        z=Fraction(3595, 3969),
+        theta=(3, 0),
+        factors=(Factor(Fraction(1), power=-1, pochhammer=True, c0=Fraction(5, 4)),),
+    )
+    streams = []
+    started = time.perf_counter()
+    with pytest.raises(QlambertError):
+        series.sum(make_context(DIGITS), "growing", term=streams.append)
+    assert time.perf_counter() - started < 0.1
+    assert streams == []
+
+
 def test_a_denominator_no_float_resolves_still_gets_a_sound_peak_bound() -> None:
     """``1 - x`` is 10**-19: 1.0 in floats, but past the pole scan's
     tolerance 10**-20 at 30 digits.  The bound is that of the summand
@@ -414,6 +451,7 @@ def test_ratio_at_bounds_the_running_product_at_the_float_edges(
     # ratio_at is a closed form: it needs no calls in index order.
     for n in reversed(indices):
         rho = decay.ratio_at(n)
+        assert rho >= min(decay.lowest, NOT_YET), (n, rho, decay.lowest)
         exact = _running_product_bound(series, n)
         if exact is None:
             assert rho == NOT_YET, n
@@ -532,6 +570,64 @@ def test_no_flat_regime_within_the_log_margin_of_one(q) -> None:
         decay = _Majorant(series)
     assert decay.bounds and all(b >= 0 for _, b, _, _ in decay.bounds)
     _assert_flat_regime_is_exact(series, list)
+
+
+# ---------------------------------------------------------------------------
+# Lazy certification: the engine reads ratio_at only where a test can use it.
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(random_series(), random_series(rational=True)))
+def test_lowest_is_at_most_every_ratio_around_the_flat_index(series) -> None:
+    """``ratio_at(n) >= min(lowest, 2)`` on both sides of ``flat``; without a
+    theta weight ``lowest`` is ``2**const`` less its margin, with one 0."""
+    build, params = series
+    with localcontext(make_context(DIGITS).dec):
+        decay = _Majorant(build(*params))
+    flat = decay.flat if decay.flat < math.inf else 50
+    indices = [n for n in range(flat - 5, flat + 6) if n >= 0] + [0, 1, 2, 10**6]
+    for n in indices:
+        assert decay.ratio_at(n) >= min(decay.lowest, NOT_YET), (n, decay.lowest)
+    if decay.slope:
+        assert decay.lowest == 0
+    elif -1000 < decay.const < 1000:
+        assert 1 - 2.0**-47 < decay.lowest / 2**decay.const < 1
+
+
+def _outcome(series: QTerm, decay, ctx) -> tuple:
+    """The sum of ``series`` under ``decay`` at ``ctx``, bit for bit, or the
+    message it fails with."""
+    with localcontext(ctx.dec):
+        gen = TermGenerator(_kernel(series), decay)
+    try:
+        sv = sum_series(gen, series.first, ctx, "lazy")
+    except DivergenceError as exc:
+        return (str(exc),)
+    return sv.value.as_tuple(), sv.terms_used, sv.tail_bound.as_tuple()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(random_series(), random_series(rational=True)),
+    st.sampled_from((DIGITS, 50, 250)),
+    st.booleans(),
+)
+def test_lazy_certification_returns_what_the_eager_engine_returns(
+    series, digits, weightless
+) -> None:
+    """Half the descriptions lose their theta weight, if any, so that most
+    have a floor ``lowest > 0``."""
+    build, params = series
+    description, ctx = build(*params), make_context(digits)
+    if weightless:
+        description = replace(description, theta=None)
+    with localcontext(ctx.dec):
+        decay = _Majorant(description)
+    # Keep the sample fast: at most about 4000 terms.
+    assume(decay.ratio_at(description.first + 2000) < 1 - 2.3 * digits / 4000)
+    # Without its floor lowest the engine reads ratio_at at every index.
+    eager = SimpleNamespace(ratio_at=decay.ratio_at)
+    assert _outcome(description, decay, ctx) == _outcome(description, eager, ctx)
 
 
 # ---------------------------------------------------------------------------

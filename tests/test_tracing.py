@@ -2,11 +2,13 @@
 
 ``perfbench/tracing.py`` wraps the package's functions in place, so a change
 of names or call paths can break it without any other test noticing.  The
-tracer runs in a child process, so that its wrappers stay out of this one.
+tracer runs in a child process, so that its wrappers stay out of this one;
+an untraced child must print the same output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -27,29 +29,50 @@ COMMANDS = (
 CHILD = """
 import contextlib, io, json, sys
 perfbench, src, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+traced = sys.argv[4] == "traced"
 sys.path[:0] = [perfbench, src]
 import tracing
-tracer = tracing.install()
+tracer = tracing.install() if traced else None
 from qlambert.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in commands]
-print(json.dumps({"codes": codes, "metrics": tracer.layer_metrics(len(commands))}))
+codes, outputs = [], []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(main(argv))
+    outputs.append(out.getvalue())
+metrics = tracer.layer_metrics(len(commands)) if traced else None
+print(json.dumps({"codes": codes, "outputs": outputs, "metrics": metrics}))
 """
 
 
-def test_the_tracer_reports_every_declared_layer_metric() -> None:
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+@functools.cache
+def run_commands(mode: str) -> dict:
+    """The exit codes, outputs and (traced) layer metrics of ``COMMANDS``,
+    run in a child process ``traced`` or ``untraced``."""
     proc = subprocess.run(
         [
             sys.executable, "-c", CHILD,
-            str(ROOT / "perfbench"), str(ROOT / "src"), json.dumps(COMMANDS),
+            str(ROOT / "perfbench"), str(ROOT / "src"), json.dumps(COMMANDS), mode,
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_the_tracer_reports_every_declared_layer_metric() -> None:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    result = run_commands("traced")
     assert result["codes"] == [0] * len(COMMANDS)
     metrics = result["metrics"]
     assert sorted(metrics) == sorted(metric["name"] for metric in declared)
     assert metrics["qcore.sum_calls"] > 0
     assert metrics["identities.escalations"] == 0
+
+
+def test_traced_and_untraced_runs_print_the_same_output() -> None:
+    """The tracer's wrapper of the majorant has no ``lowest``, so traced sums
+    read ``ratio_at`` at every index: both paths print the same bytes."""
+    traced, untraced = run_commands("traced"), run_commands("untraced")
+    assert traced["codes"] == untraced["codes"]
+    assert all(traced["outputs"])
+    assert traced["outputs"] == untraced["outputs"]
