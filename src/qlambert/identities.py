@@ -463,7 +463,7 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
     (``|q| <= 0.9`` at the sampled points), so the rounding floor of the
     tail bound covers it as it covers them.
     """
-    delta = Decimal(1).scaleb(-(ctx.working_digits + 6))
+    delta = Decimal(1).scaleb(-(ctx.working_digits + 6), ctx.dec)
     x, q = p["x"], p["q"]
 
     def bracket(q_pow: BigReal) -> BigReal:

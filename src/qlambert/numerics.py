@@ -72,7 +72,7 @@ class RealContext:
 
     def pole_tolerance(self) -> BigReal:
         """Distance below which a denominator counts as an actual pole."""
-        return Decimal(1).scaleb(-(self.working_digits // 2))
+        return Decimal(1).scaleb(-(self.working_digits // 2), self.dec)
 
     def tail_floor(self, value: BigReal) -> BigReal:
         """Lower bound applied to reported tail bounds.
@@ -84,7 +84,7 @@ class RealContext:
         scale = abs(value)
         if scale < 1:
             scale = Decimal(1)
-        return scale * Decimal(1).scaleb(-(self.working_digits - 6))
+        return scale.scaleb(6 - self.working_digits, self.dec)
 
 
 def _require_unit(name: str, value: BigReal) -> None:
@@ -107,8 +107,11 @@ def make_context(target_digits: int, guard_digits: int | None = None) -> RealCon
     target because longer sums accumulate more rounding.  A sum whose
     magnitude asks for more takes ``guard_digits`` (:mod:`qlambert.qcore`).
 
+    Its powers of ten are formed in the context's own exponent range.
+
     Raises:
-        DomainError: if ``target_digits`` is below ``MIN_TARGET_DIGITS``.
+        DomainError: if ``target_digits`` is below ``MIN_TARGET_DIGITS``, or
+            the working digits pass that range's ``-Emin``.
     """
     if not isinstance(target_digits, int) or isinstance(target_digits, bool):
         raise DomainError("target_digits must be an integer")
@@ -124,11 +127,15 @@ def make_context(target_digits: int, guard_digits: int | None = None) -> RealCon
         Emin=-10_000_000,
         Emax=10_000_000,
     )
+    if working > -dec.Emin:
+        raise DomainError(
+            f"{target_digits} digits take {working} working digits, past the limit of {-dec.Emin}"
+        )
     return RealContext(
         target_digits=target_digits,
         guard_digits=guard,
         working_digits=working,
-        epsilon=Decimal(1).scaleb(-target_digits),
+        epsilon=Decimal(1).scaleb(-target_digits, dec),
         dec=dec,
     )
 

@@ -62,18 +62,6 @@ within one unit in the last place:
   comes out as at most the smallest subnormal, not 0, and one above it as
   ``inf``.
 
-The flat regime.  Where a bound's exponent is ``g <= -55``, ``exp2(g)`` is
-at most ``2**-55 * (1 + 2**-52)``, so ``1 + 2**g`` rounds to exactly 1.0,
-and so does ``1 - 2**g * _EXP2_UP``: the product is below ``2**-54``, half
-the spacing of the floats below 1.  The bound multiplies the product by
-exactly 1 and adds nothing to ``log2 rho``.  For ``b < 0`` the float
-``a + n*b`` is non-increasing in ``n``, since every rounding is monotone.
-So from the least index at which every bound has ``g <= -55``,
-``ratio_at(n)`` is ``2**(const + n*slope)`` times the allowance, bit for bit
-what the bounds give; without a theta weight (``slope = 0``) it is one
-number, computed once.  Where some ``b >= 0``, as for ``|q|`` within the
-log margin of 1, there is no flat regime and every call runs the bounds.
-
 The term kernel is one closure, composed once per description, that keeps
 its running values in locals and at index ``n``, under the current context:
 
@@ -116,10 +104,10 @@ majorant on the same mantissas: once past a burn-in of 16 terms, a term
 exceeding twice the declared ratio times the term before counts as a
 violation, and 64 consecutive violations abort the summation.
 
-Lazy certification.  Where the taper can no longer lower the precision, the
-loop reads ``ratio_at(n)`` and the mantissa only where a test can use them,
-and every summand, stop, bound and guard decision is that of a loop that
-reads both at every index (as it does for a ``Decay`` with no ``lowest``):
+Lazy certification.  At every precision the tail test and the guard read
+``ratio_at(n)`` and the mantissa only where they can use them, and every
+summand, stop, bound and guard decision is that of tests that read both at
+every index (as they do for a ``Decay`` with no ``lowest``):
 
 1. Without a theta weight (``slope = 0``) every ``ratio_at(n)`` but
    ``_NOT_YET`` is at least ``lowest = 2**const * (1 - 2**-48)``: each bound
@@ -147,7 +135,8 @@ The floor is taken at the computed peak, which exceeds the true one by its
 roundings alone, a relative ``10**(5-W)`` (taper proof below), so it stays
 within ``eps/4`` but for that, and with the tail test's ``eps/2`` the bound
 stays below ``eps``.  Past :data:`DIGIT_BUDGET` more digits it raises
-``DomainError`` before any term.
+``DomainError`` before any term, or ``DivergenceError`` where ``rho >= 1``
+(not ``_NOT_YET``) has not fallen since the index before.
 
 ``B`` is first ``|T_first| * (1 + rho_0 + rho_0*rho_1 + ...)``, the
 majorant's ratios alone, closed at the first ``rho_N < 1`` by
@@ -173,10 +162,12 @@ inside the ``2**-46`` margin.
 Precision tapering.  The running sum, its peak, the tests above and
 :func:`combine` and :func:`product` work at the working precision ``wd``;
 the late summands need fewer digits (Brent and Zimmermann, *Modern Computer
-Arithmetic*, ch. 4).  After an index ``n`` with ``rho = ratio_at(n) < 1`` and
-``T_n != 0``, every later ``|T_m| <= rho**(m-n) * |T_n| < 10**(e+1)``,
-``e = T_n.adjusted()``.  With ``P`` the exponent of the running peak, the
-terms after ``n`` are computed at ``max(TAPER_MIN_PREC, wd - d)`` digits,
+Arithmetic*, ch. 4).  At the first index ``n0`` with ``rho_0 = ratio_at(n0)
+< 1``, ``rho_0`` bounds every later ``|T_{m+1} / T_m|``: the taper reads
+``ratio_at`` up to ``n0`` alone.  At or after ``n0``, after an index ``n``
+with ``T_n != 0``, every later ``|T_m| <= |T_n| < 10**(e+1)``, ``e =
+T_n.adjusted()``.  With ``P`` the exponent of the running peak, the terms
+after ``n`` are computed at ``max(TAPER_MIN_PREC, wd - d)`` digits,
 ``d = P - (e+1) - r``, and the precision never rises again.  The reserve is
 ``r = 2*D - 1``, ``D`` the number of digits of the term cap ``hard_cap``.
 Let ``u(p) = 10**(1-p) / 2``, and let ``j`` count the summands from the
@@ -188,7 +179,7 @@ is a multiple of 200).
    precision never rises): the products, the constants rounded to the
    current precision, the differences ``c0 - c1*q**i``.  A difference
    amplifies the relative error of ``c1*q**i`` by ``h / (|c0| - h)``, finite
-   while ``rho < 1``.  So the computed summand is within ``kappa*(j+1)*u(p_j)``
+   from ``n0`` on.  So the computed summand is within ``kappa*(j+1)*u(p_j)``
    of the true one, relative to the majorant's bound ``2 * 10**(e+1)`` on it,
    with ``kappa = c * (1 + max h / (|c0| - h))``.  As ``p_j >= wd - d`` and
    ``10**P <= peak``, that is at most ``10*kappa*(j+1) * 10**-r * peak *
@@ -304,11 +295,6 @@ _LOG_MARGIN_ABS = 2.0**-48
 _EXP2_UP = 1 + 4 * _UNIT
 _TAIL_UP = 1 + 8 * _UNIT
 _TARGET_DOWN = 1 - 8 * _UNIT
-#: A bound exponent ``g`` at or below this one makes ``1 + 2**g`` and
-#: ``1 - 2**g * _EXP2_UP`` round to exactly 1.0 (the flat regime).
-_FLAT_G = -55.0
-#: Indices from this one on are never searched for the flat regime.
-_FLAT_CAP = 2**53
 #: The smallest normal and subnormal floats.
 _MIN_NORMAL = 2.0**-1022
 _MIN_SUBNORMAL = ulp(0.0)
@@ -585,65 +571,31 @@ class _Majorant:
         # At most every ratio_at(n) but _NOT_YET, or 0 (lazy certification).
         lowest = ldexp(exp2(const % 1) * _LOWEST_DOWN, floor(const)) if const < 1024 else inf
         self.lowest = lowest if slope == 0 and lowest >= _MIN_NORMAL else 0.0
-        # The flat regime (module docstring): from index flat on, every
-        # bound's factor is exactly 1.0; without a theta weight rho is then
-        # one number.
-        self.flat = max((_flat_from(a, b) for a, b, _, _ in self.bounds), default=0)
-        self.flat_rho = None
-        if slope == 0 and self.flat < inf:
-            self.flat_rho = self.ratio_at(self.flat)
 
     def ratio_at(self, n: int) -> float:
-        if n >= self.flat and self.flat_rho is not None:
-            return self.flat_rho
         log_rho = self.const + n * self.slope
         ratio = self.allowance
-        if n < self.flat:
-            for a, b, nums, dens in self.bounds:
-                g = a + n * b
-                if g <= 0:
-                    h = exp2(g)
-                    if dens:
-                        factor = 1 - h * _EXP2_UP
-                        if factor <= 0:
-                            return _NOT_YET
-                        ratio /= factor**dens
-                    ratio *= (1 + h) ** nums
-                elif dens:
-                    return _NOT_YET
-                else:
-                    log_rho += nums * g
-                    ratio *= (1 + exp2(-g)) ** nums
+        for a, b, nums, dens in self.bounds:
+            g = a + n * b
+            if g <= 0:
+                h = exp2(g)
+                if dens:
+                    factor = 1 - h * _EXP2_UP
+                    if factor <= 0:
+                        return _NOT_YET
+                    ratio /= factor**dens
+                ratio *= (1 + h) ** nums
+            elif dens:
+                return _NOT_YET
+            else:
+                log_rho += nums * g
+                ratio *= (1 + exp2(-g)) ** nums
         whole = floor(log_rho)
         try:
             rho = ldexp(exp2(log_rho - whole) * ratio, whole)
         except OverflowError:
             return inf
         return rho if rho >= _MIN_NORMAL else rho + _MIN_SUBNORMAL
-
-
-def _flat_from(a: float, b: float) -> float:
-    """The least index ``n >= 0`` with ``a + n*b <= _FLAT_G`` in floats, or
-    ``inf`` if there is none up to ``_FLAT_CAP``.
-
-    For ``b < 0`` the float ``a + n*b`` is non-increasing in ``n`` (each
-    rounding is monotone), so the test holds at every later index too.  The
-    rounded root ``(_FLAT_G - a) / b`` nearly always gives the index; where
-    the roundings move it, a bisection does.
-    """
-    if not (b < 0 and a + _FLAT_CAP * b <= _FLAT_G):
-        return inf
-    n = max(ceil((_FLAT_G - a) / b), 0)
-    if a + n * b <= _FLAT_G and (n == 0 or a + (n - 1) * b > _FLAT_G):
-        return n
-    low, high = 0, _FLAT_CAP
-    while low < high:
-        mid = (low + high) // 2
-        if a + mid * b <= _FLAT_G:
-            high = mid
-        else:
-            low = mid + 1
-    return low
 
 
 def _log2_bounds(x: Real) -> tuple[float, float]:
@@ -728,7 +680,8 @@ def _peak_log2(d: QTerm, decay: _Majorant, ctx: RealContext, eps: BigReal) -> fl
 
     Raises:
         DivergenceError: if ``ratio_at`` stays at 1 or more for as many terms
-            as :func:`sum_series` takes at ``ctx``.
+            as :func:`sum_series` takes at ``ctx``, or has not fallen where
+            the bound passes the digit budget's.
         PoleError: if a denominator cannot be told from 0 at ``ctx``.
     """
     logs, step, shift = decay.logs, *(d.theta or (0, 0))
@@ -766,6 +719,8 @@ def _peak_log2(d: QTerm, decay: _Majorant, ctx: RealContext, eps: BigReal) -> fl
                 return closed
         total = _log_add(total, term)
         if total > limit:
+            if max(1, previous) <= rho < inf and rho != _NOT_YET:
+                raise DivergenceError(f"series terms do not shrink from index {n}")
             return total
         if rho >= 1 and n - d.first >= cap:
             raise DivergenceError(f"series failed to certify within {cap} terms")
@@ -847,9 +802,12 @@ def sum_series(
     target = (ctx.epsilon if eps is None else eps) / 2
     wd = ctx.working_digits
     hard_cap = _term_cap(wd)
-    # Precision tapering (module docstring): the summands' digits, the reserve.
-    taper = wd > TAPER_FROM
+    # Precision tapering (module docstring): the summands' digits, their
+    # fewest, the reserve.  The taper reads rho at every index until the first
+    # rho < 1 latches it; at or below TAPER_FROM it never tapers.
+    fewest = TAPER_MIN_PREC if wd > TAPER_FROM else wd
     prec, reserve = wd, 2 * len(str(hard_cap)) - 1
+    latched = fewest == wd
     term, ratio_at = gen.term, gen.decay.ratio_at
     # Lazy certification (module docstring); a Decay with no floor gets 0.
     lowest = min(getattr(gen.decay, "lowest", 0.0), _NOT_YET)
@@ -879,9 +837,8 @@ def sum_series(
             if partial > peak:
                 peak = partial
             terms_used += 1
-            # Where the taper may still lower prec, it reads rho at every index.
-            eager = taper and prec > TAPER_MIN_PREC
-            rho = ratio_at(n) if eager else None
+            rho = None if latched else ratio_at(n)
+            latched = latched or rho < 1
             # m <= |t| * 10**(16 - e) < m + 1, m >= 10**16 unless t = 0, read only
             # where a test needs it.  Both tests compare in floats inline (a call
             # per term would cost as much as the test), calling _less past 10**300.
@@ -929,10 +886,10 @@ def sum_series(
                             tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
                             method_tag=method_tag,
                         )
-            if eager and rho < 1 and t:
+            if prec > fewest and latched and t:
                 # Every later |T| < 10**(e+1): d = P - (e+1) - r digits of
                 # them lie below the floor's share.
-                lower = max(TAPER_MIN_PREC, wd + e + 1 + reserve - peak.adjusted())
+                lower = max(fewest, wd + e + 1 + reserve - peak.adjusted())
                 if lower < prec and (wd <= _MUL_CLIFF or 2 * lower <= wd):
                     prec = lower
             previous_size, previous_e, previous_m, previous_rho = size, e, m, rho

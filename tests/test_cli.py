@@ -76,6 +76,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("qlambert:") and "q" in err
 
+    def test_digits_past_the_exponent_range_exit_two(self, capsys) -> None:
+        code, out, err = run_cli(
+            capsys, "eval", "lambert", "--q=1/3", "--digits", "20000000"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("qlambert:") and err.count("\n") == 1
+
     def test_pole_proximity_exits_three(self, capsys) -> None:
         code, _, err = run_cli(
             capsys, "eval", "qxt",

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from qlambert import (
     BilateralParams,
+    HoradamSequence,
     QxtParams,
+    fib_even_alt,
+    fib_odd_alt,
     glambert_lhs,
     glambert_theta,
     jordan_direct,
@@ -32,7 +35,7 @@ from qlambert import (
     series_qxt_rhs,
     theta3,
 )
-from qlambert import identities
+from qlambert import cli, identities
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -397,3 +400,52 @@ def test_poch_inf_to_an_absolute_epsilon_with_a_long_head_matches_qp(a: str, q: 
         reference = mpmath.qp(mpf(a), mpf(q))
         value, tail = mpf(str(sv.value)), mpf(str(sv.tail_bound))
         assert abs(value - reference) <= tail <= mpf(10) ** -30
+
+
+# ---------------------------------------------------------------------------
+# Every recip-sum route, and the alternate Fibonacci splits, against sums of
+# 1/f_n over the exact integers of the recurrence.
+
+
+@lru_cache(maxsize=None)
+def recip_reference(m1: int, m2: int, dps: int, parity: int | None = None):
+    """``sum 1/f_n`` over ``n >= 1``, or over the ``n`` of one ``parity``,
+    with ``f_n`` the exact ints of ``f_n = m1*f_{n-1} + m2*f_{n-2}``, to
+    ``dps`` digits, carried with :data:`GUARD_DPS` more.  The terms fall by
+    ``1/alpha < 0.62`` per index, so :func:`_sum_to` leaves a rest below
+    ``10**-(dps+9)``."""
+
+    def terms():
+        previous, current, n = 0, 1, 1
+        while True:
+            if parity is None or n % 2 == parity:
+                yield 1 / mpf(current)
+            previous, current, n = current, m1 * current + m2 * previous, n + 1
+
+    with mp.workdps(dps + GUARD_DPS):
+        return _sum_to(terms(), dps)
+
+
+#: (method, m1, m2) of every ``recip-sum`` route; gosper and split sum the
+#: Fibonacci reciprocals alone.
+RECIP_ROUTES = [
+    (method, m1, m2) for method in ("horadam", "naive") for m1, m2 in ((1, 1), (2, 1), (1, 2))
+] + [("gosper", 1, 1), ("split", 1, 1)]
+
+
+@pytest.mark.parametrize("digits", (300, 1000))
+@pytest.mark.parametrize("method, m1, m2", RECIP_ROUTES)
+def test_recip_sum_routes_match_the_integer_sum(method, m1: int, m2: int, digits: int) -> None:
+    _, evaluate = cli._recip_table()[method]
+    sv = evaluate(HoradamSequence(m1, m2), make_context(digits))
+    assert_oracle(sv, recip_reference(m1, m2, digits + EXTRA_DPS), digits)
+
+
+@pytest.mark.parametrize(
+    "evaluate, parity",
+    [(lambda ctx: fib_even_alt(True, ctx), 0), (fib_odd_alt, 1)],
+    ids=["even", "odd"],
+)
+def test_alternate_fibonacci_splits_match_the_integer_sums(evaluate, parity: int) -> None:
+    reference = recip_reference(1, 1, 300 + EXTRA_DPS, parity)
+    assert_oracle(evaluate(make_context(300)), reference, 300)

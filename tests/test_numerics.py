@@ -42,6 +42,23 @@ class TestMakeContext:
         assert ctx.tail_floor(Decimal("0.5")) == Decimal(1).scaleb(-35)
         assert ctx.tail_floor(Decimal(1000)) == Decimal(1000).scaleb(-35)
 
+    @pytest.mark.parametrize("digits", [1_500_000, 2_000_100])
+    def test_powers_of_ten_past_the_default_exponent_range_stay_exact(
+        self, digits: int
+    ) -> None:
+        """Past the caller's ``Emin`` of -999999 the goal, the pole tolerance
+        and the floor are exact powers of ten of the context's own range."""
+        ctx = make_context(digits)
+        wd = ctx.working_digits
+        assert ctx.epsilon.as_tuple() == (0, (1,), -digits)
+        assert ctx.pole_tolerance().as_tuple() == (0, (1,), -(wd // 2))
+        assert ctx.tail_floor(Decimal(3)).as_tuple() == (0, (3,), 6 - wd)
+
+    @pytest.mark.parametrize("digits, guard", [(10**7, None), (10, 10**7)])
+    def test_working_digits_past_the_exponent_range_rejected(self, digits, guard) -> None:
+        with pytest.raises(DomainError, match="working digits"):
+            make_context(digits, guard)
+
 
 class TestParseReal:
     def test_decimal_literals(self, ctx30) -> None:

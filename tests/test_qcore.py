@@ -174,20 +174,31 @@ class TestSumSeries:
         sv = sum_series(gen, 0, ctx30)
         assert (sv.value, sv.terms_used) == (1, 2)
 
-    def test_a_long_geometric_sum_reads_the_majorant_at_few_indices(self) -> None:
-        """About 600 terms at 62 digits, all before the flat regime: the tail
-        test and the guard need ``ratio_at`` at under 15% of them."""
-        ctx = make_context(50)
-        series = _qxt_naive(Decimal("0.6"), Decimal("-0.825"), Decimal("0.95"))
+    @pytest.mark.parametrize(
+        "digits, point, terms, share",
+        [
+            (50, ("0.6", "-0.825", "0.95"), (550, 650), 0.15),
+            # Tapered from 325 digits: the taper reads ratio_at until it falls below 1.
+            (300, ("0.6", "0.5", "0.7"), (950, 1050), 0.05),
+        ],
+        ids=["62-digits", "325-digits"],
+    )
+    def test_a_long_geometric_sum_reads_the_majorant_at_few_indices(
+        self, digits, point, terms, share
+    ) -> None:
+        """About 600 terms at 62 digits, or 1000 at 325: the tail test, the
+        guard and the taper need ``ratio_at`` at few of them."""
+        ctx = make_context(digits)
+        series = _qxt_naive(*map(Decimal, point))
         with localcontext(ctx.dec):
             decay, term = _Majorant(series), _kernel(series)
         calls = []
         counted = SimpleNamespace(
             lowest=decay.lowest, ratio_at=lambda n: calls.append(n) or decay.ratio_at(n)
         )
-        sv = sum_series(TermGenerator(term, counted), 0, ctx)
-        assert ctx.working_digits == 62 and 550 <= sv.terms_used <= 650 < decay.flat
-        assert len(calls) <= 0.15 * sv.terms_used
+        sv = sum_series(TermGenerator(term, counted), 0, ctx, "series")
+        assert terms[0] <= sv.terms_used <= terms[1]
+        assert len(calls) <= share * sv.terms_used
         assert sv == series.sum(ctx, "series")
 
     def test_theta_decay_term_count_scales_with_sqrt_digits(self) -> None:
@@ -274,6 +285,23 @@ class TestPrecisionTaper:
             wd, seen, _ = _precisions(series, digits)
             assert wd <= TAPER_FROM
             assert set(seen) == {wd}
+
+    def test_no_taper_before_the_first_ratio_below_one(self) -> None:
+        """Terms that dip to ``10**-200`` and rise again while ``ratio_at`` is
+        2: they could grow past any tapered precision, so every summand up to
+        the first ``rho < 1``, at index 40, runs at the working precision."""
+        ctx = make_context(300)
+        seen = []
+
+        def term(n: int) -> Decimal:
+            seen.append(getcontext().prec)
+            return Decimal(1) if n == 0 else Decimal("1e-200") if n < 40 else Decimal(2) ** (40 - n)
+
+        decay = SimpleNamespace(ratio_at=lambda n: 2.0 if n < 40 else 0.5)
+        sv = sum_series(TermGenerator(term, decay), 0, ctx)
+        assert seen[:41] == [ctx.working_digits] * 41 and min(seen) < ctx.working_digits
+        with localcontext(ctx.dec):
+            assert abs(sv.value - 3 - Decimal("39e-200")) <= sv.tail_bound <= ctx.epsilon
 
     def test_past_the_multiply_cliff_the_first_drop_halves_the_digits(self) -> None:
         q = _long(2, 7, 5000)

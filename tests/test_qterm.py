@@ -13,11 +13,10 @@ module-level builders, and on random descriptions, which combine theta
 weights, evaluated and Pochhammer factors in ways no builder does and
 include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 
-Three more hold bit for bit on random descriptions: in the flat regime,
-``ratio_at`` equals the plain bounds loop; the term kernel's summands
-equal a running product per factor, also when the precision drops mid-sum;
-and a sum that reads the majorant lazily, by its floor ``lowest``, returns
-what one that reads it at every index returns.
+Two more hold bit for bit on random descriptions: the term kernel's
+summands equal a running product per factor, also when the precision drops
+mid-sum; and a sum that reads the majorant lazily, by its floor ``lowest``,
+returns what one that reads it at every index returns.
 With exact rational parameters the kernel's summands agree with those of
 the same description in ``Decimal`` at 30 more digits, within the kernel's
 rounding count, and its running values become ``Decimal`` values at the index
@@ -42,7 +41,6 @@ from qlambert import (
     DivergenceError,
     DomainError,
     Factor,
-    QlambertError,
     QTerm,
     TermGenerator,
     make_context,
@@ -72,7 +70,6 @@ from qlambert.lambert import (
 from qlambert.exact import _pair_limit
 from qlambert.qcore import (
     TAPER_FROM,
-    _flat_from,
     _kernel,
     _log2_bounds,
     _Majorant,
@@ -271,7 +268,8 @@ def _check_peak(series: QTerm, digits: int = DIGITS) -> float:
             bound = _peak_log2(series, _Majorant(series), ctx, ctx.epsilon)
     except DivergenceError:
         # ratio_at stays at 1 or more for the engine's whole term budget
-        # (z = 1 can be drawn): the engine refuses it too.
+        # (z = 1 can be drawn), or stops falling past the digit budget: the
+        # engine refuses it too.
         with pytest.raises(DivergenceError):
             series.sum(ctx, "peak")
         return math.inf
@@ -306,20 +304,22 @@ def test_a_majorant_that_never_falls_below_one_is_refused_as_divergent() -> None
 
 
 def test_growing_terms_are_refused_before_any_term_at_once() -> None:
-    """Terms that grow 3.6-fold per index, ``|q| = 1`` under a theta weight:
-    the peak bound refuses the sum before its first term."""
+    """Terms that grow 3.6-fold per index, ``|q| = 1`` under a theta weight,
+    and 3-fold by ``z = 3``: the peak bound refuses each sum as divergent,
+    not as short of digits, before its first term."""
     series = QTerm(
         Fraction(1),
         z=Fraction(3595, 3969),
         theta=(3, 0),
         factors=(Factor(Fraction(1), power=-1, pochhammer=True, c0=Fraction(5, 4)),),
     )
-    streams = []
-    started = time.perf_counter()
-    with pytest.raises(QlambertError):
-        series.sum(make_context(DIGITS), "growing", term=streams.append)
-    assert time.perf_counter() - started < 0.1
-    assert streams == []
+    for description in (series, QTerm(Fraction(1, 2), z=Fraction(3))):
+        streams = []
+        started = time.perf_counter()
+        with pytest.raises(DivergenceError, match="do not shrink"):
+            description.sum(make_context(DIGITS), "growing", term=streams.append)
+        assert time.perf_counter() - started < 0.1
+        assert streams == []
 
 
 def test_a_denominator_no_float_resolves_still_gets_a_sound_peak_bound() -> None:
@@ -492,99 +492,21 @@ def test_tapered_sum_that_grows_then_cancels_stays_within_its_bound() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The flat regime of the majorant: from its index on, every bound's factor
-# is exactly 1.0, and ratio_at skips the bounds.
-
-
-def _plain_ratio_at(decay, n: int) -> float:
-    """The majorant at ``n`` by the bounds loop alone (``qcore`` module
-    docstring), with no flat regime."""
-    log_rho, ratio = decay.const + n * decay.slope, decay.allowance
-    for a, b, nums, dens in decay.bounds:
-        g = a + n * b
-        if g <= 0:
-            h = math.exp2(g)
-            if dens:
-                factor = 1 - h * (1 + 4 * 2.0**-52)
-                if factor <= 0:
-                    return NOT_YET
-                ratio /= factor**dens
-            ratio *= (1 + h) ** nums
-        elif dens:
-            return NOT_YET
-        else:
-            log_rho += nums * g
-            ratio *= (1 + math.exp2(-g)) ** nums
-    whole = math.floor(log_rho)
-    try:
-        rho = math.ldexp(math.exp2(log_rho - whole) * ratio, whole)
-    except OverflowError:
-        return math.inf
-    return rho if rho >= 2.0**-1022 else rho + math.ulp(0.0)
-
-
-def _assert_flat_regime_is_exact(series: QTerm, shuffle) -> None:
-    with localcontext(make_context(DIGITS).dec):
-        decay = _Majorant(series)
-    flat = decay.flat
-    if all(b < 0 for _, b, _, _ in decay.bounds):
-        assert flat < math.inf
-        # The least such index: one step before it, some bound is not flat.
-        assert all(a + flat * b <= -55 for a, b, _, _ in decay.bounds)
-        assert flat == 0 or any(a + (flat - 1) * b > -55 for a, b, _, _ in decay.bounds)
-        around = [flat + step for step in range(-3, 4)]
-        far = [flat + 10**k for k in (2, 4, 6, 9)]
-    else:
-        assert flat == math.inf
-        around, far = list(range(6)), [10**k for k in (2, 4, 6, 9)]
-    indices = shuffle([n for n in around + far if n >= 0])
-    for n in indices:
-        rho = decay.ratio_at(n)
-        assert rho.hex() == _plain_ratio_at(decay, n).hex(), (n, flat)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(random_series(), st.randoms(use_true_random=False))
-def test_flat_regime_matches_the_bounds_loop_bit_for_bit(series, rng) -> None:
-    build, params = series
-
-    def shuffle(indices: list[int]) -> list[int]:
-        rng.shuffle(indices)
-        return indices
-
-    _assert_flat_regime_is_exact(build(*params), shuffle)
-
-
-@pytest.mark.parametrize(
-    "q", ["0.99999999999999999999", "-0.999999999999999999999999", "1"]
-)
-def test_no_flat_regime_within_the_log_margin_of_one(q) -> None:
-    """``|q|`` so close to 1 that ``log2 |q|`` rounded up is not negative:
-    the bound exponents never fall, and ratio_at always runs the loop."""
-    series = QTerm(
-        Decimal(q),
-        z=Decimal("0.5"),
-        factors=(Factor(Decimal("0.5"), power=-1), Factor(Decimal("0.25"), s=2)),
-    )
-    with localcontext(make_context(DIGITS).dec):
-        decay = _Majorant(series)
-    assert decay.bounds and all(b >= 0 for _, b, _, _ in decay.bounds)
-    _assert_flat_regime_is_exact(series, list)
-
-
-# ---------------------------------------------------------------------------
 # Lazy certification: the engine reads ratio_at only where a test can use it.
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.one_of(random_series(), random_series(rational=True)))
 def test_lowest_is_at_most_every_ratio_around_the_flat_index(series) -> None:
-    """``ratio_at(n) >= min(lowest, 2)`` on both sides of ``flat``; without a
-    theta weight ``lowest`` is ``2**const`` less its margin, with one 0."""
+    """``ratio_at(n) >= min(lowest, 2)`` on both sides of the last index at
+    which some bound's exponent ``a + n*b`` falls past -55, where its factor
+    becomes exactly 1.0; without a theta weight ``lowest`` is ``2**const``
+    less its margin, with one 0."""
     build, params = series
     with localcontext(make_context(DIGITS).dec):
         decay = _Majorant(build(*params))
-    flat = decay.flat if decay.flat < math.inf else 50
+    crossings = [(-55 - a) / b for a, b, _, _ in decay.bounds if b < 0]
+    flat = math.ceil(min(max(crossings, default=50), 2**53))
     indices = [n for n in range(flat - 5, flat + 6) if n >= 0] + [0, 1, 2, 10**6]
     for n in indices:
         assert decay.ratio_at(n) >= min(decay.lowest, NOT_YET), (n, decay.lowest)
@@ -714,30 +636,6 @@ def test_term_kernel_matches_a_running_product_bit_for_bit(series, precisions) -
         with localcontext(Context(prec=prec)):
             got = term(n)
         assert got.as_tuple() == want.as_tuple(), (n, prec, got, want)
-
-
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        (-60.0, -1.0),
-        (10.0, -0.5),
-        (-54.0, -2.0**-40),
-        # Exponents whose rounded root misses the index by one or two.
-        (-54.99999999999741, -2.7075696473803266e-15),
-        (-54.99999998978808, -2.3191294425272733e-15),
-    ],
-)
-def test_flat_index_is_the_least_flat_one(a, b) -> None:
-    n = _flat_from(a, b)
-    assert a + n * b <= -55
-    assert n == 0 or a + (n - 1) * b > -55
-
-
-@pytest.mark.parametrize(
-    "a, b", [(-60.0, 0.0), (-54.0, 1e-3), (math.inf, -1.0), (0.0, -1e-20)]
-)
-def test_no_flat_index_without_a_falling_exponent(a, b) -> None:
-    assert _flat_from(a, b) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Two identity checks, one exact-reciprocal sum, one theta evaluation.  The
+#: Two identity checks, one exact-reciprocal sum, one theta evaluation, and
+#: two sums above TAPER_FROM digits, where the precision tapers.  The
 #: gosper-poch trials include points whose product side needs more digits
 #: than the context: it takes them before summing, with no re-run.
 COMMANDS = (
@@ -24,6 +25,11 @@ COMMANDS = (
     ["verify", "--identity", "gosper-poch", "--trials", "10", "--seed", "42", "--digits", "50"],
     ["recip-sum", "--m1", "1", "--m2", "1", "--method", "naive", "--digits", "50"],
     ["eval", "lambert", "--method", "theta", "--q", "1/2", "--digits", "50"],
+    ["eval", "qxt", "--method", "naive", "--x=-37/61", "--t=29/59", "--q=72/103", "--digits", "300"],
+    [
+        "eval", "bilateral", "--method", "form1",
+        "--x=35/59", "--t=-31/61", "--q=21/103", "--digits", "1000",
+    ],
 )
 
 CHILD = """
@@ -71,7 +77,9 @@ def test_the_tracer_reports_every_declared_layer_metric() -> None:
 
 def test_traced_and_untraced_runs_print_the_same_output() -> None:
     """The tracer's wrapper of the majorant has no ``lowest``, so traced sums
-    read ``ratio_at`` at every index: both paths print the same bytes."""
+    read ``ratio_at`` at every index, while untraced ones read it lazily, the
+    taper only up to the first ``rho < 1``: both print the same bytes, also
+    above ``TAPER_FROM`` digits."""
     traced, untraced = run_commands("traced"), run_commands("untraced")
     assert traced["codes"] == untraced["codes"]
     assert all(traced["outputs"])
