@@ -3,8 +3,9 @@
 ``golden_outputs.json`` holds the exit code and stdout of a fixed list of
 commands: every ``eval`` route with short (one-digit) and long (full-length
 rational) operands at 50 and 300 digits, every ``recip-sum`` route at 300
-digits, the bilateral bracket routes ``form1`` and ``form2`` also at 1000
-digits, and ``verify --all --trials 10 --digits 50 --report``.  A change to
+and 1000 digits, the theta routes of ``lambert``, ``glambert``, ``qxt`` and
+``theta3`` and the bilateral bracket routes ``form1`` and ``form2`` also at
+1000 digits, and ``verify --all --trials 10 --digits 50 --report``.  A change to
 the engine that keeps every summand and every stopping index leaves them
 byte for byte as they are.  Regenerate the file only for a change that
 alters them on purpose, and say why::
@@ -54,7 +55,8 @@ EVAL_ROUTES = (
 #: The routes also pinned at 1000 digits, where long operands stay exact.
 LONG_ROUTES = tuple(
     route for route in EVAL_ROUTES
-    if route[0] == "bilateral" and route[1] in ("form1", "form2")
+    if route[1] == "theta" and route[0] != "bilateral"
+    or route[0] == "bilateral" and route[1] in ("form1", "form2")
 )
 
 #: (m1, m2, method) of every ``recip-sum`` route.
@@ -76,11 +78,12 @@ def commands() -> list[tuple[str, ...]]:
                 # One token, so that argparse does not take "-3/7" for an option.
                 argv += [f"--{name}={value}" for name, value in operands.items()]
                 found.append((*argv, "--digits", str(digits), "--report"))
-    for m1, m2, method in RECIP_ROUTES:
-        found.append((
-            "recip-sum", "--m1", str(m1), "--m2", str(m2), "--method", method,
-            "--digits", "300", "--report",
-        ))
+    for digits in (300, 1000):
+        for m1, m2, method in RECIP_ROUTES:
+            found.append((
+                "recip-sum", "--m1", str(m1), "--m2", str(m2), "--method", method,
+                "--digits", str(digits), "--report",
+            ))
     found.append(("verify", "--all", "--trials", "10", "--digits", "50", "--report"))
     return found
 

@@ -17,9 +17,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Two identity checks, one exact-reciprocal sum, one theta evaluation, and
-#: two sums above TAPER_FROM digits, where the precision tapers.  The
-#: gosper-poch trials include points whose product side needs more digits
-#: than the context: it takes them before summing, with no re-run.
+#: four sums above TAPER_FROM digits, where the precision tapers: among them
+#: the Fibonacci reciprocal sum by its theta routes at 1000 digits, whose
+#: eager traced reads check the lazy theta certification, guard included.
+#: The gosper-poch trials include points whose product side needs more
+#: digits than the context: it takes them before summing, with no re-run.
 COMMANDS = (
     ["verify", "--identity", "knuth-wrench", "--trials", "10", "--digits", "50"],
     ["verify", "--identity", "gosper-poch", "--trials", "10", "--seed", "42", "--digits", "50"],
@@ -30,6 +32,8 @@ COMMANDS = (
         "eval", "bilateral", "--method", "form1",
         "--x=35/59", "--t=-31/61", "--q=21/103", "--digits", "1000",
     ],
+    ["recip-sum", "--m1", "1", "--m2", "1", "--method", "horadam", "--digits", "1000"],
+    ["recip-sum", "--m1", "1", "--m2", "1", "--method", "split", "--digits", "1000"],
 )
 
 CHILD = """
