@@ -210,16 +210,15 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     kernel = pair_term
     switched_at = None
 
-    def longest() -> int:
-        return max((pair[1].bit_length() for pair in powers), default=0)
-
     def term(n: int) -> BigReal:
         nonlocal kernel, rounded_to, limit, switched_at
         if kernel is pair_term:
             if getcontext().prec != rounded_to:
                 rounded_to = getcontext().prec
                 limit = _pair_limit(rounded_to)
-            if longest() > limit:
+            # Every running denominator is r**e, e = exponents[j]: the one of
+            # the largest exponent is the longest.
+            if powers and powers[exponents.index(max(exponents))][1].bit_length() > limit:
                 to_decimals()
                 kernel = decimal_term
                 switched_at = n

@@ -448,8 +448,11 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
     when the engine asks for the bracket: the working precision ``wd``, or
     less once the engine tapers (:mod:`qlambert.qcore`).  The test runs
     without a division per step, as ``4|q^n|^(K+1) <= cut = delta_p*(1-|q^n|)``,
-    with ``cut`` formed once per bracket.  ``delta_p`` is below the precision
-    ``p``, so no outward move by ``r`` would survive rounding; none is made.
+    with ``cut`` formed once per bracket, and only once the exponent of
+    ``q^(n(K+1))`` is at most that of ``cut``: before, the rounded product
+    ``4|q^n|^(K+1)`` is at least ``10**(adj(cut) + 1) > cut`` and fails it.
+    ``delta_p`` is below the precision ``p``, so no outward move by ``r``
+    would survive rounding; none is made.
     The true bracket ``(1 - x q^(2n))/((1-q^n)(1-x q^n))`` is at least
     ``(1-q^2)/4``, and the computed one is within ``r`` plus ``K`` roundings
     of it: a relative error of ``4/(1-q^2)`` times ``K`` units in the last
@@ -471,11 +474,13 @@ def _wrench_truncated(p: Params, ctx: RealContext) -> SeriesValue:
         qk = q_pow              # q^(kn) for k = 1, 2, ...
         xk = x                  # x^k
         cut = Decimal(1).scaleb(-(getcontext().prec + 6)) * (1 - abs(q_pow))
+        cut_e = cut.adjusted()
         while True:
             total += (1 + xk) * qk
             qk *= q_pow
             xk *= x
-            if 4 * abs(qk) <= cut:
+            # A nonzero qk past cut's exponent has |qk| >= 10**(cut_e + 1) > cut.
+            if (qk.adjusted() <= cut_e or not qk) and 4 * abs(qk) <= cut:
                 return total
 
     sv = sum_bracketed(_glambert_theta, (x, q), bracket, ctx, "wrench-truncated")

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable
 
 from .errors import DomainError
@@ -251,11 +252,52 @@ def format_real(value: BigReal, ctx: RealContext, digits: int | None = None) -> 
 
 
 def sqrt(value: BigReal, ctx: RealContext) -> BigReal:
-    """Correctly rounded square root at working precision.
+    """Correctly rounded square root at working precision, in value and in
+    representation that of ``ctx.dec.sqrt(value)``, from an integer root
+    (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.5).
+
+    At ``p`` digits, ``value = V * 10**(2E)`` with ``E = floor(adj/2) - p +
+    1``, ``adj`` its adjusted exponent, so that ``10**(2p-2) <= V <
+    10**(2p)`` and ``r = isqrt(floor(V))`` has ``p`` digits.  The root
+    ``sqrt(V)`` lies in ``[r, r + 1)`` and exceeds ``r + 1/2`` exactly when
+    ``V > r**2 + r + 1/4``.  For an integer ``V`` that is ``V - r**2 > r``,
+    with no tie.  A ``value`` of more than ``2p - 1`` digits can leave a
+    fraction ``f`` in ``V``, which decides where ``floor(V) - r**2 = r``:
+    up for ``f > 1/4``, and for ``f = 1/4``, a tie, to the even neighbour.
+    The root is ``(r or r + 1) * 10**E``, rounded once more where ``r + 1 =
+    10**p``.  An exact root (``V = r**2``) drops its trailing zeros down to
+    the ideal exponent ``floor(exp/2)``, ``exp`` the exponent of ``value``,
+    as ``Decimal`` does: ``sqrt(4)`` is ``2`` and ``sqrt(0.25)`` is ``0.5``.
 
     Raises:
-        DomainError: for negative input.
+        DomainError: for negative or non-finite input.
     """
+    value = Decimal(value)
+    if not value.is_finite():
+        raise DomainError(f"square root of the non-finite value {value}")
     if value < 0:
         raise DomainError("square root of a negative value")
-    return ctx.dec.sqrt(Decimal(value))
+    if not value:
+        sign, _, exponent = value.as_tuple()
+        return Decimal((sign, (0,), exponent >> 1))
+    # V = top / bottom = N + rest / bottom.
+    top, bottom = value.as_integer_ratio()
+    E = (value.adjusted() >> 1) - ctx.dec.prec + 1
+    if E <= 0:
+        top *= 10 ** (-2 * E)
+    else:
+        bottom *= 10 ** (2 * E)
+    N, rest = divmod(top, bottom)
+    r = isqrt(N)
+    excess = N - r * r
+    if rest and excess == r:
+        up = 4 * rest > bottom or (4 * rest == bottom and r % 2 == 1)
+    elif not (rest or excess):
+        ideal = value.as_tuple().exponent >> 1
+        if E < ideal:
+            r //= 10 ** (ideal - E)
+            E = ideal
+        up = False
+    else:
+        up = excess > r
+    return Decimal(r + up).scaleb(E, ctx.dec)

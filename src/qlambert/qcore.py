@@ -107,23 +107,39 @@ violation, and 64 consecutive violations abort the summation.
 Lazy certification.  At every precision the tail test and the guard read
 ``ratio_at(n)`` and the mantissa only where they can use them, and every
 summand, stop, bound and guard decision is that of tests that read both at
-every index (as they do for a ``Decay`` with no ``lowest``):
+every index (as they do for a ``Decay`` with no ``log2_floor``):
 
-1. Without a theta weight (``slope = 0``) every ``ratio_at(n)`` but
-   ``_NOT_YET`` is at least ``lowest = 2**const * (1 - 2**-48)``: each bound
-   multiplies by 1 or more or adds ``g > 0`` to ``log2 rho``, and the
-   allowance, at least ``1 + 8u``, covers ``exp2`` and the product.  Below
-   the normal floats, and with a theta weight, ``lowest = 0``.
-2. The tail test can pass only at ``t = 0`` or ``e <= reach = target_e + 2 -
-   log10(low / (1 - low))``, ``low = min(lowest, 1 - 2**-40)``: a ``rho < 1``
-   is at least ``low``, so the float tail is at least ``10**16 * low / (1 -
-   low)``, while ``limit < 10**17``; past ``reach`` it fails by a factor 10.
-3. With ``lo = min(lowest, 2)``, ``|t| <= shrink * |t_prev|``, ``shrink =
-   2*lo*(1 - 2**-30)`` rounded down to a multiple of ``2**-20``, gives ``m *
-   10**k < (m_prev + 1) * shrink * (1 + 5*10**-10)`` (the product rounds at
-   ``W >= 10`` digits) and ``rho_prev >= lo``: the guard's float test fails,
-   and so it does for ``|t| <= |t_prev|`` where ``shrink >= 1``.  Otherwise
-   the loop runs it, reading ``ratio_at(n - 1)`` and the mantissas it lacks.
+1. *The floor.*  ``ratio_at(n)`` starts from the float ``x = const +
+   n*slope``, then only adds ``g > 0`` to it or multiplies by factors of 1
+   or more, and the allowance, at least ``1 + 8u``, covers ``exp2`` and the
+   product.  So every ``ratio_at(n)`` but ``_NOT_YET`` is at least
+   ``floor(n) = 2**x * (1 - 2**-48)``, with a theta weight too; below the
+   normal floats the floor is 0 (:func:`_pow2_floor`).  Without a theta
+   weight (``slope = 0``) it is one number, ``lowest``.
+2. *The reach.*  The tail test can pass only at ``t = 0`` or ``e <=
+   reach(n) = target_e + 2 - log10(low / (1 - low))``, ``low =
+   min(floor(n), 1 - 2**-40)``: a ``rho < 1`` is at least ``low``, so the
+   float tail is at least ``10**16 * low / (1 - low)``, while ``limit <
+   10**17``; past ``reach`` it fails by a factor 10.  Without a theta weight
+   ``reach`` is one number.  With one the loop takes ``target_e + 2 - x /
+   log2(10)``, which grows linearly in ``n`` and is at least ``reach(n)``
+   less ``10**-14``: where ``floor(n) <= 1``, ``low / (1 - low) >=
+   floor(n)``, whose ``log10`` is ``x / log2(10) + log10(1 - 2**-48)``, and
+   where ``floor(n) > 1`` no ``rho >= floor(n)`` passes.  That and the
+   float errors are far inside the spare factor 10.  Where ``x <= -1021``,
+   and the floor may be 0, ``reach`` is ``inf``.
+3. *The guard.*  With ``lo = min(lowest, 2)``, and 0 with a theta weight,
+   ``|t| <= shrink * |t_prev|``, ``shrink = 2*lo*(1 - 2**-30)`` rounded down
+   to a multiple of ``2**-20``, gives ``m * 10**k < (m_prev + 1) * shrink *
+   (1 + 5*10**-10)`` (the product rounds at ``W >= 10`` digits) and
+   ``rho_prev >= lo``: the guard's float test fails, and so it does for
+   ``|t| <= |t_prev|`` where ``shrink >= 1``.  Otherwise the loop reads the
+   mantissas and first runs the test with ``min(floor(n - 1), 2)`` in place
+   of ``rho_prev``.  Float products are monotone, so where ``2 * floor *
+   m_prev`` is at least ``m * 10**k`` (in floats, or exactly past
+   ``10**300``) so is ``2 * rho_prev * m_prev``, and there is no violation;
+   only where it is not does the loop read ``ratio_at(n - 1)`` and run the
+   test itself.
 
 Precision from magnitude.  The rounding floor ``max(1, peak) * 10**-(W - 6)``
 of a ``tail_bound`` grows with the largest partial sum, which can pass far
@@ -300,8 +316,10 @@ _MIN_NORMAL = 2.0**-1022
 _MIN_SUBNORMAL = ulp(0.0)
 #: Largest power of ten the tail test and the guard form in floats.
 _MAX_POW10 = 300
-#: Margins of lazy certification (module docstring): of lowest, low, shrink.
-_LOWEST_DOWN, _LOW_CAP, _SHRINK_DOWN = 1 - 2.0**-48, 1 - 2.0**-40, 1 - 2.0**-30
+#: Margins of lazy certification (module docstring): of the floor, low, shrink.
+_FLOOR_DOWN, _LOW_CAP, _SHRINK_DOWN = 1 - 2.0**-48, 1 - 2.0**-40, 1 - 2.0**-30
+#: Where ``log2`` of the floor is at most this, the floor may be 0 (reach is inf).
+_FLOOR_LOG2_MIN = -1021.0
 #: Most digits a sum or a product may take beyond its context's (module docstring).
 DIGIT_BUDGET = 1000
 #: A ratio ``|c1*q**m / c0|`` beyond ``2**60`` leaves ``c0 - c1*q**m`` within
@@ -331,9 +349,15 @@ class SeriesValue:
 
 
 class Decay(Protocol):
-    """Majorant of the term ratios, a function of the index alone.  A float
-    ``lowest`` at most every ``ratio_at(n)`` but 2, if it has one, lets the
-    engine read ``ratio_at`` only where its tests need it (module docstring)."""
+    """Majorant of the term ratios, a function of the index alone.
+
+    A ``log2_floor`` ``(c, s)``, if it has one, declares every
+    ``ratio_at(n)`` but 2 at least ``floor(n) = 2**(c + n*s) * (1 - 2**-48)``
+    (0 below the normal floats, :func:`_pow2_floor`).  The engine then reads
+    ``ratio_at`` only where its tests need it: the tail test where the
+    term's exponent is within the reach that the floor leaves it, the guard
+    where ``2 * floor(n - 1)`` times the last mantissa does not prove it
+    passes (module docstring).  Without one it reads every index."""
 
     def ratio_at(self, n: int) -> float:
         """A bound on ``|T_{m+1} / T_m|`` for every ``m >= n``."""
@@ -568,9 +592,13 @@ class _Majorant:
                 self.bounds.append((log_h - c0_low, s * log_q, nums, dens))
         self.const, self.slope = const, slope
         self.allowance = 1 + (3 * sum(map(sum, counts.values())) + 4) * _UNIT
-        # At most every ratio_at(n) but _NOT_YET, or 0 (lazy certification).
-        lowest = ldexp(exp2(const % 1) * _LOWEST_DOWN, floor(const)) if const < 1024 else inf
-        self.lowest = lowest if slope == 0 and lowest >= _MIN_NORMAL else 0.0
+
+    @property
+    def log2_floor(self) -> tuple[float, float]:
+        """``(const, slope)``: every ``ratio_at(n)`` but :data:`_NOT_YET` is at
+        least ``_pow2_floor(const + n*slope)`` (lazy certification, module
+        docstring)."""
+        return self.const, self.slope
 
     def ratio_at(self, n: int) -> float:
         log_rho = self.const + n * self.slope
@@ -596,6 +624,15 @@ class _Majorant:
         except OverflowError:
             return inf
         return rho if rho >= _MIN_NORMAL else rho + _MIN_SUBNORMAL
+
+
+def _pow2_floor(x: float) -> float:
+    """``2**x * (1 - 2**-48)``, the floor of a ``ratio_at`` that starts from
+    ``log2 rho = x``; 0 below the normal floats and ``inf`` above them."""
+    if x >= 1024:
+        return inf
+    low = ldexp(exp2(x % 1) * _FLOOR_DOWN, floor(x))
+    return low if low >= _MIN_NORMAL else 0.0
 
 
 def _log2_bounds(x: Real) -> tuple[float, float]:
@@ -639,6 +676,12 @@ def _less(a: float, b: float, k: int) -> bool:
     if magnitude < -324:
         return not a
     return Decimal(a) < Decimal(b).scaleb(k)
+
+
+def _below(a: float, b: float, k: int) -> bool:
+    """``a < b * 10**k`` as the tail test and the guard compare: in floats
+    within ``10**300``, exactly past it (:func:`_less`)."""
+    return a < b * 10.0**k if -_MAX_POW10 <= k <= _MAX_POW10 else _less(a, b, k)
 
 
 def _term_cap(working_digits: int) -> int:
@@ -809,8 +852,10 @@ def sum_series(
     prec, reserve = wd, 2 * len(str(hard_cap)) - 1
     latched = fewest == wd
     term, ratio_at = gen.term, gen.decay.ratio_at
-    # Lazy certification (module docstring); a Decay with no floor gets 0.
-    lowest = min(getattr(gen.decay, "lowest", 0.0), _NOT_YET)
+    # Lazy certification (module docstring): the floor's line, or a floor 0.
+    # Without a theta weight the floor is one number, lowest.
+    const, slope = getattr(gen.decay, "log2_floor", (_LOG2_ZERO, 0.0))
+    lowest = 0.0 if slope else min(_pow2_floor(const), _NOT_YET)
     low = min(lowest, _LOW_CAP)
     with localcontext(ctx.dec) as local:
         # target >= limit * 10**(target_e - 16).
@@ -840,8 +885,7 @@ def sum_series(
             rho = None if latched else ratio_at(n)
             latched = latched or rho < 1
             # m <= |t| * 10**(16 - e) < m + 1, m >= 10**16 unless t = 0, read only
-            # where a test needs it.  Both tests compare in floats inline (a call
-            # per term would cost as much as the test), calling _less past 10**300.
+            # where a test needs it.
             e, m, size = t.adjusted(), None, t.copy_abs()
             if terms_used > GUARD_BURN_IN:
                 if (unit and size <= previous_size) or (
@@ -849,18 +893,16 @@ def sum_series(
                 ):
                     violations = 0
                 else:
-                    # |t| > 2 * rho_prev * |t_prev|, on the mantissas.
-                    if previous_rho is None:
-                        previous_rho = ratio_at(n - 1)
+                    # |t| > 2 * rho_prev * |t_prev|, on the mantissas; first with
+                    # the floor of rho_prev, which proves no violation or reads it.
                     if previous_m is None:
                         previous_m = int(previous_size.scaleb(16 - previous_e))
-                    m = int(size.scaleb(16 - e))
-                    allowed, k = 2 * previous_rho * previous_m, e - previous_e
-                    if (
-                        allowed < m * 10.0**k
-                        if -_MAX_POW10 <= k <= _MAX_POW10
-                        else _less(allowed, m, k)
-                    ):
+                    m, k = int(size.scaleb(16 - e)), e - previous_e
+                    if previous_rho is None:
+                        floor_prev = min(_pow2_floor(const + (n - 1) * slope), _NOT_YET)
+                        if _below(2 * floor_prev * previous_m, m, k):
+                            previous_rho = ratio_at(n - 1)
+                    if previous_rho is not None and _below(2 * previous_rho * previous_m, m, k):
                         violations += 1
                         if violations >= GUARD_VIOLATION_LIMIT:
                             raise DivergenceError(
@@ -868,18 +910,18 @@ def sum_series(
                             )
                     else:
                         violations = 0
+            if slope:
+                # reach(n) rises along the floor's line (module docstring).
+                x = const + n * slope
+                reach = target_e + 2 - x / _LOG2_10 if x > _FLOOR_LOG2_MIN else inf
             if terms_used >= MIN_TERMS and (e <= reach or not t):
                 if rho is None:
                     rho = ratio_at(n)
                 if rho < 1:
                     if m is None:
                         m = int(size.scaleb(16 - e))
-                    tail, k = m * rho / (1 - rho) * _TAIL_UP, target_e - e
-                    if (
-                        tail < limit * 10.0**k
-                        if -_MAX_POW10 <= k <= _MAX_POW10
-                        else _less(tail, limit, k)
-                    ):
+                    tail = m * rho / (1 - rho) * _TAIL_UP
+                    if _below(tail, limit, target_e - e):
                         return SeriesValue(
                             value=total,
                             terms_used=terms_used,

@@ -28,7 +28,6 @@ import math
 import threading
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
@@ -39,7 +38,6 @@ from .qcore import (
     SeriesValue,
     ball,
     combine,
-    ipow,
     product,
     theta3,
 )
@@ -61,6 +59,12 @@ __all__ = [
 
 #: The fast route refuses |beta/alpha| within this distance of 1.
 FAST_DEGENERACY_GAP = Decimal("1e-6")
+
+#: Float logs of Gosper's tail bound (:func:`fib_recip_gosper`), and its
+#: relative margin.
+_LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
+_LOG10_5 = math.log10(5)
+_LOG_MARGIN = 2.0**-46
 
 
 @dataclass(frozen=True)
@@ -221,36 +225,53 @@ def fib_recip_gosper(
         ``sum_{n>=0} (-1)^(n(n-1)/2) * (F_{4n+3} + (-1)^n F_{2n+2})
           / (F_{2n+1} F_{2n+2} G_1 G_3 ... G_{2n+1})``
 
-    in exact rational arithmetic, rounding once at the end.  The sign
+    in exact integer arithmetic, rounding once at the end.  The sign
     ``(-1)^(n(n-1)/2)`` follows the period-4 pattern ``+,+,-,-``.  With
     ``corrected=False`` the Lucas product stops at ``G_{2n-1}`` instead,
     which demonstrably breaks the identity.
 
+    The partial sum is carried as ``P / Q``, unreduced: with ``b_n =
+    F_{2n+1} F_{2n+2}``, ``G'_n`` the Lucas factor that term ``n`` adds and
+    ``c_n`` its signed numerator, ``Q = prod b_k G'_k`` and ``B = prod b_k``
+    over the terms so far, and each term is ``P <- P * b_n * G'_n + c_n *
+    B``: long integers times short ones, no gcd.  ``Decimal(P) / Decimal(Q)``
+    is the correctly rounded quotient of the same rational as the reduced
+    sum.
+
     The n-th term is at most ``5 phi^-((n+1)^2)`` in magnitude (README), and
     ``5 phi^-(n^2)`` uncorrected.  The tail bound sums that bound over the
     terms left out: ``5 phi^-(M^2) / (1 - phi^-(2M+1))`` with ``M = N + 1``
-    (``M = N`` uncorrected).
+    (``M = N`` uncorrected).  It is formed from float logs: ``log10 phi`` is
+    taken a relative ``2**-46`` low, far past the errors of ``phi``'s float
+    and of ``log10``, the sum of the logs is moved up by ``2**-46`` of its
+    size and ``2**-48``, and ``10**`` of its fraction, times ``10**16``, up
+    by ``2**-49``, past the three roundings that form it, before it is
+    rounded up to the integer mantissa of the bound.
     """
     _require_int("term count", N, 1)
-    total = Fraction(0)
-    g_product = 1
+    P, Q, B = 0, 1, 1
     for n in range(N):
+        b = fibonacci(2 * n + 1) * fibonacci(2 * n + 2)
         if corrected:
-            g_product *= lucas_G(2 * n + 1)
-        elif n >= 1:
-            g_product *= lucas_G(2 * n - 1)
+            step = b * lucas_G(2 * n + 1)
+        else:
+            step = b * lucas_G(2 * n - 1) if n >= 1 else b
         numerator = fibonacci(4 * n + 3) + (
             fibonacci(2 * n + 2) if n % 2 == 0 else -fibonacci(2 * n + 2)
         )
-        denominator = fibonacci(2 * n + 1) * fibonacci(2 * n + 2) * g_product
-        sign = 1 if n % 4 in (0, 1) else -1
-        total += Fraction(sign * numerator, denominator)
-    phi, _ = _FIBONACCI.roots(ctx)
+        c = numerator if n % 4 in (0, 1) else -numerator
+        P = P * step + c * B
+        Q *= step
+        B *= b
     M = N + 1 if corrected else N
+    log_phi = _LOG10_PHI * (1 - _LOG_MARGIN)
+    log_tail = _LOG10_5 - M * M * log_phi - math.log10(1 - 10 ** (-(2 * M + 1) * log_phi))
+    log_tail += abs(log_tail) * _LOG_MARGIN + 2.0**-48
+    whole = math.floor(log_tail)
+    mantissa = math.ceil(10 ** (log_tail - whole) * 1e16 * (1 + 2.0**-49))
     with localcontext(ctx.dec):
-        value = Decimal(total.numerator) / Decimal(total.denominator)
-        tail = 5 * ipow(phi, -M * M) / (1 - ipow(phi, -(2 * M + 1)))
-        tail += ctx.tail_floor(value)
+        value = Decimal(P) / Decimal(Q)
+        tail = Decimal(mantissa).scaleb(whole - 16) + ctx.tail_floor(value)
     return SeriesValue(
         value=value, terms_used=N, tail_bound=tail, method_tag="gosper"
     )

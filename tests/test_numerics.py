@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlambert import DomainError, format_real, make_context, parse_real, sqrt
+
+#: Target digits of the square-root checks.
+ROOT_DIGITS = (10, 11, 37, 300, 1000, 5000)
+
+
+@st.composite
+def root_cases(draw) -> tuple[int, Decimal]:
+    """A precision and a positive ``Decimal``: its coefficient as long as the
+    working precision or twice it, give or take a digit, an exact square, or
+    a midpoint ``(r + 1/2)**2`` of ``p``-digit roots ``r``, which only an
+    input longer than ``2p`` digits can be."""
+    digits = draw(st.sampled_from(ROOT_DIGITS))
+    p = make_context(digits).dec.prec
+    length = draw(st.sampled_from((1, 2, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 1)))
+    c = draw(st.integers(10 ** (length - 1), 10**length - 1))
+    exponent = draw(st.integers(-40, 40))
+    shape = draw(st.sampled_from(("plain", "square", "midpoint")))
+    if shape == "square":
+        c = draw(st.integers(1, 10 ** min(length, p))) ** 2
+    elif shape == "midpoint":
+        r = draw(st.integers(10 ** (p - 1), 10**p - 1))
+        c, exponent = (2 * r + 1) ** 2 * 25, 2 * exponent - 2
+    with localcontext(Context(prec=3 * p)):
+        return digits, Decimal(c).scaleb(exponent)
 
 
 class TestMakeContext:
@@ -120,3 +146,28 @@ class TestSqrt:
     def test_negative_rejected(self, ctx30) -> None:
         with pytest.raises(DomainError):
             sqrt(Decimal(-1), ctx30)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, ctx30, text) -> None:
+        with pytest.raises(DomainError):
+            sqrt(Decimal(text), ctx30)
+
+    @pytest.mark.parametrize("digits", ROOT_DIGITS)
+    @pytest.mark.parametrize(
+        "text", ["4", "9", "0.25", "1E-8", "5", "8", "100", "4.00", "0", "-0", "0E-5"]
+    )
+    def test_exact_squares_and_discriminants_match_decimal(self, digits, text) -> None:
+        """``sqrt(4)`` stays ``2`` and ``sqrt(0.25)`` stays ``0.5``: an exact
+        root takes the ideal exponent, as ``Decimal``'s does."""
+        ctx = make_context(digits)
+        value = Decimal(text)
+        assert str(sqrt(value, ctx)) == str(ctx.dec.sqrt(value))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(root_cases())
+    def test_matches_decimal_in_value_and_representation(self, case) -> None:
+        digits, value = case
+        ctx = make_context(digits)
+        root, expected = sqrt(value, ctx), ctx.dec.sqrt(value)
+        assert root == expected
+        assert str(root) == str(expected)

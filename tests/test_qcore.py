@@ -42,13 +42,14 @@ from qlambert.qcore import (
     _kernel,
     _Majorant,
     _less,
+    _pow2_floor,
     ball,
     combine,
     ipow,
     product,
 )
 from qlambert.cli import main
-from qlambert.lambert import _glambert_naive, _qxt_alt, _qxt_naive
+from qlambert.lambert import _glambert_naive, _qxt_alt, _qxt_naive, _qxt_theta
 from qlambert.numerics import as_decimal
 
 from _oracles import (
@@ -150,7 +151,7 @@ class TestSumSeries:
         violate after the burn-in, 1.15-fold ones never do and run to the
         term cap, as they do when the engine reads every ratio."""
         decay = geometric_decay(Decimal("0.6"))
-        assert 1 < 2 * decay.lowest < 1.3
+        assert 1 < 2 * _pow2_floor(decay.const) < 1.3
         outcomes = []
         for declared in (decay, SimpleNamespace(ratio_at=decay.ratio_at)):
             seen = []
@@ -194,11 +195,30 @@ class TestSumSeries:
             decay, term = _Majorant(series), _kernel(series)
         calls = []
         counted = SimpleNamespace(
-            lowest=decay.lowest, ratio_at=lambda n: calls.append(n) or decay.ratio_at(n)
+            log2_floor=decay.log2_floor,
+            ratio_at=lambda n: calls.append(n) or decay.ratio_at(n),
         )
         sv = sum_series(TermGenerator(term, counted), 0, ctx, "series")
         assert terms[0] <= sv.terms_used <= terms[1]
         assert len(calls) <= share * sv.terms_used
+        assert sv == series.sum(ctx, "series")
+
+    def test_a_theta_sum_reads_the_majorant_at_few_indices(self) -> None:
+        """79 terms at 1000 digits: the floor of a theta weight falls along a
+        line, so the tail test and the guard read ``ratio_at`` at a handful
+        of indices, the taper's up to the first ``rho < 1`` included."""
+        ctx = make_context(1000)
+        series = _qxt_theta(Decimal("0.6"), Decimal("0.5"), Decimal("0.7"))
+        with localcontext(ctx.dec):
+            decay, term = _Majorant(series), _kernel(series)
+        calls = []
+        counted = SimpleNamespace(
+            log2_floor=decay.log2_floor,
+            ratio_at=lambda n: calls.append(n) or decay.ratio_at(n),
+        )
+        sv = sum_series(TermGenerator(term, counted), 0, ctx, "series")
+        assert sv.terms_used == 79
+        assert len(calls) <= 8, calls
         assert sv == series.sum(ctx, "series")
 
     def test_theta_decay_term_count_scales_with_sqrt_digits(self) -> None:

@@ -15,8 +15,8 @@ include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 
 Two more hold bit for bit on random descriptions: the term kernel's
 summands equal a running product per factor, also when the precision drops
-mid-sum; and a sum that reads the majorant lazily, by its floor ``lowest``,
-returns what one that reads it at every index returns.
+mid-sum; and a sum that reads the majorant lazily, by its floor, returns
+what one that reads it at every index returns, with a theta weight too.
 With exact rational parameters the kernel's summands agree with those of
 the same description in ``Decimal`` at 30 more digits, within the kernel's
 rounding count, and its running values become ``Decimal`` values at the index
@@ -69,11 +69,13 @@ from qlambert.lambert import (
 )
 from qlambert.exact import _pair_limit
 from qlambert.qcore import (
+    GUARD_BURN_IN,
     TAPER_FROM,
     _kernel,
     _log2_bounds,
     _Majorant,
     _peak_log2,
+    _pow2_floor,
     ipow,
     sum_qterm,
 )
@@ -83,6 +85,12 @@ DIGITS = 12
 CHECKED_TERMS = 200
 #: ratio_at's value while some denominator bound is not yet positive.
 NOT_YET = 2.0
+
+
+def floor_at(decay: _Majorant, n: int) -> float:
+    """The floor of ``decay.ratio_at(n)`` that lazy certification reads."""
+    const, slope = decay.log2_floor
+    return _pow2_floor(const + n * slope)
 
 
 def _signed(magnitude: float, negative: bool) -> Decimal:
@@ -451,7 +459,7 @@ def test_ratio_at_bounds_the_running_product_at_the_float_edges(
     # ratio_at is a closed form: it needs no calls in index order.
     for n in reversed(indices):
         rho = decay.ratio_at(n)
-        assert rho >= min(decay.lowest, NOT_YET), (n, rho, decay.lowest)
+        assert rho >= min(floor_at(decay, n), NOT_YET), (n, rho, floor_at(decay, n))
         exact = _running_product_bound(series, n)
         if exact is None:
             assert rho == NOT_YET, n
@@ -498,10 +506,10 @@ def test_tapered_sum_that_grows_then_cancels_stays_within_its_bound() -> None:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.one_of(random_series(), random_series(rational=True)))
 def test_lowest_is_at_most_every_ratio_around_the_flat_index(series) -> None:
-    """``ratio_at(n) >= min(lowest, 2)`` on both sides of the last index at
+    """``ratio_at(n) >= min(floor(n), 2)`` on both sides of the last index at
     which some bound's exponent ``a + n*b`` falls past -55, where its factor
-    becomes exactly 1.0; without a theta weight ``lowest`` is ``2**const``
-    less its margin, with one 0."""
+    becomes exactly 1.0; the floor is ``2**(const + n*slope)`` less its
+    margin, with a theta weight too."""
     build, params = series
     with localcontext(make_context(DIGITS).dec):
         decay = _Majorant(build(*params))
@@ -509,11 +517,38 @@ def test_lowest_is_at_most_every_ratio_around_the_flat_index(series) -> None:
     flat = math.ceil(min(max(crossings, default=50), 2**53))
     indices = [n for n in range(flat - 5, flat + 6) if n >= 0] + [0, 1, 2, 10**6]
     for n in indices:
-        assert decay.ratio_at(n) >= min(decay.lowest, NOT_YET), (n, decay.lowest)
-    if decay.slope:
-        assert decay.lowest == 0
-    elif -1000 < decay.const < 1000:
-        assert 1 - 2.0**-47 < decay.lowest / 2**decay.const < 1
+        floor = floor_at(decay, n)
+        assert decay.ratio_at(n) >= min(floor, NOT_YET), (n, floor)
+        x = decay.const + n * decay.slope
+        if -1000 < x < 1000:
+            assert 1 - 2.0**-47 < floor / 2**x < 1, (n, floor)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        _lambert_theta(Decimal("0.5")),
+        _lambert_theta(Decimal("-0.9")),
+        _qxt_theta(Decimal("0.6"), Decimal("0.5"), Decimal("0.7")),
+        QTerm(Decimal("0.3"), z=Decimal(10) ** 300, theta=(1, 0), factors=(Factor(Decimal("0.9")),)),
+    ],
+    ids=["lambert-0.5", "lambert-0.9", "qxt", "large-z"],
+)
+def test_the_floor_holds_where_it_leaves_the_normal_floats(series) -> None:
+    """Around the index where ``const + n*slope`` falls past the normal
+    floats the floor drops from a normal float to 0, and every
+    ``ratio_at(n)`` stays at least it."""
+    with localcontext(make_context(30).dec):
+        decay = _Majorant(series)
+    const, slope = decay.log2_floor
+    assert slope < 0
+    edge = math.ceil((-1022 - const) / slope)
+    indices = [n for n in range(edge - 4, edge + 4) if n >= series.first]
+    for n in indices + [series.first, 2 * edge, 10 * edge]:
+        floor = floor_at(decay, n)
+        assert decay.ratio_at(n) >= min(floor, NOT_YET), (n, floor)
+    assert floor_at(decay, edge - 2) >= 2.0**-1022
+    assert floor_at(decay, edge + 1) == 0
 
 
 def _outcome(series: QTerm, decay, ctx) -> tuple:
@@ -538,7 +573,7 @@ def test_lazy_certification_returns_what_the_eager_engine_returns(
     series, digits, weightless
 ) -> None:
     """Half the descriptions lose their theta weight, if any, so that most
-    have a floor ``lowest > 0``."""
+    have a floor that does not fall with ``n``."""
     build, params = series
     description, ctx = build(*params), make_context(digits)
     if weightless:
@@ -547,9 +582,42 @@ def test_lazy_certification_returns_what_the_eager_engine_returns(
         decay = _Majorant(description)
     # Keep the sample fast: at most about 4000 terms.
     assume(decay.ratio_at(description.first + 2000) < 1 - 2.3 * digits / 4000)
-    # Without its floor lowest the engine reads ratio_at at every index.
+    # Without its floor the engine reads ratio_at at every index.
     eager = SimpleNamespace(ratio_at=decay.ratio_at)
     assert _outcome(description, decay, ctx) == _outcome(description, eager, ctx)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(random_series(), random_series(rational=True)),
+    st.tuples(st.integers(1, 4), st.integers(0, 2)),
+    st.sampled_from((DIGITS, 50, 250)),
+)
+def test_lazy_theta_certification_returns_what_the_eager_engine_returns(
+    series, theta, digits
+) -> None:
+    """With a theta weight the floor falls along a line, and so does the
+    reach of the tail test rise: the lazy engine returns bit for bit what
+    one that reads ``ratio_at`` at every index returns, guard included, and
+    past the guard's burn-in it reads fewer."""
+    build, params = series
+    description, ctx = build(*params), make_context(digits)
+    description = replace(description, theta=description.theta or theta)
+    with localcontext(ctx.dec):
+        decay = _Majorant(description)
+    calls = {"lazy": 0, "eager": 0}
+
+    def counted(kind: str, n: int) -> float:
+        calls[kind] += 1
+        return decay.ratio_at(n)
+
+    lazy = SimpleNamespace(log2_floor=decay.log2_floor, ratio_at=partial(counted, "lazy"))
+    eager = SimpleNamespace(ratio_at=partial(counted, "eager"))
+    outcome = _outcome(description, lazy, ctx)
+    assert outcome == _outcome(description, eager, ctx)
+    assert calls["lazy"] <= calls["eager"]
+    if len(outcome) > 1 and outcome[1] > GUARD_BURN_IN + 2:
+        assert calls["lazy"] < calls["eager"], (outcome[1], calls)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,45 @@ class TestGosperPartialSums:
                 bound = 5 / phi ** (shift * shift)
                 assert Decimal(scaled.numerator) / scaled.denominator <= bound
 
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_integer_sum_rounds_to_the_fraction_sum(self, ctx50, corrected) -> None:
+        """``P / Q`` unreduced gives the ``Decimal`` of the reduced
+        ``Fraction`` sum, digit for digit, for the first 80 term counts."""
+        total, lucas = Fraction(0), 1
+        for count in range(1, 81):
+            n = count - 1
+            if corrected:
+                lucas *= lucas_G(2 * n + 1)
+            elif n >= 1:
+                lucas *= lucas_G(2 * n - 1)
+            numerator = fibonacci(4 * n + 3) + (-1) ** n * fibonacci(2 * n + 2)
+            sign = 1 if n % 4 in (0, 1) else -1
+            total += Fraction(
+                sign * numerator, fibonacci(2 * n + 1) * fibonacci(2 * n + 2) * lucas
+            )
+            with localcontext(ctx50.dec):
+                expected = Decimal(total.numerator) / Decimal(total.denominator)
+            value = fib_recip_gosper(count, ctx50, corrected).value
+            assert str(value) == str(expected), count
+
+    @pytest.mark.parametrize("digits", [50, 300, 1000])
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_float_tail_is_at_least_the_decimal_one(self, digits, corrected) -> None:
+        """The tail from float logs, rounded outward, is at least
+        ``5 phi^-(M^2) / (1 - phi^-(2M+1))`` at 20 more digits, plus the
+        rounding floor, around the counted ``N``."""
+        ctx, wide = make_context(digits), make_context(digits + 20)
+        count = gosper_terms(ctx)
+        with localcontext(wide.dec):
+            phi = (1 + Decimal(5).sqrt()) / 2
+        for N in (count - 1, count, count + 1):
+            sv = fib_recip_gosper(N, ctx, corrected)
+            M = N + 1 if corrected else N
+            with localcontext(wide.dec):
+                tail = 5 / phi ** (M * M) / (1 - 1 / phi ** (2 * M + 1))
+                assert sv.tail_bound >= tail + ctx.tail_floor(sv.value), N
+                assert sv.tail_bound <= (tail + ctx.tail_floor(sv.value)) * (1 + Decimal("1e-9"))
+
     def test_tail_bounds_cover_the_constant(self, ctx50) -> None:
         for count in (1, 3, 8, 15):
             sv = fib_recip_gosper(count, ctx50)

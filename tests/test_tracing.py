@@ -80,10 +80,10 @@ def test_the_tracer_reports_every_declared_layer_metric() -> None:
 
 
 def test_traced_and_untraced_runs_print_the_same_output() -> None:
-    """The tracer's wrapper of the majorant has no ``lowest``, so traced sums
-    read ``ratio_at`` at every index, while untraced ones read it lazily, the
-    taper only up to the first ``rho < 1``: both print the same bytes, also
-    above ``TAPER_FROM`` digits."""
+    """The tracer's wrapper of the majorant has no ``log2_floor``, so traced
+    sums read ``ratio_at`` at every index, while untraced ones read it
+    lazily, the taper only up to the first ``rho < 1``: both print the same
+    bytes, also above ``TAPER_FROM`` digits and with theta weights."""
     traced, untraced = run_commands("traced"), run_commands("untraced")
     assert traced["codes"] == untraced["codes"]
     assert all(traced["outputs"])
