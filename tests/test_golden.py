@@ -5,7 +5,8 @@ commands: every ``eval`` route with short (one-digit) and long (full-length
 rational) operands at 50 and 300 digits, every ``recip-sum`` route at 300
 and 1000 digits, the theta routes of ``lambert``, ``glambert``, ``qxt`` and
 ``theta3`` and the bilateral bracket routes ``form1`` and ``form2`` also at
-1000 digits, and ``verify --all --trials 10 --digits 50 --report``.  A change to
+1000 digits, sums at ``q = -80/89`` whose exact running powers outgrow
+their int pairs mid-sum, and ``verify --all --trials 10 --digits 50 --report``.  A change to
 the engine that keeps every summand and every stopping index leaves them
 byte for byte as they are.  Regenerate the file only for a change that
 alters them on purpose, and say why::
@@ -67,6 +68,22 @@ RECIP_ROUTES = (
     (1, 1, "split"),
 )
 
+#: Exact sums whose running powers outgrow their int pairs mid-sum and go on
+#: as ``Decimal`` values (at n = 90, 265, 141 and 90/91 for the two sides).
+HANDOVER = (
+    ("lambert", "theta", {"q": "-80/89"}, 1000),
+    ("lambert", "theta", {"q": "-80/89"}, 5000),
+    ("qxt", "alt", {"x": "35/59", "t": "-31/61", "q": "-80/89"}, 1000),
+    ("bilateral", "theta", {"x": "92/97", "t": "-95/101", "q": "-80/89"}, 1000),
+)
+
+
+def _eval(series: str, method: str, operands: dict, digits: int) -> tuple[str, ...]:
+    argv = ["eval", series, "--method", method]
+    # One token, so that argparse does not take "-3/7" for an option.
+    argv += [f"--{name}={value}" for name, value in operands.items()]
+    return (*argv, "--digits", str(digits), "--report")
+
 
 def commands() -> list[tuple[str, ...]]:
     """The argument lists whose outputs the fixture pins."""
@@ -74,10 +91,8 @@ def commands() -> list[tuple[str, ...]]:
     for digits, routes in ((50, EVAL_ROUTES), (300, EVAL_ROUTES), (1000, LONG_ROUTES)):
         for series, method, *operand_sets in routes:
             for operands in operand_sets:
-                argv = ["eval", series, "--method", method]
-                # One token, so that argparse does not take "-3/7" for an option.
-                argv += [f"--{name}={value}" for name, value in operands.items()]
-                found.append((*argv, "--digits", str(digits), "--report"))
+                found.append(_eval(series, method, operands, digits))
+    found += [_eval(*route) for route in HANDOVER]
     for digits in (300, 1000):
         for m1, m2, method in RECIP_ROUTES:
             found.append((

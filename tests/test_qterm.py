@@ -20,11 +20,13 @@ what one that reads it at every index returns, with a theta weight too.
 With exact rational parameters the kernel's summands agree with those of
 the same description in ``Decimal`` at 30 more digits, within the kernel's
 rounding count, and its running values become ``Decimal`` values at the index
-its rule gives.
+its rule gives, and every digit of its summands across that switch is
+pinned by a digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -827,6 +829,98 @@ def test_exact_kernel_switches_at_the_precision_drop() -> None:
         with localcontext(Context(prec=prec)):
             term(n)
     assert term.switched_at() == 40
+
+
+#: Exact descriptions whose running powers outgrow their int pairs mid-sum,
+#: at ``q = -80/89``: evaluated factors, Pochhammer factors, a theta weight
+#: alone (the weight of a bracketed sum) and one with factors.
+HANDOVER_Q = Fraction(-80, 89)
+HANDOVER_SERIES = {
+    "evaluated": QTerm(
+        HANDOVER_Q,
+        start=Fraction(2, 3),
+        z=Fraction(-3, 7),
+        factors=(
+            Factor(Fraction(35, 59)),
+            Factor(Fraction(-31, 61), power=-1, c0=Fraction(5, 4)),
+            Factor(Fraction(35, 59), s=2, k=1, power=-1),
+            Factor(Fraction(35, 59), power=-1),
+        ),
+        first=1,
+    ),
+    "pochhammer": QTerm(
+        HANDOVER_Q,
+        z=Fraction(9, 10),
+        factors=(
+            Factor(Fraction(35, 59), pochhammer=True),
+            Factor(Fraction(-31, 61), s=2, pochhammer=True, power=-1),
+            Factor(Fraction(1, 3), power=-1, c0=Fraction(-3, 2)),
+        ),
+    ),
+    "theta weight": QTerm(HANDOVER_Q, z=Fraction(-1), theta=(1, 1)),
+    "theta with factors": QTerm(
+        HANDOVER_Q,
+        z=Fraction(5, 6),
+        theta=(2, 0),
+        factors=(
+            Factor(Fraction(92, 97), power=-1),
+            Factor(Fraction(-95, 101), k=1, pochhammer=True),
+        ),
+    ),
+}
+#: Working precisions of 160 summands: constant, where the switch comes at
+#: n = 42 or 43 (84 for the weight alone); dropping twice after it; and
+#: dropping after 30 summands to where pairs of exponent 2n + 1 are too long
+#: at once (the weight alone switches at 51, and drops again at 80).
+HANDOVER_PRECISIONS = {
+    "flat": [330] * 160,
+    "drop after": [330] * 100 + [200] * 30 + [120] * 30,
+    "drop before": [330] * 30 + [200] * 50 + [120] * 80,
+}
+#: SHA-256 of the ``repr`` of every summand, one per line.
+HANDOVER_DIGESTS = {
+    ("evaluated", "flat"):
+        "a8a3abba95c392a89ef20f6a5f57a6c26217c0cca6709a5531ce6d0e7c88b292",
+    ("evaluated", "drop after"):
+        "c4cd4fa3333d7525d4c2a63e9d3eade1c448ab65b013640098de0e662f80d02b",
+    ("evaluated", "drop before"):
+        "2e54414e27e6422ed3eb697231e4df90bca03cf00bc3fbda878038a75c8d2abf",
+    ("pochhammer", "flat"):
+        "3431805586cf89204e5f0de18cbc4147406ce7aae3865a3006ed8f0f2f5aae9a",
+    ("pochhammer", "drop after"):
+        "5e151e96c2071038e042b8e51bbbb7bc0070dd0e730de549285ece6fdaebfa34",
+    ("pochhammer", "drop before"):
+        "03d851883c9a196fbef16c0ac2145ccee1d09dbdf0276715e9da6e31ab06eaae",
+    ("theta weight", "flat"):
+        "5c265b2746cb766b5d13e41035732a8824d70dc991d171ae9694da297e137758",
+    ("theta weight", "drop after"):
+        "6c96faa40f741119d7210f1cc0693e02862dcfb7817446d737ee80588a6cb5ca",
+    ("theta weight", "drop before"):
+        "e110c2769a1db973e879eccabfe5b3fd19b42ccdf478a948bfb6877422b6058d",
+    ("theta with factors", "flat"):
+        "6b8988321e8a7a65ae9f0a5ff4218c2ebf26a4ea535a70b8cd0d67d228840d55",
+    ("theta with factors", "drop after"):
+        "e26475dc87799dac29a809641738f45a53ceae8271b7b6e351f52c40ef196190",
+    ("theta with factors", "drop before"):
+        "4a3f9af597281e4126baf9f18bd081e73e2a80f0d101695a57831027c23a2aa1",
+}
+
+
+@pytest.mark.parametrize("schedule", HANDOVER_PRECISIONS)
+@pytest.mark.parametrize("name", HANDOVER_SERIES)
+def test_exact_summands_are_pinned_across_the_switch(name, schedule) -> None:
+    """Every digit of every summand, also those that printed values round
+    away, across the switch to ``Decimal`` running values."""
+    description, precisions = HANDOVER_SERIES[name], HANDOVER_PRECISIONS[schedule]
+    with localcontext(Context(prec=precisions[0])):
+        term = _kernel(description)
+    summands = []
+    for n, prec in enumerate(precisions, description.first):
+        with localcontext(Context(prec=prec)):
+            summands.append(repr(term(n)))
+    assert term.switched_at() is not None
+    digest = hashlib.sha256("\n".join(summands).encode()).hexdigest()
+    assert digest == HANDOVER_DIGESTS[name, schedule]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
