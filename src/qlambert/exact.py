@@ -1,5 +1,5 @@
-"""The term kernel and the bracketed summands of a q-series description with
-exact rational parameters.
+"""The int-pair phase of the term kernel, and the bracketed summands, of a
+q-series description with exact rational parameters.
 
 :func:`qlambert.numerics.series_parameters` keeps short rationals exact
 above 200 working digits, and :func:`qlambert.qcore._kernel` hands a
@@ -12,12 +12,15 @@ and the two word-sized steps that replace them (40 us against 35 us at 1060
 digits).  The differences ``c0 - c1*q**e`` are then exact ratios of ints, and the
 summand and the coefficient's step (``z``, the weight ratio, the Pochhammer
 factors) are each one product and one quotient of the running ``Decimal``
-coefficient by ints.  Past that length every running value becomes a
-``Decimal``, rounded once, and advances by ``* p**s`` and then ``/ r**s``:
-two word-sized steps in place of one full-length product.  The operations
-depend on the description and on the precisions of the calls alone, as in
-the ``Decimal`` kernel, and :mod:`qlambert.qcore` counts their roundings in
-its proof of precision tapering.
+coefficient by ints.  Past that length :func:`_exact_kernel` hands its
+running coefficient to :func:`qlambert.qcore._kernel`, the one kernel of
+``Decimal`` running values, for the same description restarted at that
+index: every running value becomes a ``Decimal``, rounded once, and
+advances by ``* p**s`` and then ``/ r**s``, two word-sized steps in place of
+one full-length product.  The operations depend on the description and on
+the precisions of the calls alone, as in the ``Decimal`` kernel, and
+:mod:`qlambert.qcore` counts their roundings in its proof of precision
+tapering.
 
 A hand-written bracket (:func:`qlambert.qcore.sum_bracketed`) gets the same
 treatment from :func:`_exact_bracketed`: it takes ``q**n`` as the int pair
@@ -34,15 +37,14 @@ its product with the weight.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import log2
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .numerics import BigReal
-
-if TYPE_CHECKING:
-    from .qcore import QTerm
+from .qcore import QTerm, _kernel
 
 #: An exact running power stays a pair of ints while its denominator has at
 #: most this share of the current precision's bits (module docstring).
@@ -69,12 +71,12 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     summand is the running ``Decimal`` coefficient times one int divided by
     another; so is the coefficient's step, with ``z``, the weight and the
     Pochhammer factors.  Once some ``r**e`` is longer than
-    :func:`_pair_limit` of the current precision, every running value
-    becomes a ``Decimal``, rounded once, that advances by ``* p**s`` and
-    then ``/ r**s``: the weight ``q**e``, each distinct ``c1*q**e`` as in
-    :func:`qlambert.qcore._kernel`, and the coefficient by ``* z.numerator``
-    and ``/ z.denominator``.  The returned function's ``switched_at()`` is the
-    index of the first summand computed that way, or None.
+    :func:`_pair_limit` of the current precision, at index ``n``, the
+    summands are those of :func:`qlambert.qcore._kernel` for the description
+    restarted at ``n`` with the running coefficient: each running value
+    becomes a ``Decimal``, rounded once, that advances by ``* p**s`` and then
+    ``/ r**s``.  The returned function's ``switched_at()`` is that index, or
+    None.
     """
     q, z, start = Fraction(d.q), Fraction(d.z), Fraction(d.start)
     p, r = q.numerator, q.denominator
@@ -149,64 +151,6 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
             exponents[j] += strides[j]
         return value
 
-    u: list[BigReal] = []
-    u_steps: list[tuple[int, int]] = []
-    num, den, pnum, pden = groups = [], [], [], []
-    w = w_step = None
-
-    def to_decimals() -> None:
-        # Every running value as a Decimal, rounded once at the current
-        # precision; the c0 as Decimals, exact when they are integers.
-        nonlocal w, w_step
-        values: dict[tuple[Fraction, int], int] = {}
-        for c0, c1, f in factors:
-            j = keys[f.s, f.k]
-            i = values.setdefault((c1, j), len(values))
-            if i == len(u):
-                power_p, power_r = powers[j]
-                u.append(
-                    Decimal(c1.numerator * power_p) / Decimal(c1.denominator * power_r)
-                )
-                u_steps.append(steps[j])
-            c0_dec = Decimal(c0.numerator) / Decimal(c0.denominator)
-            groups[2 * f.pochhammer + (f.power < 0)].append((c0_dec, i))
-        if w_key is not None:
-            power_p, power_r = powers[w_key]
-            w, w_step = Decimal(power_p) / Decimal(power_r), steps[w_key]
-
-    z_p = None if z.numerator == 1 else z.numerator
-    z_r = None if z.denominator == 1 else z.denominator
-
-    def divisor(pairs: list) -> BigReal:
-        # The product of the denominator differences, from the first one.
-        c0, j = pairs[0]
-        result = c0 - u[j]
-        for c0, j in pairs[1:]:
-            result *= c0 - u[j]
-        return result
-
-    def decimal_term(n: int) -> BigReal:
-        nonlocal coeff, w
-        value = coeff
-        for c0, j in num:
-            value *= c0 - u[j]
-        if den:
-            value /= divisor(den)
-        if z_p is not None:
-            coeff *= z_p
-        if z_r is not None:
-            coeff /= z_r
-        if w is not None:
-            coeff *= w
-            w = w * w_step[0] / w_step[1]
-        for c0, j in pnum:
-            coeff *= c0 - u[j]
-        if pden:
-            coeff /= divisor(pden)
-        for j, (step_p, step_r) in enumerate(u_steps):
-            u[j] = u[j] * step_p / step_r
-        return value
-
     kernel = pair_term
     switched_at = None
 
@@ -219,8 +163,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
             # Every running denominator is r**e, e = exponents[j]: the one of
             # the largest exponent is the longest.
             if powers and powers[exponents.index(max(exponents))][1].bit_length() > limit:
-                to_decimals()
-                kernel = decimal_term
+                kernel = _kernel(replace(d, first=n), coeff)
                 switched_at = n
         return kernel(n)
 

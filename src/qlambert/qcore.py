@@ -84,13 +84,20 @@ their full-length values, once per change.
 
 Exact parameters.  A description whose parameters are exact rationals,
 marked by a ``Fraction`` ``q`` (:func:`~qlambert.numerics.series_parameters`
-keeps short rationals exact above 200 working digits), gets the kernel
-of :func:`qlambert.exact._exact_kernel` instead, chosen when the kernel is
-built, so a description with ``Decimal`` parameters runs the kernel above
-with no per-term test.  It advances the powers of ``q = p/r`` as int pairs
-and multiplies and divides by ints (:mod:`qlambert.exact`); so do the
-summands of :func:`sum_bracketed`, whose brackets then return exact ratios
-of ints.
+keeps short rationals exact above 200 working digits), first gets the
+kernel of :func:`qlambert.exact._exact_kernel`, chosen when the kernel is
+built.  It advances the powers of ``q = p/r`` as int pairs and multiplies
+and divides by ints (:mod:`qlambert.exact`); so do the summands of
+:func:`sum_bracketed`, whose brackets then return exact ratios of ints.
+Once the pairs grow too long, at index ``m``, it hands its running
+coefficient ``C_m`` to the kernel above, composed for the same description
+from ``m``: the weight ratio ``q**(step*m + shift)`` and each
+``c1*q**(s*m + k)`` are their exact values rounded once, each ``c0`` is
+rounded once, and the constants are ints,
+``p**s``, ``p**step`` and the numerator of ``z``, each product followed by
+a quotient by ``r**s``, ``r**step`` or the denominator of ``z``.  Ints need
+no rounding when the precision changes.  A description with ``Decimal``
+parameters pays one ``None`` test per step that could divide.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
@@ -206,9 +213,10 @@ is a multiple of 200).
    The exact kernel stays within the same count.  While its powers are int
    pairs, an index costs four roundings (a product and a quotient for the
    summand and for the coefficient) and no difference amplifies anything.
-   After the switch a running value takes two roundings per step where a
-   ``Decimal`` step took one product and carried the rounding of its
-   constant, and a ``Fraction`` ``c0`` is rounded once, like a constant.
+   After the switch, in the kernel above, a running value takes two
+   roundings per step (``* p**s``, ``/ r**s``) where a ``Decimal`` step took
+   one product and carried the rounding of its constant, and a ``Fraction``
+   ``c0`` is rounded once, like a constant.
    The exact descriptions of this package then cost at most 17 roundings
    per index (the theta forms of the ``qxt`` and bilateral series: three
    running values and the weight ratio at two each, three differences,
@@ -465,7 +473,7 @@ def sum_qterm(
     return rebuild(ctx).sum(ctx, method_tag, eps, term, rebuild)
 
 
-def _kernel(d: QTerm) -> Callable[[int], BigReal]:
+def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     """``d``'s summands, one per call in increasing index order from ``first``:
     the term kernel, composed once from the description (module docstring).
 
@@ -473,34 +481,52 @@ def _kernel(d: QTerm) -> Callable[[int], BigReal]:
     ``start * z**(n - first) * W_n`` times the Pochhammer products, the
     theta weight, and each distinct ``c1*q**(s*i + k)``, which the factors
     that have it share.  A description with an exact ``q`` gets the
-    kernel of :func:`_exact_kernel`.
+    kernel of :func:`_exact_kernel`, which calls this one with its running
+    coefficient ``coeff`` at the index where its powers of ``q = p/r`` grow
+    too long for int pairs.  Then each running value is a ``Decimal``, its
+    exact value rounded once, that advances by ``* p**s`` and then
+    ``/ r**s``, the coefficient by ``* z.numerator`` and then
+    ``/ z.denominator``, and each ``c0`` is rounded once.
     """
-    if type(d.q) is Fraction:
+    q = d.q
+    exact = type(q) is Fraction
+    if exact and coeff is None:
         # Imported on first use: only descriptions with exact parameters,
         # above 200 digits, need it.
         from .exact import _exact_kernel
 
         return _exact_kernel(d)
-    q = d.q
-    coeff = +d.start
-    z = None if d.z == 1 else d.z
-    w = w_step = None
-    if d.theta is not None:
-        step, shift = d.theta
-        w, w_step = ipow(q, step * d.first + shift), ipow(q, step)
     # Factors share the running value c1*q**(s*i + k) of the summands.
     values: dict[tuple[BigReal, int, int], int] = {}
     num, den, pnum, pden = groups = [], [], [], []
     for f in d.factors:
         j = values.setdefault((f.c1, f.s, f.k), len(values))
-        groups[2 * f.pochhammer + (f.power < 0)].append((f.c0, j))
-    u = [c1 * ipow(q, s * d.first + k) for c1, s, k in values]
+        c0 = _rounded(f.c0) if exact else f.c0
+        groups[2 * f.pochhammer + (f.power < 0)].append((c0, j))
+    # The steps' multipliers, and the divisors that exact descriptions add.
+    w = w_step = w_div = None
+    if exact:
+        p, r = q.numerator, q.denominator
+        z, z_div = (None if v == 1 else v for v in d.z.as_integer_ratio())
+        u = [_rounded(c1, q, s * d.first + k) for c1, s, k in values]
+        u_step, u_div = [p**s for _, s, _ in values], [r**s for _, s, _ in values]
+        if d.theta is not None:
+            step, shift = d.theta
+            w, w_step, w_div = _rounded(1, q, step * d.first + shift), p**step, r**step
+    else:
+        coeff = +d.start
+        z, z_div, u_div = None if d.z == 1 else d.z, None, None
+        u = [c1 * ipow(q, s * d.first + k) for c1, s, k in values]
+        u_step = [ipow(q, s) for _, s, _ in values]
+        if d.theta is not None:
+            step, shift = d.theta
+            w, w_step = ipow(q, step * d.first + shift), ipow(q, step)
     # The constants at full length, and as rounded to the precision of the
-    # last call; only sums above TAPER_FROM digits taper.
-    constants = z, w_step, [ipow(q, s) for _, s, _ in values]
-    u_step = constants[2]
+    # last call; only sums above TAPER_FROM digits taper, and those of an
+    # exact description are ints, which no precision rounds.
+    constants = z, w_step, u_step
     rounded_to = getcontext().prec
-    tapers = rounded_to > TAPER_FROM
+    tapers = rounded_to > TAPER_FROM and not exact
     # One shared value advances in place; several advance as a list.
     shared = len(u) == 1
     # A product of denominators starts from its first difference.
@@ -528,9 +554,13 @@ def _kernel(d: QTerm) -> Callable[[int], BigReal]:
             value /= divisor
         if z is not None:
             coeff *= z
+        if z_div is not None:
+            coeff /= z_div
         if w is not None:
             coeff *= w
             w *= w_step
+            if w_div is not None:
+                w /= w_div
         for c0, j in pnum:
             coeff *= c0 - u[j]
         if pden_first is not None:
@@ -539,13 +569,22 @@ def _kernel(d: QTerm) -> Callable[[int], BigReal]:
             for c0, j in pden_rest:
                 divisor *= c0 - u[j]
             coeff /= divisor
-        if shared:
+        if u_div is not None:
+            for j, step_r in enumerate(u_div):
+                u[j] = u[j] * u_step[j] / step_r
+        elif shared:
             u[0] *= u_step[0]
         elif u:
             u[:] = map(mul, u, u_step)
         return value
 
     return term
+
+
+def _rounded(x: Real, q: Real = 1, e: int = 0) -> BigReal:
+    """The exact value of ``x * q**e`` rounded once to the current precision."""
+    numerator, denominator = x.as_integer_ratio()
+    return Decimal(numerator * q.numerator**e) / Decimal(denominator * q.denominator**e)
 
 
 class _Majorant:

@@ -28,6 +28,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
@@ -207,9 +208,12 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     return combine(parts, ctx, "theta")
 
 
-def _fib_inner(ctx: RealContext) -> tuple[RealContext, BigReal, BigReal]:
-    """``ctx`` with two more digits, and ``beta`` and ``sqrt(5)`` at its precision."""
-    inner = make_context(ctx.target_digits + 2)
+@lru_cache(maxsize=8)
+def _fib_inner(target_digits: int) -> tuple[RealContext, BigReal, BigReal]:
+    """The context of ``target_digits + 2`` digits, and ``beta`` and
+    ``sqrt(5)`` at its precision: computed once per digit count, so that the
+    two halves of the split take one square root."""
+    inner = make_context(target_digits + 2)
     alpha, beta = _FIBONACCI.roots(inner)
     with localcontext(inner.dec):
         return inner, beta, alpha - beta
@@ -295,7 +299,7 @@ def fib_even_theta(ctx: RealContext) -> SeriesValue:
     Both Lambert values are taken in theta-convergent form at two extra
     digits of internal precision.
     """
-    inner, beta, root5 = _fib_inner(ctx)
+    inner, beta, root5 = _fib_inner(ctx.target_digits)
     with localcontext(inner.dec):
         b2 = beta * beta
         lam2, lam4 = lambert_theta(b2, inner), lambert_theta(b2 * b2, inner)
@@ -309,7 +313,7 @@ def fib_odd_theta(ctx: RealContext) -> SeriesValue:
     Uses ``sqrt(5)/4 * (theta3(beta^2)^2 - theta3(beta)^2)`` with the theta
     constant evaluated at two extra digits of internal precision.
     """
-    inner, beta, root5 = _fib_inner(ctx)
+    inner, beta, root5 = _fib_inner(ctx.target_digits)
     with localcontext(inner.dec):
         quarter_root5 = root5 / 4
         parts = [
@@ -327,7 +331,7 @@ def fib_even_alt(apply_root5: bool, ctx: RealContext) -> SeriesValue:
     the two variants reproduces the even-index reciprocal sum, and the test
     suite pins which one against a big-integer oracle.
     """
-    inner, beta, root5 = _fib_inner(ctx)
+    inner, beta, root5 = _fib_inner(ctx.target_digits)
     with localcontext(inner.dec):
         b2 = beta * beta
         series = QTerm(
@@ -343,7 +347,7 @@ def fib_odd_alt(ctx: RealContext) -> SeriesValue:
     The inner sum is theta-class with even exponents; ``-sqrt(5)*beta`` is the
     positive scale ``(5 - sqrt(5))/2``.
     """
-    inner, beta, root5 = _fib_inner(ctx)
+    inner, beta, root5 = _fib_inner(ctx.target_digits)
     with localcontext(inner.dec):
         inner_sum = QTerm(beta * beta, theta=(2, 2)).sum(inner, "theta")
         scale = ball(-root5 * beta)

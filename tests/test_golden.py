@@ -6,10 +6,10 @@ rational) operands at 50 and 300 digits, every ``recip-sum`` route at 300
 and 1000 digits, the theta routes of ``lambert``, ``glambert``, ``qxt`` and
 ``theta3`` and the bilateral bracket routes ``form1`` and ``form2`` also at
 1000 digits, sums at ``q = -80/89`` whose exact running powers outgrow
-their int pairs mid-sum, and ``verify --all --trials 10 --digits 50 --report``.  A change to
-the engine that keeps every summand and every stopping index leaves them
-byte for byte as they are.  Regenerate the file only for a change that
-alters them on purpose, and say why::
+their int pairs mid-sum, and ``verify --all --trials 10 --digits 50
+--report``.  A change to the engine that keeps every summand and every
+stopping index leaves them byte for byte as they are.  Regenerate the file
+only for a change that alters them on purpose, and say why::
 
     PYTHONPATH=src python tests/test_golden.py
 

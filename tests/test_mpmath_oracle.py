@@ -35,7 +35,7 @@ from qlambert import (
     series_qxt_rhs,
     theta3,
 )
-from qlambert import cli, identities
+from qlambert import DomainError, PoleError, cli, identities
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -400,6 +400,46 @@ def test_poch_inf_to_an_absolute_epsilon_with_a_long_head_matches_qp(a: str, q: 
         reference = mpmath.qp(mpf(a), mpf(q))
         value, tail = mpf(str(sv.value)), mpf(str(sv.tail_bound))
         assert abs(value - reference) <= tail <= mpf(10) ** -30
+
+
+# ---------------------------------------------------------------------------
+# Every side of rogers-fine and fine-12.2 at points of the verify sampler.
+
+#: Points per precision, each the first draw of its substream that every
+#: side evaluates, as ``verify --identity NAME --seed 1`` draws them.
+FINE_POINTS = {30: 20, 50: 20, 200: 8}
+
+
+def fine_points(name: str, digits: int):
+    """``(point, side values)`` of the first :data:`FINE_POINTS` trials."""
+    ctx = make_context(digits)
+    entry = identities.get_entry(name)
+    for trial in range(FINE_POINTS[digits]):
+        rng = identities._Rng(1 + trial)
+        while True:
+            point = identities._draw_point(entry, rng, ctx)
+            try:
+                values = [side(point, ctx) for side in entry.sides]
+            except (DomainError, PoleError):
+                continue
+            yield point, values
+            break
+
+
+@pytest.mark.parametrize("digits", FINE_POINTS)
+@pytest.mark.parametrize("name", ["rogers-fine", "fine-12.2"])
+def test_fine_sides_match_qhyper(name: str, digits: int) -> None:
+    """Both identities equate each side to ``(1 - t) F(a, b; t)``, and Fine's
+    ``F(a, b; t) = sum_n (aq;q)_n / (bq;q)_n t^n`` is mpmath's
+    ``qhyper([a*q, q], [b*q], q, t)``.  The naive side's geometric tail bound
+    is sharp: its error comes within a relative ``10**-13`` of it."""
+    for point, values in fine_points(name, digits):
+        with mp.workdps(digits + EXTRA_DPS):
+            a, b, t, q = (mpf(str(point[key])) for key in "abtq")
+            reference = (1 - t) * mpmath.qhyper([a * q, q], [b * q], q, t)
+            for sv in values:
+                error = abs(mpf(str(sv.value)) - reference)
+                assert error <= mpf(str(sv.tail_bound)), (point, sv.method_tag)
 
 
 # ---------------------------------------------------------------------------

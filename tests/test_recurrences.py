@@ -22,6 +22,9 @@ from qlambert import (
     recip_sum_fast,
     recip_sum_naive,
 )
+from qlambert import recurrences
+from qlambert.cli import main
+from qlambert.numerics import sqrt
 from qlambert.recurrences import gosper_terms
 
 from _oracles import (
@@ -237,3 +240,17 @@ class TestSplits:
         for fn, oracle in ((fib_even_theta, FIB_EVEN), (fib_odd_theta, FIB_ODD)):
             sv = fn(ctx)
             assert abs(sv.value - oracle) < Decimal("1e-59")
+
+    def test_a_split_call_takes_at_most_one_square_root(self, monkeypatch) -> None:
+        """Both halves share the roots of one context per digit count."""
+        taken = []
+
+        def counted(value, ctx):
+            taken.append(ctx.working_digits)
+            return sqrt(value, ctx)
+
+        monkeypatch.setattr(recurrences, "sqrt", counted)
+        recurrences._fib_inner.cache_clear()
+        argv = ["recip-sum", "--m1", "1", "--m2", "1", "--method", "split"]
+        assert main([*argv, "--digits", "1000"]) == 0
+        assert taken == [1062]
