@@ -44,7 +44,7 @@ from math import log2
 from typing import Callable
 
 from .numerics import BigReal
-from .qcore import QTerm, _kernel
+from .qcore import QTerm, _kernel, _rounded
 
 #: An exact running power stays a pair of ints while its denominator has at
 #: most this share of the current precision's bits (module docstring).
@@ -108,7 +108,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     powers = [[p**e, r**e] for e in exponents]
     steps = [(p**s, r**s) for s, _ in keys]
     strides = [s for s, _ in keys]
-    coeff = Decimal(start.numerator) / Decimal(start.denominator)
+    coeff = _rounded(start)
     rounded_to = getcontext().prec
     limit = _pair_limit(rounded_to)
 

@@ -489,13 +489,15 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     ``/ z.denominator``, and each ``c0`` is rounded once.
     """
     q = d.q
-    exact = type(q) is Fraction
-    if exact and coeff is None:
+    # A running coefficient comes from the exact kernel's handover alone.
+    exact = coeff is not None
+    if not exact and type(q) is Fraction:
         # Imported on first use: only descriptions with exact parameters,
         # above 200 digits, need it.
         from .exact import _exact_kernel
 
         return _exact_kernel(d)
+    assert not exact or type(q) is Fraction, "a running coefficient needs an exact q"
     # Factors share the running value c1*q**(s*i + k) of the summands.
     values: dict[tuple[BigReal, int, int], int] = {}
     num, den, pnum, pden = groups = [], [], [], []

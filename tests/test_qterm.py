@@ -831,6 +831,14 @@ def test_exact_kernel_switches_at_the_precision_drop() -> None:
     assert term.switched_at() == 40
 
 
+def test_only_an_exact_description_takes_a_running_coefficient() -> None:
+    """The handover's coefficient has no meaning for a ``Decimal`` ``q``:
+    the kernel refuses it instead of starting from ``start``."""
+    description = QTerm(Decimal("0.5"), factors=(Factor(1, power=-1),))
+    with pytest.raises(AssertionError):
+        _kernel(description, Decimal(3))
+
+
 #: Exact descriptions whose running powers outgrow their int pairs mid-sum,
 #: at ``q = -80/89``: evaluated factors, Pochhammer factors, a theta weight
 #: alone (the weight of a bracketed sum) and one with factors.

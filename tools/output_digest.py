@@ -2,12 +2,12 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/output_digest.py [--root CHECKOUT] [--workload NAME] SEED...
+    python3 tools/output_digest.py [--root CHECKOUT] SEED...
 
-It builds the operation list of one round of each workload (or of the one
-named) at each seed from ``perfbench/workloads.py``, runs every operation in
-this process through ``qlambert.cli.main``, imported from ``src/``, and
-prints one line per workload and seed::
+It builds the operation list of one round of each workload at each seed
+from ``perfbench/workloads.py``, runs every operation in this process
+through ``qlambert.cli.main``, imported from ``src/``, and prints one line
+per workload and seed::
 
     <workload> seed <N> <sha256>
 
@@ -64,7 +64,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
     parser.add_argument("--root", type=Path, default=ROOT)
-    parser.add_argument("--workload")
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
@@ -72,8 +71,7 @@ def main() -> int:
     cli = importlib.import_module("qlambert.cli")
     if not Path(cli.__file__).resolve().is_relative_to(root / "src"):
         raise SystemExit(f"qlambert imported from {cli.__file__}, not {root}/src")
-    names = workloads.WORKLOADS if args.workload is None else (args.workload,)
-    for name in names:
+    for name in workloads.WORKLOADS:
         for seed in args.seeds:
             ops = workloads.build(name, seed)
             print(f"{name} seed {seed} {digest(cli.main, (op.argv for op in ops))}")
