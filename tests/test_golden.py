@@ -6,8 +6,9 @@ rational) operands at 50 and 300 digits, every ``recip-sum`` route at 300
 and 1000 digits, the theta routes of ``lambert``, ``glambert``, ``qxt`` and
 ``theta3`` and the bilateral bracket routes ``form1`` and ``form2`` also at
 1000 digits, sums at ``q = -80/89`` whose exact running powers outgrow
-their int pairs mid-sum, and ``verify --all --trials 10 --digits 50
---report``.  A change to the engine that keeps every summand and every
+their int pairs mid-sum, theta sums with full-length ``Decimal`` operands
+and the ``horadam`` and ``split`` reciprocal sums at 5000 digits, and
+``verify --all --trials 10 --digits 50 --report``.  A change to the engine that keeps every summand and every
 stopping index leaves them byte for byte as they are.  Regenerate the file
 only for a change that alters them on purpose, and say why::
 
@@ -77,6 +78,17 @@ HANDOVER = (
     ("bilateral", "theta", {"x": "92/97", "t": "-95/101", "q": "-80/89"}, 1000),
 )
 
+#: Theta sums whose operands are full-length ``Decimal`` values: the Lambert
+#: series at ``q = 1/sqrt(2)`` and the generalized one at the golden ratio's
+#: ``x = 1/phi``, ``q = -1/phi**2`` of the reciprocal Fibonacci sum.
+FULL_LENGTH = (
+    ("lambert", "theta", {"q": "0.7071067811865475244"}, 5000),
+    ("glambert", "theta", {"x": "0.6180339887498948482", "q": "-0.3819660112501051518"}, 1000),
+)
+
+#: (m1, m2, method) of the ``recip-sum`` routes also pinned at 5000 digits.
+LONG_RECIP_ROUTES = ((1, 1, "horadam"), (2, 1, "horadam"), (1, 1, "split"))
+
 
 def _eval(series: str, method: str, operands: dict, digits: int) -> tuple[str, ...]:
     argv = ["eval", series, "--method", method]
@@ -92,9 +104,9 @@ def commands() -> list[tuple[str, ...]]:
         for series, method, *operand_sets in routes:
             for operands in operand_sets:
                 found.append(_eval(series, method, operands, digits))
-    found += [_eval(*route) for route in HANDOVER]
-    for digits in (300, 1000):
-        for m1, m2, method in RECIP_ROUTES:
+    found += [_eval(*route) for route in HANDOVER + FULL_LENGTH]
+    for digits, routes in ((300, RECIP_ROUTES), (1000, RECIP_ROUTES), (5000, LONG_RECIP_ROUTES)):
+        for m1, m2, method in routes:
             found.append((
                 "recip-sum", "--m1", str(m1), "--m2", str(m2), "--method", method,
                 "--digits", str(digits), "--report",
