@@ -65,22 +65,40 @@ within one unit in the last place:
 The term kernel is one closure, composed once per description, that keeps
 its running values in locals and at index ``n``, under the current context:
 
-1. multiplies the coefficient ``C_n`` by the numerator differences
-   ``c0 - u`` of the evaluated factors, in factor order, and divides the
-   result by the product of their denominator differences, formed from the
-   first one in factor order: that is ``T_n``;
-2. multiplies ``C_n`` by ``z`` and by ``W_n`` (and ``W_n`` by
-   ``q**step``), then by the Pochhammer numerator differences in order,
-   and divides it by the product of their denominator differences: that
-   is ``C_{n+1}``;
-3. multiplies each distinct running value ``u = c1*q**(s*i + k)`` by
-   ``q**s``.
+1. forms ``T_n`` from the coefficient ``C_n`` and the evaluated factors,
+   in the first of these forms that the description has:
 
-The operations and their order depend on the description alone, so a
-summand is a fixed function of the description and of the precisions the
-calls ran at.  When the precision of a call differs from the one before,
-the constants ``z``, ``q**step`` and ``q**s`` are first rounded to it from
-their full-length values, once per change.
+   * *the qxt bracket*, where the evaluated factors are one numerator
+     ``1 - c1_a*c1_b*q**((s_a + s_b)*n + k_a + k_b)`` and two denominators
+     ``1 - u_a`` and ``1 - u_b``, ``u_a = c1_a*q**(s_a*n + k_a)``, in
+     factor order, every ``c0`` exactly 1 and the numerator's ``c1`` the
+     exact product ``c1_a*c1_b`` (formed within the precision the kernel is
+     built at), not a rounded one: ``T_n = C_n/(1 - u_a)
+     + C_n/(1 - u_b) - C_n``, left to right, which is the same number.  Two
+     quotients replace two products, a quotient and a third difference, and
+     the numerator's running value is not kept;
+   * *a shared ratio*, where they are one numerator ``c0' - u`` and one
+     denominator ``c0 - u`` on the same running value, and ``d = c0' - c0``
+     is an int: ``T_n = C_n*d/(c0 - u) + C_n``, a short product in place of
+     a full one;
+   * *the product*: ``C_n`` times the numerator differences ``c0 - u``, in
+     factor order, divided by the product of the denominator differences,
+     formed from the first one in factor order;
+2. multiplies ``C_n`` by ``z`` and by ``W_n`` (and ``W_n`` by ``q**step``),
+   then by the Pochhammer numerator differences in order, and divides it
+   by the product of their denominator differences: that is ``C_{n+1}``.
+   With ``Decimal`` parameters, a theta weight and ``z != 1``, ``z`` is
+   folded into the weight: ``C_n`` is multiplied by the one running value
+   ``z*q**(step*n + shift)``, the product ``z*W_first`` rounded once and
+   then advanced by ``q**step``;
+3. multiplies each distinct running value ``u = c1*q**(s*i + k)`` that a
+   factor evaluates or accumulates by ``q**s``.
+
+The forms and the operations and their order depend on the description
+alone, so a summand is a fixed function of the description and of the
+precisions the calls ran at.  When the precision of a call differs from the
+one before, the constants ``z``, ``q**step`` and ``q**s`` are first rounded
+to it from their full-length values, once per change.
 
 Exact parameters.  A description whose parameters are exact rationals,
 marked by a ``Fraction`` ``q`` (:func:`~qlambert.numerics.series_parameters`
@@ -95,9 +113,10 @@ from ``m``: the weight ratio ``q**(step*m + shift)`` and each
 ``c1*q**(s*m + k)`` are their exact values rounded once, each ``c0`` is
 rounded once, and the constants are ints,
 ``p**s``, ``p**step`` and the numerator of ``z``, each product followed by
-a quotient by ``r**s``, ``r**step`` or the denominator of ``z``.  Ints need
-no rounding when the precision changes.  A description with ``Decimal``
-parameters pays one ``None`` test per step that could divide.
+a quotient by ``r**s``, ``r**step`` or the denominator of ``z``, which is
+not folded into the weight.  Ints need no rounding when the precision
+changes.  The summand takes the same forms.  A description with
+``Decimal`` parameters pays one ``None`` test per step that could divide.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
@@ -208,8 +227,32 @@ is a multiple of 200).
    ``10**P <= peak``, that is at most ``10*kappa*(j+1) * 10**-r * peak *
    10**-wd``, and over all summands at most ``5*kappa*10**(2*D-r) * peak *
    10**-wd``.  For ``kappa <= 10**4`` (at most 20 roundings per index and
-   ``h <= 0.998*|c0|`` at tapered indices) this is within ``10**5 * peak *
-   10**-wd``, half of the ``10**6`` slack of ``tail_floor(peak)``.
+   ``h <= 0.998*|c0|`` at tapered indices) this is within ``5 * 10**5 *
+   peak * 10**-wd``, half of the ``10**6`` slack of ``tail_floor(peak)``.
+   The cheaper forms of step 1 stay within that ``kappa``.  In both, the
+   error of ``C_n`` is common to every addend, and so relative to ``T_n``
+   as it is to ``C_n``.  In the qxt bracket, with ``v = u_a*u_b`` and
+   ``|u_a|, |u_b| <= 0.998`` (so ``|v| <= 0.996``), the summand is
+   ``C_n*(1 - v)/((1 - u_a)(1 - u_b))``.  The six roundings of the two
+   differences, the two quotients, the sum and the difference are at most
+   ``3*(|1 - u_a| + |1 - u_b|)/|1 - v| + 1 <= 12/(1 - |v|) + 1 <= 3001``
+   of ``T_n``'s: the cancellation is at most ``8/(1 - |v|)`` of
+   ``|T_n|``, where the product's numerator difference amplifies by
+   ``|v|/(1 - |v|)``, but ``C_n``'s share of it cancels exactly.  The error
+   of ``u_a`` is amplified by ``|u_a||1 - u_b| / (|1 - u_a||1 - v|)``:
+   at most ``1/(1 - u_a) <= 500`` where ``u_a >= 0``, as ``1 - v >=
+   u_a*(1 - u_b)``, and at most ``2/(1 - |v|) <= 500`` where ``u_a < 0``.
+   So ``kappa <= c_C + 500*(c_a + c_b) + 3001``, with ``c_C``, ``c_a``
+   and ``c_b`` the roundings per index of ``C_n``, ``u_a`` and ``u_b``: 3, 2
+   and 2 with ``Decimal`` parameters (the product by the folded weight, its
+   product and its constant; a product and a constant each), 5, 2 and 2
+   after an exact sum's switch, at most 5006 in all.  In a shared ratio the
+   quotient ``C_n*d/(c0 - u)`` carries three roundings and the sum one,
+   ``3*|d|/|c0' - u| + 1`` of ``T_n``'s, and the error of ``u`` is
+   amplified by ``|d||u| / (|c0 - u||c0' - u|)``, at most the product
+   form's ``|u|/|c0 - u| + |u|/|c0' - u|`` as ``|d| <= |c0' - u| + |c0 -
+   u|``.  For the Lambert theta form (``c0' = -1``, ``c0 = 1``) that is
+   ``kappa <= 3 + 500*2 + 3001 = 4004``.
    The exact kernel stays within the same count.  While its powers are int
    pairs, an index costs four roundings (a product and a quotient for the
    summand and for the coefficient) and no difference amplifies anything.
@@ -218,9 +261,10 @@ is a multiple of 200).
    one product and carried the rounding of its constant, and a ``Fraction``
    ``c0`` is rounded once, like a constant.
    The exact descriptions of this package then cost at most 17 roundings
-   per index (the theta forms of the ``qxt`` and bilateral series: three
-   running values and the weight ratio at two each, three differences,
-   three for the summand, three for ``z`` and the weight).  The switch
+   per index (the bilateral theta form: three running values and the
+   weight ratio at two each, three differences, three for the summand,
+   three for ``z`` and the weight; the ``qxt`` theta form's bracket keeps
+   two running values and takes six for its summand, 15 in all).  The switch
    itself rounds each running value and each ``c0`` once, at most 7
    roundings, fewer than one index's 20; so summand ``j`` carries at most
    ``20*(j+2)`` of them.  The sum over ``j < M`` of ``j + 2`` is at most
@@ -262,10 +306,10 @@ precision is lowered only once the new one is at most ``wd/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import Decimal, Overflow, getcontext, localcontext
+from decimal import Decimal, Inexact, Overflow, getcontext, localcontext
 from fractions import Fraction
 from math import ceil, exp2, floor, inf, ldexp, log, log2, log10, prod, ulp
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DivergenceError, DomainError, PoleError
@@ -479,14 +523,17 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
 
     Its running values are locals of the closure: the coefficient
     ``start * z**(n - first) * W_n`` times the Pochhammer products, the
-    theta weight, and each distinct ``c1*q**(s*i + k)``, which the factors
-    that have it share.  A description with an exact ``q`` gets the
-    kernel of :func:`_exact_kernel`, which calls this one with its running
-    coefficient ``coeff`` at the index where its powers of ``q = p/r`` grow
-    too long for int pairs.  Then each running value is a ``Decimal``, its
-    exact value rounded once, that advances by ``* p**s`` and then
-    ``/ r**s``, the coefficient by ``* z.numerator`` and then
-    ``/ z.denominator``, and each ``c0`` is rounded once.
+    theta weight (with ``z`` folded into it, for ``Decimal`` parameters),
+    and each distinct ``c1*q**(s*i + k)``, which the factors that have it
+    share.  The summand's form, the qxt bracket (:func:`_bracket`), a
+    shared ratio (:func:`_ratio`) or the product, is chosen here.  A
+    description with an exact ``q`` gets the kernel of :func:`_exact_kernel`,
+    which calls this one with its running coefficient ``coeff`` at the index
+    where its powers of ``q = p/r`` grow too long for int pairs.  Then each
+    running value is a ``Decimal``, its exact value rounded once, that
+    advances by ``* p**s`` and then ``/ r**s``, the coefficient by
+    ``* z.numerator`` and then ``/ z.denominator``, and each ``c0`` is
+    rounded once.
     """
     q = d.q
     # A running coefficient comes from the exact kernel's handover alone.
@@ -498,13 +545,24 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
 
         return _exact_kernel(d)
     assert not exact or type(q) is Fraction, "a running coefficient needs an exact q"
+    # The summand's form: a bracket's numerator is not evaluated, and only
+    # the factors evaluated or accumulated get a running value.
+    nums, dens = _evaluated(d.factors)
+    bracket = _bracket(nums, dens)
+    ratio = None if bracket else _ratio(nums, dens)
+    factors = [f for f in d.factors if f is not bracket[0]] if bracket else d.factors
     # Factors share the running value c1*q**(s*i + k) of the summands.
     values: dict[tuple[BigReal, int, int], int] = {}
     num, den, pnum, pden = groups = [], [], [], []
-    for f in d.factors:
+    for f in factors:
         j = values.setdefault((f.c1, f.s, f.k), len(values))
         c0 = _rounded(f.c0) if exact else f.c0
         groups[2 * f.pochhammer + (f.power < 0)].append((c0, j))
+    plain = not bracket and ratio is None
+    if bracket:
+        ja, jb = (values[f.c1, f.s, f.k] for f in bracket[1:])
+    elif ratio is not None:
+        delta, (ratio_c0, ratio_j) = ratio, den[0]
     # The steps' multipliers, and the divisors that exact descriptions add.
     w = w_step = w_div = None
     if exact:
@@ -523,6 +581,9 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
         if d.theta is not None:
             step, shift = d.theta
             w, w_step = ipow(q, step * d.first + shift), ipow(q, step)
+            if z is not None:
+                # z folds into the weight ratio: C_{n+1} = C_n * z*q**(step*n + shift).
+                w, z = z * w, None
     # The constants at full length, and as rounded to the precision of the
     # last call; only sums above TAPER_FROM digits taper, and those of an
     # exact description are ints, which no precision rounds.
@@ -545,15 +606,20 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
             w_step = full_w_step if full_w_step is None else +full_w_step
             u_step = [+value for value in full_u_step]
             rounded_to = getcontext().prec
-        value = coeff
-        for c0, j in num:
-            value *= c0 - u[j]
-        if den_first is not None:
-            c0, j = den_first
-            divisor = c0 - u[j]
-            for c0, j in den_rest:
-                divisor *= c0 - u[j]
-            value /= divisor
+        if plain:
+            value = coeff
+            for c0, j in num:
+                value *= c0 - u[j]
+            if den_first is not None:
+                c0, j = den_first
+                divisor = c0 - u[j]
+                for c0, j in den_rest:
+                    divisor *= c0 - u[j]
+                value /= divisor
+        elif bracket:
+            value = coeff / (_ONE - u[ja]) + coeff / (_ONE - u[jb]) - coeff
+        else:
+            value = coeff * delta / (ratio_c0 - u[ratio_j]) + coeff
         if z is not None:
             coeff *= z
         if z_div is not None:
@@ -581,6 +647,61 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
         return value
 
     return term
+
+
+def _evaluated(factors: Sequence[Factor]) -> tuple[list[Factor], list[Factor]]:
+    """The evaluated numerator and denominator factors, each in factor order."""
+    nums, dens = [], []
+    for f in factors:
+        if not f.pochhammer:
+            (dens if f.power < 0 else nums).append(f)
+    return nums, dens
+
+
+def _bracket(nums: list[Factor], dens: list[Factor]) -> tuple[Factor, ...]:
+    """``(N, A, B)`` where the evaluated factors are the numerator
+    ``N = 1 - c1_a*c1_b*q**((s_a + s_b)*n + k_a + k_b)`` and the denominators
+    ``A = 1 - c1_a*q**(s_a*n + k_a)`` and ``B``, in factor order, with every
+    ``c0`` exactly 1 and ``c1`` of ``N`` the exact product, within the
+    current precision; otherwise ``()``.  Then ``N / (A*B) = 1/A + 1/B - 1``,
+    whatever the running values."""
+    if len(nums) != 1 or len(dens) != 2:
+        return ()
+    (top,), (a, b) = nums, dens
+    if (
+        top.s == a.s + b.s
+        and top.k == a.k + b.k
+        and top.c0 == a.c0 == b.c0 == 1
+        and top.c1 == _exact(mul, a.c1, b.c1)
+    ):
+        return top, a, b
+    return ()
+
+
+def _exact(operation: Callable[[Real, Real], Real], a: Real, b: Real) -> Real | None:
+    """``operation(a, b)``, ``mul`` or ``sub``, without rounding; None where
+    it is a ``Decimal`` longer than the current precision."""
+    if Fraction in (type(a), type(b)):
+        return operation(Fraction(a), Fraction(b))
+    with localcontext() as ctx:
+        ctx.traps[Inexact] = False
+        ctx.clear_flags()
+        value = operation(Decimal(a), Decimal(b))
+        return None if ctx.flags[Inexact] else value
+
+
+def _ratio(nums: list[Factor], dens: list[Factor]) -> int | None:
+    """``c0' - c0`` where the evaluated factors are one numerator ``c0' - u``
+    and one denominator ``c0 - u`` on the same running value ``u``, and the
+    difference is an int; otherwise None.  Then
+    ``(c0' - u) / (c0 - u) = 1 + (c0' - c0) / (c0 - u)``."""
+    if len(nums) != 1 or len(dens) != 1:
+        return None
+    (top,), (bottom,) = nums, dens
+    if (top.c1, top.s, top.k) != (bottom.c1, bottom.s, bottom.k):
+        return None
+    delta = _exact(sub, top.c0, bottom.c0)
+    return None if delta is None or delta != int(delta) else int(delta)
 
 
 def _rounded(x: Real, q: Real = 1, e: int = 0) -> BigReal:

@@ -8,8 +8,9 @@ and 1000 digits, the theta routes of ``lambert``, ``glambert``, ``qxt`` and
 1000 digits, sums at ``q = -80/89`` whose exact running powers outgrow
 their int pairs mid-sum, theta sums with full-length ``Decimal`` operands
 and the ``horadam`` and ``split`` reciprocal sums at 5000 digits, and
-``verify --all --trials 10 --digits 50 --report``.  A change to the engine that keeps every summand and every
-stopping index leaves them byte for byte as they are.  Regenerate the file
+``verify --all --trials 10 --digits 50 --report``.  A change to the engine
+that keeps every summand and every stopping index leaves them byte for byte
+as they are.  Regenerate the file
 only for a change that alters them on purpose, and say why::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -83,7 +84,10 @@ HANDOVER = (
 #: ``x = 1/phi``, ``q = -1/phi**2`` of the reciprocal Fibonacci sum.
 FULL_LENGTH = (
     ("lambert", "theta", {"q": "0.7071067811865475244"}, 5000),
-    ("glambert", "theta", {"x": "0.6180339887498948482", "q": "-0.3819660112501051518"}, 1000),
+    (
+        "glambert", "theta",
+        {"x": "0.6180339887498948482", "q": "-0.3819660112501051518"}, 1000,
+    ),
 )
 
 #: (m1, m2, method) of the ``recip-sum`` routes also pinned at 5000 digits.
@@ -105,7 +109,8 @@ def commands() -> list[tuple[str, ...]]:
             for operands in operand_sets:
                 found.append(_eval(series, method, operands, digits))
     found += [_eval(*route) for route in HANDOVER + FULL_LENGTH]
-    for digits, routes in ((300, RECIP_ROUTES), (1000, RECIP_ROUTES), (5000, LONG_RECIP_ROUTES)):
+    recip = ((300, RECIP_ROUTES), (1000, RECIP_ROUTES), (5000, LONG_RECIP_ROUTES))
+    for digits, routes in recip:
         for m1, m2, method in routes:
             found.append((
                 "recip-sum", "--m1", str(m1), "--m2", str(m2), "--method", method,

@@ -253,6 +253,68 @@ def test_qxt_matches_the_direct_sum(point, evaluate, digits: int) -> None:
     assert_oracle(evaluate(params, ctx), reference, digits)
 
 
+# ---------------------------------------------------------------------------
+# The theta forms where their summands cancel the most: the running values
+# x*q**n and q**n of the theta brackets near -1, so that 1/(1 - x q^n) +
+# 1/(1 - q^n) - 1 and 1 - 2/(1 - q^n) are small differences of terms near 1/2.
+
+#: Digits of the cancellation checks, and of their references: 40 beyond the most.
+CORNER_DIGITS = (30, 50, 300)
+CORNER_DPS = max(CORNER_DIGITS) + EXTRA_DPS
+
+
+@lru_cache(maxsize=None)
+def corner_reference(x: str, q: str):
+    """``sum_{n>=1} x q^n / (1 - x q^n)`` to :data:`CORNER_DPS` digits.
+
+    Directly, the sum would take 800 000 terms at ``q = -0.999``.  So the
+    terms with ``|x q^n| > 1/2`` are summed directly, and from the first
+    ``N`` with ``|x q^N| <= 1/2`` on, each is expanded as ``sum_j (x
+    q^n)^j`` and summed over ``n`` first: the rest is ``sum_{j>=1} w^j /
+    (1 - q^j)``, ``w = x q^N``.  Its ``j``-th term is at least ``|w|^j / 2``,
+    and what follows it at most ``|w|^j / (1 - |q|)``, so it stops at a term
+    below ``10**-(CORNER_DPS + 10)`` with the rest below ``10**-(CORNER_DPS + 6)``
+    at ``|q| <= 0.999``."""
+    with mp.workdps(CORNER_DPS + GUARD_DPS):
+        x_m, q_m = mpf(x), mpf(q)
+        total, u = mpf(0), x_m * q_m
+        while abs(u) > 0.5:
+            total += u / (1 - u)
+            u *= q_m
+        small = mpf(10) ** -(CORNER_DPS + 10)
+        power, q_power = u, q_m
+        while True:
+            term = power / (1 - q_power)
+            total += term
+            if abs(term) < small:
+                return total
+            power *= u
+            q_power *= q_m
+
+
+@pytest.mark.parametrize("digits", CORNER_DIGITS)
+@pytest.mark.parametrize("x, q", [("0.99", "-0.99"), ("0.999", "-0.999")])
+def test_glambert_theta_where_its_bracket_cancels(x: str, q: str, digits: int) -> None:
+    ctx = make_context(digits)
+    sv = glambert_theta(parse_real(x, ctx), parse_real(q, ctx), ctx)
+    assert_oracle(sv, corner_reference(x, q), digits)
+
+
+@pytest.mark.parametrize("digits", CORNER_DIGITS)
+@pytest.mark.parametrize("q", ["-0.99", "-0.999"])
+def test_lambert_theta_where_its_ratio_cancels(q: str, digits: int) -> None:
+    ctx = make_context(digits)
+    assert_oracle(lambert_theta(parse_real(q, ctx), ctx), corner_reference("1", q), digits)
+
+
+@pytest.mark.parametrize("digits", CORNER_DIGITS)
+def test_qxt_theta_where_its_bracket_cancels(digits: int) -> None:
+    point = ("-0.99", "-0.98", "0.5")
+    ctx = make_context(digits)
+    params = QxtParams(*(parse_real(value, ctx) for value in point))
+    assert_oracle(series_qxt_rhs(params, ctx), qxt_reference(*point, CORNER_DPS), digits)
+
+
 @pytest.mark.parametrize(
     "evaluate, digits",
     [

@@ -14,9 +14,13 @@ weights, evaluated and Pochhammer factors in ways no builder does and
 include folded factors ``(c0 - c1 q^i)`` with ``c0 != 1``.
 
 Two more hold bit for bit on random descriptions: the term kernel's
-summands equal a running product per factor, also when the precision drops
-mid-sum; and a sum that reads the majorant lazily, by its floor, returns
-what one that reads it at every index returns, with a theta weight too.
+summands equal those of a running value per factor, in the summand form
+that the kernel's rule picks (the qxt bracket, a shared ratio or the
+product; look-alikes whose ``c1`` is only a rounded product keep the
+product), also when the precision drops mid-sum and also in the kernel
+that an exact sum hands over to; and a sum that reads the majorant lazily,
+by its floor, returns what one that reads it at every index returns, with a
+theta weight too.
 With exact rational parameters the kernel's summands agree with those of
 the same description in ``Decimal`` at 30 more digits, within the kernel's
 rounding count, and its running values become ``Decimal`` values at the index
@@ -627,22 +631,86 @@ def test_lazy_theta_certification_returns_what_the_eager_engine_returns(
 # per factor gives it, under a precision that drops mid-sum.
 
 
-def _reference_terms(series: QTerm, precisions: list[int]) -> list[Decimal]:
+def _reference_form(series: QTerm) -> tuple | None:
+    """The summand's cheaper form by the rule of the ``qcore`` module
+    docstring, decided in ``Fraction`` arithmetic: ``("bracket", i, j)``
+    where the evaluated factors are ``1 - c1_a*c1_b*q**((s_a + s_b)*n + k_a
+    + k_b)`` over the denominators ``i`` and ``j`` (factor indices, in
+    order) ``1 - c1_a*q**(s_a*n + k_a)`` and ``1 - c1_b*q**(s_b*n + k_b)``;
+    ``("ratio", delta, j)`` where they are one numerator ``c0' - u`` and the
+    denominator ``j``, ``c0 - u``, with ``delta = c0' - c0`` an int; else None.
+    The kernel also asks that a ``Decimal`` product or difference fit in the
+    precision it is built at, which the short parameters drawn here do."""
+    evaluated = [i for i, f in enumerate(series.factors) if not f.pochhammer]
+    nums = [i for i in evaluated if series.factors[i].power > 0]
+    dens = [i for i in evaluated if series.factors[i].power < 0]
+    if len(nums) == 1 and len(dens) in (1, 2):
+        top = series.factors[nums[0]]
+        parts = [series.factors[i] for i in dens]
+        if len(dens) == 2:
+            a, b = parts
+            if (
+                all(Fraction(f.c0) == 1 for f in (top, a, b))
+                and Fraction(top.c1) == Fraction(a.c1) * Fraction(b.c1)
+                and (top.s, top.k) == (a.s + b.s, a.k + b.k)
+            ):
+                return ("bracket", *dens)
+        else:
+            (bottom,) = parts
+            delta = Fraction(top.c0) - Fraction(bottom.c0)
+            same = Fraction(top.c1) == Fraction(bottom.c1) and (top.s, top.k) == (
+                bottom.s, bottom.k
+            )
+            if same and delta.denominator == 1:
+                return ("ratio", int(delta), dens[0])
+    return None
+
+
+def _rounded_once(value) -> Decimal:
+    """An exact rational rounded once to the current precision."""
+    value = Fraction(value)
+    return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+def _reference_terms(
+    series: QTerm, precisions: list[int], coeff: Decimal | None = None, form="rule"
+) -> list[Decimal]:
     """``T_first, T_first+1, ...``, one at each of ``precisions``, from a
-    running value per factor and the constants rounded to the precision of
-    the summand whenever it changed (``qcore`` module docstring)."""
+    running value per factor (``qcore`` module docstring): the summand in the
+    form :func:`_reference_form` gives, or in ``form``; with a theta weight
+    and ``z != 1``, the coefficient times one running ``z*q**(step*n +
+    shift)``; the constants rounded to the precision of the summand whenever
+    it changed.  With a running coefficient ``coeff`` and an exact ``q =
+    p/r``, the kernel that takes over an exact sum: each running value and
+    each ``c0`` rounded once, steps by ``* p**s`` and then ``/ r**s``, ``z``
+    by its numerator and then its denominator, and no constant rounded."""
     q, first, factors = series.q, series.first, series.factors
+    form = _reference_form(series) if form == "rule" else form
+    exact = coeff is not None
     built_at = precisions[0]
     with localcontext(Context(prec=built_at)):
-        coeff = +series.start
         w = w_step = None
-        if series.theta is not None:
-            step, shift = series.theta
-            w, w_step = ipow(q, step * first + shift), ipow(q, step)
-        u = [f.c1 * ipow(q, f.s * first + f.k) for f in factors]
+        if exact:
+            p, r = q.numerator, q.denominator
+            z_top, z_bottom = Fraction(series.z).as_integer_ratio()
+            c0s = [_rounded_once(f.c0) for f in factors]
+            u = [_rounded_once(f.c1 * q ** (f.s * first + f.k)) for f in factors]
+            if series.theta is not None:
+                step, shift = series.theta
+                w = _rounded_once(q ** (step * first + shift))
+        else:
+            coeff = +series.start
+            c0s = [f.c0 for f in factors]
+            u = [f.c1 * ipow(q, f.s * first + f.k) for f in factors]
+            if series.theta is not None:
+                step, shift = series.theta
+                w, w_step = ipow(q, step * first + shift), ipow(q, step)
+                if series.z != 1:
+                    w = series.z * w
         full = series.z, w_step, [ipow(q, f.s) for f in factors]
+    folded = not exact and w is not None
     z, w_step, u_step = full
-    tapers, rounded_to = built_at > TAPER_FROM, built_at
+    tapers, rounded_to = built_at > TAPER_FROM and not exact, built_at
     kinds = [(f.pochhammer, f.power < 0) for f in factors]
     terms = []
     for prec in precisions:
@@ -652,23 +720,33 @@ def _reference_terms(series: QTerm, precisions: list[int]) -> list[Decimal]:
                 w_step = None if full[1] is None else +full[1]
                 u_step = [+x for x in full[2]]
                 rounded_to = prec
-            diffs = [f.c0 - value for f, value in zip(factors, u)]
-            value = coeff
-            for diff, kind in zip(diffs, kinds):
-                if kind == (False, False):
-                    value *= diff
-            divisor = None
-            for diff, kind in zip(diffs, kinds):
-                if kind == (False, True):
-                    divisor = diff if divisor is None else divisor * diff
-            if divisor is not None:
-                value /= divisor
+            diffs = [c0 - value for c0, value in zip(c0s, u)]
+            if form is not None and form[0] == "bracket":
+                value = coeff / diffs[form[1]] + coeff / diffs[form[2]] - coeff
+            elif form is not None:
+                value = coeff * form[1] / diffs[form[2]] + coeff
+            else:
+                value = coeff
+                for diff, kind in zip(diffs, kinds):
+                    if kind == (False, False):
+                        value *= diff
+                divisor = None
+                for diff, kind in zip(diffs, kinds):
+                    if kind == (False, True):
+                        divisor = diff if divisor is None else divisor * diff
+                if divisor is not None:
+                    value /= divisor
             terms.append(value)
-            if series.z != 1:
+            if exact:
+                if z_top != 1:
+                    coeff *= z_top
+                if z_bottom != 1:
+                    coeff /= z_bottom
+            elif series.z != 1 and not folded:
                 coeff *= z
             if w is not None:
                 coeff *= w
-                w *= w_step
+                w = w * p**step / r**step if exact else w * w_step
             for diff, kind in zip(diffs, kinds):
                 if kind == (True, False):
                     coeff *= diff
@@ -678,8 +756,59 @@ def _reference_terms(series: QTerm, precisions: list[int]) -> list[Decimal]:
                     divisor = diff if divisor is None else divisor * diff
             if divisor is not None:
                 coeff /= divisor
-            u = [running * step for running, step in zip(u, u_step)]
+            if exact:
+                u = [value * p**f.s / r**f.s for value, f in zip(u, factors)]
+            else:
+                u = [running * step for running, step in zip(u, u_step)]
     return terms
+
+
+@st.composite
+def shaped_series(draw, rational: bool = False, lookalike: bool = False) -> tuple:
+    """A random description, as a builder plus its arguments, whose
+    evaluated factors have one of the kernel's cheaper forms: the ``qxt``
+    bracket ``(1 - c1_a*c1_b*q**((s_a + s_b)*n + k_a + k_b)) / ((1 -
+    c1_a*q**(s_a*n + k_a)) (1 - c1_b*q**(s_b*n + k_b)))``, or a numerator
+    and a denominator ``(c0' - u) / (c0 - u)`` on one running value ``u``
+    with an int ``c0' - c0``, in random factor order, beside up to one
+    Pochhammer factor.  A ``lookalike`` has the shape but not the rule: the
+    bracket's ``c1`` is the product moved in its ninth digit, or ``c0' -
+    c0`` is not an int."""
+    real = rational_unit if rational else unit
+    number = Fraction if rational else Decimal
+    if draw(st.booleans()):
+        (a, s_a, k_a), (b, s_b, k_b) = (
+            (draw(real()), draw(st.integers(1, 2)), draw(st.integers(0, 2))) for _ in "ab"
+        )
+        top = a * b
+        if lookalike:
+            top += number(1) / 10**9
+        evaluated = [
+            Factor(top, s=s_a + s_b, k=k_a + k_b),
+            Factor(a, s=s_a, k=k_a, power=-1),
+            Factor(b, s=s_b, k=k_b, power=-1),
+        ]
+    else:
+        c1, s, k = draw(real()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        # |c0| >= 1 > |c1| keeps the denominator away from zero.
+        c0 = number(draw(st.sampled_from([1, -1, 2, -2])))
+        other = c0 + draw(st.sampled_from([-3, -2, -1, 0, 1, 2]))
+        if lookalike:
+            other += number(1) / 4
+        evaluated = [Factor(c1, s=s, k=k, c0=other), Factor(c1, s=s, k=k, power=-1, c0=c0)]
+    factors = draw(st.permutations(evaluated))
+    if draw(st.booleans()):
+        c1, k = draw(real()), draw(st.integers(0, 2))
+        power = draw(st.sampled_from([1, -1]))
+        factors.append(Factor(c1, k=k, power=power, pochhammer=True))
+    theta = draw(st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(0, 2))))
+    z = draw(st.one_of(st.just(number(1)), real(0.95)))
+    first = draw(st.integers(0, 2))
+
+    def build(q: Decimal) -> QTerm:
+        return QTerm(q, z=z, theta=theta, factors=tuple(factors), first=first)
+
+    return build, (draw(real()),)
 
 
 #: Working precisions at 50 digits, and at 300 digits dropping twice mid-sum.
@@ -689,9 +818,14 @@ KERNEL_PRECISIONS = [
 ]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
-    st.one_of(random_series(), random_series(shared=True)),
+    st.one_of(
+        random_series(),
+        random_series(shared=True),
+        shaped_series(),
+        shaped_series(lookalike=True),
+    ),
     st.sampled_from(KERNEL_PRECISIONS),
 )
 def test_term_kernel_matches_a_running_product_bit_for_bit(series, precisions) -> None:
@@ -706,6 +840,63 @@ def test_term_kernel_matches_a_running_product_bit_for_bit(series, precisions) -
         with localcontext(Context(prec=prec)):
             got = term(n)
         assert got.as_tuple() == want.as_tuple(), (n, prec, got, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        random_series(rational=True),
+        random_series(shared=True, rational=True),
+        shaped_series(rational=True),
+        shaped_series(rational=True, lookalike=True),
+    ),
+    st.sampled_from(KERNEL_PRECISIONS),
+)
+def test_handed_over_exact_kernel_matches_a_running_product_bit_for_bit(
+    series, precisions
+) -> None:
+    """The kernel that an exact sum hands its running coefficient to, from
+    the first index on."""
+    build, (q,) = series
+    description = build(q)
+    with localcontext(Context(prec=precisions[0])):
+        coeff = Decimal(2) / 3
+        term = _kernel(description, coeff)
+    expected = _reference_terms(description, precisions, coeff)
+    for n, (prec, want) in enumerate(zip(precisions, expected), description.first):
+        with localcontext(Context(prec=prec)):
+            got = term(n)
+        assert got.as_tuple() == want.as_tuple(), (n, prec, got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shaped_series(lookalike=True), st.sampled_from(KERNEL_PRECISIONS))
+def test_a_lookalike_of_a_cheaper_form_takes_the_product_path(series, precisions) -> None:
+    """A bracket whose ``c1`` is not the exact product, or a ratio whose
+    ``c0' - c0`` is not an int, is summed as the product of its factors,
+    and the summands tell the two paths apart where the running values are
+    not 0."""
+    build, (q,) = series
+    assume(q and all(f.c1 for f in build(q).factors))
+    with localcontext(Context(prec=precisions[0])):
+        description = build(q * (1 - Decimal(1) / 33333333))
+        term = _kernel(description)
+    assert _reference_form(description) is None
+    got = []
+    for n, prec in enumerate(precisions, description.first):
+        with localcontext(Context(prec=prec)):
+            got.append(term(n).as_tuple())
+    product = _reference_terms(description, precisions, form=None)
+    assert got == [value.as_tuple() for value in product]
+    factors = description.factors
+    dens = [i for i, f in enumerate(factors) if f.power < 0 and not f.pochhammer]
+    if len(dens) == 2:
+        cheaper = ("bracket", *dens)
+    else:
+        (top,) = (f for f in factors if f.power > 0 and not f.pochhammer)
+        cheaper = ("ratio", top.c0 - factors[dens[0]].c0, dens[0])
+    other = _reference_terms(description, precisions, form=cheaper)
+    assert got != [value.as_tuple() for value in other]
 
 
 # ---------------------------------------------------------------------------
