@@ -2,19 +2,19 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/route_timing.py --root BASELINE [--rounds 5] [--calls 3] [COMMAND...]
+    python3 tools/route_timing.py --root BASELINE [--rounds 5] [COMMAND...]
 
 Each COMMAND is one quoted ``qlambert`` argument list, such as
 ``"eval lambert --q 1/2 --digits 5000"``; without any, the script times the
 commands of the timing table in ``ROADMAP.md``.  For every round and
 command it starts one child process per checkout, alternating which goes
 first, that imports ``qlambert`` from that checkout's ``src/``, runs the
-command once untimed and then ``--calls`` times through ``qlambert.cli.main``
-in process, and reports the fastest call.  Per command the script prints,
-for the baseline (``--root``) and for this checkout, the best and the
-median over the rounds of those fastest calls, and the ratio of this
-checkout's median to the baseline's.  It uses the standard library alone
-and writes nothing.
+command once untimed and then :data:`CALLS` times through
+``qlambert.cli.main`` in process, and reports the fastest call.  Per
+command the script prints, for the baseline (``--root``) and for this
+checkout, the best and the median over the rounds of those fastest calls,
+and the ratio of this checkout's median to the baseline's.  It uses the
+standard library alone and writes nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Timed calls per child, after one untimed call, as the table's "best of 3".
+CALLS = 3
 
 #: The commands of the timing table in ROADMAP.md, in its order.
 TABLE = (
@@ -79,7 +81,6 @@ def main() -> int:
     parser.add_argument("commands", nargs="*", metavar="COMMAND")
     parser.add_argument("--root", type=Path, required=True, help="the baseline checkout")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--calls", type=int, default=3)
     args = parser.parse_args()
     trees = {"base": args.root.resolve(), "this": ROOT}
     commands = args.commands or list(TABLE)
@@ -89,7 +90,7 @@ def main() -> int:
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for command in commands:
             for name in order:
-                seconds = fastest_call(trees[name], shlex.split(command), args.calls)
+                seconds = fastest_call(trees[name], shlex.split(command), CALLS)
                 times[name, command].append(seconds)
     print(f"{'base best':>10} {'base med':>10} {'this best':>10} {'this med':>10}"
           f" {'ratio':>6}  command (ms; ratio = this med / base med)")
