@@ -638,9 +638,7 @@ def _reference_form(series: QTerm) -> tuple | None:
     + k_b)`` over the denominators ``i`` and ``j`` (factor indices, in
     order) ``1 - c1_a*q**(s_a*n + k_a)`` and ``1 - c1_b*q**(s_b*n + k_b)``;
     ``("ratio", delta, j)`` where they are one numerator ``c0' - u`` and the
-    denominator ``j``, ``c0 - u``, with ``delta = c0' - c0`` an int; else None.
-    The kernel also asks that a ``Decimal`` product or difference fit in the
-    precision it is built at, which the short parameters drawn here do."""
+    denominator ``j``, ``c0 - u``, with ``delta = c0' - c0`` an int; else None."""
     evaluated = [i for i, f in enumerate(series.factors) if not f.pochhammer]
     nums = [i for i in evaluated if series.factors[i].power > 0]
     dens = [i for i in evaluated if series.factors[i].power < 0]

@@ -2,19 +2,17 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/route_timing.py --root BASELINE [--rounds 5] [COMMAND...]
+    python3 tools/route_timing.py --root BASELINE
 
-Each COMMAND is one quoted ``qlambert`` argument list, such as
-``"eval lambert --q 1/2 --digits 5000"``; without any, the script times the
-commands of the timing table in ``ROADMAP.md``.  For every round and
-command it starts one child process per checkout, alternating which goes
-first, that imports ``qlambert`` from that checkout's ``src/``, runs the
-command once untimed and then :data:`CALLS` times through
-``qlambert.cli.main`` in process, and reports the fastest call.  Per
-command the script prints, for the baseline (``--root``) and for this
-checkout, the best and the median over the rounds of those fastest calls,
-and the ratio of this checkout's median to the baseline's.  It uses the
-standard library alone and writes nothing.
+The script times the commands of the timing table in ``ROADMAP.md``.  For
+each of :data:`ROUNDS` rounds and every command it starts one child
+process per checkout, alternating which goes first, that imports
+``qlambert`` from that checkout's ``src/``, runs the command once untimed
+and then :data:`CALLS` times through ``qlambert.cli.main`` in process, and
+reports the fastest call.  Per command the script prints, for the baseline
+(``--root``) and for this checkout, the best and the median over the rounds
+of those fastest calls, and the ratio of this checkout's median to the
+baseline's.  It uses the standard library alone and writes nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +27,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: Timed calls per child, after one untimed call, as the table's "best of 3".
 CALLS = 3
+#: Rounds per command, as the table's "median of 5 rounds".
+ROUNDS = 5
 
 #: The commands of the timing table in ROADMAP.md, in its order.
 TABLE = (
@@ -78,23 +78,20 @@ def _ms(seconds: float) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("commands", nargs="*", metavar="COMMAND")
     parser.add_argument("--root", type=Path, required=True, help="the baseline checkout")
-    parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
     trees = {"base": args.root.resolve(), "this": ROOT}
-    commands = args.commands or list(TABLE)
-    times = {(name, command): [] for name in trees for command in commands}
-    for round_ in range(args.rounds):
+    times = {(name, command): [] for name in trees for command in TABLE}
+    for round_ in range(ROUNDS):
         # Alternate which tree runs first, so that drift hits both alike.
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
-        for command in commands:
+        for command in TABLE:
             for name in order:
                 seconds = fastest_call(trees[name], shlex.split(command), CALLS)
                 times[name, command].append(seconds)
     print(f"{'base best':>10} {'base med':>10} {'this best':>10} {'this med':>10}"
           f" {'ratio':>6}  command (ms; ratio = this med / base med)")
-    for command in commands:
+    for command in TABLE:
         base, this = times["base", command], times["this", command]
         ratio = statistics.median(this) / statistics.median(base)
         print(_ms(min(base)), _ms(statistics.median(base)), _ms(min(this)),
