@@ -15,10 +15,12 @@ Each route is the sum of two unilateral series summed and certified by
 :mod:`qlambert.qcore`: the indices ``n >= 0``, and ``n = -m`` for ``m >= 1``
 rearranged so that no power of ``1/q`` appears.  The direct and theta routes
 describe both sides as a :class:`~qlambert.qcore.QTerm`.  The bracket forms
-keep their hand-written brackets, summed by :func:`~qlambert.qcore.sum_bracketed`:
-each side is the theta description's weight times the bracket, certified by
-that description's majorant.  Each bracket is written twice, for ``Decimal``
-values and, for exact parameters, as an exact ratio of ints.
+keep their hand-written ``Decimal`` brackets, summed by
+:func:`~qlambert.qcore.sum_bracketed`: each side is the theta description's
+weight times the bracket, certified by that description's majorant.  With
+exact parameters a bracket is the exact rational product of its side's
+factors, so the bracket forms then sum the theta sides themselves, whose
+kernel forms that rational from int pairs, and keep their own method tag.
 """
 
 from __future__ import annotations
@@ -115,46 +117,28 @@ def _route(
     method_tag: str,
     sides: tuple[Callable[..., QTerm], Callable[..., QTerm]],
     brackets: tuple[Callable[..., BigReal], Callable[..., BigReal]] | None = None,
-    exact: Callable[..., tuple[int, int]] | None = None,
 ) -> SeriesValue:
     """Validate ``p`` and add the certified sums of the two ``sides``.
 
     ``sides`` build the descriptions of the ``n >= 0`` and the ``n = -m``
     sums, from :func:`~qlambert.numerics.series_parameters` of ``p``.  With
-    ``brackets``, each side's summands are its theta weight times
-    ``bracket(x, t, q^n)``, which equals the product of its factors; the
-    brackets take ``x`` and ``t`` as working-precision ``Decimal`` values.
-    With exact parameters the sides take ``exact``, the ``n >= 0`` bracket
-    as an int pair, instead (:func:`_exact_sides`).  Each side is summed to
-    ``epsilon/2``, which stops it at ``epsilon/4``.
+    ``brackets`` and ``Decimal`` parameters, each side's summands are its
+    theta weight times ``bracket(x, t, q^n)``, which equals the product of
+    its factors.  With exact parameters the sides' own kernels sum them.
+    Each side is summed to ``epsilon/2``, which stops it at ``epsilon/4``.
     """
     p.validate(ctx)
     params = series_parameters((p.x, p.t, p.q), ctx)
     eps = ctx.epsilon / 2
-    if brackets is None:
+    if brackets is None or type(params[2]) is Fraction:
         sums = [sum_qterm(build, params, ctx, method_tag, eps) for build in sides]
     else:
-        x, t = (as_decimal(value, ctx) for value in params[:2])
-        pairs = (None, None)
-        if type(params[2]) is Fraction:
-            pairs = _exact_sides(exact, *params[:2])
+        x, t = params[:2]
         sums = [
-            sum_bracketed(build, params, partial(bracket, x, t), ctx, method_tag, eps, pair)
-            for build, bracket, pair in zip(sides, brackets, pairs)
+            sum_bracketed(build, params, partial(bracket, x, t), ctx, method_tag, eps)
+            for build, bracket in zip(sides, brackets)
         ]
     return combine([(1, part) for part in sums], ctx, method_tag)
-
-
-def _exact_sides(
-    exact: Callable[..., tuple[int, int]], x: Fraction, t: Fraction
-) -> tuple[Callable[[int, int], tuple[int, int]], ...]:
-    """The int brackets ``(P, R) -> (N, D)`` of the ``n >= 0`` and the
-    ``n = -m`` sides (:func:`~qlambert.qcore.sum_bracketed`):
-    ``exact(a, b, c, d, P, R)`` with ``x = a/b`` and ``t = c/d``, and on the
-    ``n = -m`` side ``exact(a, b, c, d, R, P)``, the bracket at
-    ``q^m = P/R``."""
-    plus = partial(exact, *x.as_integer_ratio(), *t.as_integer_ratio())
-    return plus, lambda top, bottom: plus(bottom, top)
 
 
 def jordan_direct(p: BilateralParams, ctx: RealContext) -> SeriesValue:
@@ -186,19 +170,6 @@ def _form1_minus(x: BigReal, t: BigReal, q_pow: BigReal) -> BigReal:
     return 1 + x / (q_pow - x) + t / (q_pow - t)
 
 
-def _form1_exact(
-    a: int, b: int, c: int, d: int, top: int, bottom: int
-) -> tuple[int, int]:
-    """:func:`_form1_plus` at ``x = a/b``, ``t = c/d`` and ``q^n = top/bottom``:
-    ``(D1*D2 + a*top*D2 + c*top*D1) / (D1*D2)``, ``D1 = b*bottom - a*top`` and
-    ``D2 = d*bottom - c*top``.  With ``top`` and ``bottom`` swapped it is
-    :func:`_form1_minus` at ``q^m = top/bottom``."""
-    u, v = a * top, c * top
-    d1, d2 = b * bottom - u, d * bottom - v
-    d12 = d1 * d2
-    return d12 + u * d2 + v * d1, d12
-
-
 def jordan_form1(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     """Bracket form ``sum_n q^(n^2) x^n t^n (1 + u/(1-u) + v/(1-v))``.
 
@@ -206,7 +177,7 @@ def jordan_form1(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     fractions reduce to ``x/(q^m - x)`` and ``t/(q^m - t)``.
     """
     brackets = (_form1_plus, _form1_minus)
-    return _route(p, ctx, "form1", (_qxt_theta, _minus_theta), brackets, _form1_exact)
+    return _route(p, ctx, "form1", (_qxt_theta, _minus_theta), brackets)
 
 
 def _form2_plus(x: BigReal, t: BigReal, q_pow: BigReal) -> BigReal:
@@ -217,24 +188,12 @@ def _form2_minus(x: BigReal, t: BigReal, q_pow: BigReal) -> BigReal:
     return -1 + q_pow / (q_pow - x) + q_pow / (q_pow - t)
 
 
-def _form2_exact(
-    a: int, b: int, c: int, d: int, top: int, bottom: int
-) -> tuple[int, int]:
-    """:func:`_form2_plus` at ``x = a/b``, ``t = c/d`` and ``q^n = top/bottom``:
-    ``(-D1*D2 + b*bottom*D2 + d*bottom*D1) / (D1*D2)``, with ``D1`` and ``D2``
-    as in :func:`_form1_exact`.  With ``top`` and ``bottom`` swapped it is
-    :func:`_form2_minus` at ``q^m = top/bottom``."""
-    d1, d2 = b * bottom - a * top, d * bottom - c * top
-    d12 = d1 * d2
-    return b * bottom * d2 + d * bottom * d1 - d12, d12
-
-
 def jordan_form2(p: BilateralParams, ctx: RealContext) -> SeriesValue:
     """Bracket form ``sum_n q^(n^2) x^n t^n (-1 + 1/(1-u) + 1/(1-v))``.
 
     Algebraically identical to :func:`jordan_form1` summand-by-summand; kept
-    as an independent evaluation route.  At negative indices the partial
-    fractions reduce to ``q^m/(q^m - x)`` and ``q^m/(q^m - t)``.
+    as an independent route for ``Decimal`` parameters.  At negative indices
+    the partial fractions reduce to ``q^m/(q^m - x)`` and ``q^m/(q^m - t)``.
     """
     brackets = (_form2_plus, _form2_minus)
-    return _route(p, ctx, "form2", (_qxt_theta, _minus_theta), brackets, _form2_exact)
+    return _route(p, ctx, "form2", (_qxt_theta, _minus_theta), brackets)

@@ -343,15 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qlambert",
         description="High-precision q-series evaluation with certified bounds.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument(
         "--digits", type=int, default=30, help="significant digits (default 30)"
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[digits])
     common.add_argument(
         "--report", action="store_true", help="emit machine-readable JSON"
-    )
-    common.add_argument(
-        "--seed", type=int, default=42, help="sampler seed (default 42)"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -386,12 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=100, help="sample points (default 100)"
     )
     p_verify.add_argument(
+        "--seed", type=int, default=42, help="sampler seed (default 42)"
+    )
+    p_verify.add_argument(
         "--factors", type=int, default=None,
         help="matrix product length for gosper-matrix (default adaptive)",
     )
 
     p_bench = subparsers.add_parser(
-        "bench", parents=[common], help="compare naive and theta convergence"
+        "bench", parents=[digits], help="compare naive and theta convergence"
     )
     # bench compares the series that have both a naive and a theta method.
     both = {"naive", "theta"}

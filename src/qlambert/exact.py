@@ -1,5 +1,5 @@
-"""The int-pair phase of the term kernel, and the bracketed summands, of a
-q-series description with exact rational parameters.
+"""The int-pair phase of the term kernel of a q-series description with
+exact rational parameters.
 
 :func:`qlambert.numerics.series_parameters` keeps short rationals exact
 above 200 working digits, and :func:`qlambert.qcore._kernel` hands a
@@ -21,24 +21,12 @@ one full-length product.  The operations depend on the description and on
 the precisions of the calls alone, as in the ``Decimal`` kernel, and
 :mod:`qlambert.qcore` counts their roundings in its proof of precision
 tapering.
-
-A hand-written bracket (:func:`qlambert.qcore.sum_bracketed`) gets the same
-treatment from :func:`_exact_bracketed`: it takes ``q**n`` as the int pair
-``(p**n, r**n)`` and returns its value as an exact int ratio ``N / D``, so
-the summand is the weight times one int divided by another, until
-``r**n`` passes :func:`_pair_limit`.  ``N`` and ``D`` are about twice as
-long as ``r**n``, yet the same limit serves: at 1000 and 5000 digits,
-``form1`` at ``q = -80/89``, which passes it mid-sum, ran as fast with
-twice that limit and 13 to 15% slower with half of it (2-core VM, Python
-3.11): a product and a quotient by the ints cost less than the nine
-full-length operations they replace, the ``Decimal`` bracket's eight and
-its product with the weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from decimal import Decimal, getcontext
+from decimal import getcontext
 from fractions import Fraction
 from math import log2
 from typing import Callable
@@ -172,47 +160,3 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     term.switched_at = lambda: switched_at
     return term
 
-
-def _exact_bracketed(
-    weight: Callable[[int], BigReal],
-    q: Fraction,
-    first: int,
-    bracket: Callable[[BigReal], BigReal],
-    exact: Callable[[int, int], tuple[int, int]],
-) -> Callable[[int], BigReal]:
-    """The summands of :func:`qlambert.qcore.sum_bracketed` for an exact
-    ``q = p/r``, one per call from ``first``.
-
-    ``exact(P, R)`` is the bracket at ``q**n = P/R`` as an exact int ratio
-    ``N / D``, and ``(P, R)`` advances as ``(P*p, R*r)``: the summand
-    ``weight(n) * N / D`` is one product and one quotient of the weight by
-    ints.  Once ``R`` is longer than :func:`_pair_limit` of the current
-    precision, ``q**n`` becomes the ``Decimal`` ``P / R``, rounded once, that
-    advances by ``* p`` and then ``/ r``, and the summand is
-    ``weight(n) * bracket(q**n)``.  The returned function's ``switched_at()``
-    is the index of the first summand computed that way, or None.
-    """
-    p, r = q.numerator, q.denominator
-    top, bottom = p**first, r**first
-    q_pow = None
-    rounded_to = limit = switched_at = None
-
-    def term(n: int) -> BigReal:
-        nonlocal top, bottom, q_pow, rounded_to, limit, switched_at
-        if q_pow is None:
-            if getcontext().prec != rounded_to:
-                rounded_to = getcontext().prec
-                limit = _pair_limit(rounded_to)
-            if bottom.bit_length() <= limit:
-                numerator, denominator = exact(top, bottom)
-                top *= p
-                bottom *= r
-                return weight(n) * numerator / denominator
-            q_pow = Decimal(top) / Decimal(bottom)
-            switched_at = n
-        value = weight(n) * bracket(q_pow)
-        q_pow = q_pow * p / r
-        return value
-
-    term.switched_at = lambda: switched_at
-    return term

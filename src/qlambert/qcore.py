@@ -104,18 +104,20 @@ marked by a ``Fraction`` ``q`` (:func:`~qlambert.numerics.series_parameters`
 keeps short rationals exact above 200 working digits), first gets the
 kernel of :func:`qlambert.exact._exact_kernel`, chosen when the kernel is
 built.  It advances the powers of ``q = p/r`` as int pairs and multiplies
-and divides by ints (:mod:`qlambert.exact`); so do the summands of
-:func:`sum_bracketed`, whose brackets then return exact ratios of ints.
-Once the pairs grow too long, at index ``m``, it hands its running
-coefficient ``C_m`` to the kernel above, composed for the same description
-from ``m``: the weight ratio ``q**(step*m + shift)`` and each
-``c1*q**(s*m + k)`` are their exact values rounded once, each ``c0`` is
-rounded once, and the constants are ints,
-``p**s``, ``p**step`` and the numerator of ``z``, each product followed by
+and divides by ints (:mod:`qlambert.exact`).  Once the pairs grow too
+long, at index ``m``, it hands its running coefficient ``C_m`` to the
+kernel above, composed for the same description from ``m``: the weight
+ratio ``q**(step*m + shift)`` and each ``c1*q**(s*m + k)`` are their exact
+values rounded once, each ``c0`` is rounded once, and the constants are
+ints, ``p**s``, ``p**step`` and the numerator of ``z``, each product followed by
 a quotient by ``r**s``, ``r**step`` or the denominator of ``z``, which is
 not folded into the weight.  Ints need no rounding when the precision
 changes.  The summand takes the same forms.  A description with
 ``Decimal`` parameters pays one ``None`` test per step that could divide.
+:func:`sum_bracketed` takes ``Decimal`` parameters alone: with exact ones
+a hand-written bracket is the exact rational product of the factors, which
+the exact kernel forms, so the bilateral bracket forms sum their theta
+descriptions instead.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
@@ -278,18 +280,12 @@ is a multiple of 200).
    ``20*(j+2)`` of them, the theta weight's growth above aside.  The sum
    over ``j < M`` of ``j + 2`` is at most ``(M+1)*(M+2)/2 <= 10**(2*D)/2``, as ``hard_cap + 3 < 10**D``, the same
    bound as that of ``j + 1`` above: the constants still hold.
-   A bracketed summand (:func:`sum_bracketed`) with an exact ``q`` is the
-   weight's kernel value times the int ratio ``N / D`` of its bracket,
-   which is exact: it costs the weight's roundings and two more, the
-   product by ``N`` and the quotient by ``D``, and nothing amplifies them.
-   The theta weights of this package cost two per index (the coefficient's
-   product and quotient), so such a summand takes 4 per index.  After its
-   switch it is the weight times a ``Decimal`` bracket at ``q**n``, and
-   ``q**n`` takes two roundings per step: with the bilateral forms'
-   brackets at most 8 (their differences ``1 - x*q**n`` amplify as the
-   factors' do), the weight's 5, the product and the roundings of ``x`` and
-   ``t`` as constants, 18 per index.  The switch rounds ``q**n`` once,
-   within the 7 above.
+   A bracketed summand (:func:`sum_bracketed`) is the weight's kernel
+   value times a ``Decimal`` bracket at the running ``q**n``: with the
+   bilateral forms' brackets at most 8 (their differences ``1 - x*q**n``
+   amplify as the factors' do), the weight's 3 (the product by the folded
+   weight, its product and its constant), the product, and one for the
+   step of ``q**n``, 13 per index.
 2. *The tests.*  The tail test and the decay guard read a summand's
    17-digit mantissa; ``_TAIL_UP`` leaves about ``2**-49`` above the float
    roundings.  The summand's relative error is at most ``kappa*M*u(p)
@@ -1166,57 +1162,32 @@ def sum_bracketed(
     ctx: RealContext,
     method_tag: str,
     eps: BigReal | None = None,
-    exact: Callable[[int, int], tuple[int, int]] | None = None,
 ) -> SeriesValue:
     """:func:`sum_qterm` of ``build(*params)`` with the summands the theta
     weight of the series times ``bracket(q**n)``.
 
     ``bracket(q**n)`` must equal the product of the factors of the series at
     ``n``, so that the summands are those of the series and are certified by
-    its majorant.  ``bracket`` is called once per index, in increasing order.
-
-    With an exact ``q = p/r`` (a ``Fraction``), ``exact`` is required:
-    ``exact(P, R)`` is the same bracket at ``q**n = P/R``, ``(P, R) =
-    (p**n, r**n)``, as an int pair ``(N, D)`` with ``N / D`` its exact value,
-    and the summand is ``weight(n) * N / D``: the weight's roundings and two
-    more, inside the 20 per index of the module docstring's taper proof.
-    ``D`` is never 0: it is a nonzero int times the product of the
-    description's denominator factors at ``q**n`` (``b*d*R**2`` times
-    ``(1 - x q^n)(1 - t q^n)`` on the bilateral forms' ``n >= 0`` side,
-    ``x = a/b`` and ``t = c/d``), which the caller's pole scan has kept away
-    from 0.  Once ``R`` is too long the summands are ``weight(n) *
-    bracket(q**n)`` again (:func:`qlambert.exact._exact_bracketed`).  A
-    ``Decimal`` ``q`` takes ``bracket`` alone.
+    its majorant.  ``bracket`` is called once per index, in increasing order,
+    under the current context.  The parameters are ``Decimal`` values: with
+    exact ones the bracket is the exact rational that the kernel of the
+    series already forms, so callers sum the series itself.
     """
 
     def term(series: QTerm) -> Callable[[int], BigReal]:
-        return bracketed_terms(series, bracket, exact)
+        q = series.q
+        weight = _kernel(replace(series, factors=()))
+        q_pow = ipow(q, series.first)
+
+        def summand(n: int) -> BigReal:
+            nonlocal q_pow
+            value = weight(n) * bracket(q_pow)
+            q_pow *= q
+            return value
+
+        return summand
 
     return sum_qterm(build, params, ctx, method_tag, eps, term)
-
-
-def bracketed_terms(
-    series: QTerm,
-    bracket: Callable[[BigReal], BigReal],
-    exact: Callable[[int, int], tuple[int, int]] | None = None,
-) -> Callable[[int], BigReal]:
-    """The summands of :func:`sum_bracketed`, one per call from ``series.first``
-    under the current context."""
-    q = series.q
-    weight = _kernel(replace(series, factors=()))
-    if type(q) is Fraction:
-        from .exact import _exact_bracketed
-
-        return _exact_bracketed(weight, q, series.first, bracket, exact)
-    q_pow = ipow(q, series.first)
-
-    def term(n: int) -> BigReal:
-        nonlocal q_pow
-        value = weight(n) * bracket(q_pow)
-        q_pow *= q
-        return value
-
-    return term
 
 
 def qpochhammer_n(a: BigReal, q: BigReal, n: int, ctx: RealContext) -> BigReal:

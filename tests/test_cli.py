@@ -147,6 +147,22 @@ class TestEval:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "lambert", "--q", "1/2", "--seed", "5"),
+            ("recip-sum", "--m1", "1", "--m2", "1", "--seed", "5"),
+            ("bench", "--series", "lambert", "--q", "1/2", "--seed", "3"),
+            ("bench", "--series", "lambert", "--q", "1/2", "--report"),
+        ],
+        ids=["eval-seed", "recip-sum-seed", "bench-seed", "bench-report"],
+    )
+    def test_options_a_subcommand_would_ignore_are_refused(self, argv, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 #: The rational 1/10^k, written out in digits.
 TINY = {k: "1/1" + "0" * k for k in (200, 400, 450)}

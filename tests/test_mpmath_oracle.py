@@ -333,8 +333,9 @@ def test_bilateral_matches_the_direct_sum(point, evaluate, digits: int) -> None:
     assert_oracle(evaluate(params, ctx), reference, digits)
 
 
-#: A long point at which the exact brackets of ``form1`` and ``form2`` give
-#: way to the ``Decimal`` ones mid-sum at 300 digits (``test_bilateral``).
+#: A long point at which the int pairs of the theta sides, which ``form1``
+#: and ``form2`` sum with exact parameters, give way to ``Decimal`` running
+#: values mid-sum at 300 digits (``test_bilateral``).
 BRACKET_SWITCH_POINT = ("91/97", "-96/101", "80/89")
 
 
@@ -472,11 +473,11 @@ def test_poch_inf_to_an_absolute_epsilon_with_a_long_head_matches_qp(a: str, q: 
 FINE_POINTS = {30: 20, 50: 20, 200: 8}
 
 
-def fine_points(name: str, digits: int):
-    """``(point, side values)`` of the first :data:`FINE_POINTS` trials."""
+def sampler_points(name: str, digits: int, trials: int):
+    """``(point, side values)`` of the first ``trials`` trials."""
     ctx = make_context(digits)
     entry = identities.get_entry(name)
-    for trial in range(FINE_POINTS[digits]):
+    for trial in range(trials):
         rng = identities._Rng(1 + trial)
         while True:
             point = identities._draw_point(entry, rng, ctx)
@@ -495,10 +496,54 @@ def test_fine_sides_match_qhyper(name: str, digits: int) -> None:
     ``F(a, b; t) = sum_n (aq;q)_n / (bq;q)_n t^n`` is mpmath's
     ``qhyper([a*q, q], [b*q], q, t)``.  The naive side's geometric tail bound
     is sharp: its error comes within a relative ``10**-13`` of it."""
-    for point, values in fine_points(name, digits):
+    for point, values in sampler_points(name, digits, FINE_POINTS[digits]):
         with mp.workdps(digits + EXTRA_DPS):
             a, b, t, q = (mpf(str(point[key])) for key in "abtq")
             reference = (1 - t) * mpmath.qhyper([a * q, q], [b * q], q, t)
+            for sv in values:
+                error = abs(mpf(str(sv.value)) - reference)
+                assert error <= mpf(str(sv.tail_bound)), (point, sv.method_tag)
+
+
+# ---------------------------------------------------------------------------
+# Every side of jordan-forms and knuth-wrench at points of the verify
+# sampler: the hand-written Decimal brackets of form1, form2 and the two
+# Wrench bracket sides, and the sides summed from their descriptions.
+
+#: Points per precision, drawn as :data:`FINE_POINTS` are.
+BRACKET_POINTS = {30: 48, 50: 48, 200: 12}
+
+
+@lru_cache(maxsize=None)
+def wrench_reference(x: str, q: str, dps: int):
+    """``sum_{n>=1} x^n q^n / (1 - q^n)``, directly, to ``dps`` digits."""
+    with mp.workdps(dps + GUARD_DPS):
+        x_m, q_m = mpf(x), mpf(q)
+
+        def terms():
+            power, qn = x_m * q_m, q_m
+            while True:
+                yield power / (1 - qn)
+                power *= x_m * q_m
+                qn *= q_m
+
+        return _sum_to(terms(), dps)
+
+
+@pytest.mark.parametrize("digits", BRACKET_POINTS)
+@pytest.mark.parametrize("name", ["jordan-forms", "knuth-wrench"])
+def test_bracket_identity_sides_match_the_direct_sum(name: str, digits: int) -> None:
+    """Every side is within its own ``tail_bound`` of the identity's defining
+    series, summed directly in mpmath at :data:`EXTRA_DPS` more digits."""
+    for point, values in sampler_points(name, digits, BRACKET_POINTS[digits]):
+        strings = {key: str(value) for key, value in point.items()}
+        if name == "jordan-forms":
+            reference = bilateral_reference(
+                strings["x"], strings["t"], strings["q"], digits + EXTRA_DPS
+            )
+        else:
+            reference = wrench_reference(strings["x"], strings["q"], digits + EXTRA_DPS)
+        with mp.workdps(digits + 2 * EXTRA_DPS):
             for sv in values:
                 error = abs(mpf(str(sv.value)) - reference)
                 assert error <= mpf(str(sv.tail_bound)), (point, sv.method_tag)

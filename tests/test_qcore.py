@@ -539,6 +539,35 @@ def test_only_qterm_sum_pairs_summands_with_a_certificate() -> None:
     }
 
 
+def test_every_import_in_the_package_is_used() -> None:
+    """No module imports a name it never reads, but on a ``# noqa: F401``
+    line; a package's ``__all__`` counts as reading its names."""
+    source_dir = Path(qlambert.__file__).parent
+    unused = []
+    for path in sorted(source_dir.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                if "# noqa: F401" in lines[node.end_lineno - 1]:
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        unused += [(path.name, line, name) for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 @pytest.fixture
 def builds(monkeypatch) -> Counter:
     """Counts of the majorants and kernels built and of the sums run."""
