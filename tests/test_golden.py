@@ -6,8 +6,8 @@ rational) operands at 50 and 300 digits, every ``recip-sum`` route at 300
 and 1000 digits, the theta routes of ``lambert``, ``glambert``, ``qxt`` and
 ``theta3`` and the bilateral bracket routes ``form1`` and ``form2`` also at
 1000 digits, sums at ``q = -80/89`` whose exact running powers outgrow
-their int pairs mid-sum, theta sums with full-length ``Decimal`` operands
-and the ``horadam`` and ``split`` reciprocal sums at 5000 digits, and
+their int pairs mid-sum, theta sums with full-length ``Decimal`` operands,
+the ``horadam``, ``split`` and ``gosper`` reciprocal sums at 5000 digits, and
 ``verify --all --trials 10 --digits 50 --report``.  A change to the engine
 that keeps every summand and every stopping index leaves them byte for byte
 as they are.  Regenerate the file
@@ -62,12 +62,14 @@ LONG_ROUTES = tuple(
     or route[0] == "bilateral" and route[1] in ("form1", "form2")
 )
 
-#: (m1, m2, method) of every ``recip-sum`` route.
+#: (m1, m2, method) of every ``recip-sum`` route, and the ``horadam`` route
+#: at discriminants 13, 17 and 12, where ``m2 != 1`` and ``m2 < 0``.
 RECIP_ROUTES = (
     *((m1, m2, method) for method in ("horadam", "naive")
       for m1, m2 in ((1, 1), (2, 1), (1, 2))),
     (1, 1, "gosper"),
     (1, 1, "split"),
+    *((m1, m2, "horadam") for m1, m2 in ((1, 3), (3, 2), (4, -1))),
 )
 
 #: Exact sums whose running powers outgrow their int pairs mid-sum and go on
@@ -91,7 +93,9 @@ FULL_LENGTH = (
 )
 
 #: (m1, m2, method) of the ``recip-sum`` routes also pinned at 5000 digits.
-LONG_RECIP_ROUTES = ((1, 1, "horadam"), (2, 1, "horadam"), (1, 1, "split"))
+LONG_RECIP_ROUTES = (
+    (1, 1, "horadam"), (2, 1, "horadam"), (1, 1, "split"), (1, 1, "gosper"),
+)
 
 
 def _eval(series: str, method: str, operands: dict, digits: int) -> tuple[str, ...]:
