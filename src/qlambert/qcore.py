@@ -324,6 +324,7 @@ from .numerics import (
     _require_int,
     _require_unit,
     as_decimal,
+    is_quadratic,
     make_context,
     series_parameters,
 )
@@ -333,8 +334,8 @@ _ONE = Decimal(1)
 
 def ipow(base: Real, exponent: int) -> Real:
     """``base ** exponent`` for integer exponents, with ``0 ** 0 == 1``; exact
-    for a ``Fraction``."""
-    if type(base) is Fraction:
+    for a ``Fraction`` and for an element of a quadratic field."""
+    if type(base) is Fraction or is_quadratic(base):
         return base**exponent
     if exponent == 0:
         return Decimal(1)
@@ -548,6 +549,11 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
         from .exact import _exact_kernel
 
         return _exact_kernel(d)
+    if is_quadratic(q):
+        # Imported on first use: only the Horadam reciprocal sums need it.
+        from .quadratic import _field_kernel
+
+        return _field_kernel(d)
     assert not exact or type(q) is Fraction, "a running coefficient needs an exact q"
     # The summand's form: a bracket's numerator is not evaluated, and only
     # the factors evaluated or accumulated get a running value.

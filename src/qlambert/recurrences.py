@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
-from .numerics import BigReal, RealContext, _require_int, make_context, sqrt
+from .numerics import EXACT_FROM, BigReal, RealContext, _require_int, make_context, sqrt
 from .qcore import (
     Factor,
     QTerm,
@@ -147,6 +147,20 @@ def lucas_G(n: int) -> int:
     return 2 * fibonacci(n - 1) + fibonacci(n)
 
 
+def _exact_root(seq: HoradamSequence, ctx: RealContext) -> BigReal | None:
+    """``beta`` as an exact element of ``Q(beta)``
+    (:class:`qlambert.quadratic.Quadratic`), which the sums keep exact, where
+    they keep exact parameters: above :data:`~qlambert.numerics.EXACT_FROM`
+    working digits, and where ``delta`` is not a square; otherwise None."""
+    if ctx.working_digits <= EXACT_FROM or math.isqrt(seq.delta) ** 2 == seq.delta:
+        return None
+    # Imported on first use: the other routes never need it.
+    from .quadratic import root
+
+    with localcontext(ctx.dec):
+        return root(seq.m1, seq.m2)
+
+
 def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     """Direct reciprocal sum ``sum_{n>=1} 1/f_n`` (linear convergence).
 
@@ -185,7 +199,9 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
 
     Evaluates ``(alpha-beta) * (1/(alpha-1) + L(1/alpha, beta/alpha))`` with
     the generalized Lambert series in its theta form, carrying two extra
-    digits (plus headroom for the ``sqrt(delta)`` scale) internally.
+    digits (plus headroom for the ``sqrt(delta)`` scale) internally.  Where
+    :func:`_exact_root` gives ``beta`` exactly, the series takes
+    ``1/alpha = -beta/m2`` and ``beta/alpha = -beta**2/m2`` exactly.
 
     Raises:
         DomainError: if ``alpha <= 1`` or ``|beta/alpha|`` is within
@@ -202,7 +218,10 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
             raise DomainError(
                 f"fast route rejected: |beta/alpha| = {abs(q)} too close to 1"
             )
-        lam = glambert_theta(1 / alpha, q, inner)
+        x, exact = 1 / alpha, _exact_root(seq, inner)
+        if exact is not None:
+            x, q = -exact / seq.m2, -exact * exact / seq.m2
+        lam = glambert_theta(x, q, inner)
         scale = alpha - beta
         parts = ((scale, ball(1 / (alpha - 1))), (scale, lam))
     return combine(parts, ctx, "theta")
@@ -210,13 +229,15 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
 
 @lru_cache(maxsize=8)
 def _fib_inner(target_digits: int) -> tuple[RealContext, BigReal, BigReal]:
-    """The context of ``target_digits + 2`` digits, and ``beta`` and
-    ``sqrt(5)`` at its precision: computed once per digit count, so that the
-    two halves of the split take one square root."""
+    """The context of ``target_digits + 2`` digits, ``beta``, exact where
+    :func:`_exact_root` gives it, and ``sqrt(5)`` at its precision: computed
+    once per digit count, so that the two halves of the split take one
+    square root."""
     inner = make_context(target_digits + 2)
     alpha, beta = _FIBONACCI.roots(inner)
+    exact = _exact_root(_FIBONACCI, inner)
     with localcontext(inner.dec):
-        return inner, beta, alpha - beta
+        return inner, beta if exact is None else exact, alpha - beta
 
 
 def fib_recip_gosper(
@@ -238,9 +259,8 @@ def fib_recip_gosper(
     F_{2n+1} F_{2n+2}``, ``G'_n`` the Lucas factor that term ``n`` adds and
     ``c_n`` its signed numerator, ``Q = prod b_k G'_k`` and ``B = prod b_k``
     over the terms so far, and each term is ``P <- P * b_n * G'_n + c_n *
-    B``: long integers times short ones, no gcd.  ``Decimal(P) / Decimal(Q)``
-    is the correctly rounded quotient of the same rational as the reduced
-    sum.
+    B``: long integers times short ones, no gcd.  The value is the same
+    rational as the reduced sum, rounded once (:func:`_quotient`).
 
     The n-th term is at most ``5 phi^-((n+1)^2)`` in magnitude (README), and
     ``5 phi^-(n^2)`` uncorrected.  The tail bound sums that bound over the
@@ -274,11 +294,44 @@ def fib_recip_gosper(
     whole = math.floor(log_tail)
     mantissa = math.ceil(10 ** (log_tail - whole) * 1e16 * (1 + 2.0**-49))
     with localcontext(ctx.dec):
-        value = Decimal(P) / Decimal(Q)
+        value = _quotient(P, Q, ctx)
         tail = Decimal(mantissa).scaleb(whole - 16) + ctx.tail_floor(value)
     return SeriesValue(
         value=value, terms_used=N, tail_bound=tail, method_tag="gosper"
     )
+
+
+def _quotient(P: int, Q: int, ctx: RealContext) -> BigReal:
+    """``P / Q``, ``Q > 0``, rounded half-even to the working precision: the
+    value and representation of ``Decimal(P) / Decimal(Q)``, from one integer
+    ``divmod`` and no conversion of ``P`` or ``Q``, which at 5000 digits hold
+    three times the working digits.
+
+    With ``k = prec - floor(log10(|P|/Q))`` from float logs, off by at most
+    one, ``N = floor(|P| * 10**k / Q)`` has ``prec`` to ``prec + 2`` digits;
+    each digit past ``prec`` moves into the remainder ``r / s``, which then
+    rounds ``N``.  An exact quotient keeps no trailing zeros below the ideal
+    exponent 0, as ``Decimal``'s division does.
+    """
+    if not P:
+        return Decimal(0)
+    prec, size = ctx.dec.prec, abs(P)
+    k = prec - math.floor(math.log10(size) - math.log10(Q))
+    if k >= 0:
+        size *= 10**k
+    s, top = Q if k >= 0 else Q * 10**-k, 10**prec
+    N, r = divmod(size, s)
+    while N >= top:
+        N, digit = divmod(N, 10)
+        r, s, k = digit * s + r, 10 * s, k - 1
+    if 2 * r > s or (2 * r == s and N % 2 == 1):
+        N += 1
+        if N == top:
+            N, k = N // 10, k - 1
+    elif not r:
+        while k > 0 and N % 10 == 0:
+            N, k = N // 10, k - 1
+    return Decimal(N if P > 0 else -N).scaleb(-k, ctx.dec)
 
 
 def gosper_terms(ctx: RealContext) -> int:
