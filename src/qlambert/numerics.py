@@ -224,7 +224,7 @@ def series_parameters(values: Iterable[Real | int], ctx: RealContext) -> list:
             exact = [short_rational(value) for value in values]
             if None not in exact:
                 return exact
-        elif values and all(map(is_quadratic, values)):
+        elif all(map(is_quadratic, values)):
             return [value.rounded(ctx.dec) for value in values]
     return [ctx.dec.plus(as_decimal(value, ctx)) for value in values]
 

@@ -119,6 +119,14 @@ a hand-written bracket is the exact rational product of the factors, which
 the exact kernel forms, so the bilateral bracket forms sum their theta
 descriptions instead.
 
+A description whose ``q`` is an exact element of a quadratic field
+``Q(beta)`` (the Horadam reciprocal sums') gets, chosen the same way, the
+kernel of :mod:`qlambert.quadratic`: ``C_n`` stays a ``Decimal``, every
+other running value is exact, and an index makes one full-length product,
+``C_n*beta``, at the digits that the exact multipliers' coordinates cancel.
+The majorant, the peak bound and the pole scans read the parameters'
+``Decimal`` values alone.
+
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
 budget is left for rounding accumulation.  The test runs in floats on the
@@ -238,7 +246,9 @@ is a multiple of 200).
    roundings for ``n`` from 10 to 3000, 134 per index at ``n = 3000``
    against the 20 counted here.  The floor held wherever it was measured,
    as a theta sum's late summands are tiny against the peak, but for a
-   theta weight this count is not a proof.
+   theta weight this count is not a proof.  The kernel of a quadratic field
+   has exact multipliers and no such growth: summand ``j`` carries at most
+   ``7*(j + 2)`` roundings (:mod:`qlambert.quadratic`).
    The cheaper forms of step 1 stay within that ``kappa``.  In both, the
    error of ``C_n`` is common to every addend, and so relative to ``T_n``
    as it is to ``C_n``.  In the qxt bracket, with ``v = u_a*u_b`` and
@@ -432,7 +442,10 @@ class TermGenerator:
     ``term`` runs under the engine's current ``decimal`` context, whose
     precision may be below the working precision and never rises during a
     sum (precision tapering, module docstring).  It must compute at that
-    precision and must not open a context of its own.
+    precision and must not open a context of its own or change the current
+    one; it may carry intermediates at more digits, through the methods of
+    contexts that :func:`~qlambert.numerics.make_context` builds
+    (:mod:`qlambert.quadratic`).
     """
 
     term: Callable[[int], BigReal]
@@ -463,7 +476,8 @@ class QTerm:
     ``theta`` is ``(step, shift)`` for the weight with
     ``W_{n+1} / W_n = q**(step*n + shift)``, or None for no weight.  The
     parameters are ``Decimal`` values and ints or, when ``q`` is a
-    ``Fraction``, exact rationals and ints
+    ``Fraction``, exact rationals and ints, or, when ``q`` is an exact
+    element of a quadratic field, elements of that field, rationals and ints
     (:func:`~qlambert.numerics.series_parameters`).
     """
 
@@ -538,7 +552,9 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     running value is a ``Decimal``, its exact value rounded once, that
     advances by ``* p**s`` and then ``/ r**s``, the coefficient by
     ``* z.numerator`` and then ``/ z.denominator``, and each ``c0`` is
-    rounded once.
+    rounded once.  A description whose ``q`` is an exact element of a
+    quadratic field gets the kernel of
+    :func:`qlambert.quadratic._field_kernel`.
     """
     q = d.q
     # A running coefficient comes from the exact kernel's handover alone.

@@ -230,14 +230,25 @@ def _context(digits: int) -> Context:
 
 
 def _beta(field: Field, digits: int) -> Decimal:
-    """``beta`` rounded to ``digits`` digits from its longest value so far,
-    which is computed again, a quarter longer, once it is too short."""
+    """``beta`` rounded to nearest at ``digits`` digits, from its longest
+    value so far, which is computed again, a quarter longer, once it is too
+    short.
+
+    Rounding that value again gives the nearest only where it does not lie
+    halfway between two neighbours at ``digits``, so that the result never
+    depends on which longer value was at hand; halfway, ``beta`` is computed
+    at ``digits`` itself.
+    """
     longest_digits, longest = _LONGEST.get(field, (0, None))
     if longest_digits < digits:
         longest_digits = digits + digits // 4 + 32
         longest = _nearest_beta(field, longest_digits)
         _LONGEST[field] = longest_digits, longest
-    return _context(digits).plus(longest)
+    beta = _context(digits).plus(longest)
+    half = Decimal(5).scaleb(longest.adjusted() - digits)
+    if abs(_context(longest_digits).subtract(longest, beta)) == half:
+        return _nearest_beta(field, digits)
+    return beta
 
 
 def _nearest_beta(field: Field, digits: int) -> Decimal:

@@ -20,6 +20,15 @@ independent evaluation routes:
 
 All routes return :class:`~qlambert.qcore.SeriesValue` records so they can be
 cross-checked pairwise at full precision.
+
+The theta routes' parameters lie in the field ``Q(beta)``: ``1/alpha =
+-beta/m2`` and ``beta/alpha = -beta**2/m2``, and ``beta``, ``beta**2`` and
+``beta**4`` for the splits.  Above 200 working digits, where ``delta`` is
+not a square, they are exact elements of it (:func:`_exact_root`,
+:mod:`qlambert.quadratic`), whose term kernel makes one full-length product
+per index; a square ``delta``, such as ``(1, 2)``, keeps ``Decimal`` roots.
+The scale ``alpha - beta``, ``1/(alpha - 1)`` and ``sqrt(5)`` stay ``Decimal``
+values, as do the roots of the naive route's majorant.
 """
 
 from __future__ import annotations
@@ -218,8 +227,10 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
             raise DomainError(
                 f"fast route rejected: |beta/alpha| = {abs(q)} too close to 1"
             )
-        x, exact = 1 / alpha, _exact_root(seq, inner)
-        if exact is not None:
+        exact = _exact_root(seq, inner)
+        if exact is None:
+            x = 1 / alpha
+        else:
             x, q = -exact / seq.m2, -exact * exact / seq.m2
         lam = glambert_theta(x, q, inner)
         scale = alpha - beta

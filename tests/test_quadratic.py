@@ -148,11 +148,22 @@ def test_values_are_rounded_to_the_current_precision(field, digits) -> None:
         assert Decimal(beta) == +true_beta
 
 
-def test_beta_is_never_longer_than_the_precision_it_is_rounded_to() -> None:
+def test_beta_is_rounded_once_to_each_precision(monkeypatch) -> None:
+    """``beta`` at a precision is the nearest value of that length, whatever
+    longer value was computed before, halfway cases included."""
     field = (1, 1)
     quadratic._beta(field, 5300)
     for digits in (1000, 1062, 5260):
-        assert len(quadratic._beta(field, digits).as_tuple().digits) <= digits
+        beta = quadratic._beta(field, digits)
+        assert len(beta.as_tuple().digits) == digits
+        assert beta == quadratic._nearest_beta(field, digits)
+    # A longer value halfway between two 20-digit ones, below beta.
+    halfway = Decimal("-0.618033988749894848205")
+    monkeypatch.setitem(quadratic._LONGEST, field, (21, halfway))
+    assert quadratic._beta(field, 20) == Decimal("-0.61803398874989484820")
+    above = Decimal("-0.618033988749894848215")
+    monkeypatch.setitem(quadratic._LONGEST, field, (21, above))
+    assert quadratic._beta(field, 20) == Decimal("-0.61803398874989484820")
 
 
 def test_a_square_discriminant_keeps_the_decimal_kernel(monkeypatch) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -192,6 +193,27 @@ class TestGosperPartialSums:
                 tail = 5 / phi ** (M * M) / (1 - 1 / phi ** (2 * M + 1))
                 assert sv.tail_bound >= tail + ctx.tail_floor(sv.value), N
                 assert sv.tail_bound <= (tail + ctx.tail_floor(sv.value)) * (1 + Decimal("1e-9"))
+
+    @pytest.mark.parametrize("digits, guard", [(10, 0), (10, 1), (12, 3), (50, 10)])
+    def test_quotient_is_that_of_decimal_division(self, digits, guard) -> None:
+        """``_quotient(P, Q)`` has the value and representation of
+        ``Decimal(P) / Decimal(Q)``: ties to even, exact quotients with their
+        ideal exponent, carries to a power of ten, either sign."""
+        ctx = make_context(digits, guard)
+        prec = ctx.working_digits
+        rng = random.Random(digits + guard)
+        cases = [(0, 7), (1, 3), (10**40, 1), (-(10**40), 7), (10**prec - 1, 10), (125, 1000)]
+        cases += [(10 * (10**prec - 1) + 5, 10**k) for k in (0, 3, 40)]  # round up to 10**prec
+        for _ in range(300):
+            tie = rng.randrange(10**prec, 10**(prec + 1)) // 10 * 10 + rng.choice((0, 4, 5, 6))
+            cases.append((tie * rng.choice((1, -1)), 10 ** rng.randint(0, 30)))
+            Q = rng.randrange(1, 10 ** rng.randint(1, 60))
+            cases.append((Q * rng.randrange(-(10**30), 10**30), Q))
+            cases.append((rng.randrange(-(10 ** rng.randint(1, 90)), 10**90), Q))
+        for P, Q in cases:
+            with localcontext(ctx.dec):
+                expected = Decimal(P) / Decimal(Q)
+            assert str(recurrences._quotient(P, Q, ctx)) == str(expected), (P, Q)
 
     def test_tail_bounds_cover_the_constant(self, ctx50) -> None:
         for count in (1, 3, 8, 15):

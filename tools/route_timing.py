@@ -43,6 +43,8 @@ TABLE = (
     "eval lambert --q 0.7071067811865475244 --digits 5000",
     "recip-sum --m1 1 --m2 1 --method gosper --digits 5000",
     "recip-sum --m1 1 --m2 1 --method split --digits 5000",
+    "recip-sum --m1 2 --m2 1 --digits 5000",
+    "recip-sum --m1 1 --m2 1 --digits 1000",
 )
 
 #: The child: argv is the source directory, the call count and the command.
