@@ -22,13 +22,14 @@ log10((|g| + |h|*|beta|) / |g + h*beta|)`` digits, and as ``|g + h*beta| =
 |N| / |g + h*alpha| >= |N| / (|g| + |h|*alpha)``, the exact norm bounds
 ``L`` (:func:`_lost_digits`, from bit lengths).  At ``p``
 digits a combination ``(g*C + h*C*beta)/N`` runs at ``P = p + L`` digits,
-with ``beta`` rounded to ``P``, and is divided at ``p``.  Each error at ``P``,
-at most ``u(P) = 10**(1-P)/2`` of ``|g*C|``, ``|h*C*beta|`` or the sum, is
-amplified by at most ``10**L`` against ``|C*(g + h*beta)|``, so it is at
-most ``u(p)`` of the result.  With the two roundings of ``beta`` (its longest
-value so far, then ``P``), the product ``C*beta``, the products by ``g``
-and ``h``, the sum and the division, a combination is within 7 roundings
-``u(p)`` of ``C*(g + h*beta)/N``; with ``h = 0`` it takes two.
+with ``beta`` rounded to nearest at ``P``, and is divided at ``p``.  Each
+error at ``P``, at most ``u(P) = 10**(1-P)/2`` of ``|g*C|``,
+``|h*C*beta|`` or the sum, is amplified by at most ``10**L`` against
+``|C*(g + h*beta)|``, so it is at most ``u(p)`` of the result.  The
+roundings of ``beta``, of the product ``C*beta``, of the products by ``g``
+and ``h``, of the sum and of the division are six, and with their
+second-order terms a combination is within 7 roundings ``u(p)`` of
+``C*(g + h*beta)/N``; with ``h = 0`` it takes two.
 
 The term kernel (:func:`_field_kernel`) keeps the running coefficient ``C_n``
 of the engine's description as a ``Decimal`` and every other running value,

@@ -326,11 +326,9 @@ def _quotient(P: int, Q: int, ctx: RealContext) -> BigReal:
     """
     if not P:
         return Decimal(0)
-    prec, size = ctx.dec.prec, abs(P)
-    k = prec - math.floor(math.log10(size) - math.log10(Q))
-    if k >= 0:
-        size *= 10**k
-    s, top = Q if k >= 0 else Q * 10**-k, 10**prec
+    prec, top = ctx.dec.prec, 10**ctx.dec.prec
+    k = prec - math.floor(math.log10(abs(P)) - math.log10(Q))
+    size, s = (abs(P) * 10**k, Q) if k >= 0 else (abs(P), Q * 10**-k)
     N, r = divmod(size, s)
     while N >= top:
         N, digit = divmod(N, 10)

@@ -36,16 +36,22 @@ def _draw_fields(rng: random.Random, count: int) -> list[tuple[int, int]]:
 FIELDS = _draw_fields(random.Random(20), 6)
 
 
-def _shapes(beta: Quadratic) -> dict:
-    """The descriptions the routes sum, built from ``beta`` under the current context."""
-    m2 = beta.field[1]
+def _shapes(field: tuple[int, int], exact: bool = True) -> dict:
+    """The descriptions the routes sum, built under the current context from
+    ``beta`` of ``field``: exact, or the ``Decimal`` values of the exact
+    parameters."""
+    beta = root(*field)
     b2 = beta * beta
-    x, q = -beta / m2, -b2 / m2
+    x, q = -beta / field[1], -b2 / field[1]
+    if not exact:
+        beta, b2, x, q = map(Decimal, (beta, b2, x, q))
     return {
         "qxt bracket": _glambert_theta(x, q),
         "lambert ratio": _lambert_theta(b2),
         "weight alone": QTerm(beta, start=beta, theta=(2, 1), first=1),
-        "one denominator": QTerm(b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1),
+        "one denominator": QTerm(
+            b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1
+        ),
         "pochhammer": _qxt_alt(x, beta, q),
     }
 
@@ -62,6 +68,7 @@ def _summands(d: QTerm, precisions: list[int], context) -> list[Decimal]:
 
 
 def _rounding(prec: int) -> Decimal:
+    """``u(prec) = 10**(1 - prec) / 2``, one rounding at ``prec`` digits."""
     return Decimal(5).scaleb(-prec)
 
 
@@ -80,32 +87,14 @@ def test_field_summands_are_within_the_rounding_count(field, shape, digits, tape
     else:
         precisions = [ctx.working_digits] * count
     with localcontext(ctx.dec):
-        d = _shapes(root(*field))[shape]
+        d = _shapes(field)[shape]
     assert type(d.q) is Quadratic
     with localcontext(wide):
-        reference = _shapes_from_decimals(field, wide)[shape]
+        reference = _shapes(field, exact=False)[shape]
     expected = _summands(reference, [wide.prec] * count, wide)
     got = _summands(d, precisions, ctx.dec)
     for j, (value, true, prec) in enumerate(zip(got, expected, precisions)):
         assert abs(value - true) <= 7 * (j + 2) * _rounding(prec) * abs(true), (j, prec)
-
-
-def _shapes_from_decimals(field, context) -> dict:
-    """:func:`_shapes` with every parameter the ``Decimal`` value of its exact one."""
-    with localcontext(context):
-        beta = root(*field)
-        m2 = field[1]
-        b2, bd = beta * beta, Decimal(beta)
-        x, q, b2d = Decimal(-beta / m2), Decimal(-b2 / m2), Decimal(b2)
-        return {
-            "qxt bracket": _glambert_theta(x, q),
-            "lambert ratio": _lambert_theta(b2d),
-            "weight alone": QTerm(bd, start=bd, theta=(2, 1), first=1),
-            "one denominator": QTerm(
-                b2d, start=b2d, theta=(1, 1), factors=(Factor(1, power=-1),), first=1
-            ),
-            "pochhammer": _qxt_alt(x, bd, q),
-        }
 
 
 def test_arithmetic_is_exact_in_the_field() -> None:
@@ -115,8 +104,8 @@ def test_arithmetic_is_exact_in_the_field() -> None:
         # beta**K = f_K*beta + m2*f_{K-1}, the Horadam numbers of (1, 3).
         seq = HoradamSequence(1, 3)
         for k in range(2, 30):
-            g, h, d = (beta**k).coords
-            assert (g, h, d) == (3 * recurrences.horadam_term(seq, k - 1), recurrences.horadam_term(seq, k), 1)
+            f_k, f_before = recurrences.horadam_term(seq, k), recurrences.horadam_term(seq, k - 1)
+            assert (beta**k).coords == (3 * f_before, f_k, 1)
         x = (2 - 3 * beta) / Fraction(7, 5)
         assert type(x) is Quadratic
         one = x * (1 / x)
@@ -129,8 +118,8 @@ def test_arithmetic_is_exact_in_the_field() -> None:
 @pytest.mark.parametrize("field", FIELDS + [(1, 1)], ids=str)
 @pytest.mark.parametrize("digits", (30, 301, 1062))
 def test_values_are_rounded_to_the_current_precision(field, digits) -> None:
-    """An element's ``Decimal`` value is its exact value rounded at the
-    current precision, within one rounding of the correctly rounded one."""
+    """An element's ``Decimal`` value is within one rounding at the current
+    precision of its exact value, and ``beta``'s is the nearest."""
     m1, m2 = field
     ctx = make_context(digits, 0)
     with localcontext(ctx.dec):
