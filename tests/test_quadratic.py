@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -200,6 +201,6 @@ def test_only_the_exact_reciprocal_sums_import_the_field_module() -> None:
     ]
     done = subprocess.run(
         [sys.executable, "-c", CHILD, *commands],
-        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout.split() == ["False"] * 6 + ["True"]
