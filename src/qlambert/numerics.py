@@ -209,23 +209,24 @@ def as_decimal(value: Real | int, ctx: RealContext) -> Decimal:
 def series_parameters(values: Iterable[Real | int], ctx: RealContext) -> list:
     """The parameters of one series, never a mix of exact values and ``Decimal``.
 
-    If one of ``values`` is a ``Fraction``, every one is a short rational
-    (:func:`short_rational`, so ``0.6`` counts as ``3/5``) and the working
-    precision is above :data:`EXACT_FROM`, all are returned as ``Fraction``
-    values, and the builders derive the other parameters of the description
-    exactly.  So are exact elements of a quadratic field
-    (:func:`is_quadratic`), if every one is, each as a ``Decimal`` rounded
-    to working precision.  Otherwise each is a ``Decimal`` rounded to working
-    precision, a ``Fraction`` divided out as :func:`as_decimal` does.
+    Exact elements of a quadratic field (:func:`is_quadratic`), which only
+    the reciprocal sums make and only where they keep them exact, are
+    returned exact if every one is such an element, each as a ``Decimal``
+    rounded to working precision.  If one of ``values`` is a ``Fraction``,
+    every one is a short rational (:func:`short_rational`, so ``0.6`` counts
+    as ``3/5``) and the working precision is above :data:`EXACT_FROM`, all
+    are returned as ``Fraction`` values, and the builders derive the other
+    parameters of the description exactly.  Otherwise each is a ``Decimal``
+    rounded to working precision, a ``Fraction`` divided out as
+    :func:`as_decimal` does.
     """
     values = list(values)
-    if ctx.working_digits > EXACT_FROM:
-        if any(type(value) is Fraction for value in values):
-            exact = [short_rational(value) for value in values]
-            if None not in exact:
-                return exact
-        elif all(map(is_quadratic, values)):
-            return [value.rounded(ctx.dec) for value in values]
+    if all(map(is_quadratic, values)):
+        return [value.rounded(ctx.dec) for value in values]
+    if ctx.working_digits > EXACT_FROM and any(type(value) is Fraction for value in values):
+        exact = [short_rational(value) for value in values]
+        if None not in exact:
+            return exact
     return [ctx.dec.plus(as_decimal(value, ctx)) for value in values]
 
 

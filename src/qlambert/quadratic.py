@@ -56,7 +56,6 @@ from functools import lru_cache
 from math import ceil, floor, isqrt, log2, log10, sqrt
 from typing import Callable
 
-from .errors import DomainError
 from .numerics import BigReal, make_context
 from .qcore import QTerm
 
@@ -75,14 +74,8 @@ _LONGEST: dict[Field, tuple[int, Decimal]] = {}
 
 def root(m1: int, m2: int) -> Quadratic:
     """``beta``, the smaller root of ``z**2 = m1*z + m2``, as an exact
-    element of its field.
-
-    Raises:
-        DomainError: unless ``m1**2 + 4*m2`` is positive and not a square.
-    """
-    delta = m1 * m1 + 4 * m2
-    if delta <= 0 or isqrt(delta) ** 2 == delta:
-        raise DomainError(f"m1^2 + 4*m2 = {delta} is not a positive non-square")
+    element of its field, for ``m1**2 + 4*m2`` positive and not a square
+    (:func:`qlambert.recurrences._exact_root` decides)."""
     return Quadratic((m1, m2), 0, 1)
 
 

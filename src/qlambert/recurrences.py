@@ -23,10 +23,11 @@ cross-checked pairwise at full precision.
 
 The theta routes' parameters lie in the field ``Q(beta)``: ``1/alpha =
 -beta/m2`` and ``beta/alpha = -beta**2/m2``, and ``beta``, ``beta**2`` and
-``beta**4`` for the splits.  Above 200 working digits, where ``delta`` is
-not a square, they are exact elements of it (:func:`_exact_root`,
-:mod:`qlambert.quadratic`), whose term kernel makes one full-length product
-per index; a square ``delta``, such as ``(1, 2)``, keeps ``Decimal`` roots.
+``beta**4`` for the splits.  Above :data:`FIELD_FROM` working digits,
+where ``delta`` is not a square, they are exact elements of it
+(:func:`_exact_root`, :mod:`qlambert.quadratic`), whose term kernel makes one
+full-length product per index; a square ``delta``, such as ``(1, 2)``, and
+every shorter sum keep ``Decimal`` roots.
 The scale ``alpha - beta``, ``1/(alpha - 1)`` and ``sqrt(5)`` stay ``Decimal``
 values, as do the roots of the naive route's majorant.
 """
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 from .errors import DomainError, ZeroTermError
 from .lambert import glambert_theta, lambert_theta
-from .numerics import EXACT_FROM, BigReal, RealContext, _require_int, make_context, sqrt
+from .numerics import BigReal, RealContext, _require_int, make_context, sqrt
 from .qcore import (
     Factor,
     QTerm,
@@ -156,12 +157,22 @@ def lucas_G(n: int) -> int:
     return 2 * fibonacci(n - 1) + fibonacci(n)
 
 
+#: Working precisions at or below this one keep ``Decimal`` roots
+#: (:func:`_exact_root`): there the field kernel's exact multipliers and
+#: wider combinations cost more than the full-length products they save.
+#: Alternating the two kernels call by call, the field kernel took 1.3 to
+#: 1.7 times as long at 300 digits over (1, 1), (2, 1), (1, 3), (3, 2),
+#: (4, -1) and ``split``, up to 1.08 (``split``) at 600, and at most 1.01 from
+#: 650 digits (about 695 working digits) on.
+FIELD_FROM = 700
+
+
 def _exact_root(seq: HoradamSequence, ctx: RealContext) -> BigReal | None:
     """``beta`` as an exact element of ``Q(beta)``
-    (:class:`qlambert.quadratic.Quadratic`), which the sums keep exact, where
-    they keep exact parameters: above :data:`~qlambert.numerics.EXACT_FROM`
-    working digits, and where ``delta`` is not a square; otherwise None."""
-    if ctx.working_digits <= EXACT_FROM or math.isqrt(seq.delta) ** 2 == seq.delta:
+    (:class:`qlambert.quadratic.Quadratic`), which the sums keep exact,
+    above :data:`FIELD_FROM` working digits and where ``delta`` is not a
+    square; otherwise None."""
+    if ctx.working_digits <= FIELD_FROM or math.isqrt(seq.delta) ** 2 == seq.delta:
         return None
     # Imported on first use: the other routes never need it.
     from .quadratic import root
