@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -68,6 +69,14 @@ def _summands(d: QTerm, precisions: list[int], context) -> list[Decimal]:
         return values
 
 
+def _precisions(ctx, tapered: bool, count: int = 40) -> list[int]:
+    """The working precision of each of ``count`` summands: flat, or
+    falling by 23 digits an index down to 100."""
+    if tapered:
+        return [max(100, ctx.working_digits - 23 * j) for j in range(count)]
+    return [ctx.working_digits] * count
+
+
 def _rounding(prec: int) -> Decimal:
     """``u(prec) = 10**(1 - prec) / 2``, one rounding at ``prec`` digits."""
     return Decimal(5).scaleb(-prec)
@@ -82,11 +91,8 @@ def test_field_summands_are_within_the_rounding_count(field, shape, digits, tape
     ``Decimal`` kernel's summand at 60 more digits (``quadratic`` docstring)."""
     ctx = make_context(digits)
     wide = make_context(digits, ctx.guard_digits + 60).dec
-    count = 40
-    if tapered:
-        precisions = [max(100, ctx.working_digits - 23 * j) for j in range(count)]
-    else:
-        precisions = [ctx.working_digits] * count
+    precisions = _precisions(ctx, tapered)
+    count = len(precisions)
     with localcontext(ctx.dec):
         d = _shapes(field)[shape]
     assert type(d.q) is Quadratic
@@ -96,6 +102,66 @@ def test_field_summands_are_within_the_rounding_count(field, shape, digits, tape
     got = _summands(d, precisions, ctx.dec)
     for j, (value, true, prec) in enumerate(zip(got, expected, precisions)):
         assert abs(value - true) <= 7 * (j + 2) * _rounding(prec) * abs(true), (j, prec)
+
+
+#: SHA-256 of the ``repr`` of the first 40 summands at 1000 digits, one per
+#: line, where ``m2 = -1`` or ``1``, so that ``q = -beta**2/m2`` has
+#: denominator 1.
+FIELD_DIGESTS = {
+    ((1, 1), "qxt bracket", "flat"):
+        "5f01bb7427220b795f5c5abc9a52fdf85fcf5c31c510754250c3413b39413681",
+    ((1, 1), "qxt bracket", "tapered"):
+        "00f88e038272cd45778da659d48c10366118163d2ecffd0a0e021475033322ca",
+    ((1, 1), "lambert ratio", "flat"):
+        "6fed96de56f7aad819c9ef36d6ea37ef7552d10713856ec39a7161c929440718",
+    ((1, 1), "lambert ratio", "tapered"):
+        "6250afae1ff98d38cb0b9e20f214b2179277d2be2c5887ac5c60bb8d5c382cb6",
+    ((1, 1), "weight alone", "flat"):
+        "681ae5672cc0eaa16af2c9fd4f002c585791e97702fb96cfe63929189cc1cc46",
+    ((1, 1), "weight alone", "tapered"):
+        "96644b281e0b0f06287ac64b787cb556ed92c1c31adf45a8f93cb8be5a260025",
+    ((1, 1), "one denominator", "flat"):
+        "c162ead2b74f7aeddf9918d9e015a8e79707b637a12f6afa95cfc63409023702",
+    ((1, 1), "one denominator", "tapered"):
+        "c13f67fabbb417344d8609beede588b2e5b7eaa917ad9469ed57ffb6dce08923",
+    ((1, 1), "pochhammer", "flat"):
+        "84b869701578d8107dedbcee62b00a791fd3510c729be567cc6a6f22427532cf",
+    ((1, 1), "pochhammer", "tapered"):
+        "01c473b3e0c6263252b800354a54a408dd038a1eda7f59663db89f9e9664b62c",
+    ((4, -1), "qxt bracket", "flat"):
+        "5706e6dbdd6d115be1f29323b6995e59a28d2b66779b3d78ca0c4cc55b756c65",
+    ((4, -1), "qxt bracket", "tapered"):
+        "c5e1d221e083fb80446c358eb6f725cb4265865ab24334fbbf62662e729f58c7",
+    ((4, -1), "lambert ratio", "flat"):
+        "0037dcbeaf42d347623957498dc2268a03f8a8e0a7ce8c0768eff312c9b60008",
+    ((4, -1), "lambert ratio", "tapered"):
+        "4eac5cabe22b030b9fd4fb2559abea746d2995b0781524781e42fc361e4a2b83",
+    ((4, -1), "weight alone", "flat"):
+        "f60f8fbce0fb6f23d5a92e3ae4be1a90f5ee77c65b19d47ecb19f33878dd55c0",
+    ((4, -1), "weight alone", "tapered"):
+        "e25dfa12741aa87267e8066edaaf631c0b7e7987b182d19cd9136c167b19858f",
+    ((4, -1), "one denominator", "flat"):
+        "4c7f7bede90bd7972c8ae8f91a54324ed43d5095a508c83e8371f6908bc8f102",
+    ((4, -1), "one denominator", "tapered"):
+        "8b58a6bf1cb56895b5554e897f4b762f4c974683822224bf28d67552fd17b6cb",
+    ((4, -1), "pochhammer", "flat"):
+        "23605cef8496a8fc06a65a95a617e69dc975f1b40b312ddce4e88d303219b0e1",
+    ((4, -1), "pochhammer", "tapered"):
+        "ec0722aad2eeb01240c129629073f8023703ac26d6eb88a17c34dca4d51f1133",
+}
+
+
+@pytest.mark.parametrize("field", [(1, 1), (4, -1)], ids=str)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("tapered", (False, True), ids=("flat", "tapered"))
+def test_field_summands_are_pinned(field, shape, tapered) -> None:
+    """Every digit of every summand, also those that printed values round away."""
+    ctx = make_context(1000)
+    with localcontext(ctx.dec):
+        d = _shapes(field)[shape]
+    summands = _summands(d, _precisions(ctx, tapered), ctx.dec)
+    digest = hashlib.sha256("\n".join(map(repr, summands)).encode()).hexdigest()
+    assert digest == FIELD_DIGESTS[field, shape, "tapered" if tapered else "flat"]
 
 
 def test_arithmetic_is_exact_in_the_field() -> None:
