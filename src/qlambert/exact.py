@@ -1,26 +1,47 @@
-"""The int-pair phase of the term kernel of a q-series description with
-exact rational parameters.
+"""The term kernel of a q-series description with exact parameters: short
+rationals, or elements of a real quadratic field ``Q(beta)``.
 
 :func:`qlambert.numerics.series_parameters` keeps short rationals exact
-above 200 working digits, and :func:`qlambert.qcore._kernel` hands a
-description with a ``Fraction`` ``q`` to :func:`_exact_kernel`.  With
-``q = p/r``, each running power ``q**(s*i + k)`` is the int pair
-``(p**e, r**e)`` while every such ``r**e`` has at most ``_PAIR_SHARE = 1/2``
-of the bits of the current precision: a product and a quotient by an int
-half as long as the precision cost about as much as the full-length product
-and the two word-sized steps that replace them (40 us against 35 us at 1060
-digits).  The differences ``c0 - c1*q**e`` are then exact ratios of ints, and the
-summand and the coefficient's step (``z``, the weight ratio, the Pochhammer
-factors) are each one product and one quotient of the running ``Decimal``
-coefficient by ints.  Past that length :func:`_exact_kernel` hands its
-running coefficient to :func:`qlambert.qcore._kernel`, the one kernel of
+above 200 working digits, the Horadam reciprocal sums keep theirs in
+``Q(beta)`` (:mod:`qlambert.quadratic`), and :func:`qlambert.qcore._kernel`
+hands a description with a ``Fraction`` or a ``Quadratic`` ``q`` to
+:func:`_exact_kernel`.  Its running coefficient ``C_n`` is a ``Decimal``;
+every other value is exact, a numerator ``g + h*beta`` over an int
+denominator: an int where ``h = 0``, so always for a rational (field ``(0,
+0)`` stands in for ``Q``), and otherwise a :class:`~qlambert.quadratic.Pair`.
+With ``q = p/r``, ``c0 = a0/b0`` and ``c1 = a1/b1``, a difference ``c0 -
+c1*q**e`` is ``(a*r**e - b*p**e) / (c*r**e)``, ``a = a0*b1``, ``b = b0*a1``,
+``c = b0*b1``, and ``b*p**e`` with ``r**e`` is a running value, advanced by
+``p**s`` and ``r**s``.  At index ``n`` the summand's multiplier ``S_n``, the
+product of the evaluated factors, and the step's ``R_n``, ``z``, the weight
+ratio and the Pochhammer factors, are each one numerator over one int: the
+powers of ``r`` cancel down to one net power, and a product of denominators
+with ``h != 0`` is inverted through its norm, ``1/(g + h*beta) = ((g +
+m1*h) - h*beta)/N``.  ``T_n = C_n*S_n`` and ``C_{n+1} = C_n*R_n`` are then
+each one combination: with ``h = 0`` a product and a quotient by ints, two
+roundings; otherwise ``(g*C_n + h*E)/N``, seven roundings, from the index's
+one full-length product ``E = C_n*beta`` at ``p + L`` digits, ``L`` the
+larger cancellation of the two numerators (:mod:`qlambert.quadratic`).
+Only the step multipliers are in the field, never ``q**(n**2)``, so ``L``
+grows linearly in ``n``: about 81 digits at ``n = 48`` for the Fibonacci
+sum at 1000 digits.  As the multipliers are exact, ``C_n``'s error grows by
+at most 7 roundings per index, at the precisions the calls ran at, and
+summand ``j`` from the first is within ``7*(j + 2)`` roundings of its true
+value, inside the count of the taper proof in :mod:`qlambert.qcore`.
+
+A rational ``q`` keeps int pairs while every ``r**e`` has at most
+``_PAIR_SHARE = 1/2`` of the bits of the current precision: a product and a
+quotient by an int half as long as the precision cost about as much as the
+full-length product and the two word-sized steps that replace them (40 us
+against 35 us at 1060 digits).  Past that length :func:`_exact_kernel` hands
+its running coefficient to :func:`qlambert.qcore._kernel`, the one kernel of
 ``Decimal`` running values, for the same description restarted at that
-index: every running value becomes a ``Decimal``, rounded once, and
-advances by ``* p**s`` and then ``/ r**s``, two word-sized steps in place of
-one full-length product.  The operations depend on the description and on
-the precisions of the calls alone, as in the ``Decimal`` kernel, and
-:mod:`qlambert.qcore` counts their roundings in its proof of precision
-tapering.
+index: every running value becomes a ``Decimal``, rounded once, and advances
+by ``* p**s`` and then ``/ r**s``, two word-sized steps in place of one
+full-length product.  A description in ``Q(beta)`` never hands over.  The
+operations depend on the description and on the precisions of the calls
+alone, as in the ``Decimal`` kernel, and :mod:`qlambert.qcore` counts their
+roundings in its proof of precision tapering.
 """
 
 from __future__ import annotations
@@ -31,7 +52,7 @@ from fractions import Fraction
 from math import log2
 from typing import Callable
 
-from .numerics import BigReal
+from .numerics import BigReal, Real
 from .qcore import QTerm, _kernel, _rounded
 
 #: An exact running power stays a pair of ints while its denominator has at
@@ -46,92 +67,109 @@ def _pair_limit(prec: int) -> int:
     return int(prec * _PAIR_SHARE * _LOG2_10)
 
 
+def _split(x: Real, field: None) -> tuple[int, int]:
+    """A rational ``x`` as its numerator and denominator."""
+    return Fraction(x).as_integer_ratio()
+
+
 def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
-    """The term kernel of a description ``d`` with exact parameters.
+    """The term kernel of a description ``d`` with exact parameters
+    (module docstring).
 
-    With ``q = p/r``, each running power ``q**e``, ``e = s*i + k``, is first
-    the int pair ``(p**e, r**e)``, one per key ``(s, k)``, shared by the
-    factors and the theta weight that have it.  A factor ``c0 - c1*q**e``
-    with ``c0 = a0/b0`` and ``c1 = a1/b1`` is then
-    ``(alpha*r**e - beta*p**e) / (gamma*r**e)``, ``alpha = a0*b1``,
-    ``beta = b0*a1``, ``gamma = b0*b1``: its numerator is formed exactly, the
-    powers of ``r`` of all factors cancel down to one net power, and the
-    summand is the running ``Decimal`` coefficient times one int divided by
-    another; so is the coefficient's step, with ``z``, the weight and the
-    Pochhammer factors.  Once some ``r**e`` is longer than
-    :func:`_pair_limit` of the current precision, at index ``n``, the
-    summands are those of :func:`qlambert.qcore._kernel` for the description
-    restarted at ``n`` with the running coefficient: each running value
-    becomes a ``Decimal``, rounded once, that advances by ``* p**s`` and then
-    ``/ r**s``.  The returned function's ``switched_at()`` is that index, or
-    None.
+    Its running values ``b*p**e``, ``e = s*i + k``, one per key ``(b, s,
+    k)``, are shared by the factors that have it; the theta weight's is
+    ``z``'s numerator times ``p**e``.  With a rational ``q``, once some
+    ``r**e`` is longer than :func:`_pair_limit` of the current precision, at
+    index ``n``, the summands are those of :func:`qlambert.qcore._kernel`
+    for the description restarted at ``n`` with the running coefficient.
+    The returned function's ``switched_at()`` is that index, or None.
     """
-    q, z, start = Fraction(d.q), Fraction(d.z), Fraction(d.start)
-    p, r = q.numerator, q.denominator
-    keys: dict[tuple[int, int], int] = {}
-    factors = [(Fraction(f.c0), Fraction(f.c1), f) for f in d.factors]
+    field = None if type(d.q) is Fraction else d.q.field
+    if field is None:
+        split, coeff = _split, _rounded(d.start)
+    else:
+        # Imported on first use: only the Horadam reciprocal sums need it.
+        from .quadratic import _beta, _context, _coords, _lost_digits, _value, split
 
-    def ratio_parts(pochhammer: bool, numerator: int, denominator: int):
-        # The ratio of the factors of one kind: (alpha, beta, key, up) for
-        # each, and the ints it starts from, with the gammas.
+        coeff = _value(field, _coords(d.start), getcontext())
+    p, r = split(d.q, field)
+    z, z_div = split(d.z, field)
+    factors = [(split(f.c0, field), split(f.c1, field), f) for f in d.factors]
+    # One running value b*p**e, e = s*i + k, with r**e, per key (b, s, k).
+    keys: dict[tuple, int] = {}
+
+    def ratio_parts(pochhammer: bool, numerator, denominator: int):
+        # The ratio of the factors of one kind: (a, key, up) for each, and the
+        # numerator and denominator it starts from, with the c = b0*b1.
         parts = []
-        for c0, c1, f in factors:
+        for (a0, b0), (a1, b1), f in factors:
             if f.pochhammer == pochhammer:
-                j = keys.setdefault((f.s, f.k), len(keys))
                 up = f.power > 0
-                alpha = c0.numerator * c1.denominator
-                beta = c0.denominator * c1.numerator
-                parts.append((alpha, beta, j, up))
-                gamma = c0.denominator * c1.denominator
+                parts.append((a0 * b1, keys.setdefault((b0 * a1, f.s, f.k), len(keys)), up))
                 if up:
-                    denominator *= gamma
+                    denominator *= b0 * b1
                 else:
-                    numerator *= gamma
+                    numerator *= b0 * b1
         return parts, numerator, denominator
 
     value_ratio = ratio_parts(False, 1, 1)
-    coeff_ratio = ratio_parts(True, z.numerator, z.denominator)
-    w_key = None if d.theta is None else keys.setdefault(d.theta, len(keys))
-    exponents = [s * d.first + k for s, k in keys]
-    powers = [[p**e, r**e] for e in exponents]
-    steps = [(p**s, r**s) for s, _ in keys]
-    strides = [s for s, _ in keys]
-    coeff = _rounded(start)
+    # With a theta weight, z's numerator is in the running weight ratio.
+    coeff_ratio = ratio_parts(True, z if d.theta is None else 1, z_div)
+    w_key = None if d.theta is None else keys.setdefault((z, *d.theta), len(keys))
+    exponents = [s * d.first + k for _, s, k in keys]
+    powers = [[b * p**e, r**e] for (b, _, _), e in zip(keys, exponents)]
+    steps = [(p**s, r**s) for _, s, _ in keys]
+    strides = [s for _, s, _ in keys]
     rounded_to = getcontext().prec
     limit = _pair_limit(rounded_to)
 
-    def times(c: BigReal, ratio, top: int = 1, net: int = 0) -> BigReal:
-        """``c`` times ``ratio``, times ``top / r**net``: one product and one
-        quotient by ints."""
+    def multiplier(ratio, top=1, net: int = 0):
+        """``ratio`` times ``top / r**net``, as a numerator and an int
+        denominator."""
         parts, numerator, denominator = ratio
         numerator *= top
-        for alpha, beta, j, up in parts:
-            power_p, power_r = powers[j]
+        for a, j, up in parts:
+            running, power_r = powers[j]
             if up:
-                numerator *= alpha * power_r - beta * power_p
+                numerator *= a * power_r - running
                 net += exponents[j]
             else:
-                denominator *= alpha * power_r - beta * power_p
+                denominator *= a * power_r - running
                 net -= exponents[j]
         if net > 0:
             denominator *= r**net
         elif net < 0:
             numerator *= r**-net
-        if numerator != 1:
-            c *= numerator
-        if denominator != 1:
-            c /= denominator
-        return c
+        if type(denominator) is not int:
+            inverse, denominator = denominator.inverse()
+            numerator *= inverse
+        return numerator, denominator
 
-    advances = bool(coeff_ratio[0]) or z != 1
+    # beta at the digits of the last full-length product.
+    beta_digits = beta = None
 
     def pair_term(n: int) -> BigReal:
-        nonlocal coeff
-        value = times(coeff, value_ratio)
-        if w_key is not None:
-            coeff = times(coeff, coeff_ratio, powers[w_key][0], exponents[w_key])
-        elif advances:
-            coeff = times(coeff, coeff_ratio)
+        nonlocal coeff, beta_digits, beta
+        weight, net = (1, 0) if w_key is None else (powers[w_key][0], exponents[w_key])
+        multipliers = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
+        # One full-length product E = C*beta, at the digits that the
+        # numerators g + h*beta with h != 0 lose (module docstring).
+        lost = [_lost_digits(top.g, top.h, field) for top, _ in multipliers if type(top) is not int]
+        if lost:
+            digits = getcontext().prec + max(lost)
+            if digits != beta_digits:
+                beta_digits, beta = digits, _beta(field, digits)
+            wide = _context(digits)
+            e = wide.multiply(coeff, beta)
+        values = []
+        for top, bottom in multipliers:
+            if type(top) is int:
+                x = coeff if top == 1 else coeff * top
+                values.append(x if bottom == 1 else x / bottom)
+            else:
+                x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
+                values.append(+x if bottom == 1 else x / bottom)
+        value, coeff = values
         for j, (step_p, step_r) in enumerate(steps):
             pair = powers[j]
             pair[0] *= step_p
@@ -144,7 +182,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
 
     def term(n: int) -> BigReal:
         nonlocal kernel, rounded_to, limit, switched_at
-        if kernel is pair_term:
+        if kernel is pair_term and field is None:
             if getcontext().prec != rounded_to:
                 rounded_to = getcontext().prec
                 limit = _pair_limit(rounded_to)
@@ -159,4 +197,3 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     # collector would free.
     term.switched_at = lambda: switched_at
     return term
-

@@ -99,33 +99,31 @@ precisions the calls ran at.  When the precision of a call differs from the
 one before, the constants ``z``, ``q**step`` and ``q**s`` are first rounded
 to it from their full-length values, once per change.
 
-Exact parameters.  A description whose parameters are exact rationals,
-marked by a ``Fraction`` ``q`` (:func:`~qlambert.numerics.series_parameters`
-keeps short rationals exact above 200 working digits), first gets the
-kernel of :func:`qlambert.exact._exact_kernel`, chosen when the kernel is
-built.  It advances the powers of ``q = p/r`` as int pairs and multiplies
-and divides by ints (:mod:`qlambert.exact`).  Once the pairs grow too
-long, at index ``m``, it hands its running coefficient ``C_m`` to the
-kernel above, composed for the same description from ``m``: the weight
-ratio ``q**(step*m + shift)`` and each ``c1*q**(s*m + k)`` are their exact
-values rounded once, each ``c0`` is rounded once, and the constants are
-ints, ``p**s``, ``p**step`` and the numerator of ``z``, each product followed by
-a quotient by ``r**s``, ``r**step`` or the denominator of ``z``, which is
-not folded into the weight.  Ints need no rounding when the precision
-changes.  The summand takes the same forms.  A description with
-``Decimal`` parameters pays one ``None`` test per step that could divide.
-:func:`sum_bracketed` takes ``Decimal`` parameters alone: with exact ones
-a hand-written bracket is the exact rational product of the factors, which
-the exact kernel forms, so the bilateral bracket forms sum their theta
-descriptions instead.
-
-A description whose ``q`` is an exact element of a quadratic field
-``Q(beta)`` (the Horadam reciprocal sums') gets, chosen the same way, the
-kernel of :mod:`qlambert.quadratic`: ``C_n`` stays a ``Decimal``, every
-other running value is exact, and an index makes one full-length product,
-``C_n*beta``, at the digits that the exact multipliers' coordinates cancel.
-The majorant, the peak bound and the pole scans read the parameters'
-``Decimal`` values alone.
+Exact parameters.  A description whose ``q`` is exact, a ``Fraction`` (short
+rationals, which :func:`~qlambert.numerics.series_parameters` keeps exact
+above 200 working digits) or an element of a quadratic field ``Q(beta)``
+(the Horadam reciprocal sums'), gets the kernel of
+:func:`qlambert.exact._exact_kernel`, chosen when the kernel is built.
+``C_n`` stays a ``Decimal`` and every other running value is exact, so
+that the summand and the step are each ``C_n`` times one exact multiplier
+``(g + h*beta)/N``: 2 roundings where ``h = 0`` (a product and a quotient
+by ints), and 7 otherwise, from the index's one full-length product
+``C_n*beta`` at the digits that the coordinates cancel
+(:mod:`qlambert.exact`).  Once the powers of a rational ``q = p/r`` grow
+too long, at index ``m``, that kernel hands its running coefficient
+``C_m`` to the kernel above, composed for the same description from
+``m``: the weight ratio ``q**(step*m + shift)`` and each ``c1*q**(s*m +
+k)`` are their exact values rounded once, each ``c0`` is rounded once, and
+the constants are ints, ``p**s``, ``p**step`` and the numerator of ``z``,
+each product followed by a quotient by ``r**s``, ``r**step`` or the
+denominator of ``z``, which is not folded into the weight.  Ints need no
+rounding when the precision changes.  The summand takes the same forms.
+A description with ``Decimal`` parameters pays one ``None`` test per step
+that could divide.  :func:`sum_bracketed` takes ``Decimal`` parameters
+alone: with exact ones a hand-written bracket is the exact rational product
+of the factors, which the exact kernel forms, so the bilateral bracket
+forms sum their theta descriptions instead.  The majorant, the peak bound
+and the pole scans read the parameters' ``Decimal`` values alone.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
@@ -246,9 +244,9 @@ is a multiple of 200).
    roundings for ``n`` from 10 to 3000, 134 per index at ``n = 3000``
    against the 20 counted here.  The floor held wherever it was measured,
    as a theta sum's late summands are tiny against the peak, but for a
-   theta weight this count is not a proof.  The kernel of a quadratic field
-   has exact multipliers and no such growth: summand ``j`` carries at most
-   ``7*(j + 2)`` roundings (:mod:`qlambert.quadratic`).
+   theta weight this count is not a proof.  The exact kernel has exact
+   multipliers and no such growth: summand ``j`` carries at most ``7*(j +
+   2)`` roundings (:mod:`qlambert.exact`).
    The cheaper forms of step 1 stay within that ``kappa``.  In both, the
    error of ``C_n`` is common to every addend, and so relative to ``T_n``
    as it is to ``C_n``.  In the qxt bracket, with ``v = u_a*u_b`` and
@@ -546,30 +544,24 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     and each distinct ``c1*q**(s*i + k)``, which the factors that have it
     share.  The summand's form, the qxt bracket (:func:`_bracket`), a
     shared ratio (:func:`_ratio`) or the product, is chosen here.  A
-    description with an exact ``q`` gets the kernel of :func:`_exact_kernel`,
-    which calls this one with its running coefficient ``coeff`` at the index
-    where its powers of ``q = p/r`` grow too long for int pairs.  Then each
+    description with an exact ``q``, a ``Fraction`` or an element of a
+    quadratic field, gets the kernel of :func:`_exact_kernel`, which calls
+    this one with its running coefficient ``coeff`` at the index where the
+    powers of a rational ``q = p/r`` grow too long for int pairs.  Then each
     running value is a ``Decimal``, its exact value rounded once, that
     advances by ``* p**s`` and then ``/ r**s``, the coefficient by
     ``* z.numerator`` and then ``/ z.denominator``, and each ``c0`` is
-    rounded once.  A description whose ``q`` is an exact element of a
-    quadratic field gets the kernel of
-    :func:`qlambert.quadratic._field_kernel`.
+    rounded once.
     """
     q = d.q
     # A running coefficient comes from the exact kernel's handover alone.
     exact = coeff is not None
-    if not exact and type(q) is Fraction:
+    if not exact and (type(q) is Fraction or is_quadratic(q)):
         # Imported on first use: only descriptions with exact parameters,
         # above 200 digits, need it.
         from .exact import _exact_kernel
 
         return _exact_kernel(d)
-    if is_quadratic(q):
-        # Imported on first use: only the Horadam reciprocal sums need it.
-        from .quadratic import _field_kernel
-
-        return _field_kernel(d)
     assert not exact or type(q) is Fraction, "a running coefficient needs an exact q"
     # The summand's form: a bracket's numerator is not evaluated, and only
     # the factors evaluated or accumulated get a running value.

@@ -1,5 +1,4 @@
-"""Exact elements of a real quadratic field, and the term kernel of the
-q-series descriptions whose parameters are such elements.
+"""Exact elements of a real quadratic field.
 
 The Horadam reciprocal sums (:mod:`qlambert.recurrences`) evaluate theta-form
 series at parameters in ``Q(beta)``, where ``beta = (m1 - sqrt(delta))/2`` is
@@ -12,9 +11,11 @@ values and elements of its field is exact.  As ``beta**2 = m1*beta + m2``,
 the powers of ``beta`` have the Horadam numbers as coordinates, ``beta**K =
 f_K*beta + m2*f_{K-1}``, and the norm ``N = g**2 + m1*g*h - m2*h**2 = (g +
 h*beta)*(g + h*alpha)`` inverts: ``1/(g + h*beta) = ((g + m1*h) - h*beta)/N``.
-As a ``Decimal`` an element is its value rounded to the precision current
-when it was made, and that is all that the majorant, the peak bound and the
-pole scans read of it, as they read a ``Fraction``'s value.
+The exact kernel (:mod:`qlambert.exact`) carries numerators ``g + h*beta``
+as a :class:`Pair`.  As a ``Decimal`` an element is its value rounded to
+the precision current when it was made, and that is all that the majorant,
+the peak bound and the pole scans read of it, as they read a ``Fraction``'s
+value.
 
 The value of ``g + h*beta`` costs digits: a tiny ``beta**K`` has coordinates
 near ``alpha**K``, which cancel.  The combination loses at most ``L =
@@ -30,22 +31,6 @@ roundings of ``beta``, of the product ``C*beta``, of the products by ``g``
 and ``h``, of the sum and of the division are six, and with their
 second-order terms a combination is within 7 roundings ``u(p)`` of
 ``C*(g + h*beta)/N``; with ``h = 0`` it takes two.
-
-The term kernel (:func:`_field_kernel`) keeps the running coefficient ``C_n``
-of the engine's description as a ``Decimal`` and every other running value,
-the weight ratio ``z*q**(step*n + shift)`` and each ``c1*q**(s*n + k)``, as
-an exact element, advanced by an exact product.  At index ``n`` it forms
-the summand's multiplier ``S_n``, the product of the evaluated factors, and
-the step's ``R_n``, the weight ratio times the Pochhammer factors, each one
-exact element; its one full-length product is ``E = C_n*beta`` at ``p + L``
-digits, ``L`` the larger loss of the two, and then ``T_n = C_n*S_n`` and
-``C_{n+1} = C_n*R_n`` are each a combination of ``C_n`` and ``E``.  Only
-the step multipliers are in the field, never ``q**(n**2)``, so ``L`` grows
-linearly in ``n``: about 81 digits at ``n = 48`` for the Fibonacci sum at
-1000 digits.  As the multipliers are exact, ``C_n``'s error grows by at
-most 7 roundings per index, at the precisions the calls ran at, and summand
-``j`` from the first is within ``7*(j + 2)`` roundings of its true value,
-inside the count of the taper proof in :mod:`qlambert.qcore`.
 """
 
 from __future__ import annotations
@@ -56,8 +41,7 @@ from functools import lru_cache
 from math import ceil, floor, isqrt, log2, log10, sqrt
 from typing import Callable
 
-from .numerics import BigReal, make_context
-from .qcore import QTerm
+from .numerics import BigReal, Real, make_context
 
 #: ``(g, h, d)``: the element ``(g + h*beta)/d``, ``d > 0``.
 Coords = tuple[int, int, int]
@@ -104,12 +88,8 @@ class Quadratic(Decimal):
 
     def _exact(self, other: object) -> Coords | None:
         """``other``'s coordinates if it is exact in this field, else None."""
-        if type(other) is Quadratic and other.field == self.field:
-            return other.coords
-        if type(other) is int or type(other) is Fraction:
-            numerator, denominator = other.as_integer_ratio()
-            return numerator, 0, denominator
-        return None
+        exact = type(other) is Quadratic and other.field == self.field
+        return _coords(other) if exact or type(other) in (int, Fraction) else None
 
     def __neg__(self) -> Quadratic:
         g, h, d = self.coords
@@ -120,6 +100,62 @@ class Quadratic(Decimal):
             return Decimal.__pow__(self, exponent, modulo)
         x = self.coords if exponent >= 0 else _inverse(self.coords, self.field)
         return Quadratic(self.field, *_pow(x, abs(exponent), self.field))
+
+
+def _coords(x: Real) -> Coords:
+    """The coordinates of ``x``, a :class:`Quadratic`, an int or a ``Fraction``."""
+    if type(x) is Quadratic:
+        return x.coords
+    numerator, denominator = x.as_integer_ratio()
+    return numerator, 0, denominator
+
+
+def split(x: Real, field: Field) -> tuple[int | Pair, int]:
+    """``x``, exact in ``field``, as a numerator ``g + h*beta`` (:func:`_pair`)
+    over an int denominator."""
+    g, h, d = _coords(x)
+    return _pair(g, h, field), d
+
+
+def _pair(g: int, h: int, field: Field) -> int | Pair:
+    """``g + h*beta``: the int ``g`` where ``h = 0``, else a :class:`Pair`."""
+    return Pair(g, h, field) if h else g
+
+
+class Pair:
+    """``g + h*beta`` with ints ``g`` and ``h != 0``: a numerator of the exact
+    kernel (:mod:`qlambert.exact`).  Its products with ints and with pairs of
+    its field, and its differences from ints, are exact, and one that lies in
+    ``Z`` is an int, so that rationals never take the product of two pairs."""
+
+    __slots__ = ("g", "h", "field")
+
+    def __init__(self, g: int, h: int, field: Field) -> None:
+        self.g, self.h, self.field = g, h, field
+
+    def __mul__(self, other: int | Pair) -> int | Pair:
+        g, h, field = self.g, self.h, self.field
+        if type(other) is int:
+            # Times 1 is the pair itself, and times 0 the int 0.
+            return self if other == 1 else Pair(g * other, h * other, field) if other else 0
+        m1, m2 = field
+        hh = h * other.h
+        g, h = g * other.g + m2 * hh, g * other.h + h * other.g + m1 * hh
+        return Pair(g, h, field) if h else g
+
+    __rmul__ = __mul__
+
+    def __rsub__(self, other: int) -> Pair:
+        return Pair(other - self.g, -self.h, self.field)
+
+    def __pow__(self, exponent: int) -> int | Pair:
+        g, h, _ = _pow((self.g, self.h, 1), exponent, self.field)
+        return _pair(g, h, self.field)
+
+    def inverse(self) -> tuple[Pair, int]:
+        """``(c, N)`` with ``1/self = c/N`` and ``N > 0`` (:func:`_inverse`)."""
+        g, h, norm = _inverse((self.g, self.h, 1), self.field)
+        return Pair(g, h, self.field), norm
 
 
 def _exact_op(name: str, combine: Callable[[Coords, Coords, Field], Coords]) -> Callable:
@@ -173,8 +209,11 @@ def _norm(g: int, h: int, field: Field) -> int:
 
 
 def _inverse(x: Coords, field: Field) -> Coords:
-    """``1/x = d*((g + m1*h) - h*beta)/N``, with ``N`` the norm of ``g + h*beta``."""
+    """``1/x = d*((g + m1*h) - h*beta)/N``, with ``N`` the norm of ``g + h*beta``;
+    ``d/g`` where ``h = 0``.  The denominator is positive."""
     g, h, d = x
+    if not h:
+        return (d, 0, g) if g > 0 else (-d, 0, -g)
     norm = _norm(g, h, field)
     if norm < 0:
         d, norm = -d, -norm
@@ -276,77 +315,3 @@ def _value(field: Field, x: Coords, context: Context) -> Decimal:
     wide = _context(digits)
     return context.divide(wide.add(g, wide.multiply(h, _beta(field, digits))), d)
 
-
-def _field_kernel(d: QTerm) -> Callable[[int], BigReal]:
-    """The term kernel of a description ``d`` whose parameters are exact
-    elements of one field, ints and ``Fraction`` values (module docstring).
-
-    Its running values are locals of the closure: the ``Decimal``
-    coefficient ``C_n``, the exact weight ratio ``z*q**(step*n + shift)``
-    (``z`` alone without a theta weight), and each distinct exact
-    ``c1*q**(s*n + k)``, which the factors that have it share.
-    """
-    field = d.q.field
-
-    def exact(value: object) -> Coords:
-        if type(value) is Quadratic:
-            assert value.field == field, "the parameters of a description share one field"
-            return value.coords
-        numerator, denominator = value.as_integer_ratio()
-        return numerator, 0, denominator
-
-    q = exact(d.q)
-    keys: dict[tuple[Coords, int, int], int] = {}
-    evaluated, pochhammer = [], []
-    for f in d.factors:
-        j = keys.setdefault((exact(f.c1), f.s, f.k), len(keys))
-        (pochhammer if f.pochhammer else evaluated).append((exact(f.c0), j, f.power > 0))
-    u = [_mul(c1, _pow(q, s * d.first + k, field), field) for c1, s, k in keys]
-    u_step = [_pow(q, s, field) for _, s, _ in keys]
-    w, w_step = exact(d.z), None
-    if d.theta is not None:
-        step, shift = d.theta
-        w = _mul(w, _pow(q, step * d.first + shift, field), field)
-        w_step = _pow(q, step, field)
-    coeff = _value(field, exact(d.start), getcontext())
-    # beta at the digits of the last full-length product.
-    beta_digits, beta = 0, None
-
-    def product(factors: list, top: Coords) -> Coords:
-        """``top`` times the factors' differences ``c0 - u``, divided by the
-        product of the denominators' differences."""
-        bottom = None
-        for c0, j, numerator in factors:
-            difference = _add(c0, _neg(u[j]))
-            if numerator:
-                top = _mul(top, difference, field)
-            else:
-                bottom = difference if bottom is None else _mul(bottom, difference, field)
-        return top if bottom is None else _mul(top, _inverse(bottom, field), field)
-
-    def term(n: int) -> BigReal:
-        nonlocal coeff, w, beta_digits, beta
-        multipliers = product(evaluated, _ONE), product(pochhammer, w)
-        lost = [_lost_digits(g, h, field) for g, h, _ in multipliers if h]
-        if lost:
-            digits = getcontext().prec + max(lost)
-            if digits != beta_digits:
-                beta_digits, beta = digits, _beta(field, digits)
-            wide = _context(digits)
-            e = wide.multiply(coeff, beta)
-        values = []
-        for g, h, divisor in multipliers:
-            if h:
-                x = wide.add(wide.multiply(coeff, g), wide.multiply(e, h))
-                values.append(+x if divisor == 1 else x / divisor)
-            else:
-                x = coeff if g == 1 else coeff * g
-                values.append(x if divisor == 1 else x / divisor)
-        value, coeff = values
-        for j, step in enumerate(u_step):
-            u[j] = _mul(u[j], step, field)
-        if w_step is not None:
-            w = _mul(w, w_step, field)
-        return value
-
-    return term

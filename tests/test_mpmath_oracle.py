@@ -7,6 +7,7 @@ test, from definitions that share no code or expansion with the package.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -35,7 +36,7 @@ from qlambert import (
     series_qxt_rhs,
     theta3,
 )
-from qlambert import DomainError, PoleError, cli, identities
+from qlambert import DomainError, PoleError, cli, exact, identities
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -601,3 +602,93 @@ def test_recip_sum_routes_match_the_integer_sum(method, m1: int, m2: int, digits
 def test_alternate_fibonacci_splits_match_the_integer_sums(evaluate, parity: int) -> None:
     reference = recip_reference(1, 1, 300 + EXTRA_DPS, parity)
     assert_oracle(evaluate(make_context(300)), reference, 300)
+
+
+# ---------------------------------------------------------------------------
+# The osler and xq-swap sides at short rationals.  Above 200 working digits
+# the exact kernel sums the sides summed from their descriptions, (6.5),
+# (6.6) and both xq-swap sides; (6.7) takes its parameters as Decimals.
+
+#: (alpha, beta, q, a, b, c, d).  Each rational is short and its decimal
+#: expansion ends, so that (6.7) gets the same values as ``Decimal``.
+OSLER_POINTS = (
+    ("0.5", "-0.6", "0.35", 1, 1, 2, 1),
+    ("-0.9", "0.75", "-0.4", 2, 0, 1, 3),
+)
+#: (x, q).
+XQ_SWAP_POINTS = (("0.6", "-0.35"), ("-0.5", "0.625"))
+
+
+@lru_cache(maxsize=None)
+def osler_reference(alpha: str, beta: str, q: str, a: int, b: int, c: int, d: int, dps: int):
+    """``sum_{n>=0} alpha^n q^(d(an+b)) / (1 - beta q^(c(an+b)))``, (6.5),
+    directly, to ``dps`` digits."""
+    with mp.workdps(dps + GUARD_DPS):
+        alpha_m, beta_m, q_m = mpf(alpha), mpf(beta), mpf(q)
+
+        def terms():
+            n = 0
+            while True:
+                e = a * n + b
+                yield alpha_m**n * q_m ** (d * e) / (1 - beta_m * q_m ** (c * e))
+                n += 1
+
+        return _sum_to(terms(), dps)
+
+
+@lru_cache(maxsize=None)
+def xq_swap_reference(x: str, q: str, dps: int):
+    """``sum_{n>=0} x q^n / (1 - x q^n)``, directly, to ``dps`` digits."""
+    with mp.workdps(dps + GUARD_DPS):
+        x_m, q_m = mpf(x), mpf(q)
+
+        def terms():
+            xqn = x_m
+            while True:
+                yield xqn / (1 - xqn)
+                xqn *= q_m
+
+        return _sum_to(terms(), dps)
+
+
+def _exact_kernel_calls(monkeypatch) -> list:
+    """The descriptions handed to the exact kernel from now on."""
+    calls = []
+    original = exact._exact_kernel
+
+    def spy(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(exact, "_exact_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+@pytest.mark.parametrize("point", OSLER_POINTS, ids=str)
+def test_osler_sides_match_the_direct_sum(point, digits: int, monkeypatch) -> None:
+    ctx = make_context(digits)
+    names = ("alpha", "beta", "q", "a", "b", "c", "d")
+    rational = {name: Fraction(v) if type(v) is str else v for name, v in zip(names, point)}
+    decimal = {name: Decimal(v) if type(v) is str else v for name, v in zip(names, point)}
+    reference = osler_reference(*point, digits + EXTRA_DPS)
+    lhs, mid, combined = identities.get_entry("osler").sides
+    calls = _exact_kernel_calls(monkeypatch)
+    values = [lhs(rational, ctx), mid(rational, ctx)]
+    assert len(calls) == (2 if digits > 200 else 0)
+    values.append(combined(decimal, ctx))
+    for sv in values:
+        assert_oracle(sv, reference, digits)
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+@pytest.mark.parametrize("point", XQ_SWAP_POINTS, ids=str)
+def test_xq_swap_sides_match_the_direct_sum(point, digits: int, monkeypatch) -> None:
+    ctx = make_context(digits)
+    x, q = map(Fraction, point)
+    reference = xq_swap_reference(*point, digits + EXTRA_DPS)
+    calls = _exact_kernel_calls(monkeypatch)
+    values = [side({"x": x, "q": q}, ctx) for side in identities.get_entry("xq-swap").sides]
+    assert len(calls) == (2 if digits > 200 else 0)
+    for sv in values:
+        assert_oracle(sv, reference, digits)

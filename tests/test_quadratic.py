@@ -16,7 +16,7 @@ import pytest
 
 import qlambert
 from qlambert import Factor, HoradamSequence, QTerm, make_context, qcore
-from qlambert import quadratic, recurrences
+from qlambert import exact, quadratic, recurrences
 from qlambert.lambert import _glambert_theta, _lambert_theta, _qxt_alt
 from qlambert.quadratic import Quadratic, root
 
@@ -174,12 +174,36 @@ def test_arithmetic_is_exact_in_the_field() -> None:
             f_k, f_before = recurrences.horadam_term(seq, k), recurrences.horadam_term(seq, k - 1)
             assert (beta**k).coords == (3 * f_before, f_k, 1)
         x = (2 - 3 * beta) / Fraction(7, 5)
-        assert type(x) is Quadratic
+        assert type(x) is Quadratic and x.coords == (10, -15, 7)
+        # A rational divisor is inverted by swapping it in, its sign moved to
+        # the numerator, not through its norm, which would square it.
+        assert (-beta / 3).coords == (0, -1, 3)
+        assert (-beta * beta / 3).coords == (-3, -1, 3)
+        assert (beta / -3).coords == (0, -1, 3)
+        assert (1 / Quadratic((1, 3), -2)).coords == (-1, 0, 2)
         one = x * (1 / x)
         g, h, d = one.coords
         assert h == 0 and g == d and one == 1
         assert type(beta + Decimal("0.5")) is Decimal
         assert -(-beta) == beta and type(-beta) is Quadratic
+
+
+def test_a_field_description_never_hands_over() -> None:
+    """The rule that turns a rational kernel's running values into
+    ``Decimal`` values (``exact._pair_limit``) does not apply in the field:
+    at (1, 3) ``q`` has a denominator, whose powers pass that limit within
+    these 200 tapered summands."""
+    ctx = make_context(1000)
+    precisions = _precisions(ctx, True, 200)
+    with localcontext(ctx.dec) as local:
+        d = _shapes((1, 3))["qxt bracket"]
+        power = d.q.coords[2] ** (2 * len(precisions))
+        assert power.bit_length() > exact._pair_limit(precisions[-1])
+        term = qcore._kernel(d)
+        for n, prec in enumerate(precisions, d.first):
+            local.prec = prec
+            term(n)
+    assert term.switched_at() is None
 
 
 @pytest.mark.parametrize("field", FIELDS + [(1, 1)], ids=str)

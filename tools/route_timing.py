@@ -45,6 +45,7 @@ TABLE = (
     "recip-sum --m1 1 --m2 1 --method split --digits 5000",
     "recip-sum --m1 2 --m2 1 --digits 5000",
     "recip-sum --m1 1 --m2 1 --digits 1000",
+    "recip-sum --m1 1 --m2 3 --digits 5000",
 )
 
 #: The child: argv is the source directory, the call count and the command.
