@@ -7,8 +7,8 @@ above 200 working digits, the Horadam reciprocal sums keep theirs in
 hands a description with a ``Fraction`` or a ``Quadratic`` ``q`` to
 :func:`_exact_kernel`.  Its running coefficient ``C_n`` is a ``Decimal``;
 every other value is exact, a numerator ``g + h*beta`` over an int
-denominator: an int where ``h = 0``, so always for a rational (field ``(0,
-0)`` stands in for ``Q``), and otherwise a :class:`~qlambert.quadratic.Pair`.
+denominator: an int where ``h = 0``, as for every rational, and otherwise a
+:class:`~qlambert.quadratic.Pair`.
 With ``q = p/r``, ``c0 = a0/b0`` and ``c1 = a1/b1``, a difference ``c0 -
 c1*q**e`` is ``(a*r**e - b*p**e) / (c*r**e)``, ``a = a0*b1``, ``b = b0*a1``,
 ``c = b0*b1``, and ``b*p**e`` with ``r**e`` is a running value, advanced by
@@ -68,7 +68,8 @@ def _pair_limit(prec: int) -> int:
 
 
 def _split(x: Real, field: None) -> tuple[int, int]:
-    """A rational ``x`` as its numerator and denominator."""
+    """A rational ``x`` as its numerator and denominator, as
+    :func:`qlambert.quadratic.split` splits an element of a field."""
     return Fraction(x).as_integer_ratio()
 
 
@@ -77,7 +78,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     (module docstring).
 
     Its running values ``b*p**e``, ``e = s*i + k``, one per key ``(b, s,
-    k)``, are shared by the factors that have it; the theta weight's is
+    k)``, are shared by the factors with that key; the theta weight's is
     ``z``'s numerator times ``p**e``.  With a rational ``q``, once some
     ``r**e`` is longer than :func:`_pair_limit` of the current precision, at
     index ``n``, the summands are those of :func:`qlambert.qcore._kernel`
@@ -152,15 +153,16 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         nonlocal coeff, beta_digits, beta
         weight, net = (1, 0) if w_key is None else (powers[w_key][0], exponents[w_key])
         multipliers = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
-        # One full-length product E = C*beta, at the digits that the
-        # numerators g + h*beta with h != 0 lose (module docstring).
-        lost = [_lost_digits(top.g, top.h, field) for top, _ in multipliers if type(top) is not int]
-        if lost:
-            digits = getcontext().prec + max(lost)
-            if digits != beta_digits:
-                beta_digits, beta = digits, _beta(field, digits)
-            wide = _context(digits)
-            e = wide.multiply(coeff, beta)
+        if field is not None:
+            # One full-length product E = C*beta, at the digits that the
+            # numerators g + h*beta with h != 0 lose (module docstring).
+            lost = [_lost_digits(t.g, t.h, field) for t, _ in multipliers if type(t) is not int]
+            if lost:
+                digits = getcontext().prec + max(lost)
+                if digits != beta_digits:
+                    beta_digits, beta = digits, _beta(field, digits)
+                wide = _context(digits)
+                e = wide.multiply(coeff, beta)
         values = []
         for top, bottom in multipliers:
             if type(top) is int:
