@@ -8,26 +8,27 @@ hands a description with a ``Fraction`` or a ``Quadratic`` ``q`` to
 :func:`_exact_kernel`.  Its running coefficient ``C_n`` is a ``Decimal``;
 every other value is exact, a numerator ``g + h*beta`` over an int
 denominator: an int where ``h = 0``, as for every rational, and otherwise a
-:class:`~qlambert.quadratic.Pair`.
-With ``q = p/r``, ``c0 = a0/b0`` and ``c1 = a1/b1``, a difference ``c0 -
-c1*q**e`` is ``(a*r**e - b*p**e) / (c*r**e)``, ``a = a0*b1``, ``b = b0*a1``,
-``c = b0*b1``, and ``b*p**e`` with ``r**e`` is a running value, advanced by
-``p**s`` and ``r**s``.  At index ``n`` the summand's multiplier ``S_n``, the
-product of the evaluated factors, and the step's ``R_n``, ``z``, the weight
-ratio and the Pochhammer factors, are each one numerator over one int: the
-powers of ``r`` cancel down to one net power, and a product of denominators
-with ``h != 0`` is inverted through its norm, ``1/(g + h*beta) = ((g +
-m1*h) - h*beta)/N``.  ``T_n = C_n*S_n`` and ``C_{n+1} = C_n*R_n`` are then
-each one combination: with ``h = 0`` a product and a quotient by ints, two
-roundings; otherwise ``(g*C_n + h*E)/N``, seven roundings, from the index's
-one full-length product ``E = C_n*beta`` at ``p + L`` digits, ``L`` the
-larger cancellation of the two numerators (:mod:`qlambert.quadratic`).
-Only the step multipliers are in the field, never ``q**(n**2)``, so ``L``
-grows linearly in ``n``: about 81 digits at ``n = 48`` for the Fibonacci
-sum at 1000 digits.  As the multipliers are exact, ``C_n``'s error grows by
-at most 7 roundings per index, at the precisions the calls ran at, and
-summand ``j`` from the first is within ``7*(j + 2)`` roundings of its true
-value, inside the count of the taper proof in :mod:`qlambert.qcore`.
+:class:`~qlambert.quadratic.Pair`.  With ``q = p/r``, each running power
+``q**e``, ``e = s*i + k``, is the pair ``(p**e, r**e)``, advanced by
+``p**s`` and ``r**s``, and with ``c0 = a0/b0`` and ``c1 = a1/b1`` a
+difference ``c0 - c1*q**e`` is ``(a*r**e - b*p**e) / (c*r**e)``, ``a =
+a0*b1``, ``b = b0*a1``, ``c = b0*b1``.  At index ``n`` the summand's
+multiplier ``S_n``, the product of the evaluated factors, and the step's
+``R_n``, ``z``, the weight ratio and the Pochhammer factors, are each one
+numerator over one int: the powers of ``r`` cancel down to one net power,
+and a product of denominators with ``h != 0`` is inverted through its norm,
+``1/(g + h*beta) = ((g + m1*h) - h*beta)/N``.  ``T_n = C_n*S_n`` and
+``C_{n+1} = C_n*R_n`` are then each one combination: with ``h = 0`` a
+product and a quotient by ints, two roundings; otherwise ``(g*C_n +
+h*E)/N``, seven roundings, from the index's one full-length product ``E =
+C_n*beta`` at ``p + L`` digits, ``L`` the larger cancellation of the two
+numerators (:mod:`qlambert.quadratic`).  Only the step multipliers are in
+the field, never ``q**(n**2)``, so ``L`` grows linearly in ``n``: about 81
+digits at ``n = 48`` for the Fibonacci sum at 1000 digits.  As the
+multipliers are exact, ``C_n``'s error grows by at most 7 roundings per
+index, at the precisions the calls ran at, and summand ``j`` from the first
+is within ``7*(j + 2)`` roundings of its true value, inside the count of the
+taper proof in :mod:`qlambert.qcore`.
 
 A rational ``q`` keeps int pairs while every ``r**e`` has at most
 ``_PAIR_SHARE = 1/2`` of the bits of the current precision: a product and a
@@ -68,22 +69,15 @@ def _pair_limit(prec: int) -> int:
 
 
 def _split(x: Real, field: None) -> tuple[int, int]:
-    """A rational ``x`` as its numerator and denominator, as
-    :func:`qlambert.quadratic.split` splits an element of a field."""
+    """A rational ``x`` as its numerator and denominator."""
     return Fraction(x).as_integer_ratio()
 
 
 def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
-    """The term kernel of a description ``d`` with exact parameters
-    (module docstring).
-
-    Its running values ``b*p**e``, ``e = s*i + k``, one per key ``(b, s,
-    k)``, are shared by the factors with that key; the theta weight's is
-    ``z``'s numerator times ``p**e``.  With a rational ``q``, once some
-    ``r**e`` is longer than :func:`_pair_limit` of the current precision, at
-    index ``n``, the summands are those of :func:`qlambert.qcore._kernel`
-    for the description restarted at ``n`` with the running coefficient.
-    The returned function's ``switched_at()`` is that index, or None.
+    """The term kernel of a description ``d`` with exact parameters (module
+    docstring), whose running powers, one pair ``(p**e, r**e)`` per key
+    ``(s, k)``, are shared by the factors and the theta weight that have it.
+    Its ``switched_at()`` is the index at which it handed over, or None.
     """
     field = None if type(d.q) is Fraction else d.q.field
     if field is None:
@@ -94,19 +88,18 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
 
         coeff = _value(field, _coords(d.start), getcontext())
     p, r = split(d.q, field)
-    z, z_div = split(d.z, field)
+    keys: dict[tuple[int, int], int] = {}
     factors = [(split(f.c0, field), split(f.c1, field), f) for f in d.factors]
-    # One running value b*p**e, e = s*i + k, with r**e, per key (b, s, k).
-    keys: dict[tuple, int] = {}
 
     def ratio_parts(pochhammer: bool, numerator, denominator: int):
-        # The ratio of the factors of one kind: (a, key, up) for each, and the
-        # numerator and denominator it starts from, with the c = b0*b1.
+        # The ratio of the factors of one kind: (a, b, key, up) for each, and
+        # the numerator and denominator it starts from, with the c = b0*b1.
         parts = []
         for (a0, b0), (a1, b1), f in factors:
             if f.pochhammer == pochhammer:
+                j = keys.setdefault((f.s, f.k), len(keys))
                 up = f.power > 0
-                parts.append((a0 * b1, keys.setdefault((b0 * a1, f.s, f.k), len(keys)), up))
+                parts.append((a0 * b1, b0 * a1, j, up))
                 if up:
                     denominator *= b0 * b1
                 else:
@@ -114,37 +107,43 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         return parts, numerator, denominator
 
     value_ratio = ratio_parts(False, 1, 1)
-    # With a theta weight, z's numerator is in the running weight ratio.
-    coeff_ratio = ratio_parts(True, z if d.theta is None else 1, z_div)
-    w_key = None if d.theta is None else keys.setdefault((z, *d.theta), len(keys))
-    exponents = [s * d.first + k for _, s, k in keys]
-    powers = [[b * p**e, r**e] for (b, _, _), e in zip(keys, exponents)]
-    steps = [(p**s, r**s) for _, s, _ in keys]
-    strides = [s for _, s, _ in keys]
+    coeff_ratio = ratio_parts(True, *split(d.z, field))
+    w_key = None if d.theta is None else keys.setdefault(d.theta, len(keys))
+    exponents = [s * d.first + k for s, k in keys]
+    powers = [[p**e, r**e] for e in exponents]
+    steps = [(p**s, r**s) for s, _ in keys]
+    strides = [s for s, _ in keys]
     rounded_to = getcontext().prec
     limit = _pair_limit(rounded_to)
 
     def multiplier(ratio, top=1, net: int = 0):
-        """``ratio`` times ``top / r**net``, as a numerator and an int
-        denominator."""
+        """``ratio`` times ``top / r**net``: ``coeff`` times it for a rational
+        ``q``, else its numerator and int denominator."""
         parts, numerator, denominator = ratio
         numerator *= top
-        for a, j, up in parts:
-            running, power_r = powers[j]
+        for a, b, j, up in parts:
+            power_p, power_r = powers[j]
             if up:
-                numerator *= a * power_r - running
+                numerator *= a * power_r - b * power_p
                 net += exponents[j]
             else:
-                denominator *= a * power_r - running
+                denominator *= a * power_r - b * power_p
                 net -= exponents[j]
         if net > 0:
             denominator *= r**net
         elif net < 0:
             numerator *= r**-net
+        if field is None:
+            return scaled(numerator, denominator)
         if type(denominator) is not int:
             inverse, denominator = denominator.inverse()
             numerator *= inverse
         return numerator, denominator
+
+    def scaled(top: int, bottom: int) -> BigReal:
+        """``coeff*top/bottom``: one product and one quotient by ints."""
+        x = coeff if top == 1 else coeff * top
+        return x if bottom == 1 else x / bottom
 
     # beta at the digits of the last full-length product.
     beta_digits = beta = None
@@ -152,26 +151,26 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     def pair_term(n: int) -> BigReal:
         nonlocal coeff, beta_digits, beta
         weight, net = (1, 0) if w_key is None else (powers[w_key][0], exponents[w_key])
-        multipliers = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
+        value, step = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
         if field is not None:
             # One full-length product E = C*beta, at the digits that the
             # numerators g + h*beta with h != 0 lose (module docstring).
-            lost = [_lost_digits(t.g, t.h, field) for t, _ in multipliers if type(t) is not int]
+            lost = [_lost_digits(t.g, t.h, field) for t, _ in (value, step) if type(t) is not int]
             if lost:
                 digits = getcontext().prec + max(lost)
                 if digits != beta_digits:
                     beta_digits, beta = digits, _beta(field, digits)
                 wide = _context(digits)
                 e = wide.multiply(coeff, beta)
-        values = []
-        for top, bottom in multipliers:
-            if type(top) is int:
-                x = coeff if top == 1 else coeff * top
-                values.append(x if bottom == 1 else x / bottom)
-            else:
-                x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
-                values.append(+x if bottom == 1 else x / bottom)
-        value, coeff = values
+            products = []
+            for top, bottom in (value, step):
+                if type(top) is int:
+                    products.append(scaled(top, bottom))
+                else:
+                    x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
+                    products.append(+x if bottom == 1 else x / bottom)
+            value, step = products
+        coeff = step
         for j, (step_p, step_r) in enumerate(steps):
             pair = powers[j]
             pair[0] *= step_p

@@ -26,8 +26,9 @@ The theta routes' parameters lie in the field ``Q(beta)``: ``1/alpha =
 ``beta**4`` for the splits.  Above :data:`FIELD_FROM` working digits,
 where ``delta`` is not a square, they are exact elements of it
 (:func:`_exact_root`, :mod:`qlambert.quadratic`), for which the exact
-kernel (:mod:`qlambert.exact`) makes one full-length product per index; a square ``delta``, such as ``(1, 2)``, and
-every shorter sum keep ``Decimal`` roots.
+kernel (:mod:`qlambert.exact`) makes one full-length product per index; a
+square ``delta``, such as ``(1, 2)``, and every shorter sum keep ``Decimal``
+roots.
 The scale ``alpha - beta``, ``1/(alpha - 1)`` and ``sqrt(5)`` stay ``Decimal``
 values, as do the roots of the naive route's majorant.
 """
@@ -160,7 +161,7 @@ def lucas_G(n: int) -> int:
 #: Working precisions at or below this one keep ``Decimal`` roots
 #: (:func:`_exact_root`): there the exact kernel's multipliers in the field
 #: and wider combinations cost more than the full-length products they save.
-#: Alternating the two kernels call by call, the exact kernel took 1.3 to
+#: Alternating the two kernels call by call, the field path took 1.3 to
 #: 1.7 times as long at 300 digits over (1, 1), (2, 1), (1, 3), (3, 2),
 #: (4, -1) and ``split``, up to 1.08 (``split``) at 600, and at most 1.01 from
 #: 650 digits (about 695 working digits) on.
