@@ -84,7 +84,8 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         split, coeff = _split, _rounded(d.start)
     else:
         # Imported on first use: only the Horadam reciprocal sums need it.
-        from .quadratic import _beta, _context, _coords, _lost_digits, _value, split
+        from .quadratic import _beta, _context, _coords, _lost_digits, _value
+        from .quadratic import _split as split
 
         coeff = _value(field, _coords(d.start), getcontext())
     p, r = split(d.q, field)

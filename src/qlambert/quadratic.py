@@ -110,7 +110,7 @@ def _coords(x: Real) -> Coords:
     return numerator, 0, denominator
 
 
-def split(x: Real, field: Field) -> tuple[int | Pair, int]:
+def _split(x: Real, field: Field) -> tuple[int | Pair, int]:
     """``x``, exact in ``field``, as a numerator ``g + h*beta`` (:func:`_pair`)
     over an int denominator."""
     g, h, d = _coords(x)
