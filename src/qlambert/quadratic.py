@@ -138,6 +138,8 @@ class Pair:
         if type(other) is int:
             # Times 1 is the pair itself, and times 0 the int 0.
             return self if other == 1 else Pair(g * other, h * other, field) if other else 0
+        # The product of _mul, written out: a pair's product is the exact
+        # kernel's most frequent step in the field.
         m1, m2 = field
         hh = h * other.h
         g, h = g * other.g + m2 * hh, g * other.h + h * other.g + m1 * hh
