@@ -1,4 +1,5 @@
-"""Exact elements of Q(beta) and their term kernel (``qlambert.quadratic``)."""
+"""Exact elements of Q(beta) (``qlambert.quadratic``) and the exact kernel's
+sums at them (``qlambert.exact``)."""
 
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ def _rounding(prec: int) -> Decimal:
 @pytest.mark.parametrize("tapered", (False, True), ids=("full", "tapered"))
 def test_field_summands_are_within_the_rounding_count(field, shape, digits, tapered) -> None:
     """Summand ``j`` from the first is within ``7*(j + 2)`` roundings of the
-    ``Decimal`` kernel's summand at 60 more digits (``quadratic`` docstring)."""
+    ``Decimal`` kernel's summand at 60 more digits (``exact`` docstring)."""
     ctx = make_context(digits)
     wide = make_context(digits, ctx.guard_digits + 60).dec
     precisions = _precisions(ctx, tapered)
