@@ -13,6 +13,8 @@ on it.
 
 from __future__ import annotations
 
+import importlib
+
 from .bilateral import (
     BilateralParams,
     jordan_direct,
@@ -26,25 +28,6 @@ from .errors import (
     PoleError,
     QlambertError,
     UnknownIdentityError,
-    ZeroTermError,
-)
-from .gospermat import (
-    LEFT,
-    RIGHT,
-    Mat2,
-    exchange_check,
-    matK,
-    matN,
-    product_factor_count,
-    product_upper_right,
-)
-from .identities import (
-    IdentityEntry,
-    IdentityReport,
-    ParamSpec,
-    check_gosper_matrix,
-    check_identity,
-    registry,
 )
 from .lambert import (
     QxtParams,
@@ -76,19 +59,6 @@ from .qcore import (
     sum_series,
     theta3,
 )
-from .recurrences import (
-    HoradamSequence,
-    fib_even_alt,
-    fib_even_theta,
-    fib_odd_alt,
-    fib_odd_theta,
-    fib_recip_gosper,
-    fibonacci,
-    horadam_term,
-    lucas_G,
-    recip_sum_fast,
-    recip_sum_naive,
-)
 
 __version__ = "1.0.0"
 
@@ -113,7 +83,6 @@ __all__ = [
     "SeriesValue",
     "TermGenerator",
     "UnknownIdentityError",
-    "ZeroTermError",
     "__version__",
     "check_gosper_matrix",
     "check_identity",
@@ -155,3 +124,53 @@ __all__ = [
     "sum_series",
     "theta3",
 ]
+
+#: The public names of the modules that only some commands run, by module.
+#: They are imported on first access (:func:`__getattr__`), so that ``eval``
+#: never compiles ``identities`` or ``gospermat``, and ``verify`` never
+#: compiles ``recurrences``.
+_LAZY = {
+    "gospermat": (
+        "LEFT",
+        "RIGHT",
+        "Mat2",
+        "exchange_check",
+        "matK",
+        "matN",
+        "product_factor_count",
+        "product_upper_right",
+    ),
+    "identities": (
+        "IdentityEntry",
+        "IdentityReport",
+        "ParamSpec",
+        "check_gosper_matrix",
+        "check_identity",
+        "registry",
+    ),
+    "recurrences": (
+        "HoradamSequence",
+        "fib_even_alt",
+        "fib_even_theta",
+        "fib_odd_alt",
+        "fib_odd_theta",
+        "fib_recip_gosper",
+        "fibonacci",
+        "horadam_term",
+        "lucas_G",
+        "recip_sum_fast",
+        "recip_sum_naive",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A public name of a module in :data:`_LAZY`, imported on first access
+    and then bound here (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -19,6 +19,11 @@ exact rationals such as ``1/2`` (preferred near poles, where the value is
 sensitive to the representation of ``q``).  All high-precision numbers in
 JSON output are decimal strings, never binary floats; report mode prints
 one JSON object per line and nothing else.
+
+The reciprocal sums (:mod:`qlambert.recurrences`) and the identity registry
+(:mod:`qlambert.identities`) are imported inside the functions that run
+them, so that ``eval`` and ``recip-sum`` never compile the registry and
+``verify`` never compiles the reciprocal sums.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import sys
 import time
 from decimal import Decimal, localcontext
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .bilateral import (
     BilateralParams,
@@ -38,13 +43,6 @@ from .bilateral import (
     jordan_theta,
 )
 from .errors import DivergenceError, DomainError, QlambertError
-from .identities import (
-    GOSPER_MATRIX_NAME,
-    IdentityReport,
-    check_gosper_matrix,
-    check_identity,
-    registry,
-)
 from .lambert import (
     QxtParams,
     glambert_lhs,
@@ -65,15 +63,10 @@ from .numerics import (
     parse_real,
 )
 from .qcore import SeriesValue, combine, theta3
-from .recurrences import (
-    HoradamSequence,
-    fib_even_theta,
-    fib_odd_theta,
-    fib_recip_gosper,
-    gosper_terms,
-    recip_sum_fast,
-    recip_sum_naive,
-)
+
+if TYPE_CHECKING:
+    from .identities import IdentityReport
+    from .recurrences import HoradamSequence
 
 __all__ = ["build_parser", "main"]
 
@@ -126,20 +119,31 @@ def _series_table() -> dict[str, _Series]:
 
 
 def _gosper_sum(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
+    from .recurrences import fib_recip_gosper, gosper_terms
+
     return fib_recip_gosper(gosper_terms(ctx), ctx)
 
 
 def _split_sum(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
+    from .recurrences import fib_even_theta, fib_odd_theta
+
     parts = ((1, fib_even_theta(ctx)), (1, fib_odd_theta(ctx)))
     return combine(parts, ctx, "split")
 
 
+#: The ``recip-sum`` methods, the default first (:func:`_recip_table`).
+RECIP_METHODS = ("horadam", "naive", "gosper", "split")
+
+
 def _recip_table() -> dict[str, tuple[bool, Callable[..., SeriesValue]]]:
-    """Every ``recip-sum`` method by name, the default first: whether it sums
-    the Fibonacci reciprocals alone, and its ``(seq, ctx)`` evaluator.
+    """Every ``recip-sum`` method by name, in the order of
+    :data:`RECIP_METHODS`: whether it sums the Fibonacci reciprocals alone,
+    and its ``(seq, ctx)`` evaluator.
 
     Built per call, like :func:`_series_table`.
     """
+    from .recurrences import recip_sum_fast, recip_sum_naive
+
     return {
         "horadam": (False, recip_sum_fast),
         "naive": (False, recip_sum_naive),
@@ -237,6 +241,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_recip_sum(args: argparse.Namespace) -> int:
+    from .recurrences import HoradamSequence
+
     ctx, out_digits = _resolve_digits(args.digits)
     seq = HoradamSequence(args.m1, args.m2)
     fibonacci_only, evaluate = _recip_table()[args.method]
@@ -266,6 +272,13 @@ def _report_payload(report: IdentityReport) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .identities import (
+        GOSPER_MATRIX_NAME,
+        check_gosper_matrix,
+        check_identity,
+        registry,
+    )
+
     ctx, _ = _resolve_digits(args.digits)
     reports: list[IdentityReport] = []
     if args.all:
@@ -368,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_recip.add_argument("--m1", type=int, required=True)
     p_recip.add_argument("--m2", type=int, required=True)
-    recip_methods = list(_recip_table())
     p_recip.add_argument(
-        "--method", choices=recip_methods, default=recip_methods[0],
-        help=f"summation route (default {recip_methods[0]})",
+        "--method", choices=RECIP_METHODS, default=RECIP_METHODS[0],
+        help=f"summation route (default {RECIP_METHODS[0]})",
     )
 
     p_verify = subparsers.add_parser(

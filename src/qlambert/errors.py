@@ -42,9 +42,5 @@ class DivergenceError(QlambertError):
     exit_code = EXIT_DOMAIN
 
 
-class ZeroTermError(DomainError):
-    """A reciprocal sum hit a zero sequence term."""
-
-
 class UnknownIdentityError(DomainError):
     """An identity name is not present in the registry."""

@@ -146,11 +146,8 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         x = coeff if top == 1 else coeff * top
         return x if bottom == 1 else x / bottom
 
-    # beta at the digits of the last full-length product.
-    beta_digits = beta = None
-
     def pair_term(n: int) -> BigReal:
-        nonlocal coeff, beta_digits, beta
+        nonlocal coeff
         weight, net = (1, 0) if w_key is None else (powers[w_key][0], exponents[w_key])
         value, step = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
         if field is not None:
@@ -159,10 +156,8 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
             lost = [_lost_digits(t.g, t.h, field) for t, _ in (value, step) if type(t) is not int]
             if lost:
                 digits = getcontext().prec + max(lost)
-                if digits != beta_digits:
-                    beta_digits, beta = digits, _beta(field, digits)
                 wide = _context(digits)
-                e = wide.multiply(coeff, beta)
+                e = wide.multiply(coeff, _beta(field, digits))
             products = []
             for top, bottom in (value, step):
                 if type(top) is int:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
-from .errors import DomainError, ZeroTermError
+from .errors import DomainError
 from .lambert import glambert_theta, lambert_theta
 from .numerics import BigReal, RealContext, _require_int, make_context, sqrt
 from .qcore import (
@@ -82,6 +82,12 @@ _LOG_MARGIN = 2.0**-46
 @dataclass(frozen=True)
 class HoradamSequence:
     """Integer recurrence ``f_n = m1*f_{n-1} + m2*f_{n-2}``, ``f_0=0, f_1=1``.
+
+    Its roots satisfy ``alpha > |beta| > 0`` and ``alpha > 1``: ``alpha +
+    beta = m1 > 0`` and ``alpha - beta = sqrt(delta) > 0`` give ``alpha >
+    |beta|``, ``alpha*beta = -m2 != 0`` gives ``beta != 0``, and ``alpha**2 >
+    alpha*|beta| = |m2| >= 1``.  So ``f_n = (alpha**n - beta**n)/(alpha -
+    beta)`` is never 0 for ``n >= 1``.
 
     Attributes:
         m1: Linear coefficient, a positive integer.
@@ -188,10 +194,8 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     The terms are exact big-integer reciprocals.  Their majorant is that of
     ``1/f_n = (alpha-beta) alpha^(-n) / (1 - r^n)`` with ``r = beta/alpha``:
     ``(1/alpha) * (1 + |r|^n)/(1 - |r|^(n+1))`` bounds ``|f_n/f_{n+1}|`` at
-    every later index.
-
-    Raises:
-        ZeroTermError: if some ``f_n = 0`` is hit before the sum converges.
+    every later index.  No ``f_n`` with ``n >= 1`` is 0
+    (:class:`HoradamSequence`).
     """
     alpha, beta = seq.roots(ctx)
     with localcontext(ctx.dec):
@@ -204,13 +208,7 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
         )
 
     def term(n: int) -> BigReal:
-        f_n = horadam_term(seq, n)
-        if f_n == 0:
-            raise ZeroTermError(
-                f"f_{n} = 0 for (m1,m2)=({seq.m1},{seq.m2}); "
-                "reciprocal sum undefined"
-            )
-        return 1 / Decimal(f_n)
+        return 1 / Decimal(horadam_term(seq, n))
 
     return closed_form.sum(ctx, "naive", term=lambda _: term)
 
@@ -224,16 +222,16 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     :func:`_exact_root` gives ``beta`` exactly, the series takes
     ``1/alpha = -beta/m2`` and ``beta/alpha = -beta**2/m2`` exactly.
 
+    ``alpha > 1`` (:class:`HoradamSequence`), so ``1/(alpha - 1)`` is finite.
+
     Raises:
-        DomainError: if ``alpha <= 1`` or ``|beta/alpha|`` is within
-            ``1e-6`` of 1 (theta certification degenerates).
+        DomainError: if ``|beta/alpha|`` is within ``1e-6`` of 1 (theta
+            certification degenerates).
     """
     scale_headroom = (len(str(abs(seq.delta))) + 1) // 2
     inner = make_context(ctx.target_digits + 2 + scale_headroom)
     alpha, beta = seq.roots(inner)
     with localcontext(inner.dec):
-        if alpha <= 1:
-            raise DomainError(f"fast route requires alpha > 1, got alpha={alpha}")
         q = beta / alpha
         if abs(q) >= 1 - FAST_DEGENERACY_GAP:
             raise DomainError(
@@ -263,9 +261,7 @@ def _fib_inner(target_digits: int) -> tuple[RealContext, BigReal, BigReal]:
         return inner, beta if exact is None else exact, alpha - beta
 
 
-def fib_recip_gosper(
-    N: int, ctx: RealContext, corrected: bool = True
-) -> SeriesValue:
+def fib_recip_gosper(N: int, ctx: RealContext) -> SeriesValue:
     """Gosper's accelerated partial sum for ``sum_{n>=1} 1/F_n``.
 
     Adds the first ``N`` terms of
@@ -274,9 +270,9 @@ def fib_recip_gosper(
           / (F_{2n+1} F_{2n+2} G_1 G_3 ... G_{2n+1})``
 
     in exact integer arithmetic, rounding once at the end.  The sign
-    ``(-1)^(n(n-1)/2)`` follows the period-4 pattern ``+,+,-,-``.  With
-    ``corrected=False`` the Lucas product stops at ``G_{2n-1}`` instead,
-    which demonstrably breaks the identity.
+    ``(-1)^(n(n-1)/2)`` follows the period-4 pattern ``+,+,-,-``.  The
+    Lucas product runs to ``G_{2n+1}``: stopped at ``G_{2n-1}``, six terms
+    miss the constant by more than ``1e-3``.
 
     The partial sum is carried as ``P / Q``, unreduced: with ``b_n =
     F_{2n+1} F_{2n+2}``, ``G'_n`` the Lucas factor that term ``n`` adds and
@@ -285,24 +281,20 @@ def fib_recip_gosper(
     B``: long integers times short ones, no gcd.  The value is the same
     rational as the reduced sum, rounded once (:func:`_quotient`).
 
-    The n-th term is at most ``5 phi^-((n+1)^2)`` in magnitude (README), and
-    ``5 phi^-(n^2)`` uncorrected.  The tail bound sums that bound over the
-    terms left out: ``5 phi^-(M^2) / (1 - phi^-(2M+1))`` with ``M = N + 1``
-    (``M = N`` uncorrected).  It is formed from float logs: ``log10 phi`` is
-    taken a relative ``2**-46`` low, far past the errors of ``phi``'s float
-    and of ``log10``, the sum of the logs is moved up by ``2**-46`` of its
-    size and ``2**-48``, and ``10**`` of its fraction, times ``10**16``, up
-    by ``2**-49``, past the three roundings that form it, before it is
-    rounded up to the integer mantissa of the bound.
+    The n-th term is at most ``5 phi^-((n+1)^2)`` in magnitude (README).
+    The tail bound sums that bound over the terms left out: ``5 phi^-(M^2) /
+    (1 - phi^-(2M+1))`` with ``M = N + 1``.  It is formed from float logs:
+    ``log10 phi`` is taken a relative ``2**-46`` low, far past the errors of
+    ``phi``'s float and of ``log10``, the sum of the logs is moved up by
+    ``2**-46`` of its size and ``2**-48``, and ``10**`` of its fraction,
+    times ``10**16``, up by ``2**-49``, past the three roundings that form
+    it, before it is rounded up to the integer mantissa of the bound.
     """
     _require_int("term count", N, 1)
     P, Q, B = 0, 1, 1
     for n in range(N):
         b = fibonacci(2 * n + 1) * fibonacci(2 * n + 2)
-        if corrected:
-            step = b * lucas_G(2 * n + 1)
-        else:
-            step = b * lucas_G(2 * n - 1) if n >= 1 else b
+        step = b * lucas_G(2 * n + 1)
         numerator = fibonacci(4 * n + 3) + (
             fibonacci(2 * n + 2) if n % 2 == 0 else -fibonacci(2 * n + 2)
         )
@@ -310,7 +302,7 @@ def fib_recip_gosper(
         P = P * step + c * B
         Q *= step
         B *= b
-    M = N + 1 if corrected else N
+    M = N + 1
     log_phi = _LOG10_PHI * (1 - _LOG_MARGIN)
     log_tail = _LOG10_5 - M * M * log_phi - math.log10(1 - 10 ** (-(2 * M + 1) * log_phi))
     log_tail += abs(log_tail) * _LOG_MARGIN + 2.0**-48

@@ -11,6 +11,7 @@ odd Fibonacci splits reproduce PSI to the last digit.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 #: Reciprocal Fibonacci constant, sum of 1/F_n for n >= 1.
 PSI = Decimal("3.3598856662431775531720113029189271796889051337319684864955538")
@@ -127,3 +128,22 @@ GLAMBERT_B = Decimal(
 WRENCH_POINT = Decimal(
     "0.24307955868489831123490594595281197182206121848879651745288561"
 )
+
+
+def gosper_partial_sum(count: int, lucas_shift: int = 0) -> Fraction:
+    """The first ``count`` terms of Gosper's series for ``PSI``, exactly, from
+    a Fibonacci list of its own.  Term ``n``'s Lucas product runs to
+    ``L_{2n+1-lucas_shift}``: ``lucas_shift=2`` stops it at ``L_{2n-1}``,
+    one factor short of the index correction."""
+    fib = [0, 1]
+    while len(fib) < 4 * count + 4:
+        fib.append(fib[-1] + fib[-2])
+    total, lucas = Fraction(0), 1
+    for n in range(count):
+        m = 2 * n + 1 - lucas_shift
+        if m >= 1:
+            lucas *= 2 * fib[m - 1] + fib[m]
+        numerator = fib[4 * n + 3] + (-1) ** n * fib[2 * n + 2]
+        sign = 1 if n % 4 in (0, 1) else -1
+        total += Fraction(sign * numerator, fib[2 * n + 1] * fib[2 * n + 2] * lucas)
+    return total

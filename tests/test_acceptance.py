@@ -19,6 +19,7 @@ from __future__ import annotations
 import decimal
 import json
 from decimal import Decimal
+from fractions import Fraction
 
 from qlambert import (
     LEFT,
@@ -59,7 +60,7 @@ from qlambert.identities import (
 )
 from qlambert.recurrences import gosper_terms
 
-from _oracles import PSI
+from _oracles import PSI, gosper_partial_sum
 
 
 def cli_lines(capsys, *argv: str) -> tuple[int, list[dict]]:
@@ -117,10 +118,15 @@ def test_theta_convergence_beats_naive_at_thousand_digits(capsys) -> None:
 
 
 def test_accelerated_partial_sum_needs_the_index_correction(ctx30) -> None:
+    """Six terms land within a millionth of ``PSI``; the same six terms with
+    each Lucas product one factor short miss it by more than a thousandth."""
     corrected = fib_recip_gosper(6, ctx30)
     assert abs(corrected.value - PSI) <= Decimal("1e-6")
-    uncorrected = fib_recip_gosper(6, ctx30, corrected=False)
-    assert abs(uncorrected.value - PSI) > Decimal("1e-3")
+    exact = gosper_partial_sum(6)
+    with decimal.localcontext(ctx30.dec):
+        assert corrected.value == Decimal(exact.numerator) / exact.denominator
+    uncorrected = gosper_partial_sum(6, lucas_shift=2)
+    assert abs(uncorrected - Fraction(PSI)) > Fraction(1, 1000)
 
 
 def test_matrix_exchange_relation_and_both_product_forms(ctx30, ctx40) -> None:

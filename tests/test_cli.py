@@ -83,6 +83,12 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("qlambert:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval lambert --q 1/2", "recip-sum --m1 1 --m2 1"])
+    def test_zero_digits_exit_two(self, capsys, command) -> None:
+        code, out, err = run_cli(capsys, *command.split(), "--digits", "0")
+        assert code == 2 and out == ""
+        assert err == "qlambert: --digits must be positive, got 0\n"
+
     def test_pole_proximity_exits_three(self, capsys) -> None:
         code, _, err = run_cli(
             capsys, "eval", "qxt",
@@ -244,6 +250,9 @@ class TestRecipSum:
     def test_degenerate_recurrence_exits_two(self, capsys) -> None:
         code, _, err = run_cli(capsys, "recip-sum", "--m1", "1", "--m2", "-1")
         assert code == 2 and err.startswith("qlambert:")
+
+    def test_the_parser_offers_the_table_methods_in_its_order(self) -> None:
+        assert tuple(cli._recip_table()) == cli.RECIP_METHODS
 
     def test_gosper_method_is_fibonacci_only(self, capsys) -> None:
         code, _, err = run_cli(

@@ -10,6 +10,7 @@ import pytest
 from qlambert import (
     DivergenceError,
     DomainError,
+    PoleError,
     UnknownIdentityError,
     check_gosper_matrix,
     check_identity,
@@ -18,7 +19,7 @@ from qlambert import (
 )
 from qlambert import identities
 from qlambert.cli import main
-from qlambert.identities import IdentityEntry, ParamSpec, _Rng, get_entry
+from qlambert.identities import MAX_RESAMPLES, IdentityEntry, ParamSpec, _Rng, get_entry
 from qlambert.qcore import ball
 
 EXPECTED_ENTRIES = (
@@ -222,6 +223,63 @@ class TestDivergingSide:
     def test_a_passing_report_has_no_reason(self, ctx30) -> None:
         report = check_identity("symm", 2, 1, ctx30)
         assert report.passed and report.reason is None
+
+
+def _with_a_rejecting_side(monkeypatch, rejects) -> list[dict]:
+    """Register ``synthetic``, whose sides raise ``rejects(q)`` where it is
+    not None; return the list that every drawn point is appended to."""
+
+    def side(point, ctx):
+        error = rejects(point["q"])
+        if error is not None:
+            raise error
+        return ball(point["q"])
+
+    entry = IdentityEntry("synthetic", (ParamSpec("q"),), (side, side), "test")
+    monkeypatch.setattr(identities, "_REGISTRY", (*registry(), entry))
+    drawn = []
+    draw = identities._draw_point
+
+    def recording(entry, rng, ctx):
+        drawn.append(draw(entry, rng, ctx))
+        return drawn[-1]
+
+    monkeypatch.setattr(identities, "_draw_point", recording)
+    return drawn
+
+
+class TestRejectedDraws:
+    def test_a_point_a_side_rejects_is_redrawn(self, ctx30, monkeypatch) -> None:
+        """``DomainError`` above q = 1/2 and ``PoleError`` below -1/2 reject
+        the point; each trial draws again until one is taken."""
+
+        def rejects(q):
+            if q > Decimal("0.5"):
+                return DomainError("synthetic domain")
+            if q < Decimal("-0.5"):
+                return PoleError("synthetic pole")
+            return None
+
+        drawn = _with_a_rejecting_side(monkeypatch, rejects)
+        report = check_identity("synthetic", 20, 1, ctx30)
+        assert report.passed and report.reason is None
+        rejected = [point["q"] for point in drawn if rejects(point["q"]) is not None]
+        assert min(rejected) < Decimal("-0.5") and max(rejected) > Decimal("0.5")
+        assert len(drawn) == 20 + len(rejected)
+
+    def test_a_trial_that_rejects_every_draw_raises(self, ctx30, monkeypatch) -> None:
+        drawn = _with_a_rejecting_side(monkeypatch, lambda q: PoleError("synthetic pole"))
+        message = f"all {MAX_RESAMPLES} sampled points rejected for 'synthetic'"
+        with pytest.raises(DomainError, match=message):
+            check_identity("synthetic", 3, 1, ctx30)
+        assert len(drawn) == MAX_RESAMPLES
+
+    def test_verify_exits_two_when_every_draw_is_rejected(self, capsys, monkeypatch) -> None:
+        _with_a_rejecting_side(monkeypatch, lambda q: DomainError("synthetic domain"))
+        code = main(["verify", "--identity", "synthetic", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "sampled points rejected" in captured.err
 
 
 class TestGosperMatrixCheck:

@@ -47,6 +47,7 @@ from qlambert import (
     DivergenceError,
     DomainError,
     Factor,
+    PoleError,
     QTerm,
     TermGenerator,
     make_context,
@@ -350,6 +351,40 @@ def test_a_denominator_no_float_resolves_still_gets_a_sound_peak_bound() -> None
     sv = series.sum(ctx, "pole")
     assert sv.tail_bound <= ctx.epsilon
     assert abs(sv.value - Decimal("1e19")) < 2
+
+
+@pytest.mark.parametrize("q", [Decimal("0.5"), Fraction(1, 2)])
+def test_a_vanishing_denominator_is_a_pole_before_any_term(q) -> None:
+    """``1 - 2*q**n`` is 0 at n = 1 for q = 1/2: the peak bound raises
+    ``PoleError`` there, and the sum with it, before its first term."""
+    one = type(q)(1)
+    series = QTerm(q, start=one, z=q, factors=(Factor(2, power=-1, c0=one),))
+    ctx = make_context(DIGITS)
+    with pytest.raises(PoleError, match="vanishes at index 1"):
+        _peak_log2(series, _Majorant(series), ctx, ctx.epsilon)
+    streams = []
+    with pytest.raises(PoleError):
+        series.sum(ctx, "pole", term=streams.append)
+    assert streams == []
+
+
+@pytest.mark.parametrize("q", [Decimal("0.5"), Fraction(1, 2)])
+def test_a_denominator_bound_not_yet_positive_defers_the_ratio(q) -> None:
+    """``1 - 3*q**n`` at q = 1/2: the bound ``1 - 3*q**(n+1)`` on the later
+    denominators is negative at n = 0, so ``ratio_at(0)`` is ``NOT_YET``;
+    from n = 1 on it is a ratio, and the sum certifies its value against an
+    exact partial sum."""
+    one = type(q)(1)
+    series = QTerm(q, start=one, z=q, factors=(Factor(3, power=-1, c0=one),))
+    decay = _Majorant(series)
+    assert [decay.ratio_at(n) == NOT_YET for n in range(4)] == [True, False, False, False]
+    assert decay.ratio_at(3) < 1
+    ctx = make_context(50)
+    sv = series.sum(ctx, "deferred")
+    half = Fraction(1, 2)
+    exact = sum(half**n / (1 - 3 * half**n) for n in range(sv.terms_used + 200))
+    assert sv.tail_bound <= ctx.epsilon
+    assert abs(Fraction(sv.value) - exact) <= sv.tail_bound
 
 
 # ---------------------------------------------------------------------------

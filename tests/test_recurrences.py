@@ -39,6 +39,7 @@ from _oracles import (
     RECIP_3_1,
     RECIP_3_2,
     RECIP_4_M3,
+    gosper_partial_sum,
 )
 
 RECIP_ORACLES = {
@@ -132,9 +133,10 @@ class TestGosperPartialSums:
         sv = fib_recip_gosper(12, ctx30)
         assert abs(sv.value - PSI) < Decimal("1e-30")
 
-    def test_uncorrected_variant_breaks_the_identity(self, ctx30) -> None:
-        sv = fib_recip_gosper(6, ctx30, corrected=False)
-        assert abs(sv.value - PSI) > Decimal("1e-3")
+    def test_uncorrected_variant_breaks_the_identity(self) -> None:
+        """Each Lucas product one factor short (``L_{2n-1}``), six terms miss
+        ``PSI`` by more than a thousandth."""
+        assert abs(gosper_partial_sum(6, lucas_shift=2) - Fraction(PSI)) > Fraction(1, 1000)
 
     def test_invalid_term_counts_rejected(self, ctx30) -> None:
         with pytest.raises(DomainError):
@@ -155,17 +157,13 @@ class TestGosperPartialSums:
                 bound = 5 / phi ** (shift * shift)
                 assert Decimal(scaled.numerator) / scaled.denominator <= bound
 
-    @pytest.mark.parametrize("corrected", [True, False])
-    def test_integer_sum_rounds_to_the_fraction_sum(self, ctx50, corrected) -> None:
+    def test_integer_sum_rounds_to_the_fraction_sum(self, ctx50) -> None:
         """``P / Q`` unreduced gives the ``Decimal`` of the reduced
         ``Fraction`` sum, digit for digit, for the first 80 term counts."""
         total, lucas = Fraction(0), 1
         for count in range(1, 81):
             n = count - 1
-            if corrected:
-                lucas *= lucas_G(2 * n + 1)
-            elif n >= 1:
-                lucas *= lucas_G(2 * n - 1)
+            lucas *= lucas_G(2 * n + 1)
             numerator = fibonacci(4 * n + 3) + (-1) ** n * fibonacci(2 * n + 2)
             sign = 1 if n % 4 in (0, 1) else -1
             total += Fraction(
@@ -173,12 +171,11 @@ class TestGosperPartialSums:
             )
             with localcontext(ctx50.dec):
                 expected = Decimal(total.numerator) / Decimal(total.denominator)
-            value = fib_recip_gosper(count, ctx50, corrected).value
+            value = fib_recip_gosper(count, ctx50).value
             assert str(value) == str(expected), count
 
     @pytest.mark.parametrize("digits", [50, 300, 1000])
-    @pytest.mark.parametrize("corrected", [True, False])
-    def test_float_tail_is_at_least_the_decimal_one(self, digits, corrected) -> None:
+    def test_float_tail_is_at_least_the_decimal_one(self, digits) -> None:
         """The tail from float logs, rounded outward, is at least
         ``5 phi^-(M^2) / (1 - phi^-(2M+1))`` at 20 more digits, plus the
         rounding floor, around the counted ``N``."""
@@ -187,8 +184,8 @@ class TestGosperPartialSums:
         with localcontext(wide.dec):
             phi = (1 + Decimal(5).sqrt()) / 2
         for N in (count - 1, count, count + 1):
-            sv = fib_recip_gosper(N, ctx, corrected)
-            M = N + 1 if corrected else N
+            sv = fib_recip_gosper(N, ctx)
+            M = N + 1
             with localcontext(wide.dec):
                 tail = 5 / phi ** (M * M) / (1 - 1 / phi ** (2 * M + 1))
                 assert sv.tail_bound >= tail + ctx.tail_floor(sv.value), N
