@@ -81,7 +81,7 @@ def test_a_star_import_binds_every_public_name() -> None:
     assert _child(STAR_CHILD) == []
 
 
-def test_every_deferred_name_is_public_and_is_its_module_s() -> None:
+def test_every_deferred_name_is_public_and_comes_from_its_module() -> None:
     for module, names in qlambert._LAZY.items():
         source = importlib.import_module(f"qlambert.{module}")
         for name in names:
