@@ -15,19 +15,18 @@ Each route is the sum of two unilateral series summed and certified by
 :mod:`qlambert.qcore`: the indices ``n >= 0``, and ``n = -m`` for ``m >= 1``
 rearranged so that no power of ``1/q`` appears.  The direct and theta routes
 describe both sides as a :class:`~qlambert.qcore.QTerm`.  The bracket forms
-keep their hand-written ``Decimal`` brackets, summed by
+keep their hand-written brackets, summed by
 :func:`~qlambert.qcore.sum_bracketed`: each side is the theta description's
 weight times the bracket, certified by that description's majorant.  With
-exact parameters a bracket is the exact rational product of its side's
-factors, so the bracket forms then sum the theta sides themselves, whose
-kernel forms that rational from int pairs, and keep their own method tag.
+exact parameters a bracket is the exact product of its side's factors, and
+the engine sums that exact bracket form with the theta description's own
+kernel, under the route's own method tag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import localcontext
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -122,15 +121,15 @@ def _route(
 
     ``sides`` build the descriptions of the ``n >= 0`` and the ``n = -m``
     sums, from :func:`~qlambert.numerics.series_parameters` of ``p``.  With
-    ``brackets`` and ``Decimal`` parameters, each side's summands are its
-    theta weight times ``bracket(x, t, q^n)``, which equals the product of
-    its factors.  With exact parameters the sides' own kernels sum them.
+    ``brackets``, each side's summands are its theta weight times
+    ``bracket(x, t, q^n)``, which equals the product of its factors
+    (:func:`~qlambert.qcore.sum_bracketed`).
     Each side is summed to ``epsilon/2``, which stops it at ``epsilon/4``.
     """
     p.validate(ctx)
     params = series_parameters((p.x, p.t, p.q), ctx)
     eps = ctx.epsilon / 2
-    if brackets is None or type(params[2]) is Fraction:
+    if brackets is None:
         sums = [sum_qterm(build, params, ctx, method_tag, eps) for build in sides]
     else:
         x, t = params[:2]

@@ -284,9 +284,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         for entry in registry():
             reports.append(check_identity(entry.name, args.trials, args.seed, ctx))
-        reports.append(check_gosper_matrix(ctx, seed=args.seed, factors=args.factors))
+        reports.append(check_gosper_matrix(ctx, seed=args.seed))
     elif args.identity == GOSPER_MATRIX_NAME:
-        reports.append(check_gosper_matrix(ctx, seed=args.seed, factors=args.factors))
+        reports.append(check_gosper_matrix(ctx, seed=args.seed))
     else:
         reports.append(check_identity(args.identity, args.trials, args.seed, ctx))
     for report in reports:
@@ -397,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--seed", type=int, default=42, help="sampler seed (default 42)"
-    )
-    p_verify.add_argument(
-        "--factors", type=int, default=None,
-        help="matrix product length for gosper-matrix (default adaptive)",
     )
 
     p_bench = subparsers.add_parser(

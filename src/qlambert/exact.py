@@ -118,8 +118,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     limit = _pair_limit(rounded_to)
 
     def multiplier(ratio, top=1, net: int = 0):
-        """``ratio`` times ``top / r**net``: ``coeff`` times it for a rational
-        ``q``, else its numerator and int denominator."""
+        """``ratio`` times ``top / r**net``, as a numerator over an int."""
         parts, numerator, denominator = ratio
         numerator *= top
         for a, b, j, up in parts:
@@ -134,39 +133,32 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
             denominator *= r**net
         elif net < 0:
             numerator *= r**-net
-        if field is None:
-            return scaled(numerator, denominator)
         if type(denominator) is not int:
             inverse, denominator = denominator.inverse()
             numerator *= inverse
         return numerator, denominator
 
-    def scaled(top: int, bottom: int) -> BigReal:
-        """``coeff*top/bottom``: one product and one quotient by ints."""
-        x = coeff if top == 1 else coeff * top
-        return x if bottom == 1 else x / bottom
-
     def pair_term(n: int) -> BigReal:
         nonlocal coeff
         weight, net = (1, 0) if w_key is None else (powers[w_key][0], exponents[w_key])
         value, step = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
-        if field is not None:
+        if type(value[0]) is not int or type(step[0]) is not int:
             # One full-length product E = C*beta, at the digits that the
             # numerators g + h*beta with h != 0 lose (module docstring).
             lost = [_lost_digits(t.g, t.h, field) for t, _ in (value, step) if type(t) is not int]
-            if lost:
-                digits = getcontext().prec + max(lost)
-                wide = _context(digits)
-                e = wide.multiply(coeff, _beta(field, digits))
-            products = []
-            for top, bottom in (value, step):
-                if type(top) is int:
-                    products.append(scaled(top, bottom))
-                else:
-                    x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
-                    products.append(+x if bottom == 1 else x / bottom)
-            value, step = products
-        coeff = step
+            digits = getcontext().prec + max(lost)
+            wide = _context(digits)
+            e = wide.multiply(coeff, _beta(field, digits))
+        products = []
+        for top, bottom in (value, step):
+            if type(top) is int:
+                # coeff*top/bottom: one product and one quotient by ints.
+                x = coeff if top == 1 else coeff * top
+                products.append(x if bottom == 1 else x / bottom)
+            else:
+                x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
+                products.append(+x if bottom == 1 else x / bottom)
+        value, coeff = products
         for j, (step_p, step_r) in enumerate(steps):
             pair = powers[j]
             pair[0] *= step_p

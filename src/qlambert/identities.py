@@ -751,14 +751,12 @@ def check_identity(
     )
 
 
-def check_gosper_matrix(
-    ctx: RealContext, seed: int = 0, factors: int | None = None
-) -> IdentityReport:
+def check_gosper_matrix(ctx: RealContext, seed: int = 0) -> IdentityReport:
     """Exchange-relation sweep plus matrix-product comparison.
 
     Sweeps ``exchange_check`` over ``(k, n) in [1,10] x [0,10]`` and
     ``q in {0.3, -0.3, 0.7}``, then compares the left and right matrix
-    products (by default long enough for certified convergence) against each
+    products, long enough for certified convergence, against each
     other and the Lambert-series oracle at ``q = 0.3``.  All residuals fold
     into ``worst_deviation`` under the usual ``4*epsilon`` bar.
     """
@@ -776,7 +774,7 @@ def check_gosper_matrix(
                         worst = residual
                         worst_point = {"check": "exchange", "k": str(k), "n": str(n), "q": q_text}
         q = ctx.dec.create_decimal("0.3")
-        count = factors if factors is not None else product_factor_count(q, ctx)
+        count = product_factor_count(q, ctx)
         left = product_upper_right(LEFT, count, q, ctx)
         right = product_upper_right(RIGHT, count, q, ctx)
         oracle = lambert_naive(q, ctx).value

@@ -119,11 +119,12 @@ each product followed by a quotient by ``r**s``, ``r**step`` or the
 denominator of ``z``, which is not folded into the weight.  Ints need no
 rounding when the precision changes.  The summand takes the same forms.
 A description with ``Decimal`` parameters pays one ``None`` test per step
-that could divide.  :func:`sum_bracketed` takes ``Decimal`` parameters
-alone: with exact ones a hand-written bracket is the exact rational product
-of the factors, which the exact kernel forms, so the bilateral bracket
-forms sum their theta descriptions instead.  The majorant, the peak bound
-and the pole scans read the parameters' ``Decimal`` values alone.
+that could divide.  :func:`sum_bracketed` sums a description with exact
+parameters with that description's own kernel: a hand-written bracket is
+then the exact product of the factors, which the exact kernel forms.  The
+majorant and the pole scans read the parameters' ``Decimal`` values alone,
+and so does the peak bound but for a factor near a pole, whose size it forms
+exactly for a ``Fraction`` ``q``.
 
 The engine sums the terms in increasing index order and stops as soon as
 that tail bound drops below ``epsilon / 2``; the other half of the epsilon
@@ -199,8 +200,9 @@ between the outward-rounded ``exp2`` of the majorant's log bounds on
 ``|c1*q**m / c0|`` (:func:`_factor_log2`).  Where that interval holds 0 or
 spans over a factor 2 (within about ``2**-45`` of a pole, which a float
 cannot resolve but which may pass the pole scans' ``10**-(W/2)``), the
-factor is a ``Decimal`` difference at the context's digits, exact for
-``Fraction`` parameters and otherwise within
+factor is a difference at the context's digits: for a ``Fraction`` ``q``
+the exact rational, its ``c0`` and ``c1`` taken exactly even where one is a
+``Decimal``, and otherwise a ``Decimal`` within
 ``(|c0| + |c1*q**m|) * 10**(3 - W)``, above the roundings of the power,
 product and difference; one that cannot be told from 0 raises ``PoleError``.
 Each float ``log2`` and sum of logs moves outward by ``2**-40`` and a
@@ -340,10 +342,15 @@ from .numerics import (
 _ONE = Decimal(1)
 
 
+def _is_exact(x: Real) -> bool:
+    """Whether ``x`` is exact: a ``Fraction`` or an element of a quadratic field."""
+    return type(x) is Fraction or is_quadratic(x)
+
+
 def ipow(base: Real, exponent: int) -> Real:
     """``base ** exponent`` for integer exponents, with ``0 ** 0 == 1``; exact
     for a ``Fraction`` and for an element of a quadratic field."""
-    if type(base) is Fraction or is_quadratic(base):
+    if _is_exact(base):
         return base**exponent
     if exponent == 0:
         return Decimal(1)
@@ -556,7 +563,7 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     q = d.q
     # A running coefficient comes from the exact kernel's handover alone.
     exact = coeff is not None
-    if not exact and (type(q) is Fraction or is_quadratic(q)):
+    if not exact and _is_exact(q):
         # Imported on first use: only descriptions with exact parameters,
         # above 200 digits, need it.
         from .exact import _exact_kernel
@@ -980,10 +987,13 @@ def _factor_log2(
     low, high = low * (1 - 2 * _UNIT), high * (1 + 2 * _UNIT)
     if 0 < low and high < 2 * low:
         return c0_low + log2(low) - _PEAK_MARGIN, c0_high + log2(high) + _PEAK_MARGIN
+    exact = type(q) is Fraction
+    # A Decimal c0 or c1, such as the default c0, is a rational too.
+    c0, c1 = (Fraction(f.c0), Fraction(f.c1)) if exact else (f.c0, f.c1)
     with localcontext(ctx.dec):
-        u = f.c1 * ipow(q, m)
-        size = abs(f.c0 - u)
-        error = 0 if type(q) is Fraction else (abs(f.c0) + abs(u)).scaleb(3 - ctx.working_digits)
+        u = c1 * ipow(q, m)
+        size = abs(c0 - u)
+        error = 0 if exact else (abs(c0) + abs(u)).scaleb(3 - ctx.working_digits)
         high = _log2_bounds(size + error)[1]
         return (_log2_bounds(size - error)[0] if size > error else -inf), high
 
@@ -1183,13 +1193,15 @@ def sum_bracketed(
     ``bracket(q**n)`` must equal the product of the factors of the series at
     ``n``, so that the summands are those of the series and are certified by
     its majorant.  ``bracket`` is called once per index, in increasing order,
-    under the current context.  The parameters are ``Decimal`` values: with
-    exact ones the bracket is the exact rational that the kernel of the
-    series already forms, so callers sum the series itself.
+    under the current context.  With exact parameters the bracket is the
+    exact product of the factors, which the series' own kernel forms, so the
+    series is summed with that kernel and ``bracket`` is not called.
     """
 
     def term(series: QTerm) -> Callable[[int], BigReal]:
         q = series.q
+        if _is_exact(q):
+            return _kernel(series)
         weight = _kernel(replace(series, factors=()))
         q_pow = ipow(q, series.first)
 

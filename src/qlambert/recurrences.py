@@ -10,8 +10,9 @@ with ``m1 >= 1``, ``m2 != 0`` and positive discriminant
 independent evaluation routes:
 
 * direct summation of exact big-integer reciprocals (linear convergence),
-* the fast route ``(alpha-beta) * (1/(alpha-1) + L(1/alpha, beta/alpha))``
-  through the theta-convergent generalized Lambert series,
+* the fast route ``(alpha-beta) * (1/(alpha-1) + L(-beta/m2, -beta**2/m2))``
+  through the theta-convergent generalized Lambert series: as ``alpha*beta
+  = -m2``, its parameters are ``1/alpha`` and ``beta/alpha``,
 * for the Fibonacci case, Gosper's exact-rational acceleration and the
   even/odd index splits
   ``sum 1/F_{2n} = sqrt(5)*(L(beta^2) - L(beta^4))`` and
@@ -21,9 +22,10 @@ independent evaluation routes:
 All routes return :class:`~qlambert.qcore.SeriesValue` records so they can be
 cross-checked pairwise at full precision.
 
-The theta routes' parameters lie in the field ``Q(beta)``: ``1/alpha =
--beta/m2`` and ``beta/alpha = -beta**2/m2``, and ``beta``, ``beta**2`` and
-``beta**4`` for the splits.  Above :data:`FIELD_FROM` working digits,
+The theta routes' parameters lie in the field ``Q(beta)``: ``-beta/m2``
+and ``-beta**2/m2``, and ``beta``, ``beta**2`` and ``beta**4`` for the
+splits, each formed by the same expression from a ``Decimal`` ``beta`` or
+an exact one.  Above :data:`FIELD_FROM` working digits,
 where ``delta`` is not a square, they are exact elements of it
 (:func:`_exact_root`, :mod:`qlambert.quadratic`), for which the exact
 kernel (:mod:`qlambert.exact`) makes one full-length product per index; a
@@ -216,11 +218,11 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
 def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     """Fast reciprocal sum via the theta-convergent Lambert route.
 
-    Evaluates ``(alpha-beta) * (1/(alpha-1) + L(1/alpha, beta/alpha))`` with
-    the generalized Lambert series in its theta form, carrying two extra
-    digits (plus headroom for the ``sqrt(delta)`` scale) internally.  Where
-    :func:`_exact_root` gives ``beta`` exactly, the series takes
-    ``1/alpha = -beta/m2`` and ``beta/alpha = -beta**2/m2`` exactly.
+    Evaluates ``(alpha-beta) * (1/(alpha-1) + L(-beta/m2, -beta**2/m2))``
+    with the generalized Lambert series in its theta form, carrying two
+    extra digits (plus headroom for the ``sqrt(delta)`` scale) internally.
+    Where :func:`_exact_root` gives ``beta`` exactly, the series takes its
+    parameters exactly.
 
     ``alpha > 1`` (:class:`HoradamSequence`), so ``1/(alpha - 1)`` is finite.
 
@@ -231,17 +233,14 @@ def recip_sum_fast(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     scale_headroom = (len(str(abs(seq.delta))) + 1) // 2
     inner = make_context(ctx.target_digits + 2 + scale_headroom)
     alpha, beta = seq.roots(inner)
+    exact = _exact_root(seq, inner)
+    root = beta if exact is None else exact
     with localcontext(inner.dec):
-        q = beta / alpha
+        x, q = -root / seq.m2, -root * root / seq.m2
         if abs(q) >= 1 - FAST_DEGENERACY_GAP:
             raise DomainError(
                 f"fast route rejected: |beta/alpha| = {abs(q)} too close to 1"
             )
-        exact = _exact_root(seq, inner)
-        if exact is None:
-            x = 1 / alpha
-        else:
-            x, q = -exact / seq.m2, -exact * exact / seq.m2
         lam = glambert_theta(x, q, inner)
         scale = alpha - beta
         parts = ((scale, ball(1 / (alpha - 1))), (scale, lam))
@@ -389,13 +388,12 @@ def fib_odd_theta(ctx: RealContext) -> SeriesValue:
     return combine(parts, ctx, "theta")
 
 
-def fib_even_alt(apply_root5: bool, ctx: RealContext) -> SeriesValue:
-    """Alternate theta-class expression ``sum_{n>=1} beta^(n(n+1))/(1-beta^(2n))``.
+def fib_even_alt(ctx: RealContext) -> SeriesValue:
+    """Alternate even-index expression ``sqrt(5)*sum_{n>=1} beta^(n(n+1))/(1-beta^(2n))``.
 
-    The exponent ``n(n+1)`` is always even, so the summand is positive.  When
-    ``apply_root5`` is true the sum is scaled by ``sqrt(5)``; exactly one of
-    the two variants reproduces the even-index reciprocal sum, and the test
-    suite pins which one against a big-integer oracle.
+    The exponent ``n(n+1)`` is always even, so the summand is positive.  The
+    test suite checks against a big-integer oracle that the sum reproduces
+    the even-index reciprocal sum with the ``sqrt(5)`` scale, not without it.
     """
     inner, beta, root5 = _fib_inner(ctx.target_digits)
     with localcontext(inner.dec):
@@ -404,7 +402,7 @@ def fib_even_alt(apply_root5: bool, ctx: RealContext) -> SeriesValue:
             b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1
         )
         raw = series.sum(inner, "theta")
-    return combine(((root5 if apply_root5 else 1, raw),), ctx, "theta")
+    return combine(((root5, raw),), ctx, "theta")
 
 
 def fib_odd_alt(ctx: RealContext) -> SeriesValue:

@@ -147,3 +147,19 @@ def gosper_partial_sum(count: int, lucas_shift: int = 0) -> Fraction:
         sign = 1 if n % 4 in (0, 1) else -1
         total += Fraction(sign * numerator, fib[2 * n + 1] * fib[2 * n + 2] * lucas)
     return total
+
+
+def fib_even_alt_unscaled(digits: int) -> Decimal:
+    """``sum_{n>=1} beta**(n*(n+1)) / (1 - beta**(2*n))`` with ``beta = (1 -
+    sqrt 5)/2``, the even-index alternate form without its ``sqrt(5)`` scale,
+    summed in plain ``decimal`` arithmetic at ``digits + 10`` digits until a
+    summand drops below ``10**-(digits + 5)``."""
+    with localcontext(prec=digits + 10):
+        beta_sq = ((1 - Decimal(5).sqrt()) / 2) ** 2
+        total, n = Decimal(0), 1
+        while True:
+            summand = beta_sq ** (n * (n + 1) // 2) / (1 - beta_sq**n)
+            if summand < Decimal(1).scaleb(-(digits + 5)):
+                return +total
+            total += summand
+            n += 1

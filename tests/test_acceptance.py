@@ -60,7 +60,7 @@ from qlambert.identities import (
 )
 from qlambert.recurrences import gosper_terms
 
-from _oracles import PSI, gosper_partial_sum
+from _oracles import PSI, fib_even_alt_unscaled, gosper_partial_sum
 
 
 def cli_lines(capsys, *argv: str) -> tuple[int, list[dict]]:
@@ -188,12 +188,9 @@ def test_even_alternate_form_is_resolved_by_a_big_integer_oracle() -> None:
     while len(fib) <= 400:
         fib.append(fib[-1] + fib[-2])
     oracle = sum((Decimal(1) / Decimal(fib[2 * n]) for n in range(1, 201)), Decimal(0))
-    ctx25 = make_context(25)
-    bare = fib_even_alt(False, ctx25)
-    scaled = fib_even_alt(True, ctx25)
-    matches = [
-        abs(sv.value - oracle) <= Decimal("1e-20") for sv in (bare, scaled)
-    ]
+    bare = fib_even_alt_unscaled(25)
+    scaled = fib_even_alt(make_context(25)).value
+    matches = [abs(value - oracle) <= Decimal("1e-20") for value in (bare, scaled)]
     assert matches.count(True) == 1
     assert matches == [False, True]
 
@@ -241,7 +238,7 @@ def _evaluation_battery() -> list:
         battery.append(lambda ctx, seq=seq: recip_sum_fast(seq, ctx))
     battery.append(fib_even_theta)
     battery.append(fib_odd_theta)
-    battery.append(lambda ctx: fib_even_alt(True, ctx))
+    battery.append(fib_even_alt)
     battery.append(fib_odd_alt)
     battery.append(lambda ctx: fib_recip_gosper(gosper_terms(ctx), ctx))
     for _ in range(2):

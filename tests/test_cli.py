@@ -55,6 +55,25 @@ class TestEval:
             outputs.add(out.strip())
         assert len(outputs) == 1
 
+    def test_exact_parameters_next_to_a_pole_certify(self, capsys) -> None:
+        # 1 - x = 2**-50 is closer to 0 than the peak bound's floats resolve,
+        # so it forms the factor 1 - x*q**0, with its default c0, exactly.
+        results = []
+        for method in ("naive", "theta", "alt"):
+            code, out, err = run_cli(
+                capsys, "eval", "qxt", "--method", method,
+                "--x", "1125899906842623/1125899906842624", "--t", "1/3",
+                "--q", "1/3", "--digits", "250", "--report",
+            )
+            assert code == 0 and err == "", method
+            payload = json.loads(out)
+            results.append((Decimal(payload["value"]), Decimal(payload["tail_bound"])))
+        for a, a_bound in results:
+            # The printed digits round each value by at most half a unit in the last.
+            unit = Decimal(1).scaleb(a.as_tuple().exponent)
+            for b, b_bound in results:
+                assert abs(a - b) <= a_bound + b_bound + unit
+
     def test_bilateral_methods_agree_to_the_printed_digit(self, capsys) -> None:
         outputs = set()
         for method in ("direct", "theta", "form1", "form2"):
@@ -273,15 +292,6 @@ class TestVerify:
         assert payload["seed"] == 7
         assert payload["pass"] is True
         assert float(payload["worst_deviation"]) <= 4e-30
-
-    def test_gosper_matrix_accepts_factor_override(self, capsys) -> None:
-        code, out, _ = run_cli(
-            capsys, "verify", "--identity", "gosper-matrix", "--factors", "60"
-        )
-        assert code == 0
-        (payload,) = json_lines(out)
-        assert payload["name"] == "gosper-matrix"
-        assert payload["pass"] is True
 
     def test_all_runs_the_registry_plus_the_matrix_check(self, capsys) -> None:
         code, out, _ = run_cli(

@@ -289,6 +289,3 @@ class TestGosperMatrixCheck:
         assert report.passed
         assert report.trials == 333
 
-    def test_explicit_factor_count_is_honoured(self, ctx30) -> None:
-        report = check_gosper_matrix(ctx30, factors=70)
-        assert report.passed

@@ -596,7 +596,7 @@ def test_recip_sum_routes_match_the_integer_sum(method, m1: int, m2: int, digits
 
 @pytest.mark.parametrize(
     "evaluate, parity",
-    [(lambda ctx: fib_even_alt(True, ctx), 0), (fib_odd_alt, 1)],
+    [(fib_even_alt, 0), (fib_odd_alt, 1)],
     ids=["even", "odd"],
 )
 def test_alternate_fibonacci_splits_match_the_integer_sums(evaluate, parity: int) -> None:

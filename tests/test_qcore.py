@@ -515,6 +515,25 @@ def test_only_sum_series_sets_a_context_precision() -> None:
     assert builders == {("numerics", "make_context")}
 
 
+def test_only_the_engine_branches_on_exact_parameters() -> None:
+    """Exactness is the engine's business: no module but ``qcore``,
+    ``exact``, ``quadratic`` and ``numerics`` names ``Fraction`` or calls
+    ``is_quadratic`` in code, so no route can branch on exact parameters."""
+
+    def name(node: ast.AST | None) -> str | None:
+        # A name, an attribute or an imported name.
+        return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+    source_dir = Path(qlambert.__file__).parent
+    found = set()
+    for path in sorted(source_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name(node) == "Fraction" or name(getattr(node, "func", None)) == "is_quadratic":
+                found.add(path.stem)
+    assert "qcore" in found
+    assert found <= {"qcore", "exact", "quadratic", "numerics"}
+
+
 def test_only_qterm_sum_pairs_summands_with_a_certificate() -> None:
     """``QTerm.sum`` is the engine's one entry point: no other code builds a
     ``TermGenerator`` or calls ``sum_series``."""

@@ -368,6 +368,15 @@ def test_a_vanishing_denominator_is_a_pole_before_any_term(q) -> None:
     assert streams == []
 
 
+def test_a_default_c0_with_a_rational_q_is_a_pole() -> None:
+    """With a ``Fraction`` q, a factor's default ``c0``, the ``Decimal`` 1,
+    is taken exactly where the peak bound forms ``1 - 2*q``: it is 0, a
+    ``PoleError``, not a ``TypeError`` from mixing the two types."""
+    series = QTerm(Fraction(1, 2), z=Fraction(1, 2), factors=(Factor(2, power=-1),))
+    with pytest.raises(PoleError, match="vanishes at index 1"):
+        series.sum(make_context(50), "t")
+
+
 @pytest.mark.parametrize("q", [Decimal("0.5"), Fraction(1, 2)])
 def test_a_denominator_bound_not_yet_positive_defers_the_ratio(q) -> None:
     """``1 - 3*q**n`` at q = 1/2: the bound ``1 - 3*q**(n+1)`` on the later

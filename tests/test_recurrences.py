@@ -243,12 +243,8 @@ class TestSplits:
         assert abs(total - PSI) <= even.tail_bound + odd.tail_bound
 
     def test_even_alternate_with_scaling_matches_even_split(self, ctx30) -> None:
-        sv = fib_even_alt(True, ctx30)
+        sv = fib_even_alt(ctx30)
         assert abs(sv.value - FIB_EVEN) <= sv.tail_bound
-
-    def test_even_alternate_without_scaling_is_far_off(self, ctx30) -> None:
-        sv = fib_even_alt(False, ctx30)
-        assert abs(sv.value - FIB_EVEN) > Decimal("0.5")
 
     def test_odd_alternate_matches_odd_split(self, ctx30) -> None:
         sv = fib_odd_alt(ctx30)
