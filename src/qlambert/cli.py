@@ -16,7 +16,8 @@ Subcommands:
 Exit codes: 0 success/pass, 1 identity or consistency failure, 2 argument
 or domain error, 3 pole detection.  Parameters accept decimal literals or
 exact rationals such as ``1/2`` (preferred near poles, where the value is
-sensitive to the representation of ``q``).  All high-precision numbers in
+sensitive to the representation of ``q``); a negative one may be its own
+argument, as in ``--q -115/191``.  All high-precision numbers in
 JSON output are decimal strings, never binary floats; report mode prints
 one JSON object per line and nothing else.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -416,6 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
 #: The parser of :func:`main`, built on its first call.
 _PARSER: argparse.ArgumentParser | None = None
 
+#: The flags that take a real number, which may be negative.
+_REAL_FLAGS = ("--q", "--x", "--t")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each real flag whose value starts with ``-`` and a digit
+    or a point written as one ``--flag=value`` argument: argparse reads a
+    value such as ``-115/191``, none of its negative-number forms, as an
+    option."""
+    args: list[str] = []
+    for arg in argv:
+        if args and args[-1] in _REAL_FLAGS and re.match(r"-[0-9.]", arg):
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
+    return args
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point: parse, dispatch, and map errors to exit codes.
@@ -427,7 +446,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _PARSER.parse_args(_attach_negative_values(argv))
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)

@@ -118,7 +118,8 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     limit = _pair_limit(rounded_to)
 
     def multiplier(ratio, top=1, net: int = 0):
-        """``ratio`` times ``top / r**net``, as a numerator over an int."""
+        """``C_n`` times ``ratio`` times ``top / r**net`` where the multiplier's
+        numerator is an int; otherwise the multiplier, a numerator over an int."""
         parts, numerator, denominator = ratio
         numerator *= top
         for a, b, j, up in parts:
@@ -136,29 +137,32 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         if type(denominator) is not int:
             inverse, denominator = denominator.inverse()
             numerator *= inverse
+        if type(numerator) is int:
+            # coeff*top/bottom: one product and one quotient by ints.
+            x = coeff if numerator == 1 else coeff * numerator
+            return x if denominator == 1 else x / denominator
         return numerator, denominator
 
     def pair_term(n: int) -> BigReal:
         nonlocal coeff
         weight, net = (1, 0) if w_key is None else (powers[w_key][0], exponents[w_key])
         value, step = multiplier(value_ratio), multiplier(coeff_ratio, weight, net)
-        if type(value[0]) is not int or type(step[0]) is not int:
+        if field is not None and (type(value) is tuple or type(step) is tuple):
             # One full-length product E = C*beta, at the digits that the
             # numerators g + h*beta with h != 0 lose (module docstring).
-            lost = [_lost_digits(t.g, t.h, field) for t, _ in (value, step) if type(t) is not int]
-            digits = getcontext().prec + max(lost)
+            pairs = [t for t in (value, step) if type(t) is tuple]
+            digits = getcontext().prec + max(_lost_digits(t.g, t.h, field) for t, _ in pairs)
             wide = _context(digits)
             e = wide.multiply(coeff, _beta(field, digits))
-        products = []
-        for top, bottom in (value, step):
-            if type(top) is int:
-                # coeff*top/bottom: one product and one quotient by ints.
-                x = coeff if top == 1 else coeff * top
-                products.append(x if bottom == 1 else x / bottom)
-            else:
-                x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
-                products.append(+x if bottom == 1 else x / bottom)
-        value, coeff = products
+            products = []
+            for t in (value, step):
+                if type(t) is tuple:
+                    top, bottom = t
+                    x = wide.add(wide.multiply(coeff, top.g), wide.multiply(e, top.h))
+                    t = +x if bottom == 1 else x / bottom
+                products.append(t)
+            value, step = products
+        coeff = step
         for j, (step_p, step_r) in enumerate(steps):
             pair = powers[j]
             pair[0] *= step_p

@@ -93,6 +93,12 @@ its running values in locals and at index ``n``, under the current context:
 3. multiplies each distinct running value ``u = c1*q**(s*i + k)`` that a
    factor evaluates or accumulates by ``q**s``.
 
+A description of the naive geometric shape, one evaluated denominator
+``c0 - u`` and no numerator, theta weight or Pochhammer factor, gets a
+closure of its own, with ``z != 1`` for ``Decimal`` parameters: ``T_n = C_n
+/ (c0 - u)``, then ``C_n * z`` and ``u * q**s``.  It runs the product
+form's operations in the same order, and no test for the parts it lacks.
+
 The forms and the operations and their order depend on the description
 alone, so a summand is a fixed function of the description and of the
 precisions the calls ran at.  When the precision of a call differs from the
@@ -173,7 +179,17 @@ every index (as they do for a ``Decay`` with no ``log2_floor``):
    m_prev`` is at least ``m * 10**k`` (in floats, or exactly past
    ``10**300``) so is ``2 * rho_prev * m_prev``, and there is no violation;
    only where it is not does the loop read ``ratio_at(n - 1)`` and run the
-   test itself.
+   test itself.  The test at ``n`` reads ``T_{n-1}`` and ``T_n`` alone, so
+   it need not run at every index.  From the last index of the burn-in,
+   while checks pass, the loop checks every 32nd index and keeps the terms
+   since the last passed check ``c``.  A check that passes at ``c + 32``
+   leaves the count at 0 whatever the indices between did: a run among
+   those 31 is shorter than 64.  One that fails re-runs the test at ``c +
+   1, ..., c + 32`` in order, counting the run that ends there (at most 32),
+   and the loop then tests every index until one passes.  So every run of
+   64 violations holds a checked index, and the guard raises at the index,
+   with the message, of a test at every index.  A sum that stops between
+   checks needs no re-scan: no run among the unchecked indices reaches 64.
 
 Precision from magnitude.  The rounding floor ``max(1, peak) * 10**-(W - 6)``
 of a ``tail_bound`` grows with the largest partial sum, which can pass far
@@ -304,6 +320,12 @@ is a multiple of 200).
    much as the interpreter's dispatch of it (0.2 us, against 18 us at 1000
    digits), so a lower minimum would save nothing.
 
+The loop tests the rule on an integer gate.  While ``prec > TAPER_MIN_PREC``
+and after the latch, ``lower = max(TAPER_MIN_PREC, wd - d) < prec`` exactly
+where ``e < prec - wd - 1 - r + P``; that bound changes only with ``prec``
+or ``P``, and the loop recomputes it then (at each rise of the peak) and
+forms ``lower`` only where ``e`` is below it.
+
 Tapering runs only at ``wd > TAPER_FROM = 2 * TAPER_MIN_PREC``: below it a
 summand could lose at most half of digits that cost under a microsecond a
 product, and the rule on every term cost 4% of ``verify --all --trials 100
@@ -360,6 +382,10 @@ def ipow(base: Real, exponent: int) -> Real:
 GUARD_BURN_IN = 16
 #: Consecutive decay violations after which the engine aborts.
 GUARD_VIOLATION_LIMIT = 64
+#: Stride of the guard's checks while they pass (module docstring).
+_GUARD_BLOCK = 32
+#: The taper's gate before the latch and at the fewest digits: no exponent is below it.
+_NEVER = -(2**63)
 #: Minimum number of summand evaluations before the engine may stop.
 MIN_TERMS = 2
 #: Fewest digits a tapered summand is computed at (module docstring).
@@ -558,7 +584,9 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     running value is a ``Decimal``, its exact value rounded once, that
     advances by ``* p**s`` and then ``/ r**s``, the coefficient by
     ``* z.numerator`` and then ``/ z.denominator``, and each ``c0`` is
-    rounded once.
+    rounded once.  The naive geometric shape, one evaluated denominator and
+    nothing else, gets a closure of its own, for ``Decimal`` parameters with
+    ``z != 1`` and after an exact sum's handover (module docstring).
     """
     q = d.q
     # A running coefficient comes from the exact kernel's handover alone.
@@ -615,6 +643,35 @@ def _kernel(d: QTerm, coeff: BigReal | None = None) -> Callable[[int], BigReal]:
     constants = z, w_step, u_step
     rounded_to = getcontext().prec
     tapers = rounded_to > TAPER_FROM and not exact
+    if len(den) == 1 and not (num or pnum or pden) and w is None and (exact or z is not None):
+        # The naive geometric form: the same operations as the product's,
+        # with no test for the parts it lacks.
+        ((c0, _),), v, v_step = den, u[0], u_step[0]
+        if exact:
+            v_div = u_div[0]
+
+            def geometric(n: int) -> BigReal:
+                nonlocal coeff, v
+                value = coeff / (c0 - v)
+                if z is not None:
+                    coeff *= z
+                if z_div is not None:
+                    coeff /= z_div
+                v = v * v_step / v_div
+                return value
+
+            return geometric
+
+        def geometric(n: int) -> BigReal:
+            nonlocal coeff, v, z, v_step, rounded_to
+            if tapers and getcontext().prec != rounded_to:
+                z, v_step, rounded_to = +constants[0], +constants[2][0], getcontext().prec
+            value = coeff / (c0 - v)
+            coeff *= z
+            v *= v_step
+            return value
+
+        return geometric
     # One shared value advances in place; several advance as a list.
     shared = len(u) == 1
     # A product of denominators starts from its first difference.
@@ -1042,11 +1099,29 @@ def sum_series(
         reach = target_e + 2 - log10(low / (1 - low)) if low else inf
         shrink = Decimal(ldexp(floor(ldexp(2 * lowest * _SHRINK_DOWN, 20)), -20))
         unit = shrink >= 1
+
+        def violated(n: int, before: BigReal, t: BigReal, rho_prev: float | None) -> bool:
+            """|T_n| > 2 * rho_prev * |T_{n-1}| on the mantissas: first with
+            the floor of rho_prev, which proves no violation or reads it."""
+            size, size_prev = t.copy_abs(), before.copy_abs()
+            if (unit and size <= size_prev) or (shrink and size <= shrink * size_prev):
+                return False
+            e, e_prev = t.adjusted(), before.adjusted()
+            m, m_prev = int(size.scaleb(16 - e)), int(size_prev.scaleb(16 - e_prev))
+            if rho_prev is None:
+                floor_prev = min(_pow2_floor(const + (n - 1) * slope), _NOT_YET)
+                if not _below(2 * floor_prev * m_prev, m, e - e_prev):
+                    return False
+                rho_prev = ratio_at(n - 1)
+            return _below(2 * rho_prev * m_prev, m, e - e_prev)
+
         total = peak = Decimal(0)
-        terms_used = 0
-        violations = 0
-        previous_size = previous_m = previous_rho = None
-        previous_e = 0
+        terms_used = violations = 0
+        # The guard's terms since its last check, T_c first, and its stride.
+        kept, block, rho = [], _GUARD_BLOCK, None
+        # The taper's gate: lower < prec exactly where e < gate; _NEVER before
+        # the latch and at the fewest digits.
+        cut, gate = wd + 1 + reserve, _NEVER
         n = start_index
         while True:
             if prec < wd:
@@ -1059,35 +1134,35 @@ def sum_series(
             partial = total.copy_abs()
             if partial > peak:
                 peak = partial
+                if gate > _NEVER:
+                    gate = prec - cut + peak.adjusted()
             terms_used += 1
-            rho = None if latched else ratio_at(n)
-            latched = latched or rho < 1
-            # m <= |t| * 10**(16 - e) < m + 1, m >= 10**16 unless t = 0, read only
-            # where a test needs it.
-            e, m, size = t.adjusted(), None, t.copy_abs()
-            if terms_used > GUARD_BURN_IN:
-                if (unit and size <= previous_size) or (
-                    shrink and size <= shrink * previous_size
-                ):
-                    violations = 0
-                else:
-                    # |t| > 2 * rho_prev * |t_prev|, on the mantissas; first with
-                    # the floor of rho_prev, which proves no violation or reads it.
-                    if previous_m is None:
-                        previous_m = int(previous_size.scaleb(16 - previous_e))
-                    m, k = int(size.scaleb(16 - e)), e - previous_e
-                    if previous_rho is None:
-                        floor_prev = min(_pow2_floor(const + (n - 1) * slope), _NOT_YET)
-                        if _below(2 * floor_prev * previous_m, m, k):
-                            previous_rho = ratio_at(n - 1)
-                    if previous_rho is not None and _below(2 * previous_rho * previous_m, m, k):
-                        violations += 1
+            rho_prev = rho
+            if latched:
+                rho = None
+            else:
+                rho = ratio_at(n)
+                if rho < 1:
+                    latched, gate = True, prec - cut + peak.adjusted()
+            e = t.adjusted()
+            if terms_used >= GUARD_BURN_IN:
+                kept.append(t)
+                if len(kept) > block:
+                    if not violated(n, kept[-2], t, rho_prev):
+                        violations, block = 0, _GUARD_BLOCK
+                    else:
+                        # A failed check after a passed one re-scans the block
+                        # in order for the run of violations it ends.
+                        pairs = zip(kept, kept[1:-1])
+                        for i, (before, after) in enumerate(pairs, n - block + 1):
+                            hit = violated(i, before, after, None)
+                            violations = violations + 1 if hit else 0
+                        violations, block = violations + 1, 1
                         if violations >= GUARD_VIOLATION_LIMIT:
                             raise DivergenceError(
                                 f"terms violated the declared decay near index {n}"
                             )
-                    else:
-                        violations = 0
+                    kept = [t]
             if slope:
                 # reach(n) rises along the floor's line (module docstring).
                 x = const + n * slope
@@ -1096,8 +1171,8 @@ def sum_series(
                 if rho is None:
                     rho = ratio_at(n)
                 if rho < 1:
-                    if m is None:
-                        m = int(size.scaleb(16 - e))
+                    # m <= |t| * 10**(16 - e) < m + 1, m >= 10**16 unless t = 0.
+                    m = int(t.copy_abs().scaleb(16 - e))
                     tail = m * rho / (1 - rho) * _TAIL_UP
                     if _below(tail, limit, target_e - e):
                         return SeriesValue(
@@ -1106,13 +1181,13 @@ def sum_series(
                             tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
                             method_tag=method_tag,
                         )
-            if prec > fewest and latched and t:
+            if e < gate and t:
                 # Every later |T| < 10**(e+1): d = P - (e+1) - r digits of
                 # them lie below the floor's share.
-                lower = max(fewest, wd + e + 1 + reserve - peak.adjusted())
-                if lower < prec and (wd <= _MUL_CLIFF or 2 * lower <= wd):
+                lower = max(fewest, e + cut - peak.adjusted())
+                if wd <= _MUL_CLIFF or 2 * lower <= wd:
                     prec = lower
-            previous_size, previous_e, previous_m, previous_rho = size, e, m, rho
+                    gate = prec - cut + peak.adjusted() if prec > fewest else _NEVER
             n += 1
             if terms_used > hard_cap:
                 raise DivergenceError(

@@ -193,10 +193,11 @@ def _exact_root(seq: HoradamSequence, ctx: RealContext) -> BigReal | None:
 def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
     """Direct reciprocal sum ``sum_{n>=1} 1/f_n`` (linear convergence).
 
-    The terms are exact big-integer reciprocals.  Their majorant is that of
-    ``1/f_n = (alpha-beta) alpha^(-n) / (1 - r^n)`` with ``r = beta/alpha``:
-    ``(1/alpha) * (1 + |r|^n)/(1 - |r|^(n+1))`` bounds ``|f_n/f_{n+1}|`` at
-    every later index.  No ``f_n`` with ``n >= 1`` is 0
+    The terms are the reciprocals of the exact ints ``f_n``, which the term
+    advances by the recurrence from ``(f_0, f_1)``, one index per call.
+    Their majorant is that of ``1/f_n = (alpha-beta) alpha^(-n) / (1 -
+    r^n)`` with ``r = beta/alpha``: ``(1/alpha) * (1 + |r|^n)/(1 -
+    |r|^(n+1))`` bounds ``|f_n/f_{n+1}|`` at every later index.  No ``f_n`` with ``n >= 1`` is 0
     (:class:`HoradamSequence`).
     """
     alpha, beta = seq.roots(ctx)
@@ -209,8 +210,15 @@ def recip_sum_naive(seq: HoradamSequence, ctx: RealContext) -> SeriesValue:
             first=1,
         )
 
+    # (f_{n-1}, f_n) at the next call, advanced by the recurrence itself.
+    previous, current = 0, 1
+    m1, m2 = seq.m1, seq.m2
+
     def term(n: int) -> BigReal:
-        return 1 / Decimal(horadam_term(seq, n))
+        nonlocal previous, current
+        value = 1 / Decimal(current)
+        previous, current = current, m1 * current + m2 * previous
+        return value
 
     return closed_form.sum(ctx, "naive", term=lambda _: term)
 

@@ -1,4 +1,4 @@
-"""Frozen reference values for the test suite.
+"""Frozen reference values and reference computations for the test suite.
 
 Every literal below was computed by an independent straight-line summation
 (plain ``decimal`` arithmetic at 240 working digits, no package code) and is
@@ -6,12 +6,38 @@ trusted to at least 60 significant digits.  Cross-checks baked into the
 set: the reciprocal sum of the (3, -2) recurrence equals the Lambert series
 at 1/2 digit-for-digit (both are sums of 1/(2**n - 1)), and the even plus
 odd Fibonacci splits reproduce PSI to the last digit.
+
+:func:`sum_series_per_index` is the summation loop that runs every test of
+the engine at every index, the reference for :func:`qlambert.qcore.sum_series`.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import floor, inf, ldexp, log10
+
+from qlambert.errors import DivergenceError
+from qlambert.qcore import (
+    _FLOOR_LOG2_MIN,
+    _LOG2_10,
+    _LOG2_ZERO,
+    _LOW_CAP,
+    _MUL_CLIFF,
+    _NOT_YET,
+    _SHRINK_DOWN,
+    _TAIL_UP,
+    _TARGET_DOWN,
+    GUARD_BURN_IN,
+    GUARD_VIOLATION_LIMIT,
+    MIN_TERMS,
+    TAPER_FROM,
+    TAPER_MIN_PREC,
+    SeriesValue,
+    _below,
+    _pow2_floor,
+    _term_cap,
+)
 
 #: Reciprocal Fibonacci constant, sum of 1/F_n for n >= 1.
 PSI = Decimal("3.3598856662431775531720113029189271796889051337319684864955538")
@@ -163,3 +189,93 @@ def fib_even_alt_unscaled(digits: int) -> Decimal:
                 return +total
             total += summand
             n += 1
+
+
+def sum_series_per_index(gen, start_index, ctx, method_tag="series", eps=None) -> SeriesValue:
+    """:func:`qlambert.qcore.sum_series` as a loop that runs the decay guard
+    at every index past the burn-in and the taper rule at every index: each
+    summand, stop, bound, precision and guard decision of the engine is
+    this loop's."""
+    target = (ctx.epsilon if eps is None else eps) / 2
+    wd = ctx.working_digits
+    hard_cap = _term_cap(wd)
+    fewest = TAPER_MIN_PREC if wd > TAPER_FROM else wd
+    prec, reserve = wd, 2 * len(str(hard_cap)) - 1
+    latched = fewest == wd
+    term, ratio_at = gen.term, gen.decay.ratio_at
+    const, slope = getattr(gen.decay, "log2_floor", (_LOG2_ZERO, 0.0))
+    lowest = 0.0 if slope else min(_pow2_floor(const), _NOT_YET)
+    low = min(lowest, _LOW_CAP)
+    with localcontext(ctx.dec) as local:
+        target_e = target.adjusted()
+        limit = int(target.scaleb(16 - target_e)) * _TARGET_DOWN
+        reach = target_e + 2 - log10(low / (1 - low)) if low else inf
+        shrink = Decimal(ldexp(floor(ldexp(2 * lowest * _SHRINK_DOWN, 20)), -20))
+        unit = shrink >= 1
+        total = peak = Decimal(0)
+        terms_used = 0
+        violations = 0
+        previous_size = previous_m = previous_rho = None
+        previous_e = 0
+        n = start_index
+        while True:
+            if prec < wd:
+                local.prec = prec
+                t = term(n)
+                local.prec = wd
+            else:
+                t = term(n)
+            total += t
+            partial = total.copy_abs()
+            if partial > peak:
+                peak = partial
+            terms_used += 1
+            rho = None if latched else ratio_at(n)
+            latched = latched or rho < 1
+            e, m, size = t.adjusted(), None, t.copy_abs()
+            if terms_used > GUARD_BURN_IN:
+                if (unit and size <= previous_size) or (
+                    shrink and size <= shrink * previous_size
+                ):
+                    violations = 0
+                else:
+                    if previous_m is None:
+                        previous_m = int(previous_size.scaleb(16 - previous_e))
+                    m, k = int(size.scaleb(16 - e)), e - previous_e
+                    if previous_rho is None:
+                        floor_prev = min(_pow2_floor(const + (n - 1) * slope), _NOT_YET)
+                        if _below(2 * floor_prev * previous_m, m, k):
+                            previous_rho = ratio_at(n - 1)
+                    if previous_rho is not None and _below(2 * previous_rho * previous_m, m, k):
+                        violations += 1
+                        if violations >= GUARD_VIOLATION_LIMIT:
+                            raise DivergenceError(
+                                f"terms violated the declared decay near index {n}"
+                            )
+                    else:
+                        violations = 0
+            if slope:
+                x = const + n * slope
+                reach = target_e + 2 - x / _LOG2_10 if x > _FLOOR_LOG2_MIN else inf
+            if terms_used >= MIN_TERMS and (e <= reach or not t):
+                if rho is None:
+                    rho = ratio_at(n)
+                if rho < 1:
+                    if m is None:
+                        m = int(size.scaleb(16 - e))
+                    tail = m * rho / (1 - rho) * _TAIL_UP
+                    if _below(tail, limit, target_e - e):
+                        return SeriesValue(
+                            value=total,
+                            terms_used=terms_used,
+                            tail_bound=Decimal(tail).scaleb(e - 16) + ctx.tail_floor(peak),
+                            method_tag=method_tag,
+                        )
+            if prec > fewest and latched and t:
+                lower = max(fewest, wd + e + 1 + reserve - peak.adjusted())
+                if lower < prec and (wd <= _MUL_CLIFF or 2 * lower <= wd):
+                    prec = lower
+            previous_size, previous_e, previous_m, previous_rho = size, e, m, rho
+            n += 1
+            if terms_used > hard_cap:
+                raise DivergenceError(f"series failed to certify within {hard_cap} terms")

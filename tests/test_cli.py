@@ -74,6 +74,31 @@ class TestEval:
             for b, b_bound in results:
                 assert abs(a - b) <= a_bound + b_bound + unit
 
+    @pytest.mark.parametrize(
+        "series, flags",
+        [
+            ("lambert", (("--q", "-115/191"),)),
+            ("lambert", (("--q", "-0.6"),)),
+            ("glambert", (("--x", "-3/7"), ("--q", "1/2"))),
+            ("qxt", (("--x", "0.3"), ("--t", "-2/7"), ("--q", "-0.1"))),
+        ],
+    )
+    def test_a_negative_value_may_be_its_own_argument(self, capsys, series, flags) -> None:
+        """``--q -115/191`` prints what ``--q=-115/191`` prints."""
+        apart = [arg for flag in flags for arg in flag]
+        joined = [f"{flag}={value}" for flag, value in flags]
+        results = [
+            run_cli(capsys, "eval", series, *argv, "--method", "naive", "--digits", "20")
+            for argv in (apart, joined)
+        ]
+        assert results[0] == results[1] and results[0][0] == 0 and results[0][1]
+
+    def test_a_missing_value_is_still_an_argparse_error(self, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "lambert", "--q", "--digits", "20"])
+        assert exc.value.code == 2
+        assert "argument --q: expected one argument" in capsys.readouterr().err
+
     def test_bilateral_methods_agree_to_the_printed_digit(self, capsys) -> None:
         outputs = set()
         for method in ("direct", "theta", "form1", "form2"):
@@ -357,6 +382,12 @@ class TestBench:
             expected = {"x": str(Decimal(-115) / 191), "q": str(Decimal(70) / 139)}
         assert payload["parameters"] == expected
         assert len(expected["x"]) == 328
+
+    def test_bench_takes_a_negative_value_as_its_own_argument(self, capsys) -> None:
+        argv = ["bench", "--series", "glambert", "--q", "0.5", "--digits", "20"]
+        code, out, _ = run_cli(capsys, *argv, "--x", "-3/7")
+        assert code == 0
+        assert json.loads(out)["parameters"]["x"].startswith("-0.428571")
 
     def test_bench_requires_its_series_parameters(self, capsys) -> None:
         code, _, err = run_cli(capsys, "bench", "--series", "glambert", "--q", "0.5")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +46,42 @@ def test_equal_outcomes_give_equal_digests_and_any_difference_another() -> None:
     assert output_digest.digest(echo, [("a", "b"), ("c",)]) == base
     assert output_digest.digest(echo, [("a",), ("b", "c")]) != base
     assert output_digest.digest(echo_to_stderr, [("a", "b"), ("c",)]) != base
+
+
+def test_differences_name_every_unequal_or_missing_digest() -> None:
+    ours = {("a", 1): "x", ("a", 2): "y", ("b", 1): "z"}
+    theirs = {("a", 1): "x", ("a", 2): "w", ("c", 1): "v"}
+    assert output_digest.differences(ours, dict(ours)) == []
+    assert sorted(output_digest.differences(ours, theirs)) == [("a", 2), ("b", 1), ("c", 1)]
+    assert output_digest.parse("naive-300 seed 3 abc\nverify-50 seed 1 def\n") == {
+        ("naive-300", 3): "abc",
+        ("verify-50", 1): "def",
+    }
+
+
+def _checkout(root: Path, digits: int) -> Path:
+    """A checkout with this package and one workload of one lambert command."""
+    shutil.copytree(TOOL.parent.parent / "src" / "qlambert", root / "src" / "qlambert")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(
+        "from types import SimpleNamespace\n"
+        "WORKLOADS = ('tiny',)\n"
+        "def build(name, seed):\n"
+        f"    digits = {digits} + seed if seed == 2 else 20\n"
+        "    return [SimpleNamespace(argv=('eval', 'lambert', '--q', '1/3', '--digits', str(digits)))]\n"
+    )
+    return root
+
+
+def test_compare_exits_one_and_names_each_workload_and_seed_that_differs(tmp_path) -> None:
+    """The two checkouts print the same bytes at seed 1 and differ at seed 2."""
+    ours, theirs = _checkout(tmp_path / "ours", 20), _checkout(tmp_path / "theirs", 21)
+    command = [sys.executable, str(TOOL), "--root", str(ours), "1", "2"]
+    same = subprocess.run(command + ["--compare", str(ours)], capture_output=True, text=True)
+    assert same.returncode == 0 and "differs" not in same.stdout
+    assert same.stdout.splitlines()[0].startswith("tiny seed 1 ")
+    other = subprocess.run(command + ["--compare", str(theirs)], capture_output=True, text=True)
+    assert other.returncode == 1
+    assert [line for line in other.stdout.splitlines() if "differs" in line] == [
+        "differs: tiny seed 2"
+    ]

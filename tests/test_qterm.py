@@ -20,7 +20,10 @@ product; look-alikes whose ``c1`` is only a rounded product keep the
 product), also when the precision drops mid-sum and also in the kernel
 that an exact sum hands over to; and a sum that reads the majorant lazily,
 by its floor, returns what one that reads it at every index returns, with a
-theta weight too.
+theta weight too.  The engine, which runs its decay guard over blocks of
+indices and its taper on an integer gate, stops or raises where a loop that
+runs both at every index does, on random descriptions and on hand-written
+streams of violations, with every term call at the same precision.
 With exact rational parameters the kernel's summands agree with those of
 the same description in ``Decimal`` at 30 more digits, within the kernel's
 rounding count, and its running values become ``Decimal`` values at the index
@@ -34,7 +37,7 @@ import hashlib
 import math
 import time
 from dataclasses import replace
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -74,9 +77,11 @@ from qlambert.lambert import (
     _qxt_naive,
     _qxt_theta,
 )
+from _oracles import sum_series_per_index
 from qlambert.exact import _pair_limit
 from qlambert.qcore import (
     GUARD_BURN_IN,
+    GUARD_VIOLATION_LIMIT,
     TAPER_FROM,
     _kernel,
     _log2_bounds,
@@ -853,6 +858,25 @@ def shaped_series(draw, rational: bool = False, lookalike: bool = False) -> tupl
     return build, (draw(real()),)
 
 
+@st.composite
+def geometric_series(draw, rational: bool = False) -> tuple:
+    """A random description in the shape of the naive geometric routes: one
+    evaluated denominator ``c0 - c1*q**(s*n + k)``, no numerator, no theta
+    weight and no Pochhammer factor, with ``z != 1``."""
+    real = rational_unit if rational else unit
+    number = Fraction if rational else Decimal
+    c1, s, k = draw(real()), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    # |c0| >= 1 > |c1| keeps the denominator away from zero.
+    c0 = number(draw(st.sampled_from([1, -1, 2, -2])))
+    start, z, first = draw(real()), draw(real(0.95)), draw(st.integers(0, 2))
+
+    def build(q: Decimal) -> QTerm:
+        factors = (Factor(c1, s=s, k=k, power=-1, c0=c0),)
+        return QTerm(q, start=start, z=z, factors=factors, first=first)
+
+    return build, (draw(real()),)
+
+
 #: Working precisions at 50 digits, and at 300 digits dropping twice mid-sum.
 KERNEL_PRECISIONS = [
     [make_context(50).working_digits] * 120,
@@ -867,6 +891,7 @@ KERNEL_PRECISIONS = [
         random_series(shared=True),
         shaped_series(),
         shaped_series(lookalike=True),
+        geometric_series(),
     ),
     st.sampled_from(KERNEL_PRECISIONS),
 )
@@ -891,6 +916,7 @@ def test_term_kernel_matches_a_running_product_bit_for_bit(series, precisions) -
         random_series(shared=True, rational=True),
         shaped_series(rational=True),
         shaped_series(rational=True, lookalike=True),
+        geometric_series(rational=True),
     ),
     st.sampled_from(KERNEL_PRECISIONS),
 )
@@ -909,6 +935,22 @@ def test_handed_over_exact_kernel_matches_a_running_product_bit_for_bit(
         with localcontext(Context(prec=prec)):
             got = term(n)
         assert got.as_tuple() == want.as_tuple(), (n, prec, got, want)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(geometric_series(), geometric_series(rational=True))
+def test_the_naive_geometric_shape_gets_its_own_form(series, exact_series) -> None:
+    """The ``Decimal`` kernel and the one that an exact sum hands over to
+    take the geometric form for that shape, and the product form once the
+    shape gains a numerator or, with ``Decimal`` parameters, has ``z = 1``."""
+    (build, (q,)), (exact_build, (exact_q,)) = series, exact_series
+    description, exact = build(q), exact_build(exact_q)
+    with localcontext(Context(prec=60)):
+        assert _kernel(description).__name__ == "geometric"
+        assert _kernel(exact, Decimal(1)).__name__ == "geometric"
+        assert _kernel(replace(description, z=Decimal(1))).__name__ == "term"
+        wider = replace(description, factors=description.factors + (Factor(q),))
+        assert _kernel(wider).__name__ == "term"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -939,6 +981,173 @@ def test_a_lookalike_of_a_cheaper_form_takes_the_product_path(series, precisions
         cheaper = ("ratio", top.c0 - factors[dens[0]].c0, dens[0])
     other = _reference_terms(description, precisions, form=cheaper)
     assert got != [value.as_tuple() for value in other]
+
+
+# ---------------------------------------------------------------------------
+# The engine against its per-index reference loop (tests/_oracles.py).
+
+
+def _engine_outcome(engine, term, decay, first: int, ctx) -> tuple:
+    """What ``engine`` returns for ``term`` under ``decay`` at ``ctx``, bit for
+    bit, or the message it raises, with the index and the precision of every
+    call of ``term``."""
+    calls = []
+
+    def traced(n: int) -> Decimal:
+        calls.append((n, getcontext().prec))
+        return term(n)
+
+    try:
+        sv = engine(TermGenerator(traced, decay), first, ctx, "blocks")
+    except DivergenceError as exc:
+        return (str(exc),), calls
+    return (sv.value.as_tuple(), sv.terms_used, sv.tail_bound.as_tuple(), sv.method_tag), calls
+
+
+def _same_as_per_index(make_term, decay, first: int, ctx) -> tuple:
+    """The outcome of :func:`sum_series`, asserted equal to that of the
+    per-index reference loop; each takes a fresh ``make_term()``."""
+    outcome = _engine_outcome(sum_series, make_term(), decay, first, ctx)
+    reference = _engine_outcome(sum_series_per_index, make_term(), decay, first, ctx)
+    assert outcome == reference
+    return outcome
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        random_series(),
+        random_series(rational=True),
+        shaped_series(),
+        geometric_series(),
+        geometric_series(rational=True),
+    ),
+    st.sampled_from((30, 50, 250)),
+    st.booleans(),
+)
+def test_sums_match_the_per_index_loop(series, digits, weightless) -> None:
+    """The guard checked in blocks and the taper's gate change no summand,
+    precision, stop, bound or guard decision of a description's sum."""
+    build, params = series
+    description, ctx = build(*params), make_context(digits)
+    if weightless:
+        description = replace(description, theta=None)
+    with localcontext(ctx.dec):
+        decay = _Majorant(description)
+    # Keep the sample fast: at most about 4000 terms.
+    assume(decay.ratio_at(description.first + 2000) < 1 - 2.3 * digits / 4000)
+
+    def make_term():
+        with localcontext(ctx.dec):
+            return _kernel(description)
+
+    _same_as_per_index(make_term, decay, description.first, ctx)
+
+
+def _stream(rho: float, segments: list[tuple[str, int]], repeat: bool):
+    """A term factory for a hand-written summand stream under the declared
+    ratio ``rho``: from 1, each index multiplies the term before by its
+    segment's ratio, ``rho/2`` where ``"clean"``, ``-rho/2`` where
+    ``"turn"`` and ``3*rho``, a violation, where ``"violate"``; a ``"zero"``
+    index returns 0 and keeps the term before.  Past the segments the stream
+    repeats them, or falls by ``rho/2``."""
+    ratio = Decimal(repr(rho))
+    steps = {"clean": ratio / 2, "turn": -ratio / 2, "violate": 3 * ratio, "zero": None}
+    pattern = [steps[kind] for kind, length in segments for _ in range(length)]
+
+    def make_term():
+        value, i = Decimal(1), 0
+
+        def term(n: int) -> Decimal:
+            nonlocal value, i
+            past = not repeat and i >= len(pattern)
+            step = steps["clean"] if past else pattern[i % len(pattern)]
+            i += 1
+            if step is None:
+                return Decimal(0)
+            value *= step
+            return value
+
+        return term
+
+    return make_term
+
+
+def _declared(rho: float, slope: float, lazy: bool) -> SimpleNamespace:
+    """``ratio_at(n) = rho * 2**(n*slope)``, with its floor if ``lazy``."""
+
+    def ratio_at(n: int) -> float:
+        return rho * 2.0 ** (n * slope)
+
+    if not lazy:
+        return SimpleNamespace(ratio_at=ratio_at)
+    return SimpleNamespace(ratio_at=ratio_at, log2_floor=(math.log2(rho) - 2.0**-20, slope))
+
+
+@st.composite
+def streams(draw) -> tuple:
+    """A hand-written stream's segments, its declared ratio, slope and
+    laziness."""
+    kinds = st.sampled_from(["clean", "turn", "violate", "zero"])
+    lengths = st.one_of(st.integers(1, 40), st.sampled_from([31, 32, 33, 63, 64, 65]))
+    segments = draw(st.lists(st.tuples(kinds, lengths), min_size=1, max_size=8))
+    rho = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    slope = draw(st.sampled_from([0.0, 0.0, -1 / 64]))
+    return segments, rho, slope, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(streams(), st.sampled_from((30, 50, 250)))
+def test_streams_match_the_per_index_loop(stream, digits) -> None:
+    """Violations that start at any offset from a check, runs of every
+    length about the block's and the limit, and zeros: the engine stops or
+    raises at the index, with the message, after the term calls of the
+    per-index loop."""
+    segments, rho, slope, lazy = stream
+    ctx = make_context(digits)
+    _same_as_per_index(_stream(rho, segments, False), _declared(rho, slope, lazy), 0, ctx)
+
+
+@pytest.mark.parametrize(
+    "segments, raises_at",
+    [
+        # A run of the limit that starts mid-block, after a clean stretch.
+        ([("clean", 40), ("violate", 64)], 103),
+        # One short of the limit, a clean index, then the limit.
+        ([("clean", 47), ("violate", 63), ("clean", 1), ("violate", 64)], 174),
+        # A run from the first index: the burn-in's violations do not count.
+        ([("violate", 90)], GUARD_BURN_IN + GUARD_VIOLATION_LIMIT - 1),
+        # A failed check ends a run of 32, and the next one another 32.
+        ([("clean", 16), ("violate", 32), ("turn", 1), ("violate", 64)], 112),
+        # One short of the limit: the sum certifies.
+        ([("clean", 50), ("violate", 63), ("turn", 1), ("clean", 200)], None),
+    ],
+)
+@pytest.mark.parametrize("lazy", [True, False])
+def test_handwritten_streams_raise_where_the_per_index_loop_raises(
+    segments, raises_at, lazy
+) -> None:
+    ctx = make_context(30)
+    stream, decay = _stream(0.9, segments, False), _declared(0.9, 0, lazy)
+    outcome, calls = _same_as_per_index(stream, decay, 0, ctx)
+    if raises_at is None:
+        assert len(outcome) > 1
+    else:
+        assert outcome == (f"terms violated the declared decay near index {raises_at}",)
+        assert calls[-1][0] == raises_at
+
+
+@pytest.mark.parametrize("digits", [30, 250])
+def test_a_stream_that_never_certifies_runs_to_the_term_cap(digits) -> None:
+    """A declared ratio above 1 never certifies, and runs of 63 violations
+    after clean stretches never raise: both loops call every term to the
+    cap, at the same precisions."""
+    segments = [("clean", 40), ("violate", 63), ("clean", 64), ("violate", 17)]
+    ctx = make_context(digits)
+    stream, decay = _stream(1.5, segments, True), _declared(1.5, 0, True)
+    outcome, calls = _same_as_per_index(stream, decay, 0, ctx)
+    assert outcome[0].startswith("series failed to certify within")
+    assert len(calls) == int(outcome[0].split()[-2]) + 1
 
 
 # ---------------------------------------------------------------------------
