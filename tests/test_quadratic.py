@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlambert
 from qlambert import Factor, HoradamSequence, QTerm, make_context, qcore
@@ -187,6 +189,101 @@ def test_arithmetic_is_exact_in_the_field() -> None:
         assert h == 0 and g == d and one == 1
         assert type(beta + Decimal("0.5")) is Decimal
         assert -(-beta) == beta and type(-beta) is Quadratic
+
+
+#: Fields of the model test, ``(m1, m2)`` with ``delta = m1**2 + 4*m2``.
+MODEL_FIELDS = [(1, 1), (1, 3), (2, 1), (3, 2), (4, -1)]
+
+#: ``(g, h, d)`` of an element ``(g + h*beta)/d``.
+_elements = st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 12))
+
+
+def _model_times(x, y, delta: int):
+    """The product of ``a1 + b1*sqrt(delta)`` and ``a2 + b2*sqrt(delta)``."""
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + delta * b1 * b2, a1 * b2 + a2 * b1
+
+
+def _model_power(x, k: int, delta: int):
+    """``x**k``, for ``k < 0`` through ``1/(a + b*sqrt(delta)) = (a -
+    b*sqrt(delta))/(a**2 - delta*b**2)``, by repeated products."""
+    if k < 0:
+        a, b = x
+        norm = a * a - delta * b * b
+        x, k = (a / norm, -b / norm), -k
+    result = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        result = _model_times(result, x, delta)
+    return result
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(MODEL_FIELDS),
+    x=_elements,
+    y=_elements,
+    r=st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    ),
+    k=st.integers(-3, 6),
+)
+def test_field_arithmetic_matches_an_independent_model(field, x, y, r, k) -> None:
+    """``+ - * /``, ``**`` and negation, with elements, ints and ``Fraction``
+    values on either side, against ``a + b*sqrt(delta)`` over ``Fraction``
+    values, with ``beta = (m1 - sqrt(delta))/2``; each result is an element
+    ``(g + h*beta)/d`` with ``d > 0``."""
+    m1, m2 = field
+    delta = m1 * m1 + 4 * m2
+    model_beta = (Fraction(m1, 2), Fraction(-1, 2))
+
+    def model(value):
+        if type(value) is not Quadratic:
+            return Fraction(value), Fraction(0)
+        g, h, d = value.coords
+        assert d > 0
+        return Fraction(2 * g + h * m1, 2 * d), Fraction(-h, 2 * d)
+
+    def plus(u, v):
+        return u[0] + v[0], u[1] + v[1]
+
+    def minus(u):
+        return -u[0], -u[1]
+
+    with localcontext(make_context(60).dec):
+        beta = root(*field)
+        a, b = ((g + h * beta) / d for g, h, d in (x, y))
+        ma, mb, mr = model(a), model(b), model(r)
+        for element, (g, h, d) in ((ma, x), (mb, y)):
+            built = plus((Fraction(g), Fraction(0)), _model_times((h, 0), model_beta, delta))
+            assert element == (built[0] / d, built[1] / d)
+        cases = [
+            (a + b, plus(ma, mb)),
+            (a - b, plus(ma, minus(mb))),
+            (a * b, _model_times(ma, mb, delta)),
+            (a + r, plus(ma, mr)),
+            (r + a, plus(mr, ma)),
+            (a - r, plus(ma, minus(mr))),
+            (r - a, plus(mr, minus(ma))),
+            (a * r, _model_times(ma, mr, delta)),
+            (r * a, _model_times(mr, ma, delta)),
+            (-a, minus(ma)),
+        ]
+        if any(ma):
+            cases.append((a**k, _model_power(ma, k, delta)))
+            cases.append((r / a, _model_times(mr, _model_power(ma, -1, delta), delta)))
+        if any(mb):
+            cases.append((a / b, _model_times(ma, _model_power(mb, -1, delta), delta)))
+        if r:
+            cases.append((a / r, _model_times(ma, _model_power(mr, -1, delta), delta)))
+        for got, want in cases:
+            assert type(got) is Quadratic and got.field == field
+            assert model(got) == want
+        # A product whose beta cancels is an int: (2*beta - m1)**2 = delta.
+        square = (2 * beta - m1) ** 2
+        assert square.coords == (delta, 0, 1) and square == delta
+        assert quadratic.Pair(-m1, 2, field) ** 2 == delta
+        assert type(quadratic.Pair(-m1, 2, field) * quadratic.Pair(-m1, 2, field)) is int
 
 
 def test_a_field_description_never_hands_over() -> None:

@@ -85,6 +85,23 @@ class TestHoradamSequence:
         assert [fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
         assert [lucas_G(n) for n in range(1, 9)] == [1, 3, 4, 7, 11, 18, 29, 47]
 
+    @pytest.mark.parametrize(("m1", "m2"), [(1, 1), (2, 1), (1, 3), (3, -2), (5, -6)])
+    def test_terms_at_long_indices_match_binets_formula(self, m1, m2) -> None:
+        """``f_n = round((alpha**n - beta**n)/(alpha - beta))`` for ``n <= 300``,
+        at 200 digits, over 100 more than ``f_300`` has at these fields."""
+        seq = HoradamSequence(m1, m2)
+        with localcontext() as local:
+            local.prec = 200
+            root = Decimal(m1 * m1 + 4 * m2).sqrt()
+            alpha, beta = (m1 + root) / 2, (m1 - root) / 2
+            binet = [round((alpha**n - beta**n) / root) for n in range(301)]
+        assert [horadam_term(seq, n) for n in range(301)] == binet
+        if (m1, m2) == (1, 1):
+            assert [fibonacci(n) for n in range(301)] == binet
+            assert [lucas_G(n) for n in range(1, 301)] == [
+                2 * binet[n - 1] + binet[n] for n in range(1, 301)
+            ]
+
 
 class TestReciprocalSums:
     @pytest.mark.parametrize(("m1", "m2"), sorted(RECIP_ORACLES))
