@@ -182,15 +182,12 @@ def _parse_series_params(
     return values
 
 
-def _resolve_digits(requested: int) -> tuple[RealContext, int]:
-    """Context for ``requested`` digits; short requests compute at the floor.
-
-    Returns the context plus the digit count to use when formatting output.
-    """
+def _resolve_digits(requested: int) -> RealContext:
+    """Context for ``requested`` digits; short requests compute at the floor,
+    and the output is formatted to ``requested`` digits."""
     if requested < 1:
         raise DomainError(f"--digits must be positive, got {requested}")
-    ctx = make_context(max(requested, MIN_TARGET_DIGITS))
-    return ctx, requested
+    return make_context(max(requested, MIN_TARGET_DIGITS))
 
 
 def _evaluate_series(
@@ -236,16 +233,16 @@ def _emit(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ctx, out_digits = _resolve_digits(args.digits)
+    ctx = _resolve_digits(args.digits)
     params = _parse_series_params(args, args.series, ctx)
     sv = _evaluate_series(args.series, args.method, params, ctx)
-    return _emit(args, sv, ctx, out_digits, series=args.series, method=sv.method_tag)
+    return _emit(args, sv, ctx, args.digits, series=args.series, method=sv.method_tag)
 
 
 def cmd_recip_sum(args: argparse.Namespace) -> int:
     from .recurrences import HoradamSequence
 
-    ctx, out_digits = _resolve_digits(args.digits)
+    ctx = _resolve_digits(args.digits)
     seq = HoradamSequence(args.m1, args.m2)
     fibonacci_only, evaluate = _recip_table()[args.method]
     if fibonacci_only and (args.m1, args.m2) != (1, 1):
@@ -255,7 +252,7 @@ def cmd_recip_sum(args: argparse.Namespace) -> int:
         )
     sv = evaluate(seq, ctx)
     return _emit(
-        args, sv, ctx, out_digits, m1=args.m1, m2=args.m2, method=args.method
+        args, sv, ctx, args.digits, m1=args.m1, m2=args.m2, method=args.method
     )
 
 
@@ -281,7 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         registry,
     )
 
-    ctx, _ = _resolve_digits(args.digits)
+    ctx = _resolve_digits(args.digits)
     reports: list[IdentityReport] = []
     if args.all:
         for entry in registry():
@@ -297,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    ctx, out_digits = _resolve_digits(args.digits)
+    ctx = _resolve_digits(args.digits)
     params = _parse_series_params(args, args.series, ctx)
     records = []
     results: list[SeriesValue] = []
@@ -312,7 +309,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "method_tag": sv.method_tag,
                 "terms_used": sv.terms_used,
                 "elapsed_nanoseconds": elapsed,
-                "value": format_real(sv.value, ctx, out_digits),
+                "value": format_real(sv.value, ctx, args.digits),
                 "tail_bound": _tail_text(sv.tail_bound),
             }
         )
@@ -348,6 +345,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags of ``eval`` and ``bench`` that take a real number, which may be
+#: negative, and their help.
+_REAL_FLAGS = {
+    "--q": "base q (decimal or rational like 1/2)",
+    "--x": "parameter x",
+    "--t": "parameter t",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full command grammar, a new parser per call.
 
@@ -366,16 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--report", action="store_true", help="emit machine-readable JSON"
     )
+    reals = argparse.ArgumentParser(add_help=False)
+    for flag, text in _REAL_FLAGS.items():
+        reals.add_argument(flag, help=text)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subparsers.add_parser(
-        "eval", parents=[common], help="evaluate one series"
+        "eval", parents=[common, reals], help="evaluate one series"
     )
     table = _series_table()
     p_eval.add_argument("series", choices=sorted(table))
-    p_eval.add_argument("--q", help="base q (decimal or rational like 1/2)")
-    p_eval.add_argument("--x", help="parameter x")
-    p_eval.add_argument("--t", help="parameter t")
     p_eval.add_argument("--method", help="evaluation method (default theta)")
 
     p_recip = subparsers.add_parser(
@@ -402,24 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = subparsers.add_parser(
-        "bench", parents=[digits], help="compare naive and theta convergence"
+        "bench", parents=[digits, reals], help="compare naive and theta convergence"
     )
     # bench compares the series that have both a naive and a theta method.
     both = {"naive", "theta"}
     bench_series = [name for name, spec in table.items() if both <= spec.methods.keys()]
     p_bench.add_argument("--series", choices=bench_series, required=True)
-    p_bench.add_argument("--q", help="base q (decimal or rational like 1/2)")
-    p_bench.add_argument("--x", help="parameter x")
-    p_bench.add_argument("--t", help="parameter t")
 
     return parser
 
 
 #: The parser of :func:`main`, built on its first call.
 _PARSER: argparse.ArgumentParser | None = None
-
-#: The flags that take a real number, which may be negative.
-_REAL_FLAGS = ("--q", "--x", "--t")
 
 
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:

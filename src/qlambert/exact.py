@@ -8,16 +8,19 @@ hands a description with a ``Fraction`` or a ``Quadratic`` ``q`` to
 :func:`_exact_kernel`.  Its running coefficient ``C_n`` is a ``Decimal``;
 every other value is exact, a numerator ``g + h*beta`` over an int
 denominator: an int where ``h = 0``, as for every rational, and otherwise a
-:class:`~qlambert.quadratic.Pair`.  With ``q = p/r``, each running power
-``q**e``, ``e = s*i + k``, is the pair ``(p**e, r**e)``, advanced by
-``p**s`` and ``r**s``, and with ``c0 = a0/b0`` and ``c1 = a1/b1`` a
-difference ``c0 - c1*q**e`` is ``(a*r**e - b*p**e) / (c*r**e)``, ``a =
-a0*b1``, ``b = b0*a1``, ``c = b0*b1``.  At index ``n`` the summand's
-multiplier ``S_n``, the product of the evaluated factors, and the step's
-``R_n``, ``z``, the weight ratio and the Pochhammer factors, are each one
-numerator over one int: the powers of ``r`` cancel down to one net power,
-and a product of denominators with ``h != 0`` is inverted through its norm,
-``1/(g + h*beta) = ((g + m1*h) - h*beta)/N``.  ``T_n = C_n*S_n`` and
+:class:`~qlambert.quadratic.Pair`.  That is the one form of an element of
+``Q(beta)``, and :func:`_split` reads every parameter in it, a rational
+through its ``as_integer_ratio()`` and an element through its numerator and
+denominator, so that a rational sum never imports :mod:`qlambert.quadratic`.
+With ``q = p/r``, each running power ``q**e``, ``e = s*i + k``, is the pair
+``(p**e, r**e)``, advanced by ``p**s`` and ``r**s``, and with ``c0 = a0/b0``
+and ``c1 = a1/b1`` a difference ``c0 - c1*q**e`` is ``(a*r**e - b*p**e) /
+(c*r**e)``, ``a = a0*b1``, ``b = b0*a1``, ``c = b0*b1``.  At index ``n`` the
+summand's multiplier ``S_n``, the product of the evaluated factors, and the
+step's ``R_n``, ``z``, the weight ratio and the Pochhammer factors, are each
+one numerator over one int: the powers of ``r`` cancel down to one net
+power, and a product of denominators with ``h != 0`` is inverted through its
+norm, ``1/(g + h*beta) = ((g + m1*h) - h*beta)/N``.  ``T_n = C_n*S_n`` and
 ``C_{n+1} = C_n*R_n`` are then each one combination: with ``h = 0`` a
 product and a quotient by ints, two roundings; otherwise ``(g*C_n +
 h*E)/N``, seven roundings, from the index's one full-length product ``E =
@@ -51,10 +54,13 @@ from dataclasses import replace
 from decimal import getcontext
 from fractions import Fraction
 from math import log2
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .numerics import BigReal, Real
+from .numerics import BigReal, Real, is_quadratic
 from .qcore import QTerm, _kernel, _rounded
+
+if TYPE_CHECKING:
+    from .quadratic import Pair
 
 #: An exact running power stays a pair of ints while its denominator has at
 #: most this share of the current precision's bits (module docstring).
@@ -68,9 +74,12 @@ def _pair_limit(prec: int) -> int:
     return int(prec * _PAIR_SHARE * _LOG2_10)
 
 
-def _split(x: Real, field: None) -> tuple[int, int]:
-    """A rational ``x`` as its numerator and denominator."""
-    return Fraction(x).as_integer_ratio()
+def _split(x: Real) -> tuple[int | Pair, int]:
+    """``x``, a rational or an element of ``Q(beta)``, as a numerator over a
+    positive int: a rational's ``as_integer_ratio()``, an element's
+    ``numerator``, an int or a :class:`~qlambert.quadratic.Pair`, and
+    ``denominator``."""
+    return (x.numerator, x.denominator) if is_quadratic(x) else x.as_integer_ratio()
 
 
 def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
@@ -81,16 +90,15 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
     """
     field = None if type(d.q) is Fraction else d.q.field
     if field is None:
-        split, coeff = _split, _rounded(d.start)
+        coeff = _rounded(d.start)
     else:
         # Imported on first use: only the Horadam reciprocal sums need it.
-        from .quadratic import _beta, _context, _coords, _lost_digits, _value
-        from .quadratic import _split as split
+        from .quadratic import _beta, _context, _lost_digits, _value
 
-        coeff = _value(field, _coords(d.start), getcontext())
-    p, r = split(d.q, field)
+        coeff = _value(*_split(d.start), getcontext())
+    p, r = _split(d.q)
     keys: dict[tuple[int, int], int] = {}
-    factors = [(split(f.c0, field), split(f.c1, field), f) for f in d.factors]
+    factors = [(_split(f.c0), _split(f.c1), f) for f in d.factors]
 
     def ratio_parts(pochhammer: bool, numerator, denominator: int):
         # The ratio of the factors of one kind: (a, b, key, up) for each, and
@@ -108,7 +116,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         return parts, numerator, denominator
 
     value_ratio = ratio_parts(False, 1, 1)
-    coeff_ratio = ratio_parts(True, *split(d.z, field))
+    coeff_ratio = ratio_parts(True, *_split(d.z))
     w_key = None if d.theta is None else keys.setdefault(d.theta, len(keys))
     exponents = [s * d.first + k for s, k in keys]
     powers = [[p**e, r**e] for e in exponents]
@@ -151,7 +159,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
             # One full-length product E = C*beta, at the digits that the
             # numerators g + h*beta with h != 0 lose (module docstring).
             pairs = [t for t in (value, step) if type(t) is tuple]
-            digits = getcontext().prec + max(_lost_digits(t.g, t.h, field) for t, _ in pairs)
+            digits = getcontext().prec + max(_lost_digits(t) for t, _ in pairs)
             wide = _context(digits)
             e = wide.multiply(coeff, _beta(field, digits))
             products = []

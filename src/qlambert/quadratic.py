@@ -5,17 +5,19 @@ series at parameters in ``Q(beta)``, where ``beta = (m1 - sqrt(delta))/2`` is
 the smaller root of ``z**2 = m1*z + m2`` and ``delta = m1**2 + 4*m2`` is
 positive and not a square: ``x = 1/alpha = -beta/m2`` and ``q = beta/alpha =
 -beta**2/m2`` on the fast route, ``beta``, ``beta**2`` and ``beta**4`` on the
-Fibonacci splits.  A :class:`Quadratic` is the element ``(g + h*beta)/d``
-with ints ``g``, ``h`` and ``d > 0``.  Its arithmetic with ints, ``Fraction``
-values and elements of its field is exact.  As ``beta**2 = m1*beta + m2``,
-the powers of ``beta`` have the Horadam numbers as coordinates, ``beta**K =
-f_K*beta + m2*f_{K-1}``, and the norm ``N = g**2 + m1*g*h - m2*h**2 = (g +
-h*beta)*(g + h*alpha)`` inverts: ``1/(g + h*beta) = ((g + m1*h) - h*beta)/N``.
-The exact kernel (:mod:`qlambert.exact`) carries numerators ``g + h*beta``
-as a :class:`Pair`.  As a ``Decimal`` an element is its value rounded to
-the precision current when it was made, and that is all that the majorant,
-the peak bound and the pole scans read of it, as they read a ``Fraction``'s
-value.
+Fibonacci splits.  An element has one form, a numerator ``g + h*beta``
+over an int ``d > 0``, with ints ``g`` and ``h``: the numerator is the int
+``g`` where ``h = 0`` and otherwise a :class:`Pair`, which holds the
+field's arithmetic.  A :class:`Quadratic` is such an element, and the exact
+kernel (:mod:`qlambert.exact`) carries its values in the same form.
+Arithmetic with ints, ``Fraction`` values and elements of the field is
+exact.  As ``beta**2 = m1*beta + m2``, the powers of ``beta`` have the
+Horadam numbers as coordinates, ``beta**K = f_K*beta + m2*f_{K-1}``, and the
+norm ``N = g**2 + m1*g*h - m2*h**2 = (g + h*beta)*(g + h*alpha)`` inverts:
+``1/(g + h*beta) = ((g + m1*h) - h*beta)/N``.  As a ``Decimal`` an element
+is its value rounded to the precision current when it was made, and that is
+all that the majorant, the peak bound and the pole scans read of it, as
+they read a ``Fraction``'s value.
 
 The value of ``g + h*beta`` costs digits: a tiny ``beta**K`` has coordinates
 near ``alpha**K``, which cancel.  The combination loses at most ``L =
@@ -41,14 +43,13 @@ from functools import lru_cache
 from math import ceil, floor, isqrt, log2, log10, sqrt
 from typing import Callable
 
-from .numerics import BigReal, Real, make_context
+from .numerics import BigReal, make_context
 
-#: ``(g, h, d)``: the element ``(g + h*beta)/d``, ``d > 0``.
-Coords = tuple[int, int, int]
 #: ``(m1, m2)``: the field of the roots of ``z**2 = m1*z + m2``.
 Field = tuple[int, int]
+#: ``(numerator, denominator)``: the element ``numerator/denominator``.
+Split = tuple["int | Pair", int]
 
-_ONE: Coords = (1, 0, 1)
 _LOG2_10 = log2(10)
 #: Upward margin of the float bounds on ``L``, far past their roundings.
 _MARGIN = 2.0**-30
@@ -60,86 +61,82 @@ def root(m1: int, m2: int) -> Quadratic:
     """``beta``, the smaller root of ``z**2 = m1*z + m2``, as an exact
     element of its field, for ``m1**2 + 4*m2`` positive and not a square
     (:func:`qlambert.recurrences._exact_root` decides)."""
-    return Quadratic((m1, m2), 0, 1)
+    return Quadratic((m1, m2), Pair(0, 1, (m1, m2)))
 
 
 class Quadratic(Decimal):
-    """The exact element ``(g + h*beta)/d`` of ``Q(beta)`` (module
+    """The exact element ``numerator/denominator`` of ``Q(beta)``, with an
+    int or a :class:`Pair` over an int ``denominator > 0`` (module
     docstring), which as a ``Decimal`` is its value rounded to the precision
     of ``context``, by default the current one."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "numerator", "denominator")
 
     def __new__(
-        cls, field: Field, g: int, h: int = 0, d: int = 1, context: Context | None = None
+        cls, field: Field, n: int | Pair, d: int = 1, context: Context | None = None
     ) -> Quadratic:
-        context = getcontext() if context is None else context
-        self = Decimal.__new__(cls, _value(field, (g, h, d), context))
-        self.field, self.coords = field, (g, h, d)
+        self = Decimal.__new__(cls, _value(n, d, getcontext() if context is None else context))
+        self.field, self.numerator, self.denominator = field, n, d
         return self
+
+    @property
+    def coords(self) -> tuple[int, int, int]:
+        """``(g, h, d)`` with ``self = (g + h*beta)/d``."""
+        n = self.numerator
+        return (n, 0, self.denominator) if type(n) is int else (n.g, n.h, self.denominator)
 
     def rounded(self, context: Context) -> Quadratic:
         """The same element, as a ``Decimal`` rounded to ``context``'s precision."""
-        return Quadratic(self.field, *self.coords, context)
+        return Quadratic(self.field, self.numerator, self.denominator, context)
 
     def __repr__(self) -> str:
         g, h, d = self.coords
         return f"Quadratic({self.field}, {g}, {h}, {d})"
 
-    def _exact(self, other: object) -> Coords | None:
-        """``other``'s coordinates if it is exact in this field, else None."""
-        exact = type(other) is Quadratic and other.field == self.field
-        return _coords(other) if exact or type(other) in (int, Fraction) else None
-
     def __neg__(self) -> Quadratic:
-        g, h, d = self.coords
-        return Quadratic(self.field, -g, -h, d)
+        return Quadratic(self.field, -self.numerator, self.denominator)
 
     def __pow__(self, exponent: object, modulo: object = None) -> BigReal:
         if type(exponent) is not int or modulo is not None:
             return Decimal.__pow__(self, exponent, modulo)
-        x = self.coords if exponent >= 0 else _inverse(self.coords, self.field)
-        return Quadratic(self.field, *_pow(x, abs(exponent), self.field))
-
-
-def _coords(x: Real) -> Coords:
-    """The coordinates of ``x``, a :class:`Quadratic`, an int or a ``Fraction``."""
-    if type(x) is Quadratic:
-        return x.coords
-    numerator, denominator = x.as_integer_ratio()
-    return numerator, 0, denominator
-
-
-def _split(x: Real, field: Field) -> tuple[int | Pair, int]:
-    """``x``, exact in ``field``, as a numerator ``g + h*beta`` (:func:`_pair`)
-    over an int denominator."""
-    g, h, d = _coords(x)
-    return _pair(g, h, field), d
-
-
-def _pair(g: int, h: int, field: Field) -> int | Pair:
-    """``g + h*beta``: the int ``g`` where ``h = 0``, else a :class:`Pair`."""
-    return Pair(g, h, field) if h else g
+        x = self.numerator, self.denominator
+        n, d = x if exponent >= 0 else _inverse(x)
+        return Quadratic(self.field, n ** abs(exponent), d ** abs(exponent))
 
 
 class Pair:
-    """``g + h*beta`` with ints ``g`` and ``h != 0``: a numerator of the exact
-    kernel (:mod:`qlambert.exact`).  Its products with ints and with pairs of
-    its field, and its differences from ints, are exact, and one that lies in
-    ``Z`` is an int, so that rationals never take the product of two pairs."""
+    """``g + h*beta`` with ints ``g`` and ``h != 0``: the numerator of an
+    element of ``Q(beta)``, in a :class:`Quadratic` and in the exact kernel
+    (:mod:`qlambert.exact`).  Its sums and products with ints and with pairs
+    of its field, its differences from ints, its negation, powers and norm
+    inverse are exact, and one that lies in ``Z`` is an int, so that
+    rationals never take the product of two pairs."""
 
     __slots__ = ("g", "h", "field")
 
     def __init__(self, g: int, h: int, field: Field) -> None:
         self.g, self.h, self.field = g, h, field
 
+    def __neg__(self) -> Pair:
+        return Pair(-self.g, -self.h, self.field)
+
+    def __add__(self, other: int | Pair) -> int | Pair:
+        if type(other) is int:
+            return Pair(self.g + other, self.h, self.field)
+        h = self.h + other.h
+        return Pair(self.g + other.g, h, self.field) if h else self.g + other.g
+
+    __radd__ = __add__
+
+    def __rsub__(self, other: int) -> Pair:
+        return Pair(other - self.g, -self.h, self.field)
+
     def __mul__(self, other: int | Pair) -> int | Pair:
+        """The product, with ``beta**2 = m1*beta + m2``."""
         g, h, field = self.g, self.h, self.field
         if type(other) is int:
             # Times 1 is the pair itself, and times 0 the int 0.
             return self if other == 1 else Pair(g * other, h * other, field) if other else 0
-        # The product of _mul, written out: a pair's product is the exact
-        # kernel's most frequent step in the field.
         m1, m2 = field
         hh = h * other.h
         g, h = g * other.g + m2 * hh, g * other.h + h * other.g + m1 * hh
@@ -147,91 +144,76 @@ class Pair:
 
     __rmul__ = __mul__
 
-    def __rsub__(self, other: int) -> Pair:
-        return Pair(other - self.g, -self.h, self.field)
-
     def __pow__(self, exponent: int) -> int | Pair:
-        g, h, _ = _pow((self.g, self.h, 1), exponent, self.field)
-        return _pair(g, h, self.field)
+        """``self**exponent`` for ``exponent >= 0``, by squaring."""
+        result, x = 1, self
+        while exponent:
+            if exponent & 1:
+                result = x * result
+            exponent >>= 1
+            if exponent:
+                x = x * x
+        return result
+
+    def norm(self) -> int:
+        """``(g + h*beta)*(g + h*alpha)``."""
+        m1, m2 = self.field
+        return self.g * self.g + m1 * self.g * self.h - m2 * self.h * self.h
 
     def inverse(self) -> tuple[Pair, int]:
-        """``(c, N)`` with ``1/self = c/N`` and ``N > 0`` (:func:`_inverse`)."""
-        g, h, norm = _inverse((self.g, self.h, 1), self.field)
+        """``(c, N)`` with ``1/self = c/N`` and ``N > 0``: ``c = (g + m1*h) -
+        h*beta`` over the norm, both negated where the norm is negative."""
+        g, h, norm = self.g + self.field[0] * self.h, -self.h, self.norm()
+        if norm < 0:
+            g, h, norm = -g, -h, -norm
         return Pair(g, h, self.field), norm
 
 
-def _exact_op(name: str, combine: Callable[[Coords, Coords, Field], Coords]) -> Callable:
-    """The operator ``name`` of :class:`Quadratic`: exact with an operand
-    exact in the field, ``Decimal``'s otherwise."""
+def _exact_op(name: str, combine: Callable[[Split, Split], Split]) -> Callable:
+    """The operator ``name`` of :class:`Quadratic`: exact with an int, a
+    ``Fraction`` or an element of its field, ``Decimal``'s otherwise."""
     fallback = getattr(Decimal, name)
 
     def op(self: Quadratic, other: object) -> BigReal:
-        y = self._exact(other)
-        if y is None:
+        if type(other) is Quadratic and other.field == self.field:
+            y = other.numerator, other.denominator
+        elif type(other) in (int, Fraction):
+            y = other.as_integer_ratio()
+        else:
             return fallback(self, other)
-        return Quadratic(self.field, *combine(self.coords, y, self.field))
+        return Quadratic(self.field, *combine((self.numerator, self.denominator), y))
 
     op.__name__ = name
     return op
 
 
-Quadratic.__add__ = _exact_op("__add__", lambda x, y, f: _add(x, y))
-Quadratic.__radd__ = _exact_op("__radd__", lambda x, y, f: _add(y, x))
-Quadratic.__sub__ = _exact_op("__sub__", lambda x, y, f: _add(x, _neg(y)))
-Quadratic.__rsub__ = _exact_op("__rsub__", lambda x, y, f: _add(y, _neg(x)))
-Quadratic.__mul__ = _exact_op("__mul__", lambda x, y, f: _mul(x, y, f))
-Quadratic.__rmul__ = _exact_op("__rmul__", lambda x, y, f: _mul(y, x, f))
-Quadratic.__truediv__ = _exact_op("__truediv__", lambda x, y, f: _mul(x, _inverse(y, f), f))
-Quadratic.__rtruediv__ = _exact_op("__rtruediv__", lambda x, y, f: _mul(y, _inverse(x, f), f))
+def _add(x: Split, y: Split) -> Split:
+    (n1, d1), (n2, d2) = x, y
+    return (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
 
 
-def _neg(x: Coords) -> Coords:
-    g, h, d = x
-    return -g, -h, d
+def _mul(x: Split, y: Split) -> Split:
+    return x[0] * y[0], x[1] * y[1]
 
 
-def _add(x: Coords, y: Coords) -> Coords:
-    (g1, h1, d1), (g2, h2, d2) = x, y
-    if d1 == d2:
-        return g1 + g2, h1 + h2, d1
-    return g1 * d2 + g2 * d1, h1 * d2 + h2 * d1, d1 * d2
+def _inverse(x: Split) -> Split:
+    """``1/x``, over a positive denominator: ``d*c/N`` with ``1/n = c/N``
+    (:meth:`Pair.inverse`), or ``d/n`` for an int ``n``."""
+    n, d = x
+    if type(n) is int:
+        return (d, n) if n > 0 else (-d, -n)
+    c, norm = n.inverse()
+    return c * d, norm
 
 
-def _mul(x: Coords, y: Coords, field: Field) -> Coords:
-    """``x*y``, with ``beta**2 = m1*beta + m2``."""
-    (g1, h1, d1), (g2, h2, d2), (m1, m2) = x, y, field
-    hh = h1 * h2
-    return g1 * g2 + m2 * hh, g1 * h2 + h1 * g2 + m1 * hh, d1 * d2
-
-
-def _norm(g: int, h: int, field: Field) -> int:
-    """``(g + h*beta)*(g + h*alpha)``."""
-    m1, m2 = field
-    return g * g + m1 * g * h - m2 * h * h
-
-
-def _inverse(x: Coords, field: Field) -> Coords:
-    """``1/x = d*((g + m1*h) - h*beta)/N``, with ``N`` the norm of ``g + h*beta``;
-    ``d/g`` where ``h = 0``.  The denominator is positive."""
-    g, h, d = x
-    if not h:
-        return (d, 0, g) if g > 0 else (-d, 0, -g)
-    norm = _norm(g, h, field)
-    if norm < 0:
-        d, norm = -d, -norm
-    return d * (g + field[0] * h), -d * h, norm
-
-
-def _pow(x: Coords, exponent: int, field: Field) -> Coords:
-    """``x**exponent`` for ``exponent >= 0``, by squaring."""
-    result = _ONE
-    while exponent:
-        if exponent & 1:
-            result = _mul(result, x, field)
-        exponent >>= 1
-        if exponent:
-            x = _mul(x, x, field)
-    return result
+# A sum and a product have the same coordinates in either order, and
+# Decimal's are commutative too: each operator is its own reflection.
+Quadratic.__add__ = Quadratic.__radd__ = _exact_op("__add__", _add)
+Quadratic.__sub__ = _exact_op("__sub__", lambda x, y: _add(x, (-y[0], y[1])))
+Quadratic.__rsub__ = _exact_op("__rsub__", lambda x, y: _add(y, (-x[0], x[1])))
+Quadratic.__mul__ = Quadratic.__rmul__ = _exact_op("__mul__", _mul)
+Quadratic.__truediv__ = _exact_op("__truediv__", lambda x, y: _mul(x, _inverse(y)))
+Quadratic.__rtruediv__ = _exact_op("__rtruediv__", lambda x, y: _mul(y, _inverse(x)))
 
 
 @lru_cache(maxsize=16)
@@ -243,19 +225,20 @@ def _log2_roots(field: Field) -> tuple[float, float]:
     return log2(2 * abs(m2) / top) + _MARGIN, log2(top / 2) + _MARGIN
 
 
-def _lost_digits(g: int, h: int, field: Field) -> int:
-    """An int ``L >= log10((|g| + |h|*|beta|) / |g + h*beta|)`` for ``h != 0``,
-    from ``|g + h*beta| >= |N| / (|g| + |h|*alpha)`` (module docstring).
+def _lost_digits(x: Pair) -> int:
+    """An int ``L >= log10((|g| + |h|*|beta|) / |g + h*beta|)`` for the pair
+    ``x = g + h*beta``, from ``|g + h*beta| >= |N| / (|g| + |h|*alpha)``
+    (module docstring).
 
     With ``b(x)`` the bit length of an int, ``|g| + |h|*|beta| < 2 *
     2**max(b(g), b(h) + log2|beta|)``, likewise with ``alpha``, and ``|N| >=
     2**(b(N) - 1)``; the sum of those exponents, divided by ``log2(10)``,
     moves up by :data:`_MARGIN` before it is rounded up.
     """
-    log_beta, log_alpha = _log2_roots(field)
-    bits_g, bits_h = g.bit_length(), h.bit_length()
+    log_beta, log_alpha = _log2_roots(x.field)
+    bits_g, bits_h = x.g.bit_length(), x.h.bit_length()
     bits = max(bits_g, bits_h + log_beta) + max(bits_g, bits_h + log_alpha) + 3
-    return max(0, ceil((bits - _norm(g, h, field).bit_length()) / _LOG2_10 + _MARGIN))
+    return max(0, ceil((bits - x.norm().bit_length()) / _LOG2_10 + _MARGIN))
 
 
 @lru_cache(maxsize=512)
@@ -307,13 +290,12 @@ def _nearest_beta(field: Field, digits: int) -> Decimal:
             return Decimal(nearest).scaleb(-k, _context(digits))
 
 
-def _value(field: Field, x: Coords, context: Context) -> Decimal:
-    """``x`` rounded to ``context``'s precision: formed at ``p + L`` digits
-    and divided at ``p`` (module docstring)."""
-    g, h, d = x
-    if not h:
-        return context.divide(g, d)
-    digits = context.prec + _lost_digits(g, h, field)
+def _value(numerator: int | Pair, denominator: int, context: Context) -> Decimal:
+    """``numerator/denominator`` rounded to ``context``'s precision: formed at
+    ``p + L`` digits and divided at ``p`` (module docstring)."""
+    if type(numerator) is int:
+        return context.divide(numerator, denominator)
+    digits = context.prec + _lost_digits(numerator)
     wide = _context(digits)
-    return context.divide(wide.add(g, wide.multiply(h, _beta(field, digits))), d)
-
+    beta = _beta(numerator.field, digits)
+    return context.divide(wide.add(numerator.g, wide.multiply(numerator.h, beta)), denominator)

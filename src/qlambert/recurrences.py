@@ -38,8 +38,7 @@ values, as do the roots of the naive route's majorant.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -102,12 +101,6 @@ class HoradamSequence:
 
     m1: int
     m2: int
-    _terms: list[int] = field(
-        default_factory=lambda: [0, 1], init=False, repr=False, compare=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         _require_int("m1", self.m1, 1)
@@ -135,29 +128,24 @@ class HoradamSequence:
         return alpha, beta
 
 
-def _memo_term(seq: HoradamSequence, n: int) -> int:
-    """``f_n`` from the memo of ``seq``, extended as far as ``n``."""
-    with seq._lock:
-        terms = seq._terms
-        while len(terms) <= n:
-            terms.append(seq.m1 * terms[-1] + seq.m2 * terms[-2])
-        return terms[n]
-
-
 def horadam_term(seq: HoradamSequence, n: int) -> int:
-    """Exact big-integer term ``f_n`` of the sequence (cached)."""
+    """Exact big-integer term ``f_n`` of the sequence, by the recurrence
+    from ``f_0`` and ``f_1``."""
     _require_int("term index", n, 0)
-    return _memo_term(seq, n)
+    previous, current = 0, 1
+    for _ in range(n):
+        previous, current = current, seq.m1 * current + seq.m2 * previous
+    return previous
 
 
-#: The Fibonacci sequence, whose memo every Fibonacci and Lucas number reads.
+#: The Fibonacci sequence, whose roots the Fibonacci splits read.
 _FIBONACCI = HoradamSequence(1, 1)
 
 
 def fibonacci(n: int) -> int:
-    """Exact Fibonacci number ``F_n`` (cached)."""
+    """Exact Fibonacci number ``F_n``."""
     _require_int("Fibonacci index", n, 0)
-    return _memo_term(_FIBONACCI, n)
+    return horadam_term(_FIBONACCI, n)
 
 
 def lucas_G(n: int) -> int:
@@ -286,7 +274,12 @@ def fib_recip_gosper(N: int, ctx: RealContext) -> SeriesValue:
     ``c_n`` its signed numerator, ``Q = prod b_k G'_k`` and ``B = prod b_k``
     over the terms so far, and each term is ``P <- P * b_n * G'_n + c_n *
     B``: long integers times short ones, no gcd.  The value is the same
-    rational as the reduced sum, rounded once (:func:`_quotient`).
+    rational as the reduced sum, rounded once (:func:`_quotient`).  Term
+    ``n`` reads ``F_{2n}``, ``F_{2n+1}``, ``F_{2n+2}``, ``F_{4n+2}`` and
+    ``F_{4n+3}``, which the loop advances by the recurrence, the first three
+    by two indices and the last two by four, ``F_{k+4} = 2 F_k + 3 F_{k+1}``
+    and ``F_{k+5} = 3 F_k + 5 F_{k+1}``; ``G'_n = G_{2n+1} = 2 F_{2n} +
+    F_{2n+1}``.
 
     The n-th term is at most ``5 phi^-((n+1)^2)`` in magnitude (README).
     The tail bound sums that bound over the terms left out: ``5 phi^-(M^2) /
@@ -299,16 +292,17 @@ def fib_recip_gosper(N: int, ctx: RealContext) -> SeriesValue:
     """
     _require_int("term count", N, 1)
     P, Q, B = 0, 1, 1
+    f_2n, f_2n1, f_2n2, f_4n2, f_4n3 = 0, 1, 1, 1, 2
     for n in range(N):
-        b = fibonacci(2 * n + 1) * fibonacci(2 * n + 2)
-        step = b * lucas_G(2 * n + 1)
-        numerator = fibonacci(4 * n + 3) + (
-            fibonacci(2 * n + 2) if n % 2 == 0 else -fibonacci(2 * n + 2)
-        )
+        b = f_2n1 * f_2n2
+        step = b * (2 * f_2n + f_2n1)
+        numerator = f_4n3 + (f_2n2 if n % 2 == 0 else -f_2n2)
         c = numerator if n % 4 in (0, 1) else -numerator
         P = P * step + c * B
         Q *= step
         B *= b
+        f_2n, f_2n1, f_2n2 = f_2n2, f_2n1 + f_2n2, f_2n1 + 2 * f_2n2
+        f_4n2, f_4n3 = 2 * f_4n2 + 3 * f_4n3, 3 * f_4n2 + 5 * f_4n3
     M = N + 1
     log_phi = _LOG10_PHI * (1 - _LOG_MARGIN)
     log_tail = _LOG10_5 - M * M * log_phi - math.log10(1 - 10 ** (-(2 * M + 1) * log_phi))
