@@ -40,32 +40,38 @@ from decimal import localcontext
 
 from .errors import DomainError, PoleError
 from .numerics import BigReal, Real, RealContext, _require_unit, as_decimal
-from .qcore import Factor, QTerm, SeriesValue, ipow, sum_qterm
+from .qcore import Factor, QTerm, SeriesValue, crossing, ipow, sum_qterm
 
 
 def _pole_scan(
     name: str, x: Real, q: Real, ctx: RealContext, first_index: int
 ) -> None:
-    """Reject parameters with ``|1 - x*q**n|`` below the pole tolerance.
+    """Reject parameters with ``|1 - x*q**n|`` below the pole tolerance for
+    some ``n >= first_index``.
 
-    Scans every ``n >= first_index`` with ``|x*q**n| >= 1/2``; beyond those
-    ``|1 - x*q**n| > 1/2``, far above the tolerance.  Requires ``|q| < 1``.
-    A ``Fraction`` is scanned as the ``Decimal`` that
+    From ``first_index``, ``|x*q**n|`` falls, through 1 at ``c`` =
+    :func:`~qlambert.qcore.crossing`: above 1 before ``c``, at most 1 from
+    ``c`` on.  Within the tolerance, which is below 1, ``x*q**n`` is positive,
+    as it is at every index or at every other one.  So the positive values
+    nearest to 1 are at ``c`` or ``c + 1`` and at ``c - 1`` or ``c - 2``, and
+    only those four indices, each a direct power, are tested.  Where
+    ``|x*q**first_index| < 1/2``, as at most parameters, no ``x*q**n`` comes
+    that near 1, and the one product that shows it is the only one formed.
+    Requires ``|q| < 1``.  A ``Fraction`` is tested as the ``Decimal`` that
     :func:`~qlambert.numerics.as_decimal` gives, so that the test and its
     tolerance are those of a long literal.
     """
     tol = ctx.pole_tolerance()
     x, q = as_decimal(x, ctx), as_decimal(q, ctx)
     with localcontext(ctx.dec):
-        xqn = x * ipow(q, first_index)
-        n = first_index
-        while 2 * abs(xqn) >= 1:
-            if abs(1 - xqn) <= tol:
+        if 2 * abs(x * ipow(q, first_index)) < 1:
+            return
+        c = crossing(x, q, first_index)
+        for n in range(max(first_index, c - 2), c + 2):
+            if abs(1 - x * ipow(q, n)) <= tol:
                 raise PoleError(
                     f"denominator 1 - {name}*q**{n} vanishes at working tolerance"
                 )
-            xqn *= q
-            n += 1
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,28 @@ def ipow(base: Real, exponent: int) -> Real:
         return Decimal(1)
     return Decimal(base) ** exponent
 
+
+def crossing(a: BigReal, q: BigReal, first: int = 0) -> int:
+    """The least ``n >= first`` with ``|a*q**n| <= 1``, for ``Decimal`` ``a``
+    and ``|q| < 1``, under the current context.
+
+    Past ``first`` it is the least integer ``n >= nu = ln|a| / -ln|q|``.
+    ``Decimal.ln`` is correctly rounded, so at ``P`` digits the quotient is
+    within ``e = 2 * 10**(1 - P) * nu`` of ``nu``.  While ``e < 1``, ``n`` is
+    the quotient's ceiling less one or one of the two integers above, and
+    direct powers at the first two settle which.  A larger ``e`` needs
+    ``-ln|q| <= 2 * 10**(1 - P) * ln|a|``: the result is then within
+    ``e + 2`` of ``nu``, and ``a*q**n`` there within a relative
+    ``6 * 10**(1 - P) * ln|a|`` of 1, inside the pole tolerance
+    ``10**-(P // 2)`` while ``ln|a| < 10**(P/2 - 2)``.
+    """
+    a, q = abs(a), abs(q)
+    if a * ipow(q, first) <= 1:
+        return first
+    n = max(first + 1, ceil(a.ln() / -q.ln()) - 1)
+    return n + (a * ipow(q, n) > 1) + (a * ipow(q, n + 1) > 1)
+
+
 #: Number of leading terms exempt from the decay guard.
 GUARD_BURN_IN = 16
 #: Consecutive decay violations after which the engine aborts.
@@ -1317,15 +1339,15 @@ def qpochhammer_inf(
 
     Raises:
         DomainError: unless ``|q| < 1``, past :data:`DIGIT_BUDGET` more digits
-            (``|q|`` near 1) before any term, or if the head overflows.
+            (``|q|`` near 1) before any term, if the head has more factors
+            than a sum may have terms (:func:`_term_cap`), or if it overflows.
     """
     q, a = as_decimal(q, ctx), as_decimal(a, ctx)
     _require_unit("q", q)
     with localcontext(ctx.dec):
-        b, count = +a, 0
-        while abs(b) > 1:
-            b *= q
-            count += 1
+        count = crossing(a, q)
+        if count > (cap := _term_cap(ctx.working_digits)):
+            raise DomainError(f"(a;q)_inf has {count} head factors, past the cap of {cap}")
 
     def head(work: RealContext) -> BigReal:
         try:
@@ -1337,7 +1359,7 @@ def qpochhammer_inf(
     with localcontext(ctx.dec):
         scale = abs(value)
         if eps is None:
-            low = _log2_bounds(scale)[0] + _poch_log2_bounds(b, q)[0]
+            low = _log2_bounds(scale)[0] + _poch_log2_bounds(a * ipow(q, count), q)[0]
             eps = ctx.epsilon * Decimal(2) ** floor(max(0.0, low))
         rest_eps = eps / (2 * max(_ONE, scale))
     rest = sum_qterm(_euler, (a, q, count), ctx, "euler", rest_eps)

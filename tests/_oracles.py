@@ -9,6 +9,8 @@ odd Fibonacci splits reproduce PSI to the last digit.
 
 :func:`sum_series_per_index` is the summation loop that runs every test of
 the engine at every index, the reference for :func:`qlambert.qcore.sum_series`.
+:func:`pole_scan_distances` walks ``x*q**n`` one index at a time, the
+reference for :func:`qlambert.lambert._pole_scan`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from qlambert.qcore import (
     _below,
     _pow2_floor,
     _term_cap,
+    ipow,
 )
+from qlambert.numerics import as_decimal
 
 #: Reciprocal Fibonacci constant, sum of 1/F_n for n >= 1.
 PSI = Decimal("3.3598856662431775531720113029189271796889051337319684864955538")
@@ -279,3 +283,21 @@ def sum_series_per_index(gen, start_index, ctx, method_tag="series", eps=None) -
             n += 1
             if terms_used > hard_cap:
                 raise DivergenceError(f"series failed to certify within {hard_cap} terms")
+
+
+def pole_scan_distances(x, q, ctx, first_index) -> list:
+    """``|1 - x*q**n|`` for ``n`` from ``first_index`` while ``|x*q**n| >= 1/2``,
+    up to the first within ``ctx.pole_tolerance()``: a pole.  ``x*q**n``
+    advances by one rounded product per index, so for ``|q|`` near 1 the
+    walk takes about ``ln(2|x|) / (1 - |q|)`` steps."""
+    tol = ctx.pole_tolerance()
+    x, q = as_decimal(x, ctx), as_decimal(q, ctx)
+    distances = []
+    with localcontext(ctx.dec):
+        xqn = x * ipow(q, first_index)
+        while 2 * abs(xqn) >= 1:
+            distances.append(abs(1 - xqn))
+            if distances[-1] <= tol:
+                break
+            xqn *= q
+    return distances

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from decimal import Decimal, localcontext
 
 import pytest
@@ -22,7 +24,7 @@ from qlambert import (
     series_qxt_rhs,
 )
 from qlambert.cli import main
-from qlambert.lambert import _lambert_theta
+from qlambert.lambert import _lambert_theta, _pole_scan
 
 from _oracles import (
     FINE_GENERIC,
@@ -34,6 +36,7 @@ from _oracles import (
     LAMBERT_HALF,
     LAMBERT_MINUS_HALF,
     QXT_POINT,
+    pole_scan_distances,
 )
 
 LAMBERT_ORACLES = {
@@ -205,3 +208,121 @@ class TestFineF:
     def test_unit_t_rejected(self, ctx30) -> None:
         with pytest.raises(DomainError):
             fine_F(Decimal("0.2"), Decimal("0.4"), Decimal(1), Decimal("0.5"), ctx30)
+
+
+#: 1 - 10**-23, inside the 10**-20 pole tolerance of 30 digits.
+NEAR_ONE = 1 - Decimal(1).scaleb(-23)
+
+
+def _scan_finds_pole(x, q, ctx, first: int) -> bool:
+    try:
+        _pole_scan("x", x, q, ctx, first)
+    except PoleError:
+        return True
+    return False
+
+
+def _scan_points(rng: random.Random, ctx, first: int, count: int):
+    """``count`` points ``(x, q)``, ``|q| <= 0.99``: a third drawn at random
+    with ``|x| <= 1000``, the rest with ``x*q**m`` at ``1 + e`` for an ``m``
+    from ``first`` to ``first + 40``, ``e`` up to three pole tolerances or
+    within ``10**-2`` to ``10**-5`` of one, either sign."""
+    tol = ctx.pole_tolerance()
+    with localcontext(ctx.dec):
+        for i in range(count):
+            q = +Decimal(rng.uniform(-0.99, 0.99))
+            if i % 3 == 0:
+                yield +Decimal(rng.uniform(-1000, 1000)), q
+                continue
+            if i % 3 == 1:
+                scale = Decimal(rng.uniform(0, 3))
+            else:
+                scale = 1 + rng.choice((-1, 1)) * Decimal(1).scaleb(-rng.randint(2, 5))
+            e = rng.choice((-1, 1)) * tol * scale
+            yield (1 + e) / q ** rng.randint(first, first + 40), q
+
+
+class TestPoleScan:
+    """``_pole_scan`` tests four indices around where ``|x*q**n|`` crosses 1;
+    the reference walks every index from ``first`` on."""
+
+    @pytest.mark.parametrize("digits", [10, 30, 50])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_decides_as_the_index_by_index_walk(self, digits: int, first: int) -> None:
+        ctx, count = make_context(digits), 600
+        tol = ctx.pole_tolerance()
+        edge = tol * Decimal("1e-6")
+        rng = random.Random(digits * 10 + first)
+        decided = poles = 0
+        for x, q in _scan_points(rng, ctx, first, count):
+            distances = pole_scan_distances(x, q, ctx, first)
+            # Where a distance sits at the tolerance, a direct power and the
+            # walk's rounded product may fall on either side of it.
+            if any(abs(d - tol) <= edge for d in distances):
+                continue
+            expected = any(d <= tol for d in distances)
+            assert _scan_finds_pole(x, q, ctx, first) == expected, (x, q)
+            decided += 1
+            poles += expected
+        assert decided > 0.99 * count
+        assert 0.2 * count < poles < 0.6 * count
+
+    @pytest.mark.parametrize(
+        ("x", "q", "digits", "first"),
+        [
+            (1 - Decimal(1).scaleb(-21), Decimal("0.5"), 30, 0),
+            (Decimal(2**70), Decimal("0.5"), 50, 1),
+            (1 / (Decimal("0.2") + Decimal(1).scaleb(-21)), Decimal("0.2"), 30, 1),
+            (1 - Decimal(1).scaleb(-25), Decimal("0.2"), 30, 0),
+            (-NEAR_ONE, -NEAR_ONE, 30, 0),
+            (NEAR_ONE, -NEAR_ONE, 30, 1),
+        ],
+    )
+    def test_finds_the_pole_tests_poles_as_the_walk_does(self, x, q, digits, first) -> None:
+        ctx = make_context(digits)
+        assert pole_scan_distances(x, q, ctx, first)[-1] <= ctx.pole_tolerance()
+        assert _scan_finds_pole(x, q, ctx, first)
+
+    def test_qxt_pole_one_past_the_first_index(self, capsys, ctx30) -> None:
+        # x*q**0 is near -1, x*q**1 near +1.
+        with pytest.raises(PoleError, match=r"1 - x\*q\*\*1 "):
+            series_qxt_lhs(QxtParams(-NEAR_ONE, Decimal("0.5"), -NEAR_ONE), ctx30)
+        code = main([
+            "eval", "qxt", f"--x=-{NEAR_ONE}", "--t=0.5", f"--q=-{NEAR_ONE}",
+            "--digits", "30",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "qlambert: denominator 1 - x*q**1 vanishes at working tolerance\n"
+        )
+
+    def test_glambert_pole_one_past_the_first_index(self, capsys, ctx30) -> None:
+        # x*q**1 is near -1, x*q**2 near +1.
+        for fn in (glambert_lhs, glambert_theta):
+            with pytest.raises(PoleError, match=r"1 - x\*q\*\*2 "):
+                fn(NEAR_ONE, -NEAR_ONE, ctx30)
+        code = main([
+            "eval", "glambert", f"--x={NEAR_ONE}", f"--q=-{NEAR_ONE}", "--digits", "30",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "qlambert: denominator 1 - x*q**2 vanishes at working tolerance\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "eval glambert --method naive --x=4194303/4194304 --q=33554431/33554432",
+            "eval qxt --method theta --x=-0.99999999 --t=-2/3 --q=0.9999999999999999999",
+        ],
+    )
+    def test_near_unit_q_ends_within_a_second(self, capsys, command: str) -> None:
+        """The index-by-index walk took millions of steps here, and about
+        7*10**18 for the second command."""
+        started = time.perf_counter()
+        code = main([*command.split(), "--digits", "5"])
+        elapsed = time.perf_counter() - started
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("qlambert: ") and err.count("\n") == 1
+        assert elapsed < 1

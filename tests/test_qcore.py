@@ -45,6 +45,7 @@ from qlambert.qcore import (
     _pow2_floor,
     ball,
     combine,
+    crossing,
     ipow,
     product,
 )
@@ -383,6 +384,58 @@ class TestQPochhammer:
     ) -> None:
         with pytest.raises(QlambertError):
             qpochhammer_inf(Decimal(10) ** 400, Decimal("0.99"), ctx50)
+
+    def test_infinite_product_refuses_a_head_past_the_term_cap_at_once(
+        self, ctx30
+    ) -> None:
+        # The head has 138 155 099 factors |a*q**i| > 1.
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match="138155099 head factors"):
+            qpochhammer_inf(Decimal(10) ** 6, Decimal("0.9999999"), ctx30)
+        assert time.perf_counter() - started < 1
+
+
+class TestCrossing:
+    """``crossing(a, q, first)``: the least ``n >= first`` with ``|a*q**n| <= 1``."""
+
+    @pytest.mark.parametrize(
+        ("a", "q", "first", "expected"),
+        [
+            (0, "0.5", 0, 0),
+            (5, "0", 0, 1),
+            (5, "0", 1, 1),
+            (2**70, "0.5", 0, 70),
+            (-(2**70), "-0.5", 1, 70),
+            (2**70, "0.5", 71, 71),
+            (10**6, "0.9999999", 0, 138155099),
+            (10**400, "0.99", 0, 91643),
+        ],
+    )
+    def test_known_indices(self, a, q, first, expected, ctx30) -> None:
+        with localcontext(ctx30.dec):
+            assert crossing(Decimal(a), Decimal(q), first) == expected
+
+    def test_quotient_below_the_crossing_by_over_one(self, ctx30) -> None:
+        # a*q**1000 is about 1 + 10**-40: nu is just above 1000, but its rounded
+        # logarithms give a quotient at or below 1000.
+        with localcontext(ctx30.dec):
+            a = 2**1000 * (1 + Decimal(1).scaleb(-40))
+            assert a.ln() / -Decimal("0.5").ln() <= 1000
+            assert crossing(a, Decimal("0.5")) == 1001
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6),
+        st.floats(-0.999, 0.999),
+        st.integers(0, 2),
+        st.sampled_from([10, 30, 50]),
+    )
+    def test_matches_direct_powers(self, a, q, first, digits) -> None:
+        a, q = Decimal(a), Decimal(q)
+        with localcontext(make_context(digits).dec):
+            n = crossing(a, q, first)
+            assert n >= first and abs(a * ipow(q, n)) <= 1
+            assert n == first or abs(a * ipow(q, n - 1)) > 1
 
 
 class TestTheta3:
