@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from math import floor, inf, log, log1p
 
 from .errors import DomainError
-from .numerics import BigReal, RealContext, _require_int, _require_unit, as_decimal
+from .numerics import BigReal, RealContext, _require_int, _require_unit
+from .qcore import _term_cap
 
 __all__ = [
     "LEFT",
@@ -64,8 +66,7 @@ def matK(k: int, n: int | None, q: BigReal, ctx: RealContext) -> Mat2:
     limit ``p = 0`` and ``u = q/(1-q^k)``.
     """
     _require_int("k", k, 1)
-    q = as_decimal(q, ctx)
-    _require_unit("q", q)
+    q = _require_unit("q", q, ctx)
     with localcontext(ctx.dec):
         if n is None:
             return Mat2(p=Decimal(0), u=q / (1 - q**k))
@@ -81,8 +82,7 @@ def matN(k: int | None, n: int, q: BigReal, ctx: RealContext) -> Mat2:
     ``p = q^k``, ``u = q/(1-q^(k+n))``; in the limit ``p = 0``, ``u = q``.
     """
     _require_int("n", n, 0)
-    q = as_decimal(q, ctx)
-    _require_unit("q", q)
+    q = _require_unit("q", q, ctx)
     with localcontext(ctx.dec):
         if k is None:
             return Mat2(p=Decimal(0), u=+q)
@@ -114,8 +114,7 @@ def product_upper_right(
     strictly left-to-right in the written order.
     """
     _require_int("factor_count", factor_count, 1)
-    q = as_decimal(q, ctx)
-    _require_unit("q", q)
+    q = _require_unit("q", q, ctx)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")
     if side not in (LEFT, RIGHT):
@@ -136,22 +135,41 @@ def product_upper_right(
 
 
 def product_factor_count(q: BigReal, ctx: RealContext) -> int:
-    """Factor count making both finite products epsilon-close to their limit.
+    """Factor count ``M + 8`` for both finite products, ``M`` the least
+    count with ``|q|**M < epsilon``.
 
-    The left product's running ``p``-entry is ``q^M``, which multiplies all
-    later ``u``-contributions; choosing the smallest ``M`` with
-    ``|q|^M < epsilon`` (plus a small safety pad) certifies the truncation of
-    both arrangements, the right one converging much faster still.
+    After the factor ``K(1, inf)`` the left product's ``p``-entry is 0.  So
+    its upper-right entry is the Lambert partial sum to ``M`` plus
+    ``q**(M+1)/(1-q)``, the ``q**m`` part of the tail ``sum_{m>M}
+    q**m/(1-q**m)``, and it misses the Lambert sum by ``sum_{m>M}
+    q**(2m)/(1-q**m)``, at most ``|q|**(2M+2) / ((1-|q|)(1-q**2))``.  The
+    right product is the theta partial sum to ``M`` plus ``q**((M+1)**2)``,
+    and misses by the rest of the theta tail, whose first summand is
+    ``2*q**((M+1)**2 + M + 1) / (1 - q**(M+1))``.
+
+    ``M`` is a float estimate from ``-ln|q| = -log1p(-(1-|q|))``, with
+    ``1 - |q|`` formed at working precision, so that it is not 0 where
+    ``|q|`` rounds to 1 in floats, and then settled by direct powers.
+
+    Raises:
+        DomainError: unless ``0 < |q| < 1``, or if ``M + 8`` passes the cap
+            on a sum's terms (:func:`~qlambert.qcore._term_cap`), before any
+            product is formed.
     """
-    q = as_decimal(q, ctx)
-    _require_unit("q", q)
+    q = _require_unit("q", q, ctx)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")
+    size = q.copy_abs()
+    cap = _term_cap(ctx.working_digits) - 8
+    # M is the least integer above depth / rate = ln(1/epsilon) / -ln|q|.
+    gap, depth = float(ctx.dec.subtract(1, size)), ctx.target_digits * log(10)
+    rate = -log1p(-gap) if gap < 1 else inf
+    count = cap if depth >= cap * rate else floor(depth / rate) + 1
     with localcontext(ctx.dec):
-        q_hat = abs(q)
-        count = 1
-        p_run = q_hat
-        while p_run >= ctx.epsilon:
-            p_run *= q_hat
+        while count > 1 and size ** (count - 1) < ctx.epsilon:
+            count -= 1
+        while count <= cap and size**count >= ctx.epsilon:
             count += 1
-        return count + 8
+    if count > cap:
+        raise DomainError(f"the matrix products need more than {cap + 8} factors")
+    return count + 8

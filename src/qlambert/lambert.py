@@ -88,7 +88,7 @@ class QxtParams:
 
     def validate(self, ctx: RealContext) -> None:
         for name in ("q", "x", "t"):
-            _require_unit(name, as_decimal(getattr(self, name), ctx))
+            _require_unit(name, getattr(self, name), ctx)
         _pole_scan("x", self.x, self.q, ctx, 0)
         _pole_scan("t", self.t, self.q, ctx, 0)
 
@@ -174,28 +174,31 @@ def _lambert_theta(q: BigReal) -> QTerm:
     )
 
 
-def _validate_lambert(q: Real, ctx: RealContext) -> Real:
-    checked = as_decimal(q, ctx)
-    if checked == 0 or abs(checked) >= 1:
-        raise DomainError(f"q outside (-1,1) minus 0: {checked}")
-    return q
+def _validate_lambert(q: Real, ctx: RealContext) -> tuple[Real, Real]:
+    """``(1, q)``: the Lambert series is ``L(1, q)``, whose domain and poles
+    are those of :func:`_validate_glambert` at ``x = 1``, without ``q = 0``."""
+    if as_decimal(q, ctx) == 0:
+        raise DomainError(f"q outside (-1,1) minus 0: {q}")
+    return _validate_glambert(1, q, ctx)
 
 
 def lambert_naive(q: Real, ctx: RealContext) -> SeriesValue:
     """Lambert series ``L(q) = sum_{n>=1} q^n/(1-q^n)``, linear convergence."""
-    return sum_qterm(_glambert_naive, (1, _validate_lambert(q, ctx)), ctx, "naive")
+    return sum_qterm(_glambert_naive, _validate_lambert(q, ctx), ctx, "naive")
 
 
 def lambert_theta(q: Real, ctx: RealContext) -> SeriesValue:
     """Theta-convergent Lambert series ``sum_{n>=1} (1+q^n)/(1-q^n) q^(n^2)``."""
-    return sum_qterm(_lambert_theta, (_validate_lambert(q, ctx),), ctx, "theta")
+    return sum_qterm(_lambert_theta, _validate_lambert(q, ctx)[1:], ctx, "theta")
 
 
 def _validate_glambert(x: Real, q: Real, ctx: RealContext) -> tuple[Real, Real]:
-    checked_x, checked_q = as_decimal(x, ctx), as_decimal(q, ctx)
-    _require_unit("q", checked_q)
-    if abs(checked_x * checked_q) >= 1:
-        raise DomainError(f"|x*q| must be < 1, got {abs(checked_x * checked_q)}")
+    """``(x, q)`` if ``|q| < 1``, ``|x*q| < 1`` and no ``1 - x*q**n``,
+    ``n >= 1``, is a pole (:func:`_pole_scan`)."""
+    checked_x, checked_q = as_decimal(x, ctx), _require_unit("q", q, ctx)
+    size = ctx.dec.multiply(checked_x, checked_q).copy_abs()
+    if size >= 1:
+        raise DomainError(f"|x*q| must be < 1, got {size}")
     _pole_scan("x", checked_x, checked_q, ctx, 1)
     return x, q
 
@@ -241,8 +244,7 @@ def fine_F(a: Real, b: Real, t: Real, q: Real, ctx: RealContext) -> SeriesValue:
 
     Evaluated with running Pochhammer products (one update per term).
     """
-    a, b, t, q = (as_decimal(value, ctx) for value in (a, b, t, q))
-    _require_unit("q", q)
-    _require_unit("t", t)
+    q, t = _require_unit("q", q, ctx), _require_unit("t", t, ctx)
+    a, b = as_decimal(a, ctx), as_decimal(b, ctx)
     _pole_scan("b", b, q, ctx, 1)
     return sum_qterm(_fine, (a, b, t, q), ctx, "naive")

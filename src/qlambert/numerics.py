@@ -88,10 +88,14 @@ class RealContext:
         return scale.scaleb(6 - self.working_digits, self.dec)
 
 
-def _require_unit(name: str, value: BigReal) -> None:
-    """Raise :class:`DomainError` unless ``|value| < 1``."""
-    if abs(value) >= 1:
-        raise DomainError(f"{name} outside (-1,1): {value}")
+def _require_unit(name: str, value: Real | int, ctx: RealContext) -> BigReal:
+    """``value`` as a ``Decimal`` (:func:`as_decimal`) if its magnitude is
+    below 1, else :class:`DomainError`.  The test is exact: it reads no
+    ``decimal`` context."""
+    checked = as_decimal(value, ctx)
+    if checked.copy_abs() >= 1:
+        raise DomainError(f"{name} outside (-1,1): {checked}")
+    return checked
 
 
 def _require_int(name: str, value: int, minimum: int) -> None:
@@ -114,12 +118,7 @@ def make_context(target_digits: int, guard_digits: int | None = None) -> RealCon
         DomainError: if ``target_digits`` is below ``MIN_TARGET_DIGITS``, or
             the working digits pass that range's ``-Emin``.
     """
-    if not isinstance(target_digits, int) or isinstance(target_digits, bool):
-        raise DomainError("target_digits must be an integer")
-    if target_digits < MIN_TARGET_DIGITS:
-        raise DomainError(
-            f"target_digits must be at least {MIN_TARGET_DIGITS}, got {target_digits}"
-        )
+    _require_int("target_digits", target_digits, MIN_TARGET_DIGITS)
     guard = max(10, target_digits // 20 + 10) if guard_digits is None else guard_digits
     working = target_digits + guard
     dec = decimal.Context(

@@ -562,7 +562,7 @@ class QTerm:
         with localcontext(ctx.dec):
             # Its float bounds hold for the description at any digits.
             decay = _Majorant(self)
-        work = _working_context(ctx, eps, _peak_log2(self, decay, ctx, eps))
+            work = _working_context(ctx, eps, _peak_log2(self, decay, ctx, eps))
         series = self if work is ctx or rebuild is None else rebuild(work)
         with localcontext(work.dec):
             gen = TermGenerator(_kernel(series) if term is None else term(series), decay)
@@ -1099,7 +1099,6 @@ def sum_series(
         DivergenceError: if terms repeatedly exceed the declared decay, or
             the certification never triggers within the iteration budget.
     """
-    target = (ctx.epsilon if eps is None else eps) / 2
     wd = ctx.working_digits
     hard_cap = _term_cap(wd)
     # Precision tapering (module docstring): the summands' digits, their
@@ -1115,6 +1114,7 @@ def sum_series(
     lowest = 0.0 if slope else min(_pow2_floor(const), _NOT_YET)
     low = min(lowest, _LOW_CAP)
     with localcontext(ctx.dec) as local:
+        target = (ctx.epsilon if eps is None else eps) / 2
         # target >= limit * 10**(target_e - 16).
         target_e = target.adjusted()
         limit = int(target.scaleb(16 - target_e)) * _TARGET_DOWN
@@ -1342,8 +1342,7 @@ def qpochhammer_inf(
             (``|q|`` near 1) before any term, if the head has more factors
             than a sum may have terms (:func:`_term_cap`), or if it overflows.
     """
-    q, a = as_decimal(q, ctx), as_decimal(a, ctx)
-    _require_unit("q", q)
+    q, a = _require_unit("q", q, ctx), as_decimal(a, ctx)
     with localcontext(ctx.dec):
         count = crossing(a, q)
         if count > (cap := _term_cap(ctx.working_digits)):
@@ -1365,7 +1364,7 @@ def qpochhammer_inf(
     rest = sum_qterm(_euler, (a, q, count), ctx, "euler", rest_eps)
     with localcontext(ctx.dec):
         size = _log2_bounds(scale * (abs(rest.value) + rest.tail_bound))[1]
-    work = _working_context(ctx, eps, size)
+        work = _working_context(ctx, eps, size)
     if work is not ctx:
         value = head(work)
     return product(((ball(value), 1), (rest, 1)), work, "euler")
@@ -1384,9 +1383,10 @@ def _poch_log2_bounds(a: BigReal, q: BigReal) -> tuple[float, float]:
     most ``2**12``) enter at their float values, each within ``|x_i| *
     (i + 2) * 2**-50``; the rest add between ``-x/((1 - x)(1 - |q|))`` and
     ``x/(1 - |q|)`` to the log, ``x = |x_N|`` the first left out.  ``low``
-    is ``-inf`` if a factor cannot be told from 0.
+    is ``-inf`` if a factor cannot be told from 0.  ``1 - |q|`` is rounded
+    once from its exact value, so it is not 0 where ``|q|`` rounds to 1.
     """
-    x, r = float(a), float(q)
+    x, r, gap = float(a), float(q), float(1 - abs(Fraction(q)))
     low = high = 0.0
     for i in range(2**12):
         if abs(x) <= 2**-10:
@@ -1396,8 +1396,8 @@ def _poch_log2_bounds(a: BigReal, q: BigReal) -> tuple[float, float]:
         high += log2(size + error)
         x *= r
     x = abs(x)
-    high += x / ((1 - abs(r)) * log(2))
-    low -= x / ((1 - x) * (1 - abs(r)) * log(2))
+    high += x / (gap * log(2))
+    low -= x / ((1 - x) * gap * log(2))
     margin = (abs(low) + abs(high)) * 2**-40 + _PEAK_MARGIN
     return low - margin, high + margin
 
@@ -1423,7 +1423,7 @@ def poch_product(
     ``2**-10`` of its bound, so ``M_j`` exceeds that by at most ``1 + 2**-9``.
     The product runs at the digits that ``prod M_j`` asks for.
     """
-    share = ctx.epsilon / (2 * (len(pochs) + 1))
+    share = ctx.dec.divide(ctx.epsilon, 2 * (len(pochs) + 1))
     slack = log2(1 + 2**-9)
     # (a, k, log2 M, log2 of the tail's weight, log2 of the tail's ceiling)
     parts = []
@@ -1458,7 +1458,7 @@ def theta3(q: Real, ctx: RealContext) -> SeriesValue:
     Raises:
         DomainError: unless ``|q| < 1``.
     """
-    _require_unit("q", as_decimal(q, ctx))
+    _require_unit("q", q, ctx)
     (q,) = series_parameters((q,), ctx)
     series = QTerm(q, start=q, theta=(2, 1), first=1)
     sv = series.sum(ctx, "theta", eps=ctx.epsilon / 2)

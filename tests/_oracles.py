@@ -10,7 +10,9 @@ odd Fibonacci splits reproduce PSI to the last digit.
 :func:`sum_series_per_index` is the summation loop that runs every test of
 the engine at every index, the reference for :func:`qlambert.qcore.sum_series`.
 :func:`pole_scan_distances` walks ``x*q**n`` one index at a time, the
-reference for :func:`qlambert.lambert._pole_scan`.
+reference for :func:`qlambert.lambert._pole_scan`, and
+:func:`product_factor_count_walk` walks ``|q|**M`` the same way, the reference
+for :func:`qlambert.gospermat.product_factor_count`.
 """
 
 from __future__ import annotations
@@ -301,3 +303,19 @@ def pole_scan_distances(x, q, ctx, first_index) -> list:
                 break
             xqn *= q
     return distances
+
+
+def product_factor_count_walk(q, ctx) -> int:
+    """The matrix products' factor count by a walk: ``M + 8``, ``M`` the
+    least count whose running product of ``|q|``, rounded at each step, is
+    below ``epsilon``; the reference for
+    :func:`qlambert.gospermat.product_factor_count`.  It takes about
+    ``target_digits * ln 10 / (1 - |q|)`` steps."""
+    q = as_decimal(q, ctx)
+    with localcontext(ctx.dec):
+        size = abs(q)
+        count, running = 1, size
+        while running >= ctx.epsilon:
+            running *= size
+            count += 1
+    return count + 8

@@ -11,7 +11,8 @@ explicit tolerance, so ``pytest -v`` prints one pass/fail line per guarantee:
 6. the 2x2 matrix exchange relation and both infinite-product forms,
 7. four-way agreement of the bilateral series on a fixed parameter battery,
 8. resolution of the even-index alternate form against a big-integer oracle,
-9. soundness of every certified tail bound under recomputation.
+9. soundness of every certified tail bound under recomputation,
+10. output that does not depend on the caller's ``decimal`` context.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from qlambert import (
     lambert_naive,
     lambert_theta,
     make_context,
+    product_factor_count,
     product_upper_right,
     qpochhammer_inf,
     recip_sum_fast,
@@ -272,3 +274,55 @@ def test_results_do_not_depend_on_the_callers_decimal_context() -> None:
         with decimal.localcontext(decimal.Context(prec=5)):
             narrow = evaluate(ctx)
         assert (narrow.value, narrow.tail_bound) == (wide.value, wide.tail_bound)
+
+
+#: Commands of every kind, run in one process as ``tools/output_digest.py``
+#: runs them, with each ``eval`` series and method, each ``recip-sum``
+#: method, the product sides of ``verify``, and a Lambert pole.
+AMBIENT_COMMANDS = (
+    "eval lambert --q 0.9999 --digits 30 --report",
+    "eval lambert --method naive --q=-115/191 --digits 30 --report",
+    "eval lambert --q 0.999999999999 --digits 10",
+    "eval glambert --x 0.3 --q 0.7 --digits 30 --report",
+    "eval glambert --method naive --x=-2/3 --q 0.9 --digits 30 --report",
+    *(
+        f"eval qxt --method {method} --x 0.3 --t 0.2 --q 0.5 --digits 30 --report"
+        for method in ("theta", "naive", "alt")
+    ),
+    *(
+        f"eval bilateral --method {method} --x 0.6 --t=-0.5 --q 0.2 --digits 30 --report"
+        for method in ("theta", "direct", "form1", "form2")
+    ),
+    "eval theta3 --q 0.9 --digits 30 --report",
+    *(
+        f"recip-sum --m1 1 --m2 1 --method {method} --digits 30 --report"
+        for method in ("horadam", "naive", "gosper", "split")
+    ),
+    "recip-sum --m1 2 --m2 1 --digits 300 --report",
+    "verify --identity gosper-poch --trials 3 --digits 30",
+    "verify --identity fine-16.3 --trials 3 --digits 30",
+)
+
+
+def _ambient_outputs(capsys) -> list:
+    """The exit code and output of each command, then two library results."""
+    outputs = []
+    for command in AMBIENT_COMMANDS:
+        code = main(command.split())
+        captured = capsys.readouterr()
+        outputs.append((command, code, captured.out, captured.err))
+    ctx = make_context(30)
+    outputs.append(qpochhammer_inf(Decimal(10) ** 6, Decimal("0.9"), ctx))
+    outputs.append(product_factor_count(Decimal("0.7"), ctx))
+    return outputs
+
+
+def test_output_does_not_depend_on_the_callers_decimal_context(capsys) -> None:
+    """Domain tests and digit choices read the ``RealContext`` alone: at 3
+    digits a rounded ``abs(q)`` once refused ``q = 0.9999`` as outside the
+    unit interval, and at 100 digits accepted ``q`` that the default
+    refuses."""
+    expected = _ambient_outputs(capsys)
+    for prec in (3, 6, 100):
+        with decimal.localcontext(prec=prec):
+            assert _ambient_outputs(capsys) == expected, prec

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from decimal import Decimal, localcontext
 
 import pytest
 
-from qlambert import DivergenceError, SeriesValue, cli, make_context
+from qlambert import DivergenceError, SeriesValue, cli, lambert_theta, make_context
 from qlambert.cli import main
 
 from _oracles import PELL, PSI
@@ -354,6 +355,18 @@ class TestBench:
         naive, theta = (record["terms_used"] for record in payload["methods"])
         assert naive > theta
         assert float(payload["term_ratio"]) > 1
+
+    def test_bench_exits_one_when_its_methods_disagree(self, capsys, monkeypatch) -> None:
+        def shifted(q, ctx):
+            sv = lambert_theta(q, ctx)
+            value = ctx.dec.add(sv.value, 5 * ctx.epsilon)
+            return SeriesValue(value, sv.terms_used, sv.tail_bound, "theta")
+
+        monkeypatch.setattr(cli, "lambert_theta", shifted)
+        code, out, err = run_cli(capsys, "bench", "--series", "lambert", "--q", "1/2")
+        assert code == 1 and out == ""
+        disagree = r"qlambert: bench methods disagree by [45]\.\d*E-30 \(allowed 4E-30\)\n"
+        assert re.fullmatch(disagree, err)
 
     def test_qxt_bench_includes_the_alternate_expansion(self, capsys) -> None:
         code, out, _ = run_cli(

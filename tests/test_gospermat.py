@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from qlambert import (
 )
 from qlambert.gospermat import LEFT, RIGHT
 from qlambert.numerics import as_decimal
+
+from _oracles import product_factor_count_walk
 
 
 class TestMatrixEntries:
@@ -167,3 +171,40 @@ def test_products_at_fifty_digits() -> None:
     right = product_upper_right(RIGHT, count, q, ctx)
     with localcontext(ctx.dec):
         assert abs(left - right) < Decimal(1).scaleb(-(ctx.working_digits - 10))
+
+class TestFactorCount:
+    """``product_factor_count`` from a float estimate settled by direct
+    powers, against the walk that multiplies ``|q|`` down one step at a time."""
+
+    @pytest.mark.parametrize("digits", [10, 30, 50, 200])
+    def test_counts_as_the_walk_does(self, digits: int) -> None:
+        ctx = make_context(digits)
+        rng = random.Random(digits)
+        points = ["0.3", "0.5", "-0.3", "0.1", "0.7", "0.000001", "0.0000000000000000001"]
+        points += [str(round(rng.uniform(-0.99, 0.99), rng.randint(1, 30))) for _ in range(30)]
+        for text in points:
+            q = Decimal(text)
+            if q:
+                assert product_factor_count(q, ctx) == product_factor_count_walk(q, ctx), text
+
+    def test_counts_as_the_walk_does_next_to_the_cap(self) -> None:
+        """At 10 digits a count past 20 000 is refused: M + 8 = 20 000 is
+        near q = 0.998849."""
+        ctx = make_context(10)
+        for step in range(-20, 21):
+            q = Decimal("0.998849") + step * Decimal("0.0000001")
+            walked = product_factor_count_walk(q, ctx)
+            if walked <= 20_000:
+                assert product_factor_count(q, ctx) == walked
+            else:
+                with pytest.raises(DomainError, match="more than 20000 factors"):
+                    product_factor_count(q, ctx)
+
+    @pytest.mark.parametrize("q", ["0.999", "0." + "9" * 30, "0." + "9" * 61])
+    def test_a_count_past_the_cap_is_refused_at_once(self, q: str) -> None:
+        """The walk took 115 080 steps at q = 0.999, and about 10**32 at
+        q = 1 - 10**-30."""
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match="more than 37200 factors"):
+            product_factor_count(Decimal(q), make_context(50))
+        assert time.perf_counter() - started < 1

@@ -20,7 +20,7 @@ from qlambert import (
 from qlambert import identities
 from qlambert.cli import main
 from qlambert.identities import MAX_RESAMPLES, IdentityEntry, ParamSpec, _Rng, get_entry
-from qlambert.qcore import ball
+from qlambert.qcore import SeriesValue, ball
 
 EXPECTED_ENTRIES = (
     ("rogers-fine", 2),
@@ -219,6 +219,22 @@ class TestDivergingSide:
         assert payload["pass"] is False
         assert payload["reason"] == "synthetic side failed to certify"
         assert Decimal(payload["worst_point"]["q"]) > 0
+
+    def test_a_side_past_epsilon_fails_the_report_with_that_reason(
+        self, ctx30, monkeypatch
+    ) -> None:
+        """A tail past ``epsilon`` means a digit prediction fell short: the
+        side is a ``DivergenceError``, not a point to draw again."""
+
+        def loose(point, ctx):
+            return SeriesValue(point["q"], 1, 2 * ctx.epsilon, "loose")
+
+        sides = identities._sides(lambda point, ctx: ball(point["q"]), loose)
+        entry = IdentityEntry("synthetic", (ParamSpec("q"),), sides, "test")
+        monkeypatch.setattr(identities, "_REGISTRY", (*registry(), entry))
+        report = check_identity("synthetic", 3, 1, ctx30)
+        assert not report.passed
+        assert report.reason == "side loose missed epsilon at its predicted digits (tail 2E-30)"
 
     def test_a_passing_report_has_no_reason(self, ctx30) -> None:
         report = check_identity("symm", 2, 1, ctx30)

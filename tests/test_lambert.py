@@ -23,6 +23,7 @@ from qlambert import (
     series_qxt_lhs,
     series_qxt_rhs,
 )
+from qlambert import lambert
 from qlambert.cli import main
 from qlambert.lambert import _lambert_theta, _pole_scan
 
@@ -326,3 +327,52 @@ class TestPoleScan:
         assert code == 2 and out == ""
         assert err.startswith("qlambert: ") and err.count("\n") == 1
         assert elapsed < 1
+
+
+class TestLambertAsGLambertAtOne:
+    """The Lambert series is ``L(1, q)``: its domain and its poles are those
+    of the generalized series at ``x = 1``."""
+
+    @pytest.mark.parametrize(
+        "flags, index",
+        [
+            (("--q", "0.999999999999"), 1),
+            (("--method", "naive", "--q", "0.999999999999"), 1),
+            (("--q=-0.999999999999",), 2),
+            (("--method", "naive", "--q=-0.999999999999"), 2),
+        ],
+    )
+    def test_a_pole_is_refused_before_the_first_term(
+        self, capsys, monkeypatch, flags, index
+    ) -> None:
+        """1 - q**n within the tolerance once ran to the term cap and exited 2."""
+        monkeypatch.setattr(lambert, "sum_qterm", lambda *args: pytest.fail("summed"))
+        message = f"qlambert: denominator 1 - x*q**{index} vanishes at working tolerance\n"
+        assert main(["eval", "lambert", *flags, "--digits", "10"]) == 3
+        assert capsys.readouterr().err == message
+        assert main(["eval", "glambert", "--x", "1", *flags, "--digits", "10"]) == 3
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("fn", [lambert_naive, lambert_theta])
+    def test_the_unit_interval_test_is_glambert_s(self, fn, ctx30) -> None:
+        with pytest.raises(DomainError) as lambert_error:
+            fn(Decimal("1.5"), ctx30)
+        with pytest.raises(DomainError) as glambert_error:
+            glambert_lhs(Decimal(1), Decimal("1.5"), ctx30)
+        assert str(lambert_error.value) == str(glambert_error.value)
+
+
+#: 1 - 10**-30: its abs() rounds to 1 at 28 digits, the interpreter's default.
+NEAR_UNIT_Q = "0." + "9" * 30
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["eval lambert", "eval glambert --x 0.5", "eval qxt --x 0.5 --t 0.5", "eval theta3"],
+)
+def test_q_within_the_default_context_of_one_is_inside(capsys, command: str) -> None:
+    """At the interpreter's 28 digits ``abs(q)`` is 1; the domain test is exact."""
+    with localcontext(prec=28):
+        code = main([*command.split(), "--q", NEAR_UNIT_Q, "--digits", "50"])
+    err = capsys.readouterr().err
+    assert code == 2 and "outside" not in err

@@ -507,6 +507,76 @@ def test_fine_sides_match_qhyper(name: str, digits: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Every side of symm, fine-16.3, poch-symm and osler-1111 at points of the
+# verify sampler, against one direct sum per identity.
+
+
+@lru_cache(maxsize=None)
+def poch_series_reference(x: str, t: str, q: str, dps: int):
+    """``sum_{n>=0} t^n / (x;q)_{n+1}``, directly, to ``dps`` digits."""
+    with mp.workdps(dps + GUARD_DPS):
+        x_m, t_m, q_m = mpf(x), mpf(t), mpf(q)
+
+        def terms():
+            tn, denominator, xqn = mpf(1), 1 - x_m, x_m
+            while True:
+                yield tn / denominator
+                tn *= t_m
+                xqn *= q_m
+                denominator *= 1 - xqn
+
+        return _sum_to(terms(), dps)
+
+
+@lru_cache(maxsize=None)
+def chain_reference(x: str, t: str, q: str, dps: int):
+    """``sum_{n>=1} t x^n q^n / (1 - t q^n)``, (6.5) at ``a = b = c = d = 1``,
+    directly, to ``dps`` digits."""
+    with mp.workdps(dps + GUARD_DPS):
+        x_m, t_m, q_m = mpf(x), mpf(t), mpf(q)
+
+        def terms():
+            xqn, qn = x_m * q_m, q_m
+            while True:
+                yield t_m * xqn / (1 - t_m * qn)
+                xqn *= x_m * q_m
+                qn *= q_m
+
+        return _sum_to(terms(), dps)
+
+
+def fine_reference(a: str, b: str, t: str, q: str, dps: int):
+    """Fine's ``F(a, b; t)``, mpmath's ``qhyper([a*q, q], [b*q], q, t)``."""
+    with mp.workdps(dps + GUARD_DPS):
+        a_m, b_m, t_m, q_m = (mpf(value) for value in (a, b, t, q))
+        return mpmath.qhyper([a_m * q_m, q_m], [b_m * q_m], q_m, t_m)
+
+
+#: Each identity with the reference every one of its sides equals.
+SIDE_REFERENCES = {
+    "symm": lambda p, dps: qxt_reference(p["x"], p["t"], p["q"], dps),
+    "fine-16.3": lambda p, dps: fine_reference(p["a"], p["b"], p["t"], p["q"], dps),
+    "poch-symm": lambda p, dps: poch_series_reference(p["x"], p["t"], p["q"], dps),
+    "osler-1111": lambda p, dps: chain_reference(p["x"], p["t"], p["q"], dps),
+}
+#: Points per precision, drawn as :data:`FINE_POINTS` are.
+SIDE_POINTS = {30: 20, 50: 20}
+
+
+@pytest.mark.parametrize("digits", SIDE_POINTS)
+@pytest.mark.parametrize("name", SIDE_REFERENCES)
+def test_identity_sides_match_their_direct_sum(name: str, digits: int) -> None:
+    """Every side is within its own ``tail_bound`` of the identity's value."""
+    for point, values in sampler_points(name, digits, SIDE_POINTS[digits]):
+        strings = {key: str(value) for key, value in point.items()}
+        reference = SIDE_REFERENCES[name](strings, digits + EXTRA_DPS)
+        for sv in values:
+            with mp.workdps(digits + 2 * EXTRA_DPS):
+                error = abs(mpf(str(sv.value)) - reference)
+                assert error <= mpf(str(sv.tail_bound)), (point, sv.method_tag)
+
+
+# ---------------------------------------------------------------------------
 # Every side of jordan-forms and knuth-wrench at points of the verify
 # sampler: the hand-written Decimal brackets of form1, form2 and the two
 # Wrench bracket sides, and the sides summed from their descriptions.

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlambert import DomainError, format_real, make_context, parse_real, sqrt
+from qlambert.numerics import _require_unit, series_parameters
 
 #: Target digits of the square-root checks.
 ROOT_DIGITS = (10, 11, 37, 300, 1000, 5000)
@@ -59,6 +61,10 @@ class TestMakeContext:
         with pytest.raises(DomainError):
             make_context(bad)  # type: ignore[arg-type]
 
+    def test_targets_are_checked_as_every_integer_argument_is(self) -> None:
+        with pytest.raises(DomainError, match="target_digits must be an integer >= 10, got 9"):
+            make_context(9)
+
     def test_pole_tolerance_scales_with_working_digits(self) -> None:
         ctx = make_context(30)
         assert ctx.pole_tolerance() == Decimal(1).scaleb(-20)
@@ -98,6 +104,25 @@ class TestParseReal:
         assert parse_real("-3/4", ctx30) == Decimal("-0.75")
         third = parse_real("1/3", ctx30)
         assert abs(third * 3 - 1) < Decimal(1).scaleb(-39)
+
+    def test_a_rational_past_one_word_is_a_decimal(self) -> None:
+        # 2**70/3: its numerator is 71 bits long, past EXACT_BITS.
+        ctx = make_context(300)
+        value = parse_real("1180591620717411303424/3", ctx)
+        assert type(value) is Decimal
+        with localcontext(ctx.dec):
+            assert value == Decimal(2**70) / 3
+
+    def test_one_long_rational_rounds_every_parameter(self) -> None:
+        """Above 200 working digits short rationals stay exact, but not beside
+        a long one: a series never mixes exact and ``Decimal`` parameters."""
+        ctx = make_context(300)
+        third, long = Fraction(1, 3), Fraction(2**70, 3)
+        assert series_parameters([third, Fraction(2, 3)], ctx) == [third, Fraction(2, 3)]
+        rounded = series_parameters([third, long], ctx)
+        assert [type(value) for value in rounded] == [Decimal, Decimal]
+        with localcontext(ctx.dec):
+            assert rounded == [Decimal(1) / 3, Decimal(2**70) / 3]
 
     def test_unicode_minus_accepted(self, ctx30) -> None:
         assert parse_real("−0.5", ctx30) == Decimal("-0.5")
@@ -171,3 +196,15 @@ class TestSqrt:
         root, expected = sqrt(value, ctx), ctx.dec.sqrt(value)
         assert root == expected
         assert str(root) == str(expected)
+
+
+class TestRequireUnit:
+    """``|value| < 1`` is decided exactly, whatever the caller's context."""
+
+    @pytest.mark.parametrize("prec", [3, 28, 100])
+    def test_the_ambient_context_does_not_round_the_test(self, prec: int) -> None:
+        inside = Decimal("-0." + "9" * 40)
+        with localcontext(prec=prec):
+            assert _require_unit("q", inside, make_context(30)) == inside
+            with pytest.raises(DomainError, match="q outside"):
+                _require_unit("q", Decimal("1.000"), make_context(30))

@@ -374,6 +374,15 @@ class TestQPochhammer:
             qpochhammer_inf(Decimal("0.5"), Decimal(q), ctx30)
         assert time.perf_counter() - started < 0.1
 
+    @pytest.mark.parametrize("nines", [17, 30])
+    def test_infinite_product_takes_q_that_rounds_to_one_in_floats(
+        self, ctx50, nines: int
+    ) -> None:
+        """``float(q)`` is 1 here, and ``1 - float(q)`` was a division by 0."""
+        with localcontext(prec=28):
+            with pytest.raises(DomainError, match="extra digits"):
+                qpochhammer_inf(Decimal("0.5"), Decimal("0." + "9" * nines), ctx50)
+
     def test_infinite_product_with_a_long_head_certifies(self) -> None:
         ctx = make_context(300)
         sv = qpochhammer_inf(Decimal(10) ** 6, Decimal("0.9"), ctx)
@@ -384,6 +393,12 @@ class TestQPochhammer:
     ) -> None:
         with pytest.raises(QlambertError):
             qpochhammer_inf(Decimal(10) ** 400, Decimal("0.99"), ctx50)
+
+    def test_a_head_past_the_exponent_range_overflows_as_a_library_error(
+        self, ctx50
+    ) -> None:
+        with pytest.raises(DomainError, match=r"\(a;q\)_21855 overflows"):
+            qpochhammer_inf(Decimal(10) ** 1000, Decimal("0.9"), ctx50)
 
     def test_infinite_product_refuses_a_head_past_the_term_cap_at_once(
         self, ctx30
