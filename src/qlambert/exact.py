@@ -56,7 +56,7 @@ from fractions import Fraction
 from math import log2
 from typing import TYPE_CHECKING, Callable
 
-from .numerics import BigReal, Real, is_quadratic
+from .numerics import BigReal, Real, _context, is_quadratic
 from .qcore import QTerm, _kernel, _rounded
 
 if TYPE_CHECKING:
@@ -93,7 +93,7 @@ def _exact_kernel(d: QTerm) -> Callable[[int], BigReal]:
         coeff = _rounded(d.start)
     else:
         # Imported on first use: only the Horadam reciprocal sums need it.
-        from .quadratic import _beta, _context, _lost_digits, _value
+        from .quadratic import _beta, _lost_digits, _value
 
         coeff = _value(*_split(d.start), getcontext())
     p, r = _split(d.q)

@@ -18,18 +18,20 @@ running ``p``-product multiplies every later ``u``-contribution and its
 magnitude certifies truncation.
 
 ``n = None`` (for K) and ``k = None`` (for N) denote the limit matrices
-``K(k,inf) = (0, q/(1-q^k))`` and ``N(inf,n) = (0, q)``.
+``K(k,inf) = (0, q/(1-q^k))`` and ``N(inf,n) = (0, q)``.  The products'
+factor count, :func:`product_factor_count`, is where ``|q|**M`` crosses
+``epsilon``, found by the rule the pole scans use
+(:func:`~qlambert.qcore.crossing`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from math import floor, inf, log, log1p
 
 from .errors import DomainError
 from .numerics import BigReal, RealContext, _require_int, _require_unit
-from .qcore import _term_cap
+from .qcore import _term_cap, crossing, ipow
 
 __all__ = [
     "LEFT",
@@ -147,9 +149,9 @@ def product_factor_count(q: BigReal, ctx: RealContext) -> int:
     and misses by the rest of the theta tail, whose first summand is
     ``2*q**((M+1)**2 + M + 1) / (1 - q**(M+1))``.
 
-    ``M`` is a float estimate from ``-ln|q| = -log1p(-(1-|q|))``, with
-    ``1 - |q|`` formed at working precision, so that it is not 0 where
-    ``|q|`` rounds to 1 in floats, and then settled by direct powers.
+    ``M`` is :func:`~qlambert.qcore.crossing` of ``1/epsilon`` and ``q`` from
+    index 1, the least count with ``|q|**M <= epsilon``, plus one where that
+    power is ``epsilon`` exactly, so that ``|q|**M < epsilon``.
 
     Raises:
         DomainError: unless ``0 < |q| < 1``, or if ``M + 8`` passes the cap
@@ -159,17 +161,10 @@ def product_factor_count(q: BigReal, ctx: RealContext) -> int:
     q = _require_unit("q", q, ctx)
     if q == 0:
         raise DomainError("q must be nonzero for the matrix products")
-    size = q.copy_abs()
     cap = _term_cap(ctx.working_digits) - 8
-    # M is the least integer above depth / rate = ln(1/epsilon) / -ln|q|.
-    gap, depth = float(ctx.dec.subtract(1, size)), ctx.target_digits * log(10)
-    rate = -log1p(-gap) if gap < 1 else inf
-    count = cap if depth >= cap * rate else floor(depth / rate) + 1
     with localcontext(ctx.dec):
-        while count > 1 and size ** (count - 1) < ctx.epsilon:
-            count -= 1
-        while count <= cap and size**count >= ctx.epsilon:
-            count += 1
+        count = crossing(1 / ctx.epsilon, q, 1)
+        count += ipow(q.copy_abs(), count) == ctx.epsilon
     if count > cap:
         raise DomainError(f"the matrix products need more than {cap + 8} factors")
     return count + 8

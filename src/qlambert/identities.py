@@ -363,24 +363,27 @@ def _osler_combined(p: Params, ctx: RealContext) -> SeriesValue:
     evaluated as two separately certified theta-class series (their sum can
     cancel at isolated indices, which would break a shared ratio bound).
     """
-    with localcontext(ctx.dec):
-        alpha, beta, q = +Decimal(p["alpha"]), +Decimal(p["beta"]), +Decimal(p["q"])
-        a, b, c, d = int(p["a"]), int(p["b"]), int(p["c"]), int(p["d"])
-        part1 = QTerm(
-            q,
-            start=ipow(q, b * d),
-            z=alpha * beta,
-            theta=(2 * a * c, a * c + a * d + b * c),
-            factors=(Factor(beta, s=c * a, k=c * b, power=-1),),
-        ).sum(ctx, "osler-6.7a")
-        part2 = QTerm(
-            q,
-            start=alpha * ipow(q, (a + b) * d),
-            z=alpha * beta,
-            theta=(2 * a * c, 2 * a * c + a * d + b * c),
-            factors=(Factor(alpha, s=a * c, k=a * d, power=-1),),
-        ).sum(ctx, "osler-6.7b")
+    params = [p[name] for name in ("alpha", "beta", "q", "a", "b", "c", "d")]
+    part1 = sum_qterm(_osler_combined_a, params, ctx, "osler-6.7a")
+    part2 = sum_qterm(_osler_combined_b, params, ctx, "osler-6.7b")
     return combine(((1, part1), (1, part2)), ctx, "osler-6.7")
+
+
+def _osler_combined_a(alpha: BigReal, beta: BigReal, q: BigReal, *abcd: BigReal) -> QTerm:
+    """``(alpha beta)^n q^((an+b)(cn+d)) / (1 - beta q^(c(an+b)))``, ``n >= 0``."""
+    a, b, c, d = map(int, abcd)
+    pole = Factor(beta, s=c * a, k=c * b, power=-1)
+    theta = (2 * a * c, a * c + a * d + b * c)
+    return QTerm(q, ipow(q, b * d), alpha * beta, theta, (pole,))
+
+
+def _osler_combined_b(alpha: BigReal, beta: BigReal, q: BigReal, *abcd: BigReal) -> QTerm:
+    """``alpha^(n+1) beta^n q^((a(n+1)+b)(cn+d)) / (1 - alpha q^(a(cn+d)))``,
+    ``n >= 0``."""
+    a, b, c, d = map(int, abcd)
+    pole = Factor(alpha, s=a * c, k=a * d, power=-1)
+    theta = (2 * a * c, 2 * a * c + a * d + b * c)
+    return QTerm(q, alpha * ipow(q, (a + b) * d), alpha * beta, theta, (pole,))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +399,15 @@ def _chain_theta_parts(
 ) -> SeriesValue:
     """``sum_{n>=1} x^n t^n q^(n^2)/(1-t q^n)
     + x * sum_{n>=1} x^n t^n q^(n(n+1))/(1-x q^n)``."""
-    with localcontext(ctx.dec):
-        x, t, q = +Decimal(x), +Decimal(t), +Decimal(q)
-        xt = x * t
-        part_a = QTerm(q, xt * q, xt, (2, 1), (Factor(t, power=-1),), first=1)
-        part_b = QTerm(q, xt * q * q, xt, (2, 2), (Factor(x, power=-1),), first=1)
-        part_a = part_a.sum(ctx, "chain-a")
-        part_b = part_b.sum(ctx, "chain-b")
+    part_a = sum_qterm(_chain_theta, (x, t, t, q, 1), ctx, "chain-a")
+    part_b = sum_qterm(_chain_theta, (x, t, x, q, 2), ctx, "chain-b")
     return combine(((1, part_a), (x, part_b)), ctx, method_tag)
+
+
+def _chain_theta(x: BigReal, t: BigReal, pole: BigReal, q: BigReal, shift: BigReal) -> QTerm:
+    """``x^n t^n q^(n(n-1) + shift*n)/(1-pole q^n)``, ``n >= 1``."""
+    xt, shift = x * t, int(shift)
+    return QTerm(q, xt * ipow(q, shift), xt, (2, shift), (Factor(pole, power=-1),), first=1)
 
 
 def _chain_e3(p: Params, ctx: RealContext) -> SeriesValue:

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
@@ -138,6 +139,12 @@ def make_context(target_digits: int, guard_digits: int | None = None) -> RealCon
         epsilon=Decimal(1).scaleb(-target_digits, dec),
         dec=dec,
     )
+
+
+@lru_cache(maxsize=512)
+def _context(digits: int) -> decimal.Context:
+    """The ``decimal`` context of ``digits >= 10`` working digits, shared."""
+    return make_context(10, digits - 10).dec
 
 
 def parse_real(text: str, ctx: RealContext) -> Real:

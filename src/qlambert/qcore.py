@@ -344,6 +344,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Decimal, Overflow, getcontext, localcontext
 from fractions import Fraction
+from functools import partial
 from math import ceil, exp2, floor, inf, ldexp, log, log2, log10, prod, ulp
 from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
@@ -353,6 +354,7 @@ from .numerics import (
     BigReal,
     Real,
     RealContext,
+    _context,
     _require_int,
     _require_unit,
     as_decimal,
@@ -381,22 +383,22 @@ def ipow(base: Real, exponent: int) -> Real:
 
 def crossing(a: BigReal, q: BigReal, first: int = 0) -> int:
     """The least ``n >= first`` with ``|a*q**n| <= 1``, for ``Decimal`` ``a``
-    and ``|q| < 1``, under the current context.
+    and ``|q| < 1``, both exact, under the current context of ``W`` digits.
 
-    Past ``first`` it is the least integer ``n >= nu = ln|a| / -ln|q|``.
-    ``Decimal.ln`` is correctly rounded, so at ``P`` digits the quotient is
-    within ``e = 2 * 10**(1 - P) * nu`` of ``nu``.  While ``e < 1``, ``n`` is
-    the quotient's ceiling less one or one of the two integers above, and
-    direct powers at the first two settle which.  A larger ``e`` needs
-    ``-ln|q| <= 2 * 10**(1 - P) * ln|a|``: the result is then within
-    ``e + 2`` of ``nu``, and ``a*q**n`` there within a relative
-    ``6 * 10**(1 - P) * ln|a|`` of 1, inside the pole tolerance
-    ``10**-(P // 2)`` while ``ln|a| < 10**(P/2 - 2)``.
+    Past ``first`` it is the least integer ``n >= nu = ln|a| / -ln|q| < b =
+    3 * (E + 1) / (1 - |q|)``, ``E`` the adjusted exponent of ``|a|``.  At
+    ``P = max(10, adjusted(b) + 3)`` digits the correctly rounded ``ln`` give
+    a quotient within ``2 * 10**(1 - P) * nu < 1`` of ``nu``: ``n`` is its
+    ceiling less one or one of the two integers above, and direct powers at
+    the first two, each within a relative ``10**(1 - W)``, settle which.
+    Where ``-ln|q|`` is below that they may not; the result is within 2 of
+    ``n``, ``|ln(a*q**n)| < 3 * -ln|q|``, inside the pole tolerance ``10**-(W // 2)``.
     """
-    a, q = abs(a), abs(q)
+    a, q = a.copy_abs(), q.copy_abs()
     if a * ipow(q, first) <= 1:
         return first
-    n = max(first + 1, ceil(a.ln() / -q.ln()) - 1)
+    logs = _context(max(10, (3 * (a.adjusted() + 1) / (1 - q)).adjusted() + 3))
+    n = max(first + 1, -1 - floor(logs.divide(a.ln(logs), q.ln(logs))))
     return n + (a * ipow(q, n) > 1) + (a * ipow(q, n + 1) > 1)
 
 
@@ -1452,14 +1454,12 @@ def poch_product(
 def theta3(q: Real, ctx: RealContext) -> SeriesValue:
     """Jacobi theta constant ``Theta_3(q) = 1 + 2 * sum_{n>=1} q**(n**2)``.
 
-    The sum is certified to ``epsilon/4``, so the doubled tail stays within
-    ``epsilon/2``.
+    The sum, ``QTerm(q, start=q, theta=(2, 1), first=1)``, is certified to
+    ``epsilon/4``, so the doubled tail stays within ``epsilon/2``.
 
     Raises:
         DomainError: unless ``|q| < 1``.
     """
     _require_unit("q", q, ctx)
-    (q,) = series_parameters((q,), ctx)
-    series = QTerm(q, start=q, theta=(2, 1), first=1)
-    sv = series.sum(ctx, "theta", eps=ctx.epsilon / 2)
+    sv = sum_qterm(partial(QTerm, theta=(2, 1), first=1), (q, q), ctx, "theta", ctx.epsilon / 2)
     return combine(((1, ball(_ONE)), (2, sv)), ctx, "theta")

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import ceil, floor, isqrt, log2, log10, sqrt
 from typing import Callable
 
-from .numerics import BigReal, make_context
+from .numerics import BigReal, _context
 
 #: ``(m1, m2)``: the field of the roots of ``z**2 = m1*z + m2``.
 Field = tuple[int, int]
@@ -239,12 +239,6 @@ def _lost_digits(x: Pair) -> int:
     bits_g, bits_h = x.g.bit_length(), x.h.bit_length()
     bits = max(bits_g, bits_h + log_beta) + max(bits_g, bits_h + log_alpha) + 3
     return max(0, ceil((bits - x.norm().bit_length()) / _LOG2_10 + _MARGIN))
-
-
-@lru_cache(maxsize=512)
-def _context(digits: int) -> Context:
-    """The ``decimal`` context of ``digits`` working digits."""
-    return make_context(10, digits - 10).dec
 
 
 def _beta(field: Field, digits: int) -> Decimal:

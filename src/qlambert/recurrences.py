@@ -52,6 +52,7 @@ from .qcore import (
     ball,
     combine,
     product,
+    sum_qterm,
     theta3,
 )
 
@@ -398,13 +399,14 @@ def fib_even_alt(ctx: RealContext) -> SeriesValue:
     the even-index reciprocal sum with the ``sqrt(5)`` scale, not without it.
     """
     inner, beta, root5 = _fib_inner(ctx.target_digits)
-    with localcontext(inner.dec):
-        b2 = beta * beta
-        series = QTerm(
-            b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1
-        )
-        raw = series.sum(inner, "theta")
+    raw = sum_qterm(_fib_even_series, (beta,), inner, "theta")
     return combine(((root5, raw),), ctx, "theta")
+
+
+def _fib_even_series(beta: BigReal) -> QTerm:
+    """``beta^(n(n+1))/(1-beta^(2n))``, ``n >= 1``."""
+    b2 = beta * beta
+    return QTerm(b2, start=b2, theta=(1, 1), factors=(Factor(1, power=-1),), first=1)
 
 
 def fib_odd_alt(ctx: RealContext) -> SeriesValue:
@@ -414,7 +416,12 @@ def fib_odd_alt(ctx: RealContext) -> SeriesValue:
     positive scale ``(5 - sqrt(5))/2``.
     """
     inner, beta, root5 = _fib_inner(ctx.target_digits)
+    inner_sum = sum_qterm(_fib_odd_series, (beta,), inner, "theta")
     with localcontext(inner.dec):
-        inner_sum = QTerm(beta * beta, theta=(2, 2)).sum(inner, "theta")
         scale = ball(-root5 * beta)
     return product(((scale, 1), (inner_sum, 2)), ctx, "theta")
+
+
+def _fib_odd_series(beta: BigReal) -> QTerm:
+    """``beta^(2n(n+1))``, ``n >= 0``."""
+    return QTerm(beta * beta, theta=(2, 2))

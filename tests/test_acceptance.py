@@ -265,9 +265,9 @@ def test_certified_bounds_survive_recomputation_at_higher_precision() -> None:
 
 
 def test_results_do_not_depend_on_the_callers_decimal_context() -> None:
-    """Every evaluation computes under its own context, never the caller's
-    (the suite's default context has 300 digits and would hide one that
-    does; the interpreter's default has 28)."""
+    """Every evaluation computes under its own context, never the caller's:
+    it gives the same value and bound under the suite's default context, the
+    interpreter's 28 digits, as under one of 5 digits."""
     ctx = make_context(40)
     for evaluate in _evaluation_battery():
         wide = evaluate(ctx)

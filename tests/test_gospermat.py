@@ -173,8 +173,8 @@ def test_products_at_fifty_digits() -> None:
         assert abs(left - right) < Decimal(1).scaleb(-(ctx.working_digits - 10))
 
 class TestFactorCount:
-    """``product_factor_count`` from a float estimate settled by direct
-    powers, against the walk that multiplies ``|q|`` down one step at a time."""
+    """``product_factor_count`` from :func:`~qlambert.qcore.crossing`,
+    against the walk that multiplies ``|q|`` down one step at a time."""
 
     @pytest.mark.parametrize("digits", [10, 30, 50, 200])
     def test_counts_as_the_walk_does(self, digits: int) -> None:
@@ -208,3 +208,11 @@ class TestFactorCount:
         with pytest.raises(DomainError, match="more than 37200 factors"):
             product_factor_count(Decimal(q), make_context(50))
         assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("q", ["0." + "9" * 60, "-0." + "9" * 60])
+def test_a_q_that_rounds_to_one_is_refused_past_the_cap(q: str) -> None:
+    """``|q| < 1``, but it rounds to 1 at the 20 working digits of a 10-digit
+    context: its count is past the cap, not a division by zero."""
+    with pytest.raises(DomainError, match="more than 20000 factors"):
+        product_factor_count(Decimal(q), make_context(10))

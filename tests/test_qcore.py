@@ -453,6 +453,81 @@ class TestCrossing:
             assert n == first or abs(a * ipow(q, n - 1)) > 1
 
 
+class TestCrossingAtManyDigits:
+    """``crossing`` takes its logarithms at the digits that ``nu`` needs, not
+    at the working precision: exact and cheap at thousands of digits."""
+
+    @staticmethod
+    def least_by_direct_powers(a: Decimal, q: Decimal) -> int:
+        """The least ``n`` with ``|a*q**n| <= 1``, by doubling and bisection
+        over direct powers under the current context."""
+
+        def above(n: int) -> bool:
+            return abs(a * ipow(q, n)) > 1
+
+        if not above(0):
+            return 0
+        low, high = 0, 1
+        while above(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if above(mid) else (low, mid)
+        return high
+
+    @pytest.mark.parametrize(
+        ("digits", "a", "q"),
+        [
+            *(
+                (digits, a, q)
+                for digits in (1000, 5000)
+                for a, q in (("2", "0.5"), ("10**d", "0.9999"), ("3", "-0.7"))
+            ),
+            # nu is about 2.3 * 10**23: 10-digit logarithms are off by far more than 1.
+            (1000, "10**d", "0." + "9" * 20),
+        ],
+    )
+    def test_matches_direct_powers(self, digits: int, a: str, q: str) -> None:
+        with localcontext(make_context(digits).dec):
+            a = Decimal(10) ** digits if a == "10**d" else Decimal(a)
+            assert crossing(a, Decimal(q)) == self.least_by_direct_powers(a, Decimal(q))
+
+    def test_infinite_product_with_a_head_is_fast_at_5000_digits(self) -> None:
+        """Its head count's logarithms at the working precision took 3.7 s."""
+        ctx = make_context(5000)
+        started = time.perf_counter()
+        qpochhammer_inf(Decimal(2), Decimal("0.5"), ctx)
+        assert time.perf_counter() - started < 0.5
+
+    def test_a_q_that_rounds_to_one_is_taken_exactly(self) -> None:
+        """``|q| < 1`` with 60 nines, which round to 1 at the 20 working
+        digits: the head count is past the cap, not a division by zero."""
+        with pytest.raises(DomainError, match="head factors, past the cap of 20000"):
+            qpochhammer_inf(Decimal(2), Decimal("0." + "9" * 60), make_context(10))
+
+
+def test_only_crossing_takes_a_logarithm() -> None:
+    """Where ``|a*q**n|`` crosses a bound has one rule: no code but
+    ``qcore.crossing`` calls ``Decimal.ln``, and ``gospermat`` imports no
+    ``math`` logarithm to count its factors on its own."""
+    source_dir = Path(qlambert.__file__).parent
+    callers = set()
+    for path in sorted(source_dir.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ln":
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("qcore", "crossing")}
+    imported = set()
+    for node in ast.walk(ast.parse((source_dir / "gospermat.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "math" not in imported
+    assert not [name for name in imported if name.startswith("log")]
+
+
 class TestTheta3:
     def test_value_at_one_tenth(self, ctx30) -> None:
         sv = theta3(Decimal("0.1"), ctx30)
